@@ -1,6 +1,11 @@
 """Poisson bracket evaluators on the four charts, the bracket pencil and a
 finite-difference Jacobi-identity defect.
 
+Each bracket is a bilinear form Pi_x(dF, dH) in the chart's gradient tuples
+(its `bivector`); the public evaluators take the two gradients and contract
+them.  The Jacobi evaluators share gradients between the observables, the
+stencil points and the brackets of one call.
+
 All evaluators return the same bracket normalization; the Ruijsenaars-chart
 formula is stated in the source with a factor 2 on the left-hand side, which
 is absorbed here (pass raw=True to get the unhalved right-hand side).
@@ -8,26 +13,29 @@ is absorbed here (pass raw=True to get the unhalved right-hand side).
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from . import phase
 from .algebra import comm, pairing, r_apply, r_bracket, split_ub
 from .config import FD_OUTER_STEP_SCALE
-from .phase import Observable, grad_full, grad_red, grad_rs, grad_suth
+from .phase import GRAD_FUNCS, Observable, grad_full, grad_red, grad_rs, grad_suth
 
 
-def pb1_full(F: Observable, H: Observable, x, step: float | None = None) -> float:
-    """First (cotangent-bundle) bracket on U(n) x Herm(n)."""
-    gF = grad_full(F, x, step)
-    gH = grad_full(H, x, step)
+class Bivector(NamedTuple):
+    """A bracket as a bilinear form in gradient tuples of one chart:
+    {F,H}(x) = contract(x, dF, dH) with dF = grad_<chart>(F, x)."""
+    chart: str
+    contract: Callable[..., float]
+
+
+def _pi1_full(x, gF, gH) -> float:
     return (pairing(gF.D1, gH.d2) - pairing(gH.D1, gF.d2)
             + pairing(x.L, comm(gF.d2, gH.d2)))
 
 
-def pb2_full(F: Observable, H: Observable, x, step: float | None = None) -> float:
-    """Second (Heisenberg-double) bracket on U(n) x Herm(n)."""
-    gF = grad_full(F, x, step)
-    gH = grad_full(H, x, step)
+def _pi2_full(x, gF, gH) -> float:
     LdF = x.L @ gF.d2
     LdH = x.L @ gH.d2
     ginv = x.g.conj().T
@@ -36,87 +44,162 @@ def pb2_full(F: Observable, H: Observable, x, step: float | None = None) -> floa
             - 0.5 * pairing(gF.D1p, ginv @ gH.D1 @ x.g))
 
 
-def pb1_red(f: Observable, h: Observable, x, step: float | None = None) -> float:
-    """Reduced first bracket on T^n_reg x Herm(n)."""
-    gf = grad_red(f, x, step)
-    gh = grad_red(h, x, step)
+def _pi1_red(x, gf, gh) -> float:
     return (pairing(gf.D1, gh.d2) - pairing(gh.D1, gf.d2)
             + pairing(x.L, r_bracket(x.Q, gf.d2, gh.d2)))
 
 
-def pb2_red(f: Observable, h: Observable, x, step: float | None = None) -> float:
-    """Reduced second bracket on T^n_reg x Herm(n)."""
-    gf = grad_red(f, x, step)
-    gh = grad_red(h, x, step)
+def _pi2_red(x, gf, gh) -> float:
     Ldf = x.L @ gf.d2
     Ldh = x.L @ gh.d2
     return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
             + 2.0 * pairing(Ldf, r_apply(x.Q, Ldh)))
 
 
+def _pi_rs_raw(x, gF, gH) -> float:
+    lam_inv = np.linalg.inv(x.lam)
+    return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
+            + pairing(gF.Dlamp, lam_inv @ gH.Dlam @ x.lam))
+
+
+def _pi_rs(x, gF, gH) -> float:
+    return 0.5 * _pi_rs_raw(x, gF, gH)
+
+
+def _pi_suth(x, gF, gH) -> float:
+    return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
+            + pairing(x.phi, comm(gF.dphi, gH.dphi)))
+
+
+def pb1_full(F: Observable, H: Observable, x, step: float | None = None) -> float:
+    """First (cotangent-bundle) bracket on U(n) x Herm(n)."""
+    return _pi1_full(x, grad_full(F, x, step), grad_full(H, x, step))
+
+
+def pb2_full(F: Observable, H: Observable, x, step: float | None = None) -> float:
+    """Second (Heisenberg-double) bracket on U(n) x Herm(n)."""
+    return _pi2_full(x, grad_full(F, x, step), grad_full(H, x, step))
+
+
+def pb1_red(f: Observable, h: Observable, x, step: float | None = None) -> float:
+    """Reduced first bracket on T^n_reg x Herm(n)."""
+    return _pi1_red(x, grad_red(f, x, step), grad_red(h, x, step))
+
+
+def pb2_red(f: Observable, h: Observable, x, step: float | None = None) -> float:
+    """Reduced second bracket on T^n_reg x Herm(n)."""
+    return _pi2_red(x, grad_red(f, x, step), grad_red(h, x, step))
+
+
 def pb_rs(F: Observable, H: Observable, x, step: float | None = None,
           raw: bool = False) -> float:
     """Second bracket in the Ruijsenaars variables (Q, p, lambda); valid on
     the conjugation-invariant function family."""
-    gF = grad_rs(F, x, step)
-    gH = grad_rs(H, x, step)
-    lam_inv = np.linalg.inv(x.lam)
-    rhs = (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
-           + pairing(gF.Dlamp, lam_inv @ gH.Dlam @ x.lam))
+    rhs = _pi_rs_raw(x, grad_rs(F, x, step), grad_rs(H, x, step))
     return rhs if raw else 0.5 * rhs
 
 
 def pb_suth(F: Observable, H: Observable, x, step: float | None = None) -> float:
     """First bracket in the Sutherland variables (Q, p, phi)."""
-    gF = grad_suth(F, x, step)
-    gH = grad_suth(H, x, step)
-    return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
-            + pairing(x.phi, comm(gF.dphi, gH.dphi)))
+    return _pi_suth(x, grad_suth(F, x, step), grad_suth(H, x, step))
+
+
+pb1_full.bivector = Bivector("full", _pi1_full)
+pb2_full.bivector = Bivector("full", _pi2_full)
+pb1_red.bivector = Bivector("red", _pi1_red)
+pb2_red.bivector = Bivector("red", _pi2_red)
+pb_rs.bivector = Bivector("rs", _pi_rs)
+pb_suth.bivector = Bivector("suth", _pi_suth)
 
 
 def pencil(s: float):
     """Bracket pencil pb1 + s*pb2 on the full chart; every member is Poisson
     by compatibility of the two brackets."""
+    def contract(x, gF, gH):
+        return _pi1_full(x, gF, gH) + s * _pi2_full(x, gF, gH)
+
     def evaluator(F, H, x, step=None):
-        return pb1_full(F, H, x, step) + s * pb2_full(F, H, x, step)
+        return contract(x, grad_full(F, x, step), grad_full(H, x, step))
     evaluator.__name__ = f"pencil({s})"
+    evaluator.bivector = Bivector("full", contract)
     return evaluator
 
 
-CHART_OF_BRACKET = {
-    pb1_full: "full", pb2_full: "full",
-    pb1_red: "red", pb2_red: "red",
-    pb_rs: "rs", pb_suth: "suth",
-}
+class Gradients:
+    """Gradients on one chart, each (observable, point, step) taken once.
 
-
-def _bracket_observable(bracket, F: Observable, H: Observable, chart: str) -> Observable:
-    """Pointwise bracket value as a new observable, memoized per point."""
-    cache: dict[bytes, float] = {}
-
-    def value(y):
-        key = phase.point_key(y)
-        if key not in cache:
-            cache[key] = bracket(F, H, y)
-        return cache[key]
-
-    return Observable(chart, value, name=f"{{{F.name},{H.name}}}")
-
-
-def jacobi_defect(bracket, F: Observable, G: Observable, H: Observable, x) -> float:
-    """Cyclic sum {F,{G,H}} + {G,{H,F}} + {H,{F,G}}.
-
-    Inner brackets are evaluated pointwise as observables; the outer bracket
-    differentiates them with a larger step, since their values carry O(h^2)
-    finite-difference noise.
+    Keyed by the observable itself and the bytes of the point; create one
+    per call or per sample point, so that it never outlives its points.
     """
+
+    def __init__(self, chart: str):
+        self._grad = GRAD_FUNCS[chart]
+        self._memo: dict = {}
+
+    def __call__(self, x, *observables: Observable, step: float | None = None) -> list:
+        """Gradients of the observables at x (default step when None)."""
+        memo = self._memo.setdefault((phase.point_key(x), step), {})
+        out = []
+        for F in observables:
+            if F not in memo:
+                memo[F] = self._grad(F, x, step)
+            out.append(memo[F])
+        return out
+
+    def bracket(self, bracket, F: Observable, H: Observable, x) -> float:
+        """{F,H}(x) at the default step, from the memoized gradients."""
+        return bracket.bivector.contract(x, *self(x, F, H))
+
+
+def _cyclic_terms(brackets, F, G, H, x, grads) -> list[list[float]]:
+    """T[j][i] = {F,{G,H}_i}_j + {G,{H,F}_i}_j + {H,{F,G}_i}_j with the
+    steps of jacobi_defect.  The three inner pairs and all brackets take the
+    gradients of F, G and H at each point from `grads`."""
     chart = F.chart
     if not (G.chart == chart == H.chart):
         raise ValueError("observables live on different charts")
+    forms = [b.bivector for b in brackets]
+    if any(form.chart != chart for form in forms):
+        raise ValueError("brackets and observables live on different charts")
+    if grads is None:
+        grads = Gradients(chart)
+    grad = GRAD_FUNCS[chart]
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    gh = _bracket_observable(bracket, G, H, chart)
-    hf = _bracket_observable(bracket, H, F, chart)
-    fg = _bracket_observable(bracket, F, G, chart)
-    return (bracket(F, gh, x, h_outer)
-            + bracket(G, hf, x, h_outer)
-            + bracket(H, fg, x, h_outer))
+    terms = [[0.0] * len(forms) for _ in forms]
+    for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
+        dA, = grads(x, A, step=h_outer)
+        for i, inner in enumerate(forms):
+            def value(y, contract=inner.contract, B=B, C=C):
+                return contract(y, *grads(y, B, C))
+            dBC = grad(Observable(chart, value, name=f"{{{B.name},{C.name}}}"), x, h_outer)
+            for j, outer in enumerate(forms):
+                terms[j][i] += outer.contract(x, dA, dBC)
+    return terms
+
+
+def jacobi_defect(bracket, F: Observable, G: Observable, H: Observable, x, *,
+                  grads: Gradients | None = None) -> float:
+    """Cyclic sum {F,{G,H}} + {G,{H,F}} + {H,{F,G}} by nested central
+    differences.
+
+    The outer bracket differentiates F, G, H and the inner brackets with the
+    coarse step FD_OUTER_STEP_SCALE*(1 + |x|), since the inner values carry
+    O(h^2) noise; the inner brackets use the default step.  Pass `grads` to
+    share the gradients with other evaluations at the same point.
+    """
+    return _cyclic_terms((bracket,), F, G, H, x, grads)[0][0]
+
+
+def mixed_jacobiator(bracket1, bracket2, F: Observable, G: Observable,
+                     H: Observable, x, *, grads: Gradients | None = None
+                     ) -> tuple[float, float, float]:
+    """(J1, J12, J2) from one shared set of gradients: J1 and J2 are the
+    Jacobi defects of the two brackets and
+    J12 = sum_cyc {F,{G,H}_2}_1 + {F,{G,H}_1}_2 is the mixed Jacobiator.
+
+    By bilinearity the defect of bracket1 + s*bracket2 is
+    J1 + s*J12 + s^2*J2, so the whole pencil is Poisson iff J1, J2 and J12
+    vanish (Magri's compatibility condition).  Steps as in jacobi_defect.
+    """
+    (t11, t12), (t21, t22) = _cyclic_terms((bracket1, bracket2), F, G, H, x, grads)
+    return t11, t12 + t21, t22

@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__, coords, dynamics, phase
 from . import brackets as br
-from . import coords, dynamics, phase
 from .config import PROFILES
 from .phase import (FullPoint, Observable, RedPoint, hamiltonian_observable,
                     invariant_observable, sample_point)
-
-__version__ = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -143,15 +141,37 @@ def check_leibniz(n, seeds, max_m=3, max_k=3):
     return out
 
 
+def _pair_values(grads, bracket, F, G, H, x) -> list[float]:
+    """({F,G}, {G,H}, {H,F}) at x from the memoized gradients."""
+    return [grads.bracket(bracket, a, b, x) for a, b in ((F, G), (G, H), (H, F))]
+
+
+def _jacobi_scale(values) -> float:
+    return 1.0 + sum(abs(v) for v in values)
+
+
 def _jacobi_samples(bracket, chart, n, seeds, max_m, max_k):
     F, G, H = invariant_triple(chart, max_m, max_k)
     out = []
     for seed in range(seeds):
         x = sample_point(chart, n, seed)
-        defect = br.jacobi_defect(bracket, F, G, H, x)
-        scale = 1.0 + sum(abs(bracket(a, b, x)) for a, b in
-                          ((F, G), (G, H), (H, F)))
-        out.append((abs(defect), scale))
+        grads = br.Gradients(chart)
+        defect = br.jacobi_defect(bracket, F, G, H, x, grads=grads)
+        out.append((abs(defect), _jacobi_scale(_pair_values(grads, bracket, F, G, H, x))))
+    return out
+
+
+def _mixed_samples(bracket1, bracket2, chart, n, seeds, max_m, max_k):
+    """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x,
+    all from one set of gradients."""
+    F, G, H = invariant_triple(chart, max_m, max_k)
+    out = []
+    for seed in range(seeds):
+        x = sample_point(chart, n, seed)
+        grads = br.Gradients(chart)
+        J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x, grads=grads)
+        out.append((J, _pair_values(grads, bracket1, F, G, H, x),
+                    _pair_values(grads, bracket2, F, G, H, x)))
     return out
 
 
@@ -164,15 +184,21 @@ def check_jacobi_full_2(n, seeds, max_m=3, max_k=3):
 
 
 def check_jacobi_pencil(n, seeds, max_m=3, max_k=3):
+    """Jacobi defect of pb1 + s*pb2 for s in (-1, 0.5, 1), obtained as
+    J1 + s*J12 + s^2*J2 from the mixed Jacobiator."""
+    per_seed = _mixed_samples(br.pb1_full, br.pb2_full, "full", n, seeds, max_m, max_k)
     out = []
     for s in (-1.0, 0.5, 1.0):
-        out += _jacobi_samples(br.pencil(s), "full", n, seeds, max_m, max_k)
+        for (J1, J12, J2), v1, v2 in per_seed:
+            scale = _jacobi_scale(a + s * b for a, b in zip(v1, v2))
+            out.append((abs(J1 + s * J12 + s * s * J2), scale))
     return out
 
 
 def check_jacobi_red(n, seeds, max_m=3, max_k=3):
-    return (_jacobi_samples(br.pb1_red, "red", n, seeds, max_m, max_k)
-            + _jacobi_samples(br.pb2_red, "red", n, seeds, max_m, max_k))
+    per_seed = _mixed_samples(br.pb1_red, br.pb2_red, "red", n, seeds, max_m, max_k)
+    return ([(abs(J[0]), _jacobi_scale(v1)) for J, v1, _ in per_seed]
+            + [(abs(J[2]), _jacobi_scale(v2)) for J, _, v2 in per_seed])
 
 
 def check_jacobi_suth(n, seeds, max_m=3, max_k=3):

@@ -7,7 +7,6 @@ tolerance, so a run of this module doubles as a human-readable report.
 
 import numpy as np
 
-from rs_hierarchy import brackets as br
 from rs_hierarchy import checks, coords, dynamics
 from rs_hierarchy.phase import hamiltonian_observable, sample_point
 
@@ -44,8 +43,7 @@ def test_a2_jacobi_and_compatibility(capsys):
     for n in (2, 3):
         samples += checks.check_jacobi_full_1(n, 5)
         samples += checks.check_jacobi_full_2(n, 5)
-        for s in (-1.0, 0.5, 1.0):
-            samples += checks._jacobi_samples(br.pencil(s), "full", n, 5, 3, 3)
+        samples += checks.check_jacobi_pencil(n, 5)
     _report(capsys, "A2  Jacobi identity and pencil compatibility",
             _worst(samples), 1e-4)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
@@ -180,10 +183,13 @@ def test_jacobi_defect_degenerate_triple():
     assert abs(d) <= 1e-4 * (1 + abs(br.pb1_full(F, H, x)))
 
 
+def _triple(chart):
+    return tuple(invariant_observable(m, k, part, chart=chart)
+                 for m, k, part in ((1, 1, "re"), (0, 2, "re"), (1, 0, "re")))
+
+
 def test_jacobi_defect_small_for_brackets():
-    F = invariant_observable(1, 1, "re", chart="full")
-    G = invariant_observable(0, 2, "re", chart="full")
-    H = invariant_observable(1, 0, "re", chart="full")
+    F, G, H = _triple("full")
     x = sample_point("full", 2, 8)
     for bracket in (br.pb1_full, br.pb2_full, br.pencil(0.5)):
         scale = 1 + sum(abs(bracket(a, b, x)) for a, b in ((F, G), (G, H), (H, F)))
@@ -193,12 +199,52 @@ def test_jacobi_defect_small_for_brackets():
 def test_jacobi_defect_reduced_and_suth():
     for chart, bracket in [("red", br.pb1_red), ("red", br.pb2_red),
                            ("suth", br.pb_suth)]:
-        F = invariant_observable(1, 1, "re", chart=chart)
-        G = invariant_observable(0, 2, "re", chart=chart)
-        H = invariant_observable(1, 0, "re", chart=chart)
+        F, G, H = _triple(chart)
         x = sample_point(chart, 2, 9)
         scale = 1 + sum(abs(bracket(a, b, x)) for a, b in ((F, G), (G, H), (H, F)))
         assert abs(br.jacobi_defect(bracket, F, G, H, x)) <= 1e-4 * scale
+
+
+def test_mixed_jacobiator_gives_pencil_defects():
+    # the defect of pb1 + s*pb2 is quadratic in s: J1 + s*J12 + s^2*J2
+    F, G, H = _triple("full")
+    x = sample_point("full", 2, 8)
+    J1, J12, J2 = br.mixed_jacobiator(br.pb1_full, br.pb2_full, F, G, H, x)
+    assert J1 == br.jacobi_defect(br.pb1_full, F, G, H, x)
+    assert J2 == br.jacobi_defect(br.pb2_full, F, G, H, x)
+    for s in (-1.0, 0.5, 1.0):
+        bracket = br.pencil(s)
+        direct = br.jacobi_defect(bracket, F, G, H, x)
+        scale = 1 + sum(abs(bracket(a, b, x)) for a, b in ((F, G), (G, H), (H, F)))
+        assert abs(J1 + s * J12 + s * s * J2 - direct) <= 1e-10 * scale
+
+
+def _counted(F):
+    calls = [0]
+
+    def value(x):
+        calls[0] += 1
+        return F.value(x)
+    return dataclasses.replace(F, value=value), calls
+
+
+# At n = 3 a gradient costs 54 evaluations on the full chart and 24 on the
+# reduced and Sutherland charts.  A Jacobi defect takes one outer gradient
+# of each of F, G, H and, at each of the outer stencil points, one inner
+# gradient of each: 3*54 + 54*3*54 = 8910 and 3*24 + 24*3*24 = 1800.  The
+# mixed Jacobiator reuses the same gradients for both brackets.
+@pytest.mark.parametrize("jacobi,chart,evals", [
+    (functools.partial(br.jacobi_defect, br.pb1_full), "full", 8910),
+    (functools.partial(br.jacobi_defect, br.pb2_full), "full", 8910),
+    (functools.partial(br.mixed_jacobiator, br.pb1_full, br.pb2_full), "full", 8910),
+    (functools.partial(br.jacobi_defect, br.pb1_red), "red", 1800),
+    (functools.partial(br.jacobi_defect, br.pb2_red), "red", 1800),
+    (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 1800),
+], ids=["pb1_full", "pb2_full", "mixed_full", "pb1_red", "pb2_red", "pb_suth"])
+def test_jacobi_evaluation_counts(jacobi, chart, evals):
+    counted = [_counted(F) for F in _triple(chart)]
+    jacobi(*(F for F, _ in counted), sample_point(chart, 3, 0))
+    assert sum(calls[0] for _, calls in counted) == evals
 
 
 def test_bracket_chart_mismatch_raises():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import rs_hierarchy
 from rs_hierarchy import checks, dynamics, reporting
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
@@ -42,6 +43,7 @@ def test_run_checks_empty_report():
     assert report["checks"] == []
     assert report["all_passed"] is True
     assert "profiles" in report["config"]
+    assert report["library_version"] == rs_hierarchy.__version__
 
 
 def test_run_check_smoke_and_determinism():
