@@ -128,8 +128,8 @@ def pencil(s: float):
 class Gradients:
     """Gradients on one chart, each (observable, point, step) taken once.
 
-    Keyed by the observable itself and the bytes of the point; create one
-    per call or per sample point, so that it never outlives its points.
+    Keyed by the observable itself and the bytes of the point; each Jacobi
+    evaluation creates its own, so that it never outlives its points.
     """
 
     def __init__(self, chart: str):
@@ -146,23 +146,27 @@ class Gradients:
             out.append(memo[F])
         return out
 
-    def bracket(self, bracket, F: Observable, H: Observable, x) -> float:
-        """{F,H}(x) at the default step, from the memoized gradients."""
-        return bracket.bivector.contract(x, *self(x, F, H))
+
+def bivector_of(bracket) -> Bivector:
+    """The bilinear form of a bracket evaluator from this module."""
+    form = getattr(bracket, "bivector", None)
+    if not isinstance(form, Bivector):
+        raise TypeError(f"{getattr(bracket, '__name__', bracket)!r} carries no "
+                        "`.bivector`; pass a bracket from rs_hierarchy.brackets")
+    return form
 
 
-def _cyclic_terms(brackets, F, G, H, x, grads) -> list[list[float]]:
+def _cyclic_terms(brackets, F, G, H, x) -> list[list[float]]:
     """T[j][i] = {F,{G,H}_i}_j + {G,{H,F}_i}_j + {H,{F,G}_i}_j with the
     steps of jacobi_defect.  The three inner pairs and all brackets take the
-    gradients of F, G and H at each point from `grads`."""
+    gradients of F, G and H at each point from one Gradients memo."""
     chart = F.chart
     if not (G.chart == chart == H.chart):
         raise ValueError("observables live on different charts")
-    forms = [b.bivector for b in brackets]
+    forms = [bivector_of(b) for b in brackets]
     if any(form.chart != chart for form in forms):
         raise ValueError("brackets and observables live on different charts")
-    if grads is None:
-        grads = Gradients(chart)
+    grads = Gradients(chart)
     grad = GRAD_FUNCS[chart]
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     terms = [[0.0] * len(forms) for _ in forms]
@@ -177,29 +181,29 @@ def _cyclic_terms(brackets, F, G, H, x, grads) -> list[list[float]]:
     return terms
 
 
-def jacobi_defect(bracket, F: Observable, G: Observable, H: Observable, x, *,
-                  grads: Gradients | None = None) -> float:
+def jacobi_defect(bracket, F: Observable, G: Observable, H: Observable, x) -> float:
     """Cyclic sum {F,{G,H}} + {G,{H,F}} + {H,{F,G}} by nested central
     differences.
 
-    The outer bracket differentiates F, G, H and the inner brackets with the
-    coarse step FD_OUTER_STEP_SCALE*(1 + |x|), since the inner values carry
-    O(h^2) noise; the inner brackets use the default step.  Pass `grads` to
-    share the gradients with other evaluations at the same point.
+    `bracket` must carry a `.bivector` (every evaluator of this module and
+    every `pencil(s)` does); others raise TypeError.  The outer bracket
+    differentiates F, G, H and the inner brackets with the coarse step
+    FD_OUTER_STEP_SCALE*(1 + |x|), since the inner values carry O(h^2)
+    noise; the inner brackets use the default step.
     """
-    return _cyclic_terms((bracket,), F, G, H, x, grads)[0][0]
+    return _cyclic_terms((bracket,), F, G, H, x)[0][0]
 
 
 def mixed_jacobiator(bracket1, bracket2, F: Observable, G: Observable,
-                     H: Observable, x, *, grads: Gradients | None = None
-                     ) -> tuple[float, float, float]:
+                     H: Observable, x) -> tuple[float, float, float]:
     """(J1, J12, J2) from one shared set of gradients: J1 and J2 are the
     Jacobi defects of the two brackets and
     J12 = sum_cyc {F,{G,H}_2}_1 + {F,{G,H}_1}_2 is the mixed Jacobiator.
 
     By bilinearity the defect of bracket1 + s*bracket2 is
     J1 + s*J12 + s^2*J2, so the whole pencil is Poisson iff J1, J2 and J12
-    vanish (Magri's compatibility condition).  Steps as in jacobi_defect.
+    vanish (Magri's compatibility condition).  Both brackets must carry a
+    `.bivector` on the same chart; steps as in jacobi_defect.
     """
-    (t11, t12), (t21, t22) = _cyclic_terms((bracket1, bracket2), F, G, H, x, grads)
+    (t11, t12), (t21, t22) = _cyclic_terms((bracket1, bracket2), F, G, H, x)
     return t11, t12 + t21, t22

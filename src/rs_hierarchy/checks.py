@@ -141,9 +141,10 @@ def check_leibniz(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def _pair_values(grads, bracket, F, G, H, x) -> list[float]:
-    """({F,G}, {G,H}, {H,F}) at x from the memoized gradients."""
-    return [grads.bracket(bracket, a, b, x) for a, b in ((F, G), (G, H), (H, F))]
+def _pair_values(bracket, dF, dG, dH, x) -> list[float]:
+    """({F,G}, {G,H}, {H,F}) at x from the gradients of F, G and H at x."""
+    contract = br.bivector_of(bracket).contract
+    return [contract(x, a, b) for a, b in ((dF, dG), (dG, dH), (dH, dF))]
 
 
 def _jacobi_scale(values) -> float:
@@ -152,26 +153,27 @@ def _jacobi_scale(values) -> float:
 
 def _jacobi_samples(bracket, chart, n, seeds, max_m, max_k):
     F, G, H = invariant_triple(chart, max_m, max_k)
+    grad = phase.GRAD_FUNCS[chart]
     out = []
     for seed in range(seeds):
         x = sample_point(chart, n, seed)
-        grads = br.Gradients(chart)
-        defect = br.jacobi_defect(bracket, F, G, H, x, grads=grads)
-        out.append((abs(defect), _jacobi_scale(_pair_values(grads, bracket, F, G, H, x))))
+        defect = br.jacobi_defect(bracket, F, G, H, x)
+        d = [grad(A, x) for A in (F, G, H)]
+        out.append((abs(defect), _jacobi_scale(_pair_values(bracket, *d, x))))
     return out
 
 
 def _mixed_samples(bracket1, bracket2, chart, n, seeds, max_m, max_k):
-    """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x,
-    all from one set of gradients."""
+    """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x;
+    the pair values of both brackets share the gradients of F, G, H at x."""
     F, G, H = invariant_triple(chart, max_m, max_k)
+    grad = phase.GRAD_FUNCS[chart]
     out = []
     for seed in range(seeds):
         x = sample_point(chart, n, seed)
-        grads = br.Gradients(chart)
-        J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x, grads=grads)
-        out.append((J, _pair_values(grads, bracket1, F, G, H, x),
-                    _pair_values(grads, bracket2, F, G, H, x)))
+        J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x)
+        d = [grad(A, x) for A in (F, G, H)]
+        out.append((J, _pair_values(bracket1, *d, x), _pair_values(bracket2, *d, x)))
     return out
 
 

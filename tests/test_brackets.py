@@ -255,3 +255,14 @@ def test_bracket_chart_mismatch_raises():
         br.pb1_full(F, h, x)
     with pytest.raises(ValueError):
         br.jacobi_defect(br.pb1_full, F, F, h, x)
+
+
+def test_jacobi_defect_needs_a_bivector():
+    F, G, H = _triple("full")
+    x = sample_point("full", 2, 0)
+    with pytest.raises(TypeError, match="bivector"):
+        br.jacobi_defect(lambda A, B, y, step=None: br.pb1_full(A, B, y, step),
+                         F, G, H, x)
+    with pytest.raises(TypeError, match="bivector"):
+        br.mixed_jacobiator(br.pb1_full, functools.partial(br.pb_rs, raw=True),
+                            F, G, H, x)
