@@ -57,23 +57,6 @@ def split_grade(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.triu(X, 1), np.diag(np.diag(X)), np.tril(X, -1)
 
 
-def project_special(X: np.ndarray, kind: str) -> np.ndarray:
-    """Special projections used in the bracket computations.
-
-    im_diag keeps only i*Im of the diagonal, real_diag only Re of the
-    diagonal; u_of_n / b_of_n are the two components of split_ub.
-    """
-    if kind == "im_diag":
-        return 1j * np.diag(np.imag(np.diag(X)))
-    if kind == "real_diag":
-        return np.diag(np.real(np.diag(X))).astype(complex)
-    if kind == "u_of_n":
-        return split_ub(X)[0]
-    if kind == "b_of_n":
-        return split_ub(X)[1]
-    raise ValueError(f"unknown projection kind: {kind!r}")
-
-
 def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X @ Y - Y @ X
 
@@ -94,11 +77,6 @@ def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
     _strict_check(X, H, strict)
     return H
 
-def make_anti_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
-    A = 0.5 * (X - X.conj().T)
-    _strict_check(X, A, strict)
-    return A
-
 
 def make_unipotent_upper(X: np.ndarray, strict: bool = False) -> np.ndarray:
     U = np.triu(X, 1) + np.eye(X.shape[0])
@@ -111,14 +89,6 @@ def make_zero_diag_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
     P = P - np.diag(np.diag(P))
     _strict_check(X, P, strict)
     return P
-
-
-def check_unitary(g: np.ndarray, tol_scale: float = 1e-12) -> np.ndarray:
-    n = g.shape[0]
-    defect = np.linalg.norm(g.conj().T @ g - np.eye(n))
-    if defect > tol_scale * n:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e}")
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import phase
 from .algebra import comm, pairing, r_apply, r_bracket, split_ub
 from .config import FD_OUTER_STEP_SCALE
-from .phase import GRAD_FUNCS, Observable, grad_full, grad_red, grad_rs, grad_suth
+from .phase import Observable, grad_full, grad_red, grad_rs, grad_suth
 
 
 class Bivector(NamedTuple):
@@ -126,14 +126,13 @@ def pencil(s: float):
 
 
 class Gradients:
-    """Gradients on one chart, each (observable, point, step) taken once.
+    """Gradients, each (observable, point, step) taken once.
 
     Keyed by the observable itself and the bytes of the point; each Jacobi
     evaluation creates its own, so that it never outlives its points.
     """
 
-    def __init__(self, chart: str):
-        self._grad = GRAD_FUNCS[chart]
+    def __init__(self):
         self._memo: dict = {}
 
     def __call__(self, x, *observables: Observable, step: float | None = None) -> list:
@@ -142,7 +141,7 @@ class Gradients:
         out = []
         for F in observables:
             if F not in memo:
-                memo[F] = self._grad(F, x, step)
+                memo[F] = phase.grad(F, x, step)
             out.append(memo[F])
         return out
 
@@ -166,8 +165,7 @@ def _cyclic_terms(brackets, F, G, H, x) -> list[list[float]]:
     forms = [bivector_of(b) for b in brackets]
     if any(form.chart != chart for form in forms):
         raise ValueError("brackets and observables live on different charts")
-    grads = Gradients(chart)
-    grad = GRAD_FUNCS[chart]
+    grads = Gradients()
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     terms = [[0.0] * len(forms) for _ in forms]
     for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
@@ -175,7 +173,8 @@ def _cyclic_terms(brackets, F, G, H, x) -> list[list[float]]:
         for i, inner in enumerate(forms):
             def value(y, contract=inner.contract, B=B, C=C):
                 return contract(y, *grads(y, B, C))
-            dBC = grad(Observable(chart, value, name=f"{{{B.name},{C.name}}}"), x, h_outer)
+            dBC = phase.grad(Observable(chart, value, name=f"{{{B.name},{C.name}}}"),
+                             x, h_outer)
             for j, outer in enumerate(forms):
                 terms[j][i] += outer.contract(x, dA, dBC)
     return terms

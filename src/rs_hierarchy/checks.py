@@ -153,12 +153,11 @@ def _jacobi_scale(values) -> float:
 
 def _jacobi_samples(bracket, chart, n, seeds, max_m, max_k):
     F, G, H = invariant_triple(chart, max_m, max_k)
-    grad = phase.GRAD_FUNCS[chart]
     out = []
     for seed in range(seeds):
         x = sample_point(chart, n, seed)
         defect = br.jacobi_defect(bracket, F, G, H, x)
-        d = [grad(A, x) for A in (F, G, H)]
+        d = [phase.grad(A, x) for A in (F, G, H)]
         out.append((abs(defect), _jacobi_scale(_pair_values(bracket, *d, x))))
     return out
 
@@ -167,12 +166,11 @@ def _mixed_samples(bracket1, bracket2, chart, n, seeds, max_m, max_k):
     """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x;
     the pair values of both brackets share the gradients of F, G, H at x."""
     F, G, H = invariant_triple(chart, max_m, max_k)
-    grad = phase.GRAD_FUNCS[chart]
     out = []
     for seed in range(seeds):
         x = sample_point(chart, n, seed)
         J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x)
-        d = [grad(A, x) for A in (F, G, H)]
+        d = [phase.grad(A, x) for A in (F, G, H)]
         out.append((J, _pair_values(bracket1, *d, x), _pair_values(bracket2, *d, x)))
     return out
 

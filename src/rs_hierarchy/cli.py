@@ -36,6 +36,13 @@ def _parse_obs(text: str, chart: str):
         _config_error(f"bad observable spec {text!r} (expected m,k,part): {exc}")
 
 
+def _sample(chart: str, n: int, seed: int):
+    try:
+        return sample_point(chart, n, seed)
+    except ValueError as exc:
+        _config_error(str(exc))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rs-hierarchy")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -97,7 +104,7 @@ def _cmd_check(args) -> int:
 def _cmd_flow(args) -> int:
     if args.steps < 2 or args.n < 2 or args.k < 1:
         _config_error("need steps >= 2, n >= 2, k >= 1")
-    x0 = sample_point("full", args.n, args.seed)
+    x0 = _sample("full", args.n, args.seed)
     t_grid = np.linspace(args.t0, args.t1, args.steps)
     try:
         traj = dynamics.trajectory(x0, args.k, t_grid)
@@ -122,7 +129,7 @@ def _cmd_bracket(args) -> int:
         _config_error(f"bracket {args.which} is not available on chart {args.chart!r}")
     F = _parse_obs(args.f, args.chart)
     H = _parse_obs(args.h_obs, args.chart)
-    x = sample_point(args.chart, args.n, args.seed)
+    x = _sample(args.chart, args.n, args.seed)
     value = _BRACKET_TABLE[key](F, H, x)
     print(format(value, ".17g"))
     return 0

@@ -16,10 +16,6 @@ FD_STEP_SCALE = 6.1e-6
 # inner bracket values themselves carry O(h^2) noise.
 FD_OUTER_STEP_SCALE = 3e-4
 
-# When an analytic gradient ships with an observable it is cross-checked
-# against finite differences at this relative tolerance.
-FD_CHECK_TOL = 5e-6
-
 # Discarded-part threshold for strict subspace projections.
 STRICT_PROJECTION_TOL = 1e-10
 

@@ -32,13 +32,6 @@ def hk(L: np.ndarray, k: int) -> float:
     return float(np.sum(w ** k)) / k
 
 
-def hermitian_phase_exp(A: np.ndarray) -> np.ndarray:
-    """exp(iA) for Hermitian A, via spectral decomposition (exactly unitary
-    up to rounding)."""
-    w, V = np.linalg.eigh(A)
-    return (V * np.exp(1j * w)) @ V.conj().T
-
-
 def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
     """Exact flow of H_k under the first bracket (equivalently of H_{k-1}
     under the second): g(t) = exp(i t L0^k) g0, L(t) = L0."""

@@ -1,4 +1,4 @@
-"""Chart point types, observables and the directional-derivative engine.
+"""Chart point types, observables and the derivative engine.
 
 Four charts are in play: the unreduced phase space U(n) x Herm(n) ("full"),
 the reduced chart T^n_reg x Herm(n) ("red"), the Ruijsenaars chart
@@ -7,21 +7,26 @@ Each chart has its own derivative signature, obtained by pairing directional
 derivatives along a basis of displacement directions with the dual basis
 under <X,Y> = Im tr(XY).
 
-Group-valued displacements use exact one-parameter subgroups: the standard
-u(n) generators exponentiate in closed form (plane rotations / single
-phases), and strictly upper generators are nilpotent of order two.
+One engine, `grad`, serves all four charts from a table.  A chart's row
+holds its gradient tuple type and one block per component: the space of
+the directions (in algebra.basis order, paired with its dual basis), the
+displacement along a direction X and how that displacement moves the
+point.  Group-valued displacements use exact one-parameter subgroups: the
+u(n) exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element
+has X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
+coordinates move on straight lines tX.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import algebra
-from .algebra import TorusReg, pairing
+from .algebra import TorusReg
 from .config import FD_STEP_SCALE, REGULARITY_GAP
 
 CHARTS = ("full", "red", "rs", "suth")
@@ -79,33 +84,20 @@ class SuthPoint:
         return self.Q.n
 
 
+def _arrays(x) -> list[np.ndarray]:
+    """The coordinate arrays of a chart point in field order; a torus field
+    contributes its phases."""
+    return [v.q if isinstance(v, TorusReg) else v
+            for v in (getattr(x, f.name) for f in fields(x))]
+
+
 def point_norm(x) -> float:
-    if isinstance(x, FullPoint):
-        return float(np.sqrt(np.linalg.norm(x.g) ** 2 + np.linalg.norm(x.L) ** 2))
-    if isinstance(x, RedPoint):
-        return float(np.sqrt(np.linalg.norm(x.Q.q) ** 2 + np.linalg.norm(x.L) ** 2))
-    if isinstance(x, RSPoint):
-        return float(np.sqrt(np.linalg.norm(x.Q.q) ** 2
-                             + np.linalg.norm(x.p) ** 2
-                             + np.linalg.norm(x.lam) ** 2))
-    if isinstance(x, SuthPoint):
-        return float(np.sqrt(np.linalg.norm(x.Q.q) ** 2
-                             + np.linalg.norm(x.p) ** 2
-                             + np.linalg.norm(x.phi) ** 2))
-    raise TypeError(f"not a chart point: {type(x)!r}")
+    return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in _arrays(x))))
 
 
 def point_key(x) -> bytes:
     """Stable byte key of a point, used for memoization."""
-    if isinstance(x, FullPoint):
-        return b"F" + x.g.tobytes() + x.L.tobytes()
-    if isinstance(x, RedPoint):
-        return b"R" + x.Q.q.tobytes() + x.L.tobytes()
-    if isinstance(x, RSPoint):
-        return b"S" + x.Q.q.tobytes() + x.p.tobytes() + x.lam.tobytes()
-    if isinstance(x, SuthPoint):
-        return b"T" + x.Q.q.tobytes() + x.p.tobytes() + x.phi.tobytes()
-    raise TypeError(f"not a chart point: {type(x)!r}")
+    return type(x).__name__.encode() + b"".join(a.tobytes() for a in _arrays(x))
 
 
 # ---------------------------------------------------------------------------
@@ -133,84 +125,10 @@ class Observable:
         return float(self.value(x))
 
 
-def combine(a: float, F: Observable, b: float, H: Observable) -> Observable:
-    """Linear combination a*F + b*H on a shared chart (finite differences)."""
-    if F.chart != H.chart:
-        raise ValueError("observables live on different charts")
-    return Observable(F.chart, lambda x: a * F(x) + b * H(x),
-                      name=f"{a}*{F.name}+{b}*{H.name}")
-
-
 def product(F: Observable, H: Observable) -> Observable:
     if F.chart != H.chart:
         raise ValueError("observables live on different charts")
     return Observable(F.chart, lambda x: F(x) * H(x), name=f"{F.name}*{H.name}")
-
-
-# ---------------------------------------------------------------------------
-# displacement directions with exact one-parameter subgroups
-
-
-class Direction(NamedTuple):
-    mat: np.ndarray
-    exp: Callable[[float], np.ndarray]
-
-
-def _diag_phase_exp(n, j):
-    def f(t):
-        M = np.eye(n, dtype=complex)
-        M[j, j] = np.exp(1j * t)
-        return M
-    return f
-
-
-def _rotation_exp(n, j, k, X):
-    # X^2 = -(E_jj + E_kk) for both off-diagonal u(n) generator types.
-    def f(t):
-        M = np.eye(n, dtype=complex) + np.sin(t) * X
-        c = np.cos(t) - 1.0
-        M[j, j] += c
-        M[k, k] += c
-        return M
-    return f
-
-
-def _nilpotent_exp(n, X):
-    def f(t):
-        return np.eye(n, dtype=complex) + t * X
-    return f
-
-
-@lru_cache(maxsize=None)
-def u_directions(n: int) -> tuple[Direction, ...]:
-    """Basis of u(n), each with its exact exponential (same ordering as
-    algebra.basis('u', n))."""
-    out = []
-    for j in range(n):
-        X = 1j * algebra._E(n, j, j)
-        out.append(Direction(X, _diag_phase_exp(n, j)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            A = algebra._E(n, j, k) - algebra._E(n, k, j)
-            out.append(Direction(A, _rotation_exp(n, j, k, A)))
-            S = 1j * (algebra._E(n, j, k) + algebra._E(n, k, j))
-            out.append(Direction(S, _rotation_exp(n, j, k, S)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def bplus_directions(n: int) -> tuple[Direction, ...]:
-    out = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for X in (algebra._E(n, j, k), 1j * algebra._E(n, j, k)):
-                out.append(Direction(X, _nilpotent_exp(n, X)))
-    return tuple(out)
-
-
-def _dual_stack(space: str, n: int) -> np.ndarray:
-    _, duals = algebra.dual_basis(space, n)
-    return np.stack(duals)
 
 
 # ---------------------------------------------------------------------------
@@ -241,122 +159,123 @@ class SuthGrad(NamedTuple):
     dphi: np.ndarray  # u(n)_perp-valued
 
 
+class _Block(NamedTuple):
+    """One component of a chart gradient: derivatives along the basis of
+    `space`, displaced along `curve` ("line", "u_exp" or "nil_exp") and
+    applied to the point by move(point, displacement)."""
+    space: str
+    curve: str
+    move: Callable
+
+
+@lru_cache(maxsize=None)
+def _stacks(space: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis of `space` (algebra.basis order), its dual basis and the
+    squares of the basis elements, each stacked along axis 0."""
+    B = np.stack(algebra.basis(space, n))
+    return B, np.stack(algebra.dual_basis(space, n)[1]), B @ B
+
+
+def _displacements(curve: str, space: str, n: int, t: float) -> np.ndarray:
+    """Displacement at parameter t along every basis element X of `space`:
+    the line tX, the u(n) exponential 1 + sin t X + (1 - cos t) X^2 (each
+    u(n) basis element has X^3 = -X) or the nilpotent exponential 1 + tX."""
+    B, _, B2 = _stacks(space, n)
+    if curve == "line":
+        return t * B
+    if curve == "u_exp":
+        return np.eye(n) + np.sin(t) * B + (1.0 - np.cos(t)) * B2
+    return np.eye(n) + t * B
+
+
+# Per chart: the gradient tuple type and one block per component.  A line
+# in u(n)_0 shifts the torus phases by Im diag(tX); one in b(n)_0 or
+# Herm(n)_0 shifts p by Re diag(tX).
+_CHART_TABLE = {
+    "full": (FullGrad, (
+        _Block("u", "u_exp", lambda x, D: FullPoint(D @ x.g, x.L)),
+        _Block("u", "u_exp", lambda x, D: FullPoint(x.g @ D, x.L)),
+        _Block("herm", "line", lambda x, D: FullPoint(x.g, x.L + D)))),
+    "red": (RedGrad, (
+        _Block("u0", "line",
+               lambda x, D: RedPoint(x.Q.shifted(D.diagonal().imag), x.L)),
+        _Block("herm", "line", lambda x, D: RedPoint(x.Q, x.L + D)))),
+    "rs": (RSGrad, (
+        _Block("u0", "line",
+               lambda x, D: RSPoint(x.Q.shifted(D.diagonal().imag), x.p, x.lam)),
+        _Block("b0", "line",
+               lambda x, D: RSPoint(x.Q, x.p + D.diagonal().real, x.lam)),
+        _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, D @ x.lam)),
+        _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, x.lam @ D)))),
+    "suth": (SuthGrad, (
+        _Block("u0", "line",
+               lambda x, D: SuthPoint(x.Q.shifted(D.diagonal().imag), x.p, x.phi)),
+        _Block("herm0", "line",
+               lambda x, D: SuthPoint(x.Q, x.p + D.diagonal().real, x.phi)),
+        _Block("hermperp", "line", lambda x, D: SuthPoint(x.Q, x.p, x.phi + D)))),
+}
+
+
 def fd_step(x, step: float | None = None) -> float:
     return step if step is not None else FD_STEP_SCALE * (1.0 + point_norm(x))
 
 
-def _central(values: Callable[[float], float], h: float) -> float:
-    return (values(h) - values(-h)) / (2.0 * h)
+def grad(F: Observable, x, step: float | None = None):
+    """Gradient tuple of F at x on F's chart (each grad_<chart> states its
+    defining identity).  An analytic F.grad is taken as is; otherwise each
+    block pairs the central differences of F along its basis with the dual
+    basis."""
+    kind, blocks = _CHART_TABLE[F.chart]
+    if F.grad is not None:
+        return kind(*F.grad(x))
+    h = fd_step(x, step)
+    parts = []
+    for space, curve, move in blocks:
+        plus = _displacements(curve, space, x.n, h)
+        minus = _displacements(curve, space, x.n, -h)
+        d = np.array([(F(move(x, P)) - F(move(x, M))) / (2.0 * h)
+                      for P, M in zip(plus, minus)])
+        parts.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
+    return kind(*parts)
 
 
-def _assemble(derivs: np.ndarray, dual_stack: np.ndarray) -> np.ndarray:
-    return np.tensordot(derivs, dual_stack, axes=(0, 0))
+def _check_chart(F: Observable, chart: str) -> None:
+    if F.chart != chart:
+        raise ValueError(f"observable is not on the {chart!r} chart")
 
 
 def grad_full(F: Observable, x: FullPoint, step: float | None = None) -> FullGrad:
     """Derivatives (D1 F, D1' F, d2 F) defined by
     d/dt|0 F(e^{tX} g e^{tX'}, L + tY) = <D1F,X> + <D1'F,X'> + <d2F,Y>."""
-    if F.chart != "full":
-        raise ValueError("observable is not on the full chart")
-    if F.grad is not None:
-        return FullGrad(*F.grad(x))
-    h = fd_step(x, step)
-    n = x.n
-    dirs = u_directions(n)
-    d1 = np.array([_central(lambda t, D=D: F(FullPoint(D.exp(t) @ x.g, x.L)), h)
-                   for D in dirs])
-    d1p = np.array([_central(lambda t, D=D: F(FullPoint(x.g @ D.exp(t), x.L)), h)
-                    for D in dirs])
-    herm = algebra.basis("herm", n)
-    d2 = np.array([_central(lambda t, Y=Y: F(FullPoint(x.g, x.L + t * Y)), h)
-                   for Y in herm])
-    return FullGrad(_assemble(d1, _dual_stack("u", n)),
-                    _assemble(d1p, _dual_stack("u", n)),
-                    _assemble(d2, _dual_stack("herm", n)))
+    _check_chart(F, "full")
+    return grad(F, x, step)
 
 
 def grad_red(f: Observable, x: RedPoint, step: float | None = None) -> RedGrad:
     """Derivatives (D1 f, d2 f) defined by
     d/dt|0 f(e^{tX} Q, L + tY) = <D1f,X> + <d2f,Y>, X in u(n)_0."""
-    if f.chart != "red":
-        raise ValueError("observable is not on the reduced chart")
-    if f.grad is not None:
-        return RedGrad(*f.grad(x))
-    h = fd_step(x, step)
-    n = x.n
-    # u(n)_0 displacement of Q is a phase shift of the angles.
-    e = np.eye(n)
-    d1 = np.array([_central(lambda t, j=j: f(RedPoint(x.Q.shifted(t * e[j]), x.L)), h)
-                   for j in range(n)])
-    herm = algebra.basis("herm", n)
-    d2 = np.array([_central(lambda t, Y=Y: f(RedPoint(x.Q, x.L + t * Y)), h)
-                   for Y in herm])
-    return RedGrad(_assemble(d1, _dual_stack("u0", n)),
-                   _assemble(d2, _dual_stack("herm", n)))
+    _check_chart(f, "red")
+    return grad(f, x, step)
 
 
 def grad_rs(F: Observable, x: RSPoint, step: float | None = None) -> RSGrad:
     """Derivatives (DQ, dp, Dlam, Dlam') defined by
     d/dt|0 F(e^{tX0} Q, p + tY0, e^{tX+} lam e^{tY+})
       = <DQ,X0> + <dp,Y0> + <Dlam,X+> + <Dlam',Y+>."""
-    if F.chart != "rs":
-        raise ValueError("observable is not on the rs chart")
-    if F.grad is not None:
-        return RSGrad(*F.grad(x))
-    h = fd_step(x, step)
-    n = x.n
-    e = np.eye(n)
-    dq = np.array([_central(lambda t, j=j: F(RSPoint(x.Q.shifted(t * e[j]), x.p, x.lam)), h)
-                   for j in range(n)])
-    dp = np.array([_central(lambda t, j=j: F(RSPoint(x.Q, x.p + t * e[j], x.lam)), h)
-                   for j in range(n)])
-    nil = bplus_directions(n)
-    dl = np.array([_central(lambda t, D=D: F(RSPoint(x.Q, x.p, D.exp(t) @ x.lam)), h)
-                   for D in nil])
-    dlp = np.array([_central(lambda t, D=D: F(RSPoint(x.Q, x.p, x.lam @ D.exp(t))), h)
-                    for D in nil])
-    return RSGrad(_assemble(dq, _dual_stack("u0", n)),
-                  _assemble(dp, _dual_stack("b0", n)),
-                  _assemble(dl, _dual_stack("bplus", n)),
-                  _assemble(dlp, _dual_stack("bplus", n)))
+    _check_chart(F, "rs")
+    return grad(F, x, step)
 
 
 def grad_suth(F: Observable, x: SuthPoint, step: float | None = None) -> SuthGrad:
     """Derivatives (DQ, dp, dphi) defined by
     d/dt|0 F(e^{tX} Q, p + tY0, phi + tYperp)
       = <DQ,X> + <dp,Y0> + <dphi,Yperp>."""
-    if F.chart != "suth":
-        raise ValueError("observable is not on the suth chart")
-    if F.grad is not None:
-        return SuthGrad(*F.grad(x))
-    h = fd_step(x, step)
-    n = x.n
-    e = np.eye(n)
-    dq = np.array([_central(lambda t, j=j: F(SuthPoint(x.Q.shifted(t * e[j]), x.p, x.phi)), h)
-                   for j in range(n)])
-    dp = np.array([_central(lambda t, j=j: F(SuthPoint(x.Q, x.p + t * e[j], x.phi)), h)
-                   for j in range(n)])
-    hp = algebra.basis("hermperp", n)
-    dphi = np.array([_central(lambda t, Y=Y: F(SuthPoint(x.Q, x.p, x.phi + t * Y)), h)
-                     for Y in hp])
-    return SuthGrad(_assemble(dq, _dual_stack("u0", n)),
-                    _assemble(dp, _dual_stack("herm0", n)),
-                    _assemble(dphi, _dual_stack("hermperp", n)))
-
-
-GRAD_FUNCS = {"full": grad_full, "red": grad_red, "rs": grad_rs, "suth": grad_suth}
-
-
-def grad(F: Observable, x, step: float | None = None):
-    return GRAD_FUNCS[F.chart](F, x, step)
+    _check_chart(F, "suth")
+    return grad(F, x, step)
 
 
 # ---------------------------------------------------------------------------
 # invariant observable family
-
-
-def _matpow(A: np.ndarray, m: int) -> np.ndarray:
-    return np.linalg.matrix_power(A, m)
 
 
 def invariant_observable(m: int, k: int, part: str = "re",
@@ -370,7 +289,8 @@ def invariant_observable(m: int, k: int, part: str = "re",
     take = np.real if part == "re" else np.imag
 
     def tr_val(U, L):
-        return float(take(np.trace(_matpow(U, m) @ _matpow(L, k))))
+        return float(take(np.trace(np.linalg.matrix_power(U, m)
+                                   @ np.linalg.matrix_power(L, k))))
 
     name = f"{part}-tr(g^{m} L^{k})[{chart}]"
     if chart == "full":
@@ -401,16 +321,16 @@ def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
         raise ValueError("need k >= 1")
 
     def val(x):
-        return float(np.real(np.trace(_matpow(x.L, k)))) / k
+        return float(np.real(np.trace(np.linalg.matrix_power(x.L, k)))) / k
 
     if chart == "full":
         def g(x):
             z = np.zeros_like(x.L)
-            return FullGrad(z, z, 1j * _matpow(x.L, k - 1))
+            return FullGrad(z, z, 1j * np.linalg.matrix_power(x.L, k - 1))
         return Observable("full", val, grad=g, name=f"H_{k}[full]")
     if chart == "red":
         def g(x):
-            return RedGrad(np.zeros_like(x.L), 1j * _matpow(x.L, k - 1))
+            return RedGrad(np.zeros_like(x.L), 1j * np.linalg.matrix_power(x.L, k - 1))
         return Observable("red", val, grad=g, name=f"H_{k}[red]")
     raise ValueError("analytic Hamiltonians live on the full or reduced chart")
 
@@ -461,8 +381,8 @@ def sample_point(chart: str, n: int, seed: int):
     """Deterministic random point of a chart: Haar g, Gaussian Hermitian L,
     uniform regular torus phases, Gaussian strictly-upper lambda, Gaussian
     off-diagonal Hermitian phi."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if n < 2 or seed < 0:
+        raise ValueError(f"need n >= 2 and seed >= 0, got n={n}, seed={seed}")
     rng = _rng(chart, n, seed)
     if chart == "full":
         return FullPoint(_haar_unitary(rng, n), _gaussian_hermitian(rng, n))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from rs_hierarchy import algebra
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
                                   TorusReg, chol_upper, dual_basis, pairing,
-                                  project_special, r_apply, r_bracket,
-                                  split_grade, split_ub)
+                                  r_apply, r_bracket, split_grade, split_ub)
 
 
 def _E(n, j, k):
@@ -60,8 +59,8 @@ def test_pairing_nondegenerate_gram_identity():
 @settings(max_examples=20, deadline=None)
 def test_isotropic_subspaces(seed, n):
     rng = np.random.default_rng(seed)
-    Xu = algebra.make_anti_hermitian(_rand_gl(rng, n))
-    Yu = algebra.make_anti_hermitian(_rand_gl(rng, n))
+    Xu, _ = split_ub(_rand_gl(rng, n))
+    Yu, _ = split_ub(_rand_gl(rng, n))
     _, Xb = split_ub(_rand_gl(rng, n))
     _, Yb = split_ub(_rand_gl(rng, n))
     assert abs(pairing(Xu, Yu)) < 1e-12 * (1 + np.linalg.norm(Xu) * np.linalg.norm(Yu))
@@ -109,15 +108,6 @@ def test_split_grade():
     Z = _rand_gl(rng, 4)
     up, d, lo = split_grade(Z)
     assert np.array_equal(up + d + lo, Z)
-
-
-def test_project_special():
-    X = np.diag([1 + 2j, 3 + 0j])
-    assert np.allclose(project_special(X, "im_diag"), np.diag([2j, 0]))
-    assert np.allclose(project_special(X, "real_diag"), np.diag([1, 3]))
-    assert np.allclose(project_special(np.triu(np.ones((3, 3)), 1), "im_diag"), 0)
-    with pytest.raises(ValueError):
-        project_special(X, "bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,6 @@ def test_hk_matches_trace_power():
         hk(L, 0)
 
 
-def test_hermitian_phase_exp_unitary():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    A = algebra.make_hermitian(A + A.conj().T)
-    U = dynamics.hermitian_phase_exp(A)
-    assert np.linalg.norm(U @ U.conj().T - np.eye(4)) <= 1e-13
-
-
 # ---------------------------------------------------------------------------
 # exact flows
 

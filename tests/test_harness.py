@@ -144,7 +144,7 @@ def test_cli_check_env_profile_override_failure_exit():
     assert "FAIL" in res.stderr
 
 
-def test_cli_config_errors_exit_2():
+def test_cli_config_errors_exit_2(tmp_path):
     res = _run(["check", "--suite", "prop3", "--n", "1"])
     assert res.returncode == 2
     res = _run(["check", "--suite", "prop3", "--n", "2", "--seeds", "1"],
@@ -156,6 +156,14 @@ def test_cli_config_errors_exit_2():
     res = _run(["bracket", "--chart", "full", "--which", "1",
                 "--f", "bogus", "--h", "0,2,re"])
     assert res.returncode == 2
+    for args in (["--n", "1"], ["--seed", "-1"]):
+        res = _run(["bracket", "--chart", "full", "--which", "1",
+                    "--f", "1,1,re", "--h", "0,2,re", *args])
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr
+    res = _run(["flow", "--seed", "-1", "--out", str(tmp_path / "t.csv")])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_bracket_value_matches_library():

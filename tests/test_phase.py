@@ -17,8 +17,8 @@ def _rand_herm(rng, n):
 
 
 def _rand_antiherm(rng, n):
-    return algebra.make_anti_hermitian(rng.standard_normal((n, n))
-                                       + 1j * rng.standard_normal((n, n)))
+    return algebra.split_ub(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))[0]
 
 
 def _scale(F, x, g):
@@ -116,12 +116,33 @@ def test_grad_linearity():
     x = sample_point("full", 3, 4)
     F = invariant_observable(1, 1, "re", chart="full")
     H = invariant_observable(0, 2, "re", chart="full")
-    comb = phase.combine(2.0, F, -0.5, H)
+    comb = Observable("full", lambda p: 2.0 * F(p) - 0.5 * H(p))
     gc = grad_full(comb, x)
     gF = grad_full(F, x)
     gH = grad_full(H, x)
     for c, a, b in zip(gc, gF, gH):
         assert np.linalg.norm(c - (2.0 * a - 0.5 * b)) <= FD_TOL * _scale(comb, x, gc)
+
+
+def test_grad_evaluation_counts():
+    # two evaluations per direction; a block has n^2 directions in u(n) or
+    # Herm(n), n on the torus or in p, and n(n-1) in b_+ or Herm(n)_perp
+    counts = {"full": 54, "red": 24, "rs": 36, "suth": 24}
+    for chart, want in counts.items():
+        F = invariant_observable(1, 1, "re", chart=chart)
+        calls = []
+        counted = Observable(chart, lambda p, F=F, calls=calls: calls.append(p) or F(p))
+        getattr(phase, f"grad_{chart}")(counted, sample_point(chart, 3, 0))
+        assert len(calls) == want, chart
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_group_displacements_are_exact(n):
+    for curve, space in (("u_exp", "u"), ("nil_exp", "bplus")):
+        for t in (0.3, -0.3):
+            curves = phase._displacements(curve, space, n, t)
+            for X, E in zip(algebra.basis(space, n), curves, strict=True):
+                assert np.max(np.abs(E - scipy.linalg.expm(t * X))) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
