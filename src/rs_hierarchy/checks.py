@@ -5,20 +5,26 @@ Each check draws deterministic sample points, evaluates a defect that should
 vanish (or an equality that should hold) and reports the worst absolute and
 relative defect.  The relative defect is measured against a per-sample scale
 of the form 1 + (magnitudes entering the identity).
+
+A registry row maps a check id to a function of (n, seeds) that returns
+(abs_defect, scale) samples: a check body, or a shared sampler bound to its
+brackets, such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares
+one Bracket with another across a chart map.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__, coords, dynamics, phase
 from . import brackets as br
 from .config import PROFILES
-from .phase import (FullPoint, Observable, RedPoint, hamiltonian_observable,
-                    invariant_observable, sample_point)
+from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
+                    sample_point)
 
 
 @dataclass(frozen=True)
@@ -27,8 +33,6 @@ class CheckSpec:
     n: int = 3
     seeds: int = 5
     profile: str | None = None   # None: use the check's declared profile
-    max_m: int = 3
-    max_k: int = 3
 
     def __post_init__(self):
         if self.n < 2:
@@ -66,26 +70,13 @@ _PAIR_PARAMS = [((1, 1, "re"), (0, 2, "re")),
 _TRIPLE_PARAMS = ((1, 1, "re"), (0, 2, "re"), (1, 0, "re"))
 
 
-def _clip(params, max_m, max_k):
-    m, k, part = params
-    return min(m, max_m), min(k, max_k), part
+def invariant_pairs(chart):
+    return [tuple(invariant_observable(*p, chart=chart) for p in pair)
+            for pair in _PAIR_PARAMS]
 
 
-def invariant_pairs(chart, max_m=3, max_k=3):
-    out = []
-    for a, b in _PAIR_PARAMS:
-        a = _clip(a, max_m, max_k)
-        b = _clip(b, max_m, max_k)
-        if a == b:
-            continue
-        out.append((invariant_observable(*a, chart=chart),
-                    invariant_observable(*b, chart=chart)))
-    return out
-
-
-def invariant_triple(chart, max_m=3, max_k=3):
-    return tuple(invariant_observable(*_clip(t, max_m, max_k), chart=chart)
-                 for t in _TRIPLE_PARAMS)
+def invariant_triple(chart):
+    return tuple(invariant_observable(*t, chart=chart) for t in _TRIPLE_PARAMS)
 
 
 _BRACKETS_BY_CHART = {
@@ -99,10 +90,10 @@ _BRACKETS_BY_CHART = {
 # check bodies: each returns a list of (abs_defect, scale) samples
 
 
-def check_antisymmetry(n, seeds, max_m=3, max_k=3):
+def check_antisymmetry(n, seeds):
     out = []
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
-        pairs = invariant_pairs(chart, max_m, max_k)
+        pairs = invariant_pairs(chart)
         for seed in range(seeds):
             x = sample_point(chart, n, seed)
             for bracket in bracket_list:
@@ -123,70 +114,62 @@ def check_antisymmetry(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_leibniz(n, seeds, max_m=3, max_k=3):
+def check_leibniz(n, seeds):
     out = []
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
-        pairs = invariant_pairs(chart, max_m, max_k)
+        pairs = invariant_pairs(chart)
         (F, G), (_, H) = pairs[0], pairs[1]
         GH = phase.product(G, H)
         for seed in range(seeds):
             x = sample_point(chart, n, seed)
+            gx, hx = G(x), H(x)
             for bracket in bracket_list:
                 lhs = bracket(F, GH, x)
                 fg = bracket(F, G, x)
                 fh = bracket(F, H, x)
-                rhs = G(x) * fh + H(x) * fg
-                scale = 1.0 + abs(lhs) + abs(G(x) * fh) + abs(H(x) * fg)
+                rhs = gx * fh + hx * fg
+                scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
                 out.append((abs(lhs - rhs), scale))
     return out
 
 
 def _pair_values(bracket, dF, dG, dH, x) -> list[float]:
     """({F,G}, {G,H}, {H,F}) at x from the gradients of F, G and H at x."""
-    contract = br.bivector_of(bracket).contract
-    return [contract(x, a, b) for a, b in ((dF, dG), (dG, dH), (dH, dF))]
+    return [bracket.contract(x, a, b) for a, b in ((dF, dG), (dG, dH), (dH, dF))]
 
 
 def _jacobi_scale(values) -> float:
     return 1.0 + sum(abs(v) for v in values)
 
 
-def _jacobi_samples(bracket, chart, n, seeds, max_m, max_k):
-    F, G, H = invariant_triple(chart, max_m, max_k)
+def _jacobi_samples(bracket, n, seeds):
+    F, G, H = invariant_triple(bracket.chart)
     out = []
     for seed in range(seeds):
-        x = sample_point(chart, n, seed)
+        x = sample_point(bracket.chart, n, seed)
         defect = br.jacobi_defect(bracket, F, G, H, x)
         d = [phase.grad(A, x) for A in (F, G, H)]
         out.append((abs(defect), _jacobi_scale(_pair_values(bracket, *d, x))))
     return out
 
 
-def _mixed_samples(bracket1, bracket2, chart, n, seeds, max_m, max_k):
+def _mixed_samples(bracket1, bracket2, n, seeds):
     """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x;
     the pair values of both brackets share the gradients of F, G, H at x."""
-    F, G, H = invariant_triple(chart, max_m, max_k)
+    F, G, H = invariant_triple(bracket1.chart)
     out = []
     for seed in range(seeds):
-        x = sample_point(chart, n, seed)
+        x = sample_point(bracket1.chart, n, seed)
         J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x)
         d = [phase.grad(A, x) for A in (F, G, H)]
         out.append((J, _pair_values(bracket1, *d, x), _pair_values(bracket2, *d, x)))
     return out
 
 
-def check_jacobi_full_1(n, seeds, max_m=3, max_k=3):
-    return _jacobi_samples(br.pb1_full, "full", n, seeds, max_m, max_k)
-
-
-def check_jacobi_full_2(n, seeds, max_m=3, max_k=3):
-    return _jacobi_samples(br.pb2_full, "full", n, seeds, max_m, max_k)
-
-
-def check_jacobi_pencil(n, seeds, max_m=3, max_k=3):
+def check_jacobi_pencil(n, seeds):
     """Jacobi defect of pb1 + s*pb2 for s in (-1, 0.5, 1), obtained as
     J1 + s*J12 + s^2*J2 from the mixed Jacobiator."""
-    per_seed = _mixed_samples(br.pb1_full, br.pb2_full, "full", n, seeds, max_m, max_k)
+    per_seed = _mixed_samples(br.pb1_full, br.pb2_full, n, seeds)
     out = []
     for s in (-1.0, 0.5, 1.0):
         for (J1, J12, J2), v1, v2 in per_seed:
@@ -195,41 +178,27 @@ def check_jacobi_pencil(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_jacobi_red(n, seeds, max_m=3, max_k=3):
-    per_seed = _mixed_samples(br.pb1_red, br.pb2_red, "red", n, seeds, max_m, max_k)
+def check_jacobi_red(n, seeds):
+    per_seed = _mixed_samples(br.pb1_red, br.pb2_red, n, seeds)
     return ([(abs(J[0]), _jacobi_scale(v1)) for J, v1, _ in per_seed]
             + [(abs(J[2]), _jacobi_scale(v2)) for J, _, v2 in per_seed])
 
 
-def check_jacobi_suth(n, seeds, max_m=3, max_k=3):
-    return _jacobi_samples(br.pb_suth, "suth", n, seeds, max_m, max_k)
-
-
-def check_ladder_full(n, seeds, max_m=3, max_k=3):
-    F = invariant_observable(min(1, max_m), min(1, max_k), "re", chart="full")
+def _ladder_samples(pb1, pb2, n, seeds):
+    """{F, H_k}_2 against {F, H_{k+1}}_1 for k = 1..4 on the chart of pb1."""
+    chart = pb1.chart
+    F = invariant_observable(1, 1, "re", chart=chart)
     out = []
     for seed in range(seeds):
-        x = sample_point("full", n, seed)
+        x = sample_point(chart, n, seed)
         for k in range(1, 5):
-            a = br.pb2_full(F, hamiltonian_observable(k), x)
-            b = br.pb1_full(F, hamiltonian_observable(k + 1), x)
+            a = pb2(F, hamiltonian_observable(k, chart=chart), x)
+            b = pb1(F, hamiltonian_observable(k + 1, chart=chart), x)
             out.append((abs(a - b), 1.0 + abs(a) + abs(b)))
     return out
 
 
-def check_ladder_red(n, seeds, max_m=3, max_k=3):
-    f = invariant_observable(min(1, max_m), min(1, max_k), "re", chart="red")
-    out = []
-    for seed in range(seeds):
-        x = sample_point("red", n, seed)
-        for k in range(1, 5):
-            a = br.pb2_red(f, hamiltonian_observable(k, chart="red"), x)
-            b = br.pb1_red(f, hamiltonian_observable(k + 1, chart="red"), x)
-            out.append((abs(a - b), 1.0 + abs(a) + abs(b)))
-    return out
-
-
-def check_involutivity(n, seeds, max_m=3, max_k=3):
+def check_involutivity(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("full", n, seed)
@@ -243,69 +212,30 @@ def check_involutivity(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_reduction_pb1(n, seeds, max_m=3, max_k=3):
-    return _reduction_samples(br.pb1_red, br.pb1_full, n, seeds, max_m, max_k)
-
-
-def check_reduction_pb2(n, seeds, max_m=3, max_k=3):
-    return _reduction_samples(br.pb2_red, br.pb2_full, n, seeds, max_m, max_k)
-
-
 def _grad_norm(g) -> float:
     return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in g)))
 
 
-def _equality_scale(a, b, F, H, x) -> float:
-    """Scale for FD-chain equality checks: the bracket contracts two
-    gradients, so FD noise is proportional to the gradient magnitudes."""
-    gF = phase.grad(F, x)
-    gH = phase.grad(H, x)
-    return 1.0 + abs(a) + abs(b) + _grad_norm(gF) * _grad_norm(gH)
+def _red_to_full(x: RedPoint) -> FullPoint:
+    return FullPoint(x.Q.matrix(), x.L)
 
 
-def _reduction_samples(red_bracket, full_bracket, n, seeds, max_m, max_k):
-    red_pairs = invariant_pairs("red", max_m, max_k)
-    full_pairs = invariant_pairs("full", max_m, max_k)
+def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
+    """`bracket` at x against `ref_bracket` at to_ref(x) on the invariant
+    pairs of their charts.  The bracket contracts two FD gradients, so the
+    scale adds |dF|*|dH| to the two values; dF and dH are taken once."""
+    pairs = invariant_pairs(bracket.chart)
+    ref_pairs = invariant_pairs(ref_bracket.chart)
     out = []
     for seed in range(seeds):
-        x = sample_point("red", n, seed)
-        xf = FullPoint(x.Q.matrix(), x.L)
-        for (f, h), (F, H) in zip(red_pairs, full_pairs):
-            a = red_bracket(f, h, x)
-            b = full_bracket(F, H, xf)
-            out.append((abs(a - b), _equality_scale(a, b, f, h, x)))
-    return out
-
-
-def check_rs_bracket(n, seeds, max_m=3, max_k=3):
-    """Ruijsenaars-chart bracket against the reduced second bracket at the
-    image point under the coordinate map."""
-    rs_pairs = invariant_pairs("rs", max_m, max_k)
-    red_pairs = invariant_pairs("red", max_m, max_k)
-    out = []
-    for seed in range(seeds):
-        x = sample_point("rs", n, seed)
-        y = coords.from_rs(x)
-        for (F, H), (f, h) in zip(rs_pairs, red_pairs):
-            a = br.pb_rs(F, H, x)
-            b = br.pb2_red(f, h, y)
-            out.append((abs(a - b), _equality_scale(a, b, F, H, x)))
-    return out
-
-
-def check_suth_bracket(n, seeds, max_m=3, max_k=3):
-    """Sutherland-chart bracket against the reduced first bracket at the
-    image point under the coordinate map."""
-    suth_pairs = invariant_pairs("suth", max_m, max_k)
-    red_pairs = invariant_pairs("red", max_m, max_k)
-    out = []
-    for seed in range(seeds):
-        x = sample_point("suth", n, seed)
-        y = coords.from_suth(x)
-        for (F, H), (f, h) in zip(suth_pairs, red_pairs):
-            a = br.pb_suth(F, H, x)
-            b = br.pb1_red(f, h, y)
-            out.append((abs(a - b), _equality_scale(a, b, F, H, x)))
+        x = sample_point(bracket.chart, n, seed)
+        y = to_ref(x)
+        for (F, H), (f, h) in zip(pairs, ref_pairs):
+            dF, dH = phase.grad(F, x), phase.grad(H, x)
+            a = bracket.contract(x, dF, dH)
+            b = ref_bracket(f, h, y)
+            scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)
+            out.append((abs(a - b), scale))
     return out
 
 
@@ -325,7 +255,7 @@ def _chol_cond_factor(L) -> float:
     return float(np.sqrt(w[-1] / w[0]))
 
 
-def check_roundtrip_rs(n, seeds, max_m=3, max_k=3):
+def check_roundtrip_rs(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("rs", n, seed)
@@ -343,7 +273,7 @@ def check_roundtrip_rs(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_roundtrip_suth(n, seeds, max_m=3, max_k=3):
+def check_roundtrip_suth(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("suth", n, seed)
@@ -359,7 +289,7 @@ def check_roundtrip_suth(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_bplus_residual(n, seeds, max_m=3, max_k=3):
+def check_bplus_residual(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("rs", n, seed)
@@ -370,7 +300,7 @@ def check_bplus_residual(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_hamiltonian_rs(n, seeds, max_m=3, max_k=3):
+def check_hamiltonian_rs(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("rs", n, seed)
@@ -380,7 +310,7 @@ def check_hamiltonian_rs(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_hamiltonian_suth(n, seeds, max_m=3, max_k=3):
+def check_hamiltonian_suth(n, seeds):
     out = []
     for seed in range(seeds):
         x = sample_point("suth", n, seed)
@@ -403,7 +333,7 @@ def _rk4_flow(x0, k, t1, steps):
     return g
 
 
-def check_flow_rk4(n, seeds, max_m=3, max_k=3):
+def check_flow_rk4(n, seeds):
     out = []
     for seed in range(seeds):
         x0 = sample_point("full", n, seed)
@@ -415,7 +345,7 @@ def check_flow_rk4(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_flow_conserved(n, seeds, max_m=3, max_k=3):
+def check_flow_conserved(n, seeds):
     t_grid = np.linspace(0.0, 1.0, 21)
     out = []
     for seed in range(seeds):
@@ -428,7 +358,7 @@ def check_flow_conserved(n, seeds, max_m=3, max_k=3):
     return out
 
 
-def check_flow_group(n, seeds, max_m=3, max_k=3):
+def check_flow_group(n, seeds):
     out = []
     for seed in range(seeds):
         x0 = sample_point("full", n, seed)
@@ -454,18 +384,30 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {
     "antisymmetry": CheckDef(check_antisymmetry, "default", ("theorem1",)),
     "leibniz": CheckDef(check_leibniz, "default", ("theorem1",)),
-    "jacobi-full-1": CheckDef(check_jacobi_full_1, "nested", ("theorem1",)),
-    "jacobi-full-2": CheckDef(check_jacobi_full_2, "nested", ("theorem1",)),
+    "jacobi-full-1": CheckDef(partial(_jacobi_samples, br.pb1_full), "nested",
+                              ("theorem1",)),
+    "jacobi-full-2": CheckDef(partial(_jacobi_samples, br.pb2_full), "nested",
+                              ("theorem1",)),
     "jacobi-pencil": CheckDef(check_jacobi_pencil, "nested", ("theorem1",)),
     "jacobi-red": CheckDef(check_jacobi_red, "nested", ("theorem2",)),
-    "jacobi-suth": CheckDef(check_jacobi_suth, "nested", ("prop4",)),
-    "ladder-full": CheckDef(check_ladder_full, "default", ("theorem1",)),
-    "ladder-red": CheckDef(check_ladder_red, "default", ("theorem2",)),
+    "jacobi-suth": CheckDef(partial(_jacobi_samples, br.pb_suth), "nested", ("prop4",)),
+    "ladder-full": CheckDef(partial(_ladder_samples, br.pb1_full, br.pb2_full),
+                            "default", ("theorem1",)),
+    "ladder-red": CheckDef(partial(_ladder_samples, br.pb1_red, br.pb2_red),
+                           "default", ("theorem2",)),
     "involutivity": CheckDef(check_involutivity, "strict", ("theorem1",)),
-    "reduction-pb1": CheckDef(check_reduction_pb1, "default", ("theorem2",)),
-    "reduction-pb2": CheckDef(check_reduction_pb2, "default", ("theorem2",)),
-    "rs-bracket": CheckDef(check_rs_bracket, "nested", ("prop3",)),
-    "suth-bracket": CheckDef(check_suth_bracket, "default", ("prop4",)),
+    "reduction-pb1": CheckDef(
+        partial(_transfer_samples, br.pb1_red, br.pb1_full, _red_to_full),
+        "default", ("theorem2",)),
+    "reduction-pb2": CheckDef(
+        partial(_transfer_samples, br.pb2_red, br.pb2_full, _red_to_full),
+        "default", ("theorem2",)),
+    "rs-bracket": CheckDef(
+        partial(_transfer_samples, br.pb_rs, br.pb2_red, coords.from_rs),
+        "nested", ("prop3",)),
+    "suth-bracket": CheckDef(
+        partial(_transfer_samples, br.pb_suth, br.pb1_red, coords.from_suth),
+        "default", ("prop4",)),
     "roundtrip-rs": CheckDef(check_roundtrip_rs, "strict", ("prop3",)),
     "roundtrip-suth": CheckDef(check_roundtrip_suth, "strict", ("prop4",)),
     "bplus-residual": CheckDef(check_bplus_residual, "strict", ("prop3",)),
@@ -495,7 +437,7 @@ def run_check(spec: CheckSpec) -> CheckResult:
     errors = []
     seeds_run = spec.seeds
     try:
-        samples = cdef.func(spec.n, spec.seeds, spec.max_m, spec.max_k)
+        samples = cdef.func(spec.n, spec.seeds)
     except Exception as exc:  # sampler / chart failures are reported, not fatal
         errors.append(f"{type(exc).__name__}: {exc}")
         samples = []
@@ -521,8 +463,7 @@ def run_checks(specs: list[CheckSpec]) -> dict:
         },
         "specs": [
             {"check_id": s.check_id, "n": s.n, "seeds": s.seeds,
-             "profile": s.profile or CHECKS[s.check_id].profile,
-             "max_m": s.max_m, "max_k": s.max_k}
+             "profile": s.profile or CHECKS[s.check_id].profile}
             for s in specs
         ],
         "checks": [

@@ -381,6 +381,8 @@ def sample_point(chart: str, n: int, seed: int):
     """Deterministic random point of a chart: Haar g, Gaussian Hermitian L,
     uniform regular torus phases, Gaussian strictly-upper lambda, Gaussian
     off-diagonal Hermitian phi."""
+    if chart not in CHARTS:
+        raise ValueError(f"unknown chart {chart!r}")
     if n < 2 or seed < 0:
         raise ValueError(f"need n >= 2 and seed >= 0, got n={n}, seed={seed}")
     rng = _rng(chart, n, seed)
@@ -396,10 +398,8 @@ def sample_point(chart: str, n: int, seed: int):
         iu = np.triu_indices(n, 1)
         lam[iu] = rng.standard_normal(len(iu[0])) + 1j * rng.standard_normal(len(iu[0]))
         return RSPoint(Q, p, lam)
-    if chart == "suth":
-        Q = _regular_torus(rng, n, seed)
-        p = rng.standard_normal(n)
-        phi = _gaussian_hermitian(rng, n)
-        phi = phi - np.diag(np.diag(phi))
-        return SuthPoint(Q, p, phi)
-    raise ValueError(f"unknown chart {chart!r}")
+    Q = _regular_torus(rng, n, seed)
+    p = rng.standard_normal(n)
+    phi = _gaussian_hermitian(rng, n)
+    phi = phi - np.diag(np.diag(phi))
+    return SuthPoint(Q, p, phi)

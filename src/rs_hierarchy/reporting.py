@@ -8,6 +8,7 @@ significant digits so files are bit-reproducible and round-trip exactly.
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 
@@ -23,7 +24,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
-            f'{pad}  "{k}": {dumps_json(v, indent + 2).lstrip()}'
+            f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 2).lstrip()}'
             for k, v in obj.items())
         return f"{pad}{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -36,8 +37,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return pad + _fmt(obj)
     if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'{pad}"{escaped}"'
+        return pad + json.dumps(obj)
     if obj is None:
         return pad + "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")

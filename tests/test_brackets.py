@@ -21,7 +21,8 @@ ALL_BRACKETS = [
 ]
 
 
-@pytest.mark.parametrize("bracket,chart", ALL_BRACKETS)
+@pytest.mark.parametrize("bracket,chart", ALL_BRACKETS,
+                         ids=[f"{b.name}-{chart}" for b, chart in ALL_BRACKETS])
 def test_antisymmetry_on_invariant_pair(bracket, chart):
     F, H = _pair(chart)
     for seed in range(3):
@@ -109,10 +110,16 @@ def test_pb_rs_p_only_functions_commute():
     assert abs(br.pb_rs(F, H, x)) <= 1e-8 * (1 + abs(F(x)) + abs(H(x)))
 
 
-def test_pb_rs_raw_convention():
+def test_pb_rs_against_direct_contraction():
+    # the source states 2{F,H} = <DQ F, dp H> - <DQ H, dp F>
+    #                            + <Dlam' F, lam^{-1} Dlam H lam>
     F, H = _pair("rs")
     x = sample_point("rs", 2, 1)
-    assert br.pb_rs(F, H, x, raw=True) == pytest.approx(2 * br.pb_rs(F, H, x))
+    gF = phase.grad_rs(F, x)
+    gH = phase.grad_rs(H, x)
+    rhs = (algebra.pairing(gF.DQ, gH.dp) - algebra.pairing(gH.DQ, gF.dp)
+           + algebra.pairing(gF.Dlamp, np.linalg.inv(x.lam) @ gH.Dlam @ x.lam))
+    assert br.pb_rs(F, H, x) == pytest.approx(0.5 * rhs, rel=1e-12, abs=1e-12)
 
 
 def test_pb_suth_momentum_functions_commute():
@@ -257,12 +264,11 @@ def test_bracket_chart_mismatch_raises():
         br.jacobi_defect(br.pb1_full, F, F, h, x)
 
 
-def test_jacobi_defect_needs_a_bivector():
+def test_jacobi_defect_needs_a_bracket():
     F, G, H = _triple("full")
     x = sample_point("full", 2, 0)
-    with pytest.raises(TypeError, match="bivector"):
-        br.jacobi_defect(lambda A, B, y, step=None: br.pb1_full(A, B, y, step),
-                         F, G, H, x)
-    with pytest.raises(TypeError, match="bivector"):
-        br.mixed_jacobiator(br.pb1_full, functools.partial(br.pb_rs, raw=True),
+    with pytest.raises(TypeError, match="Bracket"):
+        br.jacobi_defect(lambda A, B, y: br.pb1_full(A, B, y), F, G, H, x)
+    with pytest.raises(TypeError, match="Bracket"):
+        br.mixed_jacobiator(br.pb1_full, functools.partial(br.pb2_full),
                             F, G, H, x)

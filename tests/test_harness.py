@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import rs_hierarchy
-from rs_hierarchy import checks, dynamics, reporting
+from rs_hierarchy import checks, dynamics, phase, reporting
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
 
@@ -46,6 +46,26 @@ def test_run_checks_empty_report():
     assert report["library_version"] == rs_hierarchy.__version__
 
 
+# At n = 3 a gradient costs 54 evaluations on the full chart, 36 on the rs
+# chart and 24 on the reduced and Sutherland charts.  A transfer check takes
+# two gradients on each side for each of its 3 invariant pairs and reuses
+# the two on its own side for the scale: 3 * 2 * (24 + 54) = 468 and so on.
+@pytest.mark.parametrize("check_id,evals", [
+    ("reduction-pb1", 468), ("reduction-pb2", 468),
+    ("rs-bracket", 360), ("suth-bracket", 288),
+])
+def test_check_evaluation_counts(monkeypatch, check_id, evals):
+    calls = [0]
+    call = phase.Observable.__call__
+
+    def counting(self, x):
+        calls[0] += 1
+        return call(self, x)
+    monkeypatch.setattr(phase.Observable, "__call__", counting)
+    checks.CHECKS[check_id].func(3, 1)
+    assert calls[0] == evals
+
+
 def test_run_check_smoke_and_determinism():
     spec = CheckSpec("involutivity", n=2, seeds=2)
     r1 = run_check(spec)
@@ -83,6 +103,9 @@ def test_dumps_json_float_formatting():
     parsed = json.loads(text)
     assert parsed["x"] == 0.1
     assert "0.10000000000000001" in text  # 17 significant digits
+    # error messages may carry control characters, quotes and backslashes
+    odd = {"errors": ["a\nb", "c\td", 'q"\\'], 'k"\n': 'q"\\'}
+    assert json.loads(reporting.dumps_json(odd)) == odd
     with pytest.raises(ValueError):
         reporting.dumps_json({"bad": float("nan")})
 

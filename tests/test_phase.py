@@ -62,6 +62,11 @@ def test_sample_rejects_small_n():
         sample_point("full", 1, 0)
 
 
+def test_sample_rejects_unknown_chart():
+    with pytest.raises(ValueError, match="unknown chart"):
+        sample_point("bogus", 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # full-chart derivatives
 
