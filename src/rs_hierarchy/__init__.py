@@ -6,18 +6,19 @@ __version__ = "0.1.0"
 
 from .algebra import (NotPositiveDefiniteError, RegularityError, SubspaceError,
                       TorusReg, chol_upper, dual_basis, pairing, r_apply,
-                      r_bracket, split_grade, split_ub)
+                      r_bracket, split_ub)
 from .brackets import (Bracket, jacobi_defect, mixed_jacobiator, pb1_full, pb1_red,
                        pb2_full, pb2_red, pb_rs, pb_suth, pencil)
 from .coords import from_rs, from_suth, solve_bplus, to_rs, to_suth
-from .dynamics import Trajectory, flow, h_rs, h_suth2, hk, reduce_point, trajectory
+from .dynamics import (AmbiguousMatchError, Trajectory, flow, h_rs, h_suth2, hk,
+                       reduce_point, trajectory)
 from .phase import (FullPoint, Observable, RedPoint, RSPoint, SuthPoint,
                     grad_full, grad_red, grad_rs, grad_suth,
                     hamiltonian_observable, invariant_observable, sample_point)
 
 __all__ = [
     "TorusReg", "RegularityError", "NotPositiveDefiniteError", "SubspaceError",
-    "pairing", "split_ub", "split_grade", "r_apply", "r_bracket", "chol_upper",
+    "pairing", "split_ub", "r_apply", "r_bracket", "chol_upper",
     "dual_basis",
     "FullPoint", "RedPoint", "RSPoint", "SuthPoint", "Observable",
     "grad_full", "grad_red", "grad_rs", "grad_suth",
@@ -25,6 +26,7 @@ __all__ = [
     "Bracket", "pb1_full", "pb2_full", "pb1_red", "pb2_red", "pb_rs", "pb_suth",
     "pencil", "jacobi_defect", "mixed_jacobiator",
     "to_rs", "from_rs", "solve_bplus", "to_suth", "from_suth",
-    "hk", "flow", "reduce_point", "trajectory", "Trajectory", "h_rs", "h_suth2",
+    "hk", "flow", "reduce_point", "trajectory", "Trajectory", "AmbiguousMatchError",
+    "h_rs", "h_suth2",
     "__version__",
 ]

@@ -10,7 +10,7 @@ gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,11 +50,6 @@ def split_ub(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     X_u = lower - lower.conj().T + 1j * np.diag(np.imag(np.diag(X)))
     X_b = upper + lower.conj().T + np.diag(np.real(np.diag(diag)))
     return X_u, X_b
-
-
-def split_grade(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Principal gradation: strictly upper, diagonal, strictly lower parts."""
-    return np.triu(X, 1), np.diag(np.diag(X)), np.tril(X, -1)
 
 
 def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -100,16 +95,15 @@ class TorusReg:
     """Regular element of the maximal torus, stored as n real phases."""
 
     q: np.ndarray
-    gap: float = field(default=REGULARITY_GAP, compare=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "q", q)
         if q.ndim != 1 or q.size < 2:
             raise ValueError("need at least two phases")
-        if self.min_gap() <= self.gap:
+        if self.min_gap() <= REGULARITY_GAP:
             raise RegularityError(
-                f"eigenvalue gap {self.min_gap():.3e} below {self.gap:.1e}")
+                f"eigenvalue gap {self.min_gap():.3e} below {REGULARITY_GAP:.1e}")
 
     @property
     def n(self) -> int:
@@ -124,7 +118,7 @@ class TorusReg:
         return np.diag(np.exp(1j * self.q))
 
     def shifted(self, dq: np.ndarray) -> "TorusReg":
-        return TorusReg(self.q + dq, self.gap)
+        return TorusReg(self.q + dq)
 
 
 def r_multiplier(Q: TorusReg) -> np.ndarray:
@@ -133,7 +127,7 @@ def r_multiplier(Q: TorusReg) -> np.ndarray:
     w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
     denom = w - 1.0
     off = ~np.eye(Q.n, dtype=bool)
-    if np.min(np.abs(denom[off])) <= Q.gap:
+    if np.min(np.abs(denom[off])) <= REGULARITY_GAP:
         raise RegularityError("R-operator denominator below regularity gap")
     M = np.zeros_like(w)
     M[off] = 0.5 * (w[off] + 1.0) / denom[off]

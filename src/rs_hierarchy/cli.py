@@ -6,13 +6,11 @@ Subcommands:
   bracket  evaluate one Poisson bracket of two trace observables
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
-The environment variable RS_HIERARCHY_PROFILE overrides --profile.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -75,12 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    profile = os.environ.get("RS_HIERARCHY_PROFILE") or args.profile
-    if profile is not None and profile not in PROFILES:
-        _config_error(f"unknown profile {profile!r}")
     try:
         ids = checks.suite_checks(args.suite)
-        specs = [checks.CheckSpec(cid, n=args.n, seeds=args.seeds, profile=profile)
+        specs = [checks.CheckSpec(cid, n=args.n, seeds=args.seeds, profile=args.profile)
                  for cid in ids]
     except (KeyError, ValueError) as exc:
         _config_error(str(exc))

@@ -4,6 +4,10 @@
 # treated as non-regular.  The charts only exist on the regular part.
 REGULARITY_GAP = 1e-6
 
+# Eigenphase matching treats two cyclic rotations whose sums of squared
+# circular distances differ by less than this as a tie it cannot resolve.
+MATCH_TIE_TOL = 1e-12
+
 # Smallest admissible eigenvalue for "positive definite" inputs.
 PD_FLOOR = 1e-10
 

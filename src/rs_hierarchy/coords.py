@@ -17,6 +17,7 @@ import scipy.linalg
 
 from . import algebra
 from .algebra import RegularityError, TorusReg
+from .config import REGULARITY_GAP
 from .phase import RedPoint, RSPoint, SuthPoint
 
 
@@ -45,7 +46,7 @@ def solve_bplus(Q: TorusReg, lam: np.ndarray) -> np.ndarray:
         for j in range(n - d):
             k = j + d
             denom = w[j, k] - 1.0
-            if abs(denom) <= Q.gap:
+            if abs(denom) <= REGULARITY_GAP:
                 raise RegularityError(
                     f"denominator |e^(i(q_{k}-q_{j})) - 1| = {abs(denom):.3e}")
             bp[j, k] = np.dot(bp[j, j:k], lam[j:k, k]) / denom
@@ -66,7 +67,7 @@ def _suth_multiplier(Q: TorusReg) -> np.ndarray:
     w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
     off = ~np.eye(Q.n, dtype=bool)
     denom = w - 1.0
-    if np.min(np.abs(denom[off])) <= Q.gap:
+    if np.min(np.abs(denom[off])) <= REGULARITY_GAP:
         raise RegularityError("Sutherland multiplier denominator below gap")
     M = np.zeros_like(w)
     M[off] = w[off] / denom[off]

@@ -8,20 +8,21 @@ unitary and the spectrum of L is conserved to machine precision.
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from . import algebra
 from .algebra import TorusReg
-from .config import REGULARITY_GAP
+from .config import MATCH_TIE_TOL
 from .phase import FullPoint, RedPoint
 
 TWO_PI = 2.0 * np.pi
+
+
+class AmbiguousMatchError(ValueError):
+    """Two cyclic rotations match consecutive eigenphase samples equally well."""
 
 
 def hk(L: np.ndarray, k: int) -> float:
@@ -40,15 +41,13 @@ def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
     w, V = np.linalg.eigh(x0.L)
     U = (V * np.exp(1j * t * w ** k)) @ V.conj().T
     g = U @ x0.g
-    n = x0.n
-    if np.linalg.norm(g.conj().T @ g - np.eye(n)) > 1e-13 * n:
-        Qm, R = np.linalg.qr(g)
-        d = np.diag(R)
-        g = Qm * (d / np.abs(d))
+    defect = np.linalg.norm(g.conj().T @ g - np.eye(x0.n))
+    if defect > 1e-13 * x0.n:
+        raise ValueError(f"flow needs a unitary g: |g^dagger g - 1| = {defect:.3e}")
     return FullPoint(g, x0.L)
 
 
-def reduce_point(x: FullPoint, gap: float = REGULARITY_GAP) -> tuple[RedPoint, np.ndarray]:
+def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
     """Diagonalize g = eta Q eta^dagger with sorted phases in [0, 2pi) and a
     fixed gauge (largest-magnitude entry of each eigenvector real positive);
     returns the reduced point (Q, eta^dagger L eta) and the gauge eta."""
@@ -62,7 +61,7 @@ def reduce_point(x: FullPoint, gap: float = REGULARITY_GAP) -> tuple[RedPoint, n
     for j in range(x.n):
         i = int(np.argmax(np.abs(eta[:, j])))
         eta[:, j] *= np.exp(-1j * np.angle(eta[i, j]))
-    Q = TorusReg(phases, gap)  # raises RegularityError on eigenvalue collision
+    Q = TorusReg(phases)  # raises RegularityError on eigenvalue collision
     L_red = algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)
     return RedPoint(Q, L_red), eta
 
@@ -86,31 +85,32 @@ def _circ_dist(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def _match_permutation(prev_q: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Permutation of the new sample minimizing total circular phase
-    distance to the previous one (assignment problem)."""
-    cost = _circ_dist(prev_q[:, None], q[None, :])
-    _, col = linear_sum_assignment(cost)
-    best = cost[np.arange(len(q)), col].sum()
+def _match_permutation(prev_q, q) -> np.ndarray:
+    """Permutation perm labelling the sorted new phases q as q[perm] after
+    the labelled previous phases prev_q.  Eigenphases of a generic unitary
+    one-parameter family do not cross, so their cyclic order is kept and only
+    the winding is open: of the n cyclic rotations of argsort(prev_q), take
+    the one with the least sum of squared circular distances.  Raises
+    AmbiguousMatchError when the two cheapest rotations tie."""
+    prev_q, q = np.asarray(prev_q, dtype=float), np.asarray(q, dtype=float)
     n = len(q)
-    if n <= 6:
-        # exhaustive ambiguity check at desk scale
-        for perm in itertools.permutations(range(n)):
-            perm = np.array(perm)
-            if np.array_equal(perm, col):
-                continue
-            alt = cost[np.arange(n), perm].sum()
-            if alt - best < 1e-12:
-                warnings.warn("eigenphase matching is ambiguous between two "
-                              "permutations", RuntimeWarning)
-                break
-    return col
+    order = np.argsort(prev_q)
+    d2 = _circ_dist(prev_q[order][:, None], q[None, :]) ** 2
+    shift = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [j, r] = j + r
+    cost = d2[np.arange(n)[:, None], shift].sum(axis=0)
+    best, second = np.argsort(cost)[:2]
+    if cost[second] - cost[best] < MATCH_TIE_TOL:
+        raise AmbiguousMatchError(
+            f"eigenphase matching ties between rotations costing "
+            f"{cost[best]:.17g} and {cost[second]:.17g}")
+    perm = np.empty(n, dtype=int)
+    perm[order] = shift[:, best]
+    return perm
 
 
-def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None,
-               gap: float = REGULARITY_GAP) -> Trajectory:
-    """Sample the exact H_k flow on t_grid, reduce each sample and enforce
-    eigenphase continuity by permutation matching between samples."""
+def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None) -> Trajectory:
+    """Sample the exact H_k flow on t_grid, reduce each sample and keep the
+    eigenphase labels continuous by cyclic-rotation matching between samples."""
     t_grid = np.asarray(t_grid, dtype=float)
     K = x0.n if K is None else K
     points, gauges, defects = [], [], []
@@ -118,16 +118,15 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None,
     for i, t in enumerate(t_grid):
         xt = flow(x0, k, float(t))
         try:
-            red, eta = reduce_point(xt, gap)
-        except algebra.RegularityError as exc:
-            raise algebra.RegularityError(
-                f"regularity lost at sample {i} (t = {t}): {exc}") from exc
-        if prev_q is not None:
-            perm = _match_permutation(prev_q, red.Q.q)
+            red, eta = reduce_point(xt)
+            perm = None if prev_q is None else _match_permutation(prev_q, red.Q.q)
+        except (algebra.RegularityError, AmbiguousMatchError) as exc:
+            raise type(exc)(f"at sample {i} (t = {t}): {exc}") from exc
+        if perm is not None:
             q = red.Q.q[perm]
             L = red.L[np.ix_(perm, perm)]
             eta = eta[:, perm]
-            red = RedPoint(TorusReg(q, gap), L)
+            red = RedPoint(TorusReg(q), L)
         points.append(red)
         gauges.append(eta)
         defects.append(np.linalg.norm(eta @ red.Q.matrix() @ eta.conj().T - xt.g))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import TorusReg
-from .config import FD_STEP_SCALE, REGULARITY_GAP
+from .config import FD_STEP_SCALE
 
 CHARTS = ("full", "red", "rs", "suth")
 
@@ -364,15 +364,14 @@ def _gaussian_hermitian(rng, n):
 _SAMPLING_GAP = 0.1
 
 
-def _regular_torus(rng, n, seed, gap=REGULARITY_GAP):
-    margin = max(gap, _SAMPLING_GAP)
+def _regular_torus(rng, n, seed):
     for _ in range(_REDRAW_BUDGET):
         q = rng.uniform(0.0, 2.0 * np.pi, size=n)
         try:
-            Q = TorusReg(q, gap)
+            Q = TorusReg(q)
         except algebra.RegularityError:
             continue
-        if Q.min_gap() > margin:
+        if Q.min_gap() > _SAMPLING_GAP:
             return Q
     raise RuntimeError(f"regularity re-draw budget exceeded (seed {seed})")
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rs_hierarchy import algebra
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
                                   TorusReg, chol_upper, dual_basis, pairing,
-                                  r_apply, r_bracket, split_grade, split_ub)
+                                  r_apply, r_bracket, split_ub)
 
 
 def _E(n, j, k):
@@ -95,19 +95,6 @@ def test_split_ub_reconstruction_and_memberships(seed, n):
     # idempotence: re-splitting the parts is stable
     u2, b_of_u = split_ub(u)
     assert np.allclose(u2, u) and np.allclose(b_of_u, 0, atol=1e-15)
-
-
-def test_split_grade():
-    X = np.diag([1.0 + 0j, 2.0])
-    up, d, lo = split_grade(X)
-    assert np.allclose(up, 0) and np.allclose(d, X) and np.allclose(lo, 0)
-    Y = _E(2, 0, 1) + _E(2, 1, 0)
-    up, d, lo = split_grade(Y)
-    assert np.allclose(up, _E(2, 0, 1)) and np.allclose(lo, _E(2, 1, 0))
-    rng = np.random.default_rng(0)
-    Z = _rand_gl(rng, 4)
-    up, d, lo = split_grade(Z)
-    assert np.array_equal(up + d + lo, Z)
 
 
 # ---------------------------------------------------------------------------

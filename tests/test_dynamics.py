@@ -3,8 +3,8 @@ import pytest
 
 from rs_hierarchy import algebra, coords, dynamics
 from rs_hierarchy.algebra import RegularityError, TorusReg
-from rs_hierarchy.dynamics import (flow, h_rs, h_suth2, hk, reduce_point,
-                                   trajectory)
+from rs_hierarchy.dynamics import (AmbiguousMatchError, flow, h_rs, h_suth2, hk,
+                                   reduce_point, trajectory)
 from rs_hierarchy.phase import (FullPoint, RedPoint, RSPoint, SuthPoint,
                                 sample_point)
 
@@ -54,6 +54,12 @@ def test_flow_group_property_and_conservation():
         ratio = np.linalg.det(z.g) / np.linalg.det(x.g)
         assert ratio == pytest.approx(np.exp(1j * (s + t) * 2 * hk(x.L, 2)),
                                       abs=1e-10)
+
+
+def test_flow_rejects_non_unitary_g():
+    L = np.diag([1.0, -2.0]).astype(complex)
+    with pytest.raises(ValueError, match="unitary"):
+        flow(FullPoint(2.0 * np.eye(2, dtype=complex), L), 1, 0.3)
 
 
 def test_flow_diagonal_generator_explicit():
@@ -149,6 +155,33 @@ def test_trajectory_continuity_and_reversal():
                        atol=1e-10)
 
 
+@pytest.mark.parametrize("n,k,seed,points", [
+    (4, 2, 1, 21), (4, 2, 4, 21), (4, 2, 6, 21), (5, 2, 8, 21), (5, 2, 22, 101)])
+def test_coarse_labels_match_fine_grid(n, k, seed, points):
+    # labels on a coarse grid agree with those of a grid 20x finer, whose
+    # steps are small enough for the winding of each phase to be plain
+    x0 = sample_point("full", n, seed)
+    fine = np.linspace(0.0, 1.0, 20 * (points - 1) + 1)
+    coarse = trajectory(x0, k, fine[::20])
+    ref = trajectory(x0, k, fine)
+    for a, b in zip(coarse.points, ref.points[::20]):
+        assert np.array_equal(a.Q.q, b.Q.q)
+
+
+def test_match_permutation_tie_raises():
+    with pytest.raises(AmbiguousMatchError):
+        dynamics._match_permutation([0.0, np.pi], [0.5 * np.pi, 1.5 * np.pi])
+
+
+def test_trajectory_tie_names_sample_and_time():
+    # the phases 0 and pi both advance by pi/2 in one step, which costs the
+    # same as both falling back by pi/2 to the other's new place
+    x0 = FullPoint(np.diag([1.0, -1.0]).astype(complex),
+                   0.5 * np.pi * np.eye(2, dtype=complex))
+    with pytest.raises(AmbiguousMatchError, match=r"sample 1 \(t = 1.0\)"):
+        trajectory(x0, 1, [0.0, 1.0])
+
+
 def test_trajectory_conserved_quantities_flat():
     x0 = sample_point("full", 4, 5)
     traj = trajectory(x0, 3, np.linspace(0.0, 1.0, 25))
@@ -172,7 +205,7 @@ def test_trajectory_matches_rk4_on_eigenphases():
         g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     exact = flow(x0, k, T)
     assert np.linalg.norm(g - exact.g) <= 1e-8 * (1 + np.linalg.norm(exact.g))
-    red_rk4, _ = reduce_point(FullPoint(g, x0.L), gap=1e-8)
+    red_rk4, _ = reduce_point(FullPoint(g, x0.L))
     red_ex, _ = reduce_point(exact)
     assert np.allclose(red_rk4.Q.q, red_ex.Q.q, atol=1e-8)
 

@@ -133,12 +133,8 @@ def test_trajectory_csv_schema_and_reproducibility():
 # command line
 
 
-def _run(args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=full_env)
+def _run(args):
+    return subprocess.run(CLI + args, capture_output=True, text=True)
 
 
 def test_cli_check_pass_and_report(tmp_path):
@@ -161,8 +157,8 @@ def test_cli_check_stdout_json():
 def test_cli_check_env_profile_override_failure_exit():
     # the finite-difference suites cannot meet the strict 1e-10 tolerance,
     # so forcing the strict profile must flip the exit code to 1
-    res = _run(["check", "--suite", "theorem2", "--n", "2", "--seeds", "1"],
-               env={"RS_HIERARCHY_PROFILE": "strict"})
+    res = _run(["check", "--suite", "theorem2", "--n", "2", "--seeds", "1",
+                "--profile", "strict"])
     assert res.returncode == 1
     assert "FAIL" in res.stderr
 
@@ -170,8 +166,8 @@ def test_cli_check_env_profile_override_failure_exit():
 def test_cli_config_errors_exit_2(tmp_path):
     res = _run(["check", "--suite", "prop3", "--n", "1"])
     assert res.returncode == 2
-    res = _run(["check", "--suite", "prop3", "--n", "2", "--seeds", "1"],
-               env={"RS_HIERARCHY_PROFILE": "bogus"})
+    res = _run(["check", "--suite", "prop3", "--n", "2", "--seeds", "1",
+                "--profile", "bogus"])
     assert res.returncode == 2
     res = _run(["bracket", "--chart", "rs", "--which", "1",
                 "--f", "1,1,re", "--h", "0,2,re"])
