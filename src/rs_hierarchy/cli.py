@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("flow", help="export a reduced trajectory as CSV")
     f.add_argument("--n", type=int, default=3)
-    f.add_argument("--k", type=int, default=2)
+    f.add_argument("--k", type=int, default=2, help="flow g(t) = exp(i t L^k) g(0): "
+                   "H_{k+1} under the first bracket, H_k under the second")
     f.add_argument("--t0", type=float, default=0.0)
     f.add_argument("--t1", type=float, default=1.0)
     f.add_argument("--steps", type=int, default=100)

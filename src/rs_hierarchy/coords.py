@@ -13,7 +13,6 @@ multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra
 from .algebra import RegularityError, TorusReg
@@ -27,7 +26,7 @@ def to_rs(x: RedPoint) -> RSPoint:
     p = np.log(np.real(np.diag(b)))
     bplus = np.exp(-p)[:, None] * b
     Qm = x.Q.matrix()
-    lam = scipy.linalg.solve_triangular(bplus, Qm.conj() @ bplus @ Qm)
+    lam = np.linalg.solve(bplus, Qm.conj() @ bplus @ Qm)
     lam = algebra.make_unipotent_upper(lam, strict=True)
     return RSPoint(x.Q, p, lam)
 

@@ -1,9 +1,10 @@
 """Free Hamiltonians, their exact bi-Hamiltonian flows on U(n) x Herm(n),
 projection to the reduced chart and trajectory extraction.
 
-The flow of H_k is (g(t), L(t)) = (exp(i t L0^k) g0, L0); the exponential is
-computed by unitary diagonalization of the Hermitian generator, so g(t) is
-unitary and the spectrum of L is conserved to machine precision.
+The flow g(t) = exp(i t L0^k) g0, L(t) = L0 is that of H_{k+1} under the
+first bracket and of H_k under the second; the exponential comes from a
+unitary diagonalization of L0, so g(t) is unitary and the spectrum of L is
+conserved to machine precision.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import algebra
 from .algebra import TorusReg
@@ -33,45 +33,52 @@ def hk(L: np.ndarray, k: int) -> float:
     return float(np.sum(w ** k)) / k
 
 
-def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
-    """Exact flow of H_k under the first bracket (equivalently of H_{k-1}
-    under the second): g(t) = exp(i t L0^k) g0, L(t) = L0."""
+def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
+    """The stack of g(t) = exp(i t L0^k) g0 over the 1-D array t; one eigh of L0."""
     if k < 1:
         raise ValueError("need k >= 1")
-    w, V = np.linalg.eigh(x0.L)
-    U = (V * np.exp(1j * t * w ** k)) @ V.conj().T
-    g = U @ x0.g
-    defect = np.linalg.norm(g.conj().T @ g - np.eye(x0.n))
+    defect = np.linalg.norm(x0.g.conj().T @ x0.g - np.eye(x0.n))
     if defect > 1e-13 * x0.n:
         raise ValueError(f"flow needs a unitary g: |g^dagger g - 1| = {defect:.3e}")
-    return FullPoint(g, x0.L)
+    w, V = np.linalg.eigh(x0.L)
+    U = (V * np.exp(1j * t[:, None] * w ** k)[:, None, :]) @ V.conj().T
+    return U @ x0.g
+
+
+def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
+    """Exact flow of H_{k+1} under the first bracket (equivalently of H_k
+    under the second): g(t) = exp(i t L0^k) g0, L(t) = L0."""
+    return FullPoint(_flow_g(x0, k, np.array([t], dtype=float))[0], x0.L)
+
+
+def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted phases q in [0, 2pi) and unitary eta with g = eta e^{iq} eta^dagger,
+    for a unitary g or a stack of them: eig, then QR of the sorted eigenvectors
+    so that eta is exactly unitary, then each column's largest-magnitude entry
+    made real positive, which also fixes the phases of QR's R."""
+    ev, Z = np.linalg.eig(g)
+    phases = np.mod(np.angle(ev), TWO_PI)
+    order = np.argsort(phases, axis=-1)
+    phases = np.take_along_axis(phases, order, axis=-1)
+    eta = np.linalg.qr(np.take_along_axis(Z, order[..., None, :], axis=-1))[0]
+    i = np.argmax(np.abs(eta), axis=-2)[..., None, :]
+    return phases, eta * np.exp(-1j * np.angle(np.take_along_axis(eta, i, axis=-2)))
 
 
 def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
-    """Diagonalize g = eta Q eta^dagger with sorted phases in [0, 2pi) and a
-    fixed gauge (largest-magnitude entry of each eigenvector real positive);
-    returns the reduced point (Q, eta^dagger L eta) and the gauge eta."""
-    T, Z = scipy.linalg.schur(x.g, output="complex")
-    ev = np.diag(T)
-    phases = np.mod(np.angle(ev), TWO_PI)
-    order = np.argsort(phases)
-    phases = phases[order]
-    eta = Z[:, order]
-    # gauge fix each eigenvector column
-    for j in range(x.n):
-        i = int(np.argmax(np.abs(eta[:, j])))
-        eta[:, j] *= np.exp(-1j * np.angle(eta[i, j]))
+    """Diagonalize g = eta Q eta^dagger as in _diagonalize (eig, QR of the
+    sorted eigenvectors, largest entry of each column real positive); returns
+    the reduced point (Q, eta^dagger L eta) and the gauge eta."""
+    phases, eta = _diagonalize(x.g)
     Q = TorusReg(phases)  # raises RegularityError on eigenvalue collision
-    L_red = algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)
-    return RedPoint(Q, L_red), eta
+    return RedPoint(Q, algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)), eta
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reduced trajectory samples with per-sample gauge and conserved values."""
+    """Reduced trajectory samples with per-sample conserved values."""
     times: np.ndarray
     points: tuple[RedPoint, ...]
-    gauges: tuple[np.ndarray, ...]
     conserved: np.ndarray       # shape (len(times), K): h_1..h_K per sample
     gauge_defects: np.ndarray   # reconstruction error |eta Q eta^dagger - g|
 
@@ -109,31 +116,29 @@ def _match_permutation(prev_q, q) -> np.ndarray:
 
 
 def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None) -> Trajectory:
-    """Sample the exact H_k flow on t_grid, reduce each sample and keep the
-    eigenphase labels continuous by cyclic-rotation matching between samples."""
+    """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
+    whole grid as one stack (_diagonalize, then one stacked eigvalsh for the
+    conserved h_1..h_K); a sequential pass keeps the eigenphase labels
+    continuous by cyclic-rotation matching between consecutive samples."""
     t_grid = np.asarray(t_grid, dtype=float)
     K = x0.n if K is None else K
-    points, gauges, defects = [], [], []
-    prev_q = None
+    g = _flow_g(x0, k, t_grid)
+    phases, eta = _diagonalize(g)
+    eta_h = eta.conj().swapaxes(-1, -2)
+    L_red = eta_h @ x0.L @ eta
+    defects = np.linalg.norm((eta * np.exp(1j * phases)[:, None, :]) @ eta_h - g, axis=(1, 2))
+    points = []
     for i, t in enumerate(t_grid):
-        xt = flow(x0, k, float(t))
         try:
-            red, eta = reduce_point(xt)
-            perm = None if prev_q is None else _match_permutation(prev_q, red.Q.q)
+            Q = TorusReg(phases[i])  # raises RegularityError on eigenvalue collision
+            perm = _match_permutation(points[-1].Q.q, Q.q) if points else np.arange(x0.n)
         except (algebra.RegularityError, AmbiguousMatchError) as exc:
             raise type(exc)(f"at sample {i} (t = {t}): {exc}") from exc
-        if perm is not None:
-            q = red.Q.q[perm]
-            L = red.L[np.ix_(perm, perm)]
-            eta = eta[:, perm]
-            red = RedPoint(TorusReg(q), L)
-        points.append(red)
-        gauges.append(eta)
-        defects.append(np.linalg.norm(eta @ red.Q.matrix() @ eta.conj().T - xt.g))
-        prev_q = red.Q.q
-    conserved = np.array([[hk(pt.L, l) for l in range(1, K + 1)] for pt in points])
-    return Trajectory(t_grid, tuple(points), tuple(gauges), conserved,
-                      np.array(defects))
+        L = algebra.make_hermitian(L_red[i][np.ix_(perm, perm)], strict=True)
+        points.append(RedPoint(TorusReg(Q.q[perm]), L))
+    w = np.linalg.eigvalsh(np.array([pt.L for pt in points]))
+    conserved = np.stack([np.sum(w ** l, axis=-1) / l for l in range(1, K + 1)], axis=-1)
+    return Trajectory(t_grid, tuple(points), conserved, defects)
 
 
 def h_rs(x) -> float:

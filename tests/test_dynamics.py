@@ -3,9 +3,12 @@ import pytest
 
 from rs_hierarchy import algebra, coords, dynamics
 from rs_hierarchy.algebra import RegularityError, TorusReg
+from rs_hierarchy.brackets import pb1_full, pb2_full
+from rs_hierarchy.config import PROFILES
 from rs_hierarchy.dynamics import (AmbiguousMatchError, flow, h_rs, h_suth2, hk,
                                    reduce_point, trajectory)
 from rs_hierarchy.phase import (FullPoint, RedPoint, RSPoint, SuthPoint,
+                                hamiltonian_observable, invariant_observable,
                                 sample_point)
 
 
@@ -69,6 +72,21 @@ def test_flow_diagonal_generator_explicit():
     assert np.allclose(y.g, np.diag(np.exp(1j * 0.5 * np.array([1.0, -2.0]))))
     y3 = flow(FullPoint(g0, L), 3, 0.5)
     assert np.allclose(y3.g, np.diag(np.exp(1j * 0.5 * np.array([1.0, -8.0]))))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flow_is_hamiltonian_flow_of_h_k_plus_1_under_pb1_and_h_k_under_pb2(k, seed):
+    # d/dt F(flow(x, k, t)) at t = 0 by a central difference equals
+    # {F, H_{k+1}}_1 and {F, H_k}_2
+    x = sample_point("full", 3, seed)
+    F = invariant_observable(2, 2, "re")
+    h = 1e-5
+    rate = (F(flow(x, k, h)) - F(flow(x, k, -h))) / (2 * h)
+    for bracket, H in ((pb1_full, hamiltonian_observable(k + 1)),
+                       (pb2_full, hamiltonian_observable(k))):
+        v = bracket(F, H, x)
+        assert abs(rate - v) <= PROFILES["default"] * (1 + abs(rate) + abs(v)), bracket.name
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +184,22 @@ def test_coarse_labels_match_fine_grid(n, k, seed, points):
     ref = trajectory(x0, k, fine)
     for a, b in zip(coarse.points, ref.points[::20]):
         assert np.array_equal(a.Q.q, b.Q.q)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2])
+def test_trajectory_samples_equal_single_point_reduction(n, k):
+    # the stacked reduction of the whole grid gives, sample by sample and up
+    # to the labels, reduce_point(flow(x0, k, t))
+    x0 = sample_point("full", n, 0)
+    t_grid = np.linspace(0.0, 1.0, 21)
+    traj = trajectory(x0, k, t_grid)
+    assert np.all(traj.gauge_defects <= 1e-14)
+    for t, pt in zip(t_grid, traj.points):
+        red, _ = reduce_point(flow(x0, k, t))
+        perm = np.argsort(np.argsort(pt.Q.q))  # pt.Q.q == red.Q.q[perm]
+        assert np.max(np.abs(red.Q.q[perm] - pt.Q.q)) <= 1e-12
+        assert np.max(np.abs(red.L[np.ix_(perm, perm)] - pt.L)) <= 1e-12
 
 
 def test_match_permutation_tie_raises():

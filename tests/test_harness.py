@@ -50,9 +50,11 @@ def test_run_checks_empty_report():
 # chart and 24 on the reduced and Sutherland charts.  A transfer check takes
 # two gradients on each side for each of its 3 invariant pairs and reuses
 # the two on its own side for the scale: 3 * 2 * (24 + 54) = 468 and so on.
+# The antisymmetry check takes the two gradients of each invariant pair once
+# per chart for all of the chart's brackets: 3 * 2 * (54 + 24 + 24) = 612.
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
-    ("rs-bracket", 360), ("suth-bracket", 288),
+    ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
     calls = [0]
@@ -183,6 +185,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     res = _run(["flow", "--seed", "-1", "--out", str(tmp_path / "t.csv")])
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # the runtime needs numpy only: in a fresh interpreter where importing
+    # scipy fails, a check suite and a flow export still exit 0
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from rs_hierarchy.cli import main; sys.exit(main(sys.argv[1:]))")
+    for args in (["check", "--suite", "prop3", "--n", "2", "--seeds", "1"],
+                 ["flow", "--n", "3", "--steps", "5", "--out", str(tmp_path / "t.csv")]):
+        res = subprocess.run([sys.executable, "-c", code, *args],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 def test_cli_bracket_value_matches_library():
