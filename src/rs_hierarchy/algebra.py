@@ -150,16 +150,16 @@ def r_bracket(Q: TorusReg, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # triangular factorization
 
 
-def chol_upper(L: np.ndarray, pd_floor: float = PD_FLOOR) -> np.ndarray:
+def chol_upper(L: np.ndarray) -> np.ndarray:
     """Unique b in B(n) (upper triangular, positive real diagonal) with
-    b b^dagger = L, for positive definite Hermitian L.
+    b b^dagger = L, for Hermitian L with smallest eigenvalue above PD_FLOOR.
 
     Uses the index-reversal trick: conjugating by the reversal permutation
     maps the problem onto a standard lower Cholesky factorization.
     """
     L = make_hermitian(L)
     w = np.linalg.eigvalsh(L)
-    if w[0] <= pd_floor:
+    if w[0] <= PD_FLOOR:
         raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e}")
     J = np.flip(np.eye(L.shape[0]), axis=0)
     C = np.linalg.cholesky(J @ L @ J)   # lower, positive real diagonal

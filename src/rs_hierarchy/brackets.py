@@ -1,12 +1,11 @@
 """Poisson brackets on the four charts, the bracket pencil and a
-finite-difference Jacobi-identity defect.
+finite-difference Jacobiator.
 
 A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
 Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
 observables of its chart takes their gradients and contracts them; code
-that already holds the gradients calls `contract` directly.  The Jacobi
-evaluators share gradients between the observables, the stencil points and
-the brackets of one call.
+that already holds the gradients calls `contract` directly.  `jacobiator`
+takes each gradient once per stencil point for all brackets of one call.
 """
 
 from __future__ import annotations
@@ -97,31 +96,17 @@ def pencil(s: float) -> Bracket:
     return Bracket("full", contract, f"pencil({s})")
 
 
-class Gradients:
-    """Gradients, each (observable, point, step) taken once.
+def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
+               x) -> np.ndarray:
+    """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
+    central differences.  The Jacobi defect of sum_i s_i b_i is s.T.s.
 
-    Keyed by the observable itself and the bytes of the point; each Jacobi
-    evaluation creates its own, so that it never outlives its points.
+    Anything but a Bracket raises TypeError.  At each outer stencil point one
+    callable takes the gradients of F, G, H once (default step) and returns
+    every inner value {G,H}_i, {H,F}_i, {F,G}_i; one sweep with the coarse
+    step FD_OUTER_STEP_SCALE*(1 + |x|) differentiates them all, since the
+    inner values carry O(h^2) noise.
     """
-
-    def __init__(self):
-        self._memo: dict = {}
-
-    def __call__(self, x, *observables: Observable, step: float | None = None) -> list:
-        """Gradients of the observables at x (default step when None)."""
-        memo = self._memo.setdefault((phase.point_key(x), step), {})
-        out = []
-        for F in observables:
-            if F not in memo:
-                memo[F] = phase.grad(F, x, step)
-            out.append(memo[F])
-        return out
-
-
-def _cyclic_terms(brackets, F, G, H, x) -> list[list[float]]:
-    """T[j][i] = {F,{G,H}_i}_j + {G,{H,F}_i}_j + {H,{F,G}_i}_j with the
-    steps of jacobi_defect.  The three inner pairs and all brackets take the
-    gradients of F, G and H at each point from one Gradients memo."""
     chart = F.chart
     if not (G.chart == chart == H.chart):
         raise ValueError("observables live on different charts")
@@ -131,44 +116,23 @@ def _cyclic_terms(brackets, F, G, H, x) -> list[list[float]]:
                             "rs_hierarchy.brackets")
         if b.chart != chart:
             raise ValueError("brackets and observables live on different charts")
-    grads = Gradients()
+
+    def inner(y):
+        dF, dG, dH = (phase.grad(A, y) for A in (F, G, H))
+        return np.array([[b.contract(y, dG, dH), b.contract(y, dH, dF),
+                          b.contract(y, dF, dG)] for b in brackets])
+
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    terms = [[0.0] * len(brackets) for _ in brackets]
-    for A, B, C in ((F, G, H), (G, H, F), (H, F, G)):
-        dA, = grads(x, A, step=h_outer)
-        for i, inner in enumerate(brackets):
-            def value(y, contract=inner.contract, B=B, C=C):
-                return contract(y, *grads(y, B, C))
-            dBC = phase.grad(Observable(chart, value, name=f"{{{B.name},{C.name}}}"),
-                             x, h_outer)
-            for j, outer in enumerate(brackets):
-                terms[j][i] += outer.contract(x, dA, dBC)
-    return terms
+    outer = [phase.grad(A, x, h_outer) for A in (F, G, H)]
+    D = phase.fd_grad(inner, chart, x, h_outer)
+    d_inner = [[type(D)(*(part[i, c] for part in D)) for c in range(3)]
+               for i in range(len(brackets))]
+    return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))
+                      for row in d_inner] for b in brackets])
 
 
 def jacobi_defect(bracket: Bracket, F: Observable, G: Observable, H: Observable,
                   x) -> float:
     """Cyclic sum {F,{G,H}} + {G,{H,F}} + {H,{F,G}} by nested central
-    differences.
-
-    Anything but a Bracket raises TypeError.  The outer bracket
-    differentiates F, G, H and the inner brackets with the coarse step
-    FD_OUTER_STEP_SCALE*(1 + |x|), since the inner values carry O(h^2)
-    noise; the inner brackets use the default step.
-    """
-    return _cyclic_terms((bracket,), F, G, H, x)[0][0]
-
-
-def mixed_jacobiator(bracket1: Bracket, bracket2: Bracket, F: Observable,
-                     G: Observable, H: Observable, x) -> tuple[float, float, float]:
-    """(J1, J12, J2) from one shared set of gradients: J1 and J2 are the
-    Jacobi defects of the two brackets and
-    J12 = sum_cyc {F,{G,H}_2}_1 + {F,{G,H}_1}_2 is the mixed Jacobiator.
-
-    By bilinearity the defect of bracket1 + s*bracket2 is
-    J1 + s*J12 + s^2*J2, so the whole pencil is Poisson iff J1, J2 and J12
-    vanish (Magri's compatibility condition).  Both brackets must be
-    Brackets on the same chart; steps as in jacobi_defect.
-    """
-    (t11, t12), (t21, t22) = _cyclic_terms((bracket1, bracket2), F, G, H, x)
-    return t11, t12 + t21, t22
+    differences: T[0,0] of jacobiator((bracket,), F, G, H, x)."""
+    return float(jacobiator((bracket,), F, G, H, x)[0, 0])

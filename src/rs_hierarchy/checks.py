@@ -90,23 +90,32 @@ _BRACKETS_BY_CHART = {
 # check bodies: each returns a list of (abs_defect, scale) samples
 
 
-def check_antisymmetry(n, seeds):
-    """{F,H} + {H,F} on each chart's invariant pairs and, on the full chart,
-    on pairs of the analytic-gradient H_1, H_2, H_3.  dF and dH are taken once
-    per point and contracted in both orders by every bracket of the chart."""
+def antisymmetry_rows():
+    """(chart, pairs) rows of the antisymmetry check: each chart's invariant
+    pairs, then on the full chart the pairs of analytic-gradient H_1, H_2, H_3."""
     Hs = [hamiltonian_observable(k) for k in (1, 2, 3)]
     ham_pairs = [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
+    return ([(chart, invariant_pairs(chart)) for chart in _BRACKETS_BY_CHART]
+            + [("full", ham_pairs)])
+
+
+def antisymmetry_samples(chart, pairs, n, seeds):
+    """{F,H} + {H,F} for every bracket of the chart; dF and dH are taken once
+    per point and contracted in both orders."""
     out = []
-    for chart, bracket_list in _BRACKETS_BY_CHART.items():
-        pairs = invariant_pairs(chart) + (ham_pairs if chart == "full" else [])
-        for seed in range(seeds):
-            x = sample_point(chart, n, seed)
-            for F, H in pairs:
-                dF, dH = phase.grad(F, x), phase.grad(H, x)
-                for bracket in bracket_list:
-                    v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
-                    out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
+    for seed in range(seeds):
+        x = sample_point(chart, n, seed)
+        for F, H in pairs:
+            dF, dH = phase.grad(F, x), phase.grad(H, x)
+            for bracket in _BRACKETS_BY_CHART[chart]:
+                v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
+                out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
     return out
+
+
+def check_antisymmetry(n, seeds):
+    return [s for chart, pairs in antisymmetry_rows()
+            for s in antisymmetry_samples(chart, pairs, n, seeds)]
 
 
 def check_leibniz(n, seeds):
@@ -137,46 +146,19 @@ def _jacobi_scale(values) -> float:
     return 1.0 + sum(abs(v) for v in values)
 
 
-def _jacobi_samples(bracket, n, seeds):
-    F, G, H = invariant_triple(bracket.chart)
-    out = []
+def _jacobi_samples(brackets, coeffs, n, seeds):
+    """Per coefficient vector s, then per seed: the defect |s.T.s| of
+    sum_i s_i b_i (T the jacobiator) against the scale of s.V, V the pair
+    values of the b_i from one set of gradients of F, G, H at x."""
+    F, G, H = invariant_triple(brackets[0].chart)
+    per_seed = []
     for seed in range(seeds):
-        x = sample_point(bracket.chart, n, seed)
-        defect = br.jacobi_defect(bracket, F, G, H, x)
+        x = sample_point(brackets[0].chart, n, seed)
+        T = br.jacobiator(brackets, F, G, H, x)
         d = [phase.grad(A, x) for A in (F, G, H)]
-        out.append((abs(defect), _jacobi_scale(_pair_values(bracket, *d, x))))
-    return out
-
-
-def _mixed_samples(bracket1, bracket2, n, seeds):
-    """Per seed: (J1, J12, J2) and both brackets' cyclic pair values at x;
-    the pair values of both brackets share the gradients of F, G, H at x."""
-    F, G, H = invariant_triple(bracket1.chart)
-    out = []
-    for seed in range(seeds):
-        x = sample_point(bracket1.chart, n, seed)
-        J = br.mixed_jacobiator(bracket1, bracket2, F, G, H, x)
-        d = [phase.grad(A, x) for A in (F, G, H)]
-        out.append((J, _pair_values(bracket1, *d, x), _pair_values(bracket2, *d, x)))
-    return out
-
-
-def check_jacobi_pencil(n, seeds):
-    """Jacobi defect of pb1 + s*pb2 for s in (-1, 0.5, 1), obtained as
-    J1 + s*J12 + s^2*J2 from the mixed Jacobiator."""
-    per_seed = _mixed_samples(br.pb1_full, br.pb2_full, n, seeds)
-    out = []
-    for s in (-1.0, 0.5, 1.0):
-        for (J1, J12, J2), v1, v2 in per_seed:
-            scale = _jacobi_scale(a + s * b for a, b in zip(v1, v2))
-            out.append((abs(J1 + s * J12 + s * s * J2), scale))
-    return out
-
-
-def check_jacobi_red(n, seeds):
-    per_seed = _mixed_samples(br.pb1_red, br.pb2_red, n, seeds)
-    return ([(abs(J[0]), _jacobi_scale(v1)) for J, v1, _ in per_seed]
-            + [(abs(J[2]), _jacobi_scale(v2)) for J, _, v2 in per_seed])
+        per_seed.append((T, np.array([_pair_values(b, *d, x) for b in brackets])))
+    return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V))
+            for s in map(np.array, coeffs) for T, V in per_seed]
 
 
 def _ladder_samples(pb1, pb2, n, seeds):
@@ -379,13 +361,18 @@ class CheckDef:
 CHECKS: dict[str, CheckDef] = {
     "antisymmetry": CheckDef(check_antisymmetry, "default", ("theorem1",)),
     "leibniz": CheckDef(check_leibniz, "default", ("theorem1",)),
-    "jacobi-full-1": CheckDef(partial(_jacobi_samples, br.pb1_full), "nested",
-                              ("theorem1",)),
-    "jacobi-full-2": CheckDef(partial(_jacobi_samples, br.pb2_full), "nested",
-                              ("theorem1",)),
-    "jacobi-pencil": CheckDef(check_jacobi_pencil, "nested", ("theorem1",)),
-    "jacobi-red": CheckDef(check_jacobi_red, "nested", ("theorem2",)),
-    "jacobi-suth": CheckDef(partial(_jacobi_samples, br.pb_suth), "nested", ("prop4",)),
+    # Jacobi rows: brackets b_i and the coefficient vectors s of sum_i s_i b_i
+    "jacobi-full-1": CheckDef(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)]),
+                              "nested", ("theorem1",)),
+    "jacobi-full-2": CheckDef(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)]),
+                              "nested", ("theorem1",)),
+    "jacobi-pencil": CheckDef(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
+                                      [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)]),
+                              "nested", ("theorem1",)),
+    "jacobi-red": CheckDef(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
+                                   [(1.0, 0.0), (0.0, 1.0)]), "nested", ("theorem2",)),
+    "jacobi-suth": CheckDef(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)]),
+                            "nested", ("prop4",)),
     "ladder-full": CheckDef(partial(_ladder_samples, br.pb1_full, br.pb2_full),
                             "default", ("theorem1",)),
     "ladder-red": CheckDef(partial(_ladder_samples, br.pb1_red, br.pb2_red),
@@ -443,7 +430,7 @@ def run_check(spec: CheckSpec) -> CheckResult:
         max_rel = max(a / s for a, s in samples)
     else:
         max_abs = max_rel = float("nan")
-    passed = bool(samples) and max_rel <= tol and not errors
+    passed = bool(samples and max_rel <= tol and not errors)
     return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs),
                        float(max_rel), profile, tol, passed, wall, errors)
 

@@ -79,7 +79,7 @@ class Trajectory:
     """Reduced trajectory samples with per-sample conserved values."""
     times: np.ndarray
     points: tuple[RedPoint, ...]
-    conserved: np.ndarray       # shape (len(times), K): h_1..h_K per sample
+    conserved: np.ndarray       # shape (len(times), n): h_1..h_n per sample
     gauge_defects: np.ndarray   # reconstruction error |eta Q eta^dagger - g|
 
     @property
@@ -115,13 +115,12 @@ def _match_permutation(prev_q, q) -> np.ndarray:
     return perm
 
 
-def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None) -> Trajectory:
+def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
     whole grid as one stack (_diagonalize, then one stacked eigvalsh for the
-    conserved h_1..h_K); a sequential pass keeps the eigenphase labels
+    conserved h_1..h_n); a sequential pass keeps the eigenphase labels
     continuous by cyclic-rotation matching between consecutive samples."""
     t_grid = np.asarray(t_grid, dtype=float)
-    K = x0.n if K is None else K
     g = _flow_g(x0, k, t_grid)
     phases, eta = _diagonalize(g)
     eta_h = eta.conj().swapaxes(-1, -2)
@@ -137,7 +136,7 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray, K: int | None = None) 
         L = algebra.make_hermitian(L_red[i][np.ix_(perm, perm)], strict=True)
         points.append(RedPoint(TorusReg(Q.q[perm]), L))
     w = np.linalg.eigvalsh(np.array([pt.L for pt in points]))
-    conserved = np.stack([np.sum(w ** l, axis=-1) / l for l in range(1, K + 1)], axis=-1)
+    conserved = np.stack([np.sum(w ** l, axis=-1) / l for l in range(1, x0.n + 1)], axis=-1)
     return Trajectory(t_grid, tuple(points), conserved, defects)
 
 

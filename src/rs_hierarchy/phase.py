@@ -7,14 +7,15 @@ Each chart has its own derivative signature, obtained by pairing directional
 derivatives along a basis of displacement directions with the dual basis
 under <X,Y> = Im tr(XY).
 
-One engine, `grad`, serves all four charts from a table.  A chart's row
-holds its gradient tuple type and one block per component: the space of
-the directions (in algebra.basis order, paired with its dual basis), the
-displacement along a direction X and how that displacement moves the
-point.  Group-valued displacements use exact one-parameter subgroups: the
-u(n) exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element
-has X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
-coordinates move on straight lines tX.
+One central-difference engine, `fd_grad`, takes any callable, also an
+array-valued one, and serves all four charts from a table; `grad` is its
+front for observables.  A chart's row holds its gradient tuple type and one
+block per component: the space of the directions (in algebra.basis order,
+paired with its dual basis), the displacement along a direction X and how
+it moves the point.  Group-valued displacements use exact one-parameter
+subgroups: the u(n) exponential 1 + sin t X + (1 - cos t) X^2 (every u(n)
+basis element has X^3 = -X) and the nilpotent 1 + tX for strictly upper X;
+the other coordinates move on straight lines tX.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ def _arrays(x) -> list[np.ndarray]:
 
 def point_norm(x) -> float:
     return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in _arrays(x))))
-
-
-def point_key(x) -> bytes:
-    """Stable byte key of a point, used for memoization."""
-    return type(x).__name__.encode() + b"".join(a.tobytes() for a in _arrays(x))
 
 
 # ---------------------------------------------------------------------------
@@ -220,23 +216,29 @@ def fd_step(x, step: float | None = None) -> float:
     return step if step is not None else FD_STEP_SCALE * (1.0 + point_norm(x))
 
 
-def grad(F: Observable, x, step: float | None = None):
-    """Gradient tuple of F at x on F's chart (each grad_<chart> states its
-    defining identity).  An analytic F.grad is taken as is; otherwise each
-    block pairs the central differences of F along its basis with the dual
-    basis."""
-    kind, blocks = _CHART_TABLE[F.chart]
-    if F.grad is not None:
-        return kind(*F.grad(x))
+def fd_grad(f: Callable, chart: str, x, step: float | None = None):
+    """Gradient tuple of f at x on `chart` by central differences: each
+    block pairs the differences of f along its basis with the dual basis.
+    f may return an array; its axes then lead every component, so one sweep
+    differentiates many functions at the same stencil points."""
+    kind, blocks = _CHART_TABLE[chart]
     h = fd_step(x, step)
     parts = []
     for space, curve, move in blocks:
         plus = _displacements(curve, space, x.n, h)
         minus = _displacements(curve, space, x.n, -h)
-        d = np.array([(F(move(x, P)) - F(move(x, M))) / (2.0 * h)
+        d = np.array([(f(move(x, P)) - f(move(x, M))) / (2.0 * h)
                       for P, M in zip(plus, minus)])
         parts.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
     return kind(*parts)
+
+
+def grad(F: Observable, x, step: float | None = None):
+    """Gradient tuple of F at x on F's chart (each grad_<chart> states its
+    defining identity): an analytic F.grad as is, otherwise fd_grad."""
+    if F.grad is not None:
+        return _CHART_TABLE[F.chart][0](*F.grad(x))
+    return fd_grad(F, F.chart, x, step)
 
 
 def _check_chart(F: Observable, chart: str) -> None:

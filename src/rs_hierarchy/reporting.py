@@ -1,7 +1,7 @@
 """Report and trajectory serialization.
 
 Reports are a single JSON document; trajectories are CSV with the header
-t, q_1..q_n, h_1..h_K, gauge_defect.  All floats are written with 17
+t, q_1..q_n, h_1..h_n, gauge_defect.  All floats are written with 17
 significant digits so files are bit-reproducible and round-trip exactly.
 """
 
@@ -30,7 +30,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         items = ",\n".join(f"{pad}  {dumps_json(v, indent + 2).lstrip()}" for v in obj)
         return f"{pad}[\n{items}\n{pad}]" if obj else f"{pad}[]"
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, np.bool_)):
         return pad + ("true" if obj else "false")
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
@@ -45,10 +45,8 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 def trajectory_csv(traj) -> str:
     """Render a Trajectory in the CSV schema."""
-    n = traj.n
-    K = traj.conserved.shape[1]
-    header = (["t"] + [f"q_{i}" for i in range(1, n + 1)]
-              + [f"h_{l}" for l in range(1, K + 1)] + ["gauge_defect"])
+    idx = range(1, traj.n + 1)
+    header = ["t"] + [f"q_{i}" for i in idx] + [f"h_{l}" for l in idx] + ["gauge_defect"]
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for i, t in enumerate(traj.times):

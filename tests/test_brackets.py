@@ -212,18 +212,20 @@ def test_jacobi_defect_reduced_and_suth():
         assert abs(br.jacobi_defect(bracket, F, G, H, x)) <= 1e-4 * scale
 
 
-def test_mixed_jacobiator_gives_pencil_defects():
-    # the defect of pb1 + s*pb2 is quadratic in s: J1 + s*J12 + s^2*J2
+def test_jacobiator_gives_pencil_defects():
+    # the defect of s_1*pb1 + s_2*pb2 is the quadratic form s.T.s
     F, G, H = _triple("full")
     x = sample_point("full", 2, 8)
-    J1, J12, J2 = br.mixed_jacobiator(br.pb1_full, br.pb2_full, F, G, H, x)
-    assert J1 == br.jacobi_defect(br.pb1_full, F, G, H, x)
-    assert J2 == br.jacobi_defect(br.pb2_full, F, G, H, x)
+    T = br.jacobiator((br.pb1_full, br.pb2_full), F, G, H, x)
+    assert T.shape == (2, 2)
+    assert T[0, 0] == br.jacobi_defect(br.pb1_full, F, G, H, x)
+    assert T[1, 1] == br.jacobi_defect(br.pb2_full, F, G, H, x)
     for s in (-1.0, 0.5, 1.0):
         bracket = br.pencil(s)
         direct = br.jacobi_defect(bracket, F, G, H, x)
         scale = 1 + sum(abs(bracket(a, b, x)) for a, b in ((F, G), (G, H), (H, F)))
-        assert abs(J1 + s * J12 + s * s * J2 - direct) <= 1e-10 * scale
+        c = np.array([1.0, s])
+        assert abs(c @ T @ c - direct) <= 1e-10 * scale
 
 
 def _counted(F):
@@ -239,11 +241,11 @@ def _counted(F):
 # reduced and Sutherland charts.  A Jacobi defect takes one outer gradient
 # of each of F, G, H and, at each of the outer stencil points, one inner
 # gradient of each: 3*54 + 54*3*54 = 8910 and 3*24 + 24*3*24 = 1800.  The
-# mixed Jacobiator reuses the same gradients for both brackets.
+# Jacobiator of two brackets reuses the same gradients for both.
 @pytest.mark.parametrize("jacobi,chart,evals", [
     (functools.partial(br.jacobi_defect, br.pb1_full), "full", 8910),
     (functools.partial(br.jacobi_defect, br.pb2_full), "full", 8910),
-    (functools.partial(br.mixed_jacobiator, br.pb1_full, br.pb2_full), "full", 8910),
+    (functools.partial(br.jacobiator, (br.pb1_full, br.pb2_full)), "full", 8910),
     (functools.partial(br.jacobi_defect, br.pb1_red), "red", 1800),
     (functools.partial(br.jacobi_defect, br.pb2_red), "red", 1800),
     (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 1800),
@@ -270,5 +272,4 @@ def test_jacobi_defect_needs_a_bracket():
     with pytest.raises(TypeError, match="Bracket"):
         br.jacobi_defect(lambda A, B, y: br.pb1_full(A, B, y), F, G, H, x)
     with pytest.raises(TypeError, match="Bracket"):
-        br.mixed_jacobiator(br.pb1_full, functools.partial(br.pb2_full),
-                            F, G, H, x)
+        br.jacobiator((br.pb1_full, functools.partial(br.pb2_full)), F, G, H, x)

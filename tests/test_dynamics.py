@@ -150,11 +150,11 @@ def test_trajectory_diagonal_flow_explicit():
     L = np.diag([0.9, -0.4, 0.3]).astype(complex)
     x0 = FullPoint(np.diag(np.exp(1j * q0)), L)
     t_grid = np.linspace(0.0, 2.0, 21)
-    traj = trajectory(x0, 1, t_grid, K=2)
+    traj = trajectory(x0, 1, t_grid)
     for t, pt in zip(traj.times, traj.points):
         expect = np.sort(np.mod(q0 + t * np.real(np.diag(L)), 2 * np.pi))
         assert np.allclose(np.sort(pt.Q.q), expect, atol=1e-10)
-    assert traj.conserved.shape == (21, 2)
+    assert traj.conserved.shape == (21, 3)
     assert np.allclose(traj.conserved, traj.conserved[0], atol=1e-10)
     assert np.all(traj.gauge_defects <= 1e-10)
 

@@ -78,6 +78,32 @@ def test_run_check_smoke_and_determinism():
     assert r1.max_rel_defect == r2.max_rel_defect
 
 
+def test_failing_check_still_reports(monkeypatch):
+    # numpy-float samples must not leak a numpy.bool into the report
+    row = checks.CheckDef(lambda n, seeds: [(np.float64(1.0), 1.0)], "strict", ())
+    monkeypatch.setitem(checks.CHECKS, "planted-failure", row)
+    spec = CheckSpec("planted-failure", n=2, seeds=1)
+    assert run_check(spec).passed is False
+    parsed = json.loads(reporting.dumps_json(run_checks([spec])))
+    assert parsed["all_passed"] is False
+    assert parsed["checks"][0]["passed"] is False
+
+
+def test_antisymmetry_rows_split_analytic_from_fd():
+    rows = checks.antisymmetry_rows()
+    assert checks.check_antisymmetry(2, 1) == [
+        s for chart, pairs in rows for s in checks.antisymmetry_samples(chart, pairs, 2, 1)]
+    analytic = [(chart, pairs) for chart, pairs in rows
+                if all(A.grad is not None for pair in pairs for A in pair)]
+    assert [(chart, len(pairs)) for chart, pairs in analytic] == [("full", 3)]
+    for chart, pairs in rows:
+        if (chart, pairs) not in analytic:
+            assert all(A.grad is None for pair in pairs for A in pair)
+    samples = checks.antisymmetry_samples(*analytic[0], 2, 2)
+    assert len(samples) == 2 * 3 * 2
+    assert max(a / s for a, s in samples) <= 1e-13
+
+
 def test_profile_override_changes_tolerance():
     spec = CheckSpec("roundtrip-rs", n=2, seeds=1, profile="strict")
     r = run_check(spec)
@@ -101,8 +127,10 @@ def test_report_is_json_ready():
 
 
 def test_dumps_json_float_formatting():
-    text = reporting.dumps_json({"x": 0.1, "flag": True, "none": None, "v": [1, 2]})
+    text = reporting.dumps_json({"x": 0.1, "flag": True, "none": None, "v": [1, 2],
+                                 "np_flags": [np.True_, np.False_]})
     parsed = json.loads(text)
+    assert parsed["np_flags"] == [True, False]
     assert parsed["x"] == 0.1
     assert "0.10000000000000001" in text  # 17 significant digits
     # error messages may carry control characters, quotes and backslashes
@@ -115,19 +143,19 @@ def test_dumps_json_float_formatting():
 def test_trajectory_csv_schema_and_reproducibility():
     x0 = sample_point("full", 3, 0)
     t_grid = np.linspace(0.0, 0.5, 6)
-    traj = dynamics.trajectory(x0, 2, t_grid, K=2)
+    traj = dynamics.trajectory(x0, 2, t_grid)
     text = reporting.trajectory_csv(traj)
     lines = text.strip().split("\n")
-    assert lines[0] == "t,q_1,q_2,q_3,h_1,h_2,gauge_defect"
+    assert lines[0] == "t,q_1,q_2,q_3,h_1,h_2,h_3,gauge_defect"
     assert len(lines) == 7
     rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.allclose(rows[:, 0], t_grid)
     # conserved columns are constant
-    for col in (4, 5):
+    for col in (4, 5, 6):
         drift = np.max(np.abs(rows[:, col] - rows[0, col]))
         assert drift <= 1e-10 * (1 + abs(rows[0, col]))
     # byte-identical on re-export
-    traj2 = dynamics.trajectory(x0, 2, t_grid, K=2)
+    traj2 = dynamics.trajectory(x0, 2, t_grid)
     assert reporting.trajectory_csv(traj2) == text
 
 

@@ -33,7 +33,9 @@ def test_sample_determinism():
     for chart in ("full", "red", "rs", "suth"):
         a = sample_point(chart, 3, 5)
         b = sample_point(chart, 3, 5)
-        assert phase.point_key(a) == phase.point_key(b)
+        assert type(a) is type(b)
+        for u, v in zip(phase._arrays(a), phase._arrays(b), strict=True):
+            assert np.array_equal(u, v)
 
 
 def test_sampled_full_point_is_unitary():
@@ -139,6 +141,19 @@ def test_grad_evaluation_counts():
         counted = Observable(chart, lambda p, F=F, calls=calls: calls.append(p) or F(p))
         getattr(phase, f"grad_{chart}")(counted, sample_point(chart, 3, 0))
         assert len(calls) == want, chart
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_fd_grad_of_array_valued_callable(chart):
+    # one sweep over y -> [F(y), H(y)] gives exactly grad(F) and grad(H)
+    F = invariant_observable(1, 1, "re", chart=chart)
+    H = invariant_observable(2, 1, "im", chart=chart)
+    x = sample_point(chart, 3, 1)
+    both = phase.fd_grad(lambda y: np.array([F(y), H(y)]), chart, x)
+    assert type(both) is type(phase.grad(F, x))
+    for i, A in enumerate((F, H)):
+        for c, a in zip(both, phase.grad(A, x), strict=True):
+            assert np.array_equal(c[i], a)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
