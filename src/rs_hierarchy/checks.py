@@ -9,7 +9,9 @@ of the form 1 + (magnitudes entering the identity).
 A registry row maps a check id to a function of (n, seeds) that returns
 (abs_defect, scale) samples: a check body, or a shared sampler bound to its
 brackets, such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares
-one Bracket with another across a chart map.
+one Bracket with another across a chart map.  Each row states its check's
+tolerance once, as the config level of the error model of what it checks
+(EXACT, ANALYTIC, RK4, FD, NESTED); a --profile replaces it for every row.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__, coords, dynamics, phase
 from . import brackets as br
-from .config import PROFILES
+from .config import ANALYTIC, EXACT, FD, NESTED, PROFILES, RK4
 from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
                     sample_point)
 
@@ -32,7 +34,7 @@ class CheckSpec:
     check_id: str
     n: int = 3
     seeds: int = 5
-    profile: str | None = None   # None: use the check's declared profile
+    profile: str | None = None   # None: use the registry row's tolerance
 
     def __post_init__(self):
         if self.n < 2:
@@ -52,7 +54,7 @@ class CheckResult:
     seeds_run: int
     max_abs_defect: float
     max_rel_defect: float
-    profile: str
+    profile: str | None
     tolerance: float
     passed: bool
     wall_time: float
@@ -90,32 +92,26 @@ _BRACKETS_BY_CHART = {
 # check bodies: each returns a list of (abs_defect, scale) samples
 
 
-def antisymmetry_rows():
-    """(chart, pairs) rows of the antisymmetry check: each chart's invariant
-    pairs, then on the full chart the pairs of analytic-gradient H_1, H_2, H_3."""
-    Hs = [hamiltonian_observable(k) for k in (1, 2, 3)]
-    ham_pairs = [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
-    return ([(chart, invariant_pairs(chart)) for chart in _BRACKETS_BY_CHART]
-            + [("full", ham_pairs)])
+def _hamiltonian_pairs(chart):
+    Hs = [hamiltonian_observable(k, chart=chart) for k in (1, 2, 3)]
+    return [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
 
 
-def antisymmetry_samples(chart, pairs, n, seeds):
-    """{F,H} + {H,F} for every bracket of the chart; dF and dH are taken once
-    per point and contracted in both orders."""
+def _antisymmetry_samples(pairs_of, charts, n, seeds):
+    """{F,H} + {H,F} for every bracket of each chart on the pairs
+    pairs_of(chart); dF and dH are taken once per point and contracted in
+    both orders."""
     out = []
-    for seed in range(seeds):
-        x = sample_point(chart, n, seed)
-        for F, H in pairs:
-            dF, dH = phase.grad(F, x), phase.grad(H, x)
-            for bracket in _BRACKETS_BY_CHART[chart]:
-                v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
-                out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
+    for chart in charts:
+        pairs = pairs_of(chart)
+        for seed in range(seeds):
+            x = sample_point(chart, n, seed)
+            for F, H in pairs:
+                dF, dH = phase.grad(F, x), phase.grad(H, x)
+                for bracket in _BRACKETS_BY_CHART[chart]:
+                    v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
+                    out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
     return out
-
-
-def check_antisymmetry(n, seeds):
-    return [s for chart, pairs in antisymmetry_rows()
-            for s in antisymmetry_samples(chart, pairs, n, seeds)]
 
 
 def check_leibniz(n, seeds):
@@ -298,16 +294,19 @@ def check_hamiltonian_suth(n, seeds):
 
 
 def _rk4_flow(x0, k, t1, steps):
-    gen = 1j * np.linalg.matrix_power(x0.L, k)
-    g = x0.g.copy()
-    h = t1 / steps
-    for _ in range(steps):
-        k1 = gen @ g
-        k2 = gen @ (g + 0.5 * h * k1)
-        k3 = gen @ (g + 0.5 * h * k2)
-        k4 = gen @ (g + h * k3)
-        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return g
+    """`steps` classic RK4 steps of dg/dt = A g, A = i L^k, from 0 to t1.  A is
+    constant, so one step multiplies g by RK4's step polynomial
+    T(hA) = 1 + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (Horner form here), and
+    the steps are one matrix power of it."""
+    Z = (t1 / steps) * 1j * np.linalg.matrix_power(x0.L, k)
+    one = np.eye(x0.n)
+    T = one + Z @ (one + Z / 2 @ (one + Z / 3 @ (one + Z / 4)))
+    return np.linalg.matrix_power(T, steps) @ x0.g
+
+
+# 2^12 steps, a power of two: matrix_power takes 12 squarings, and the oracle
+# then reads at most 8e-12 at n <= 5, three decades under the RK4 level.
+RK4_STEPS = 4096
 
 
 def check_flow_rk4(n, seeds):
@@ -316,7 +315,7 @@ def check_flow_rk4(n, seeds):
         x0 = sample_point("full", n, seed)
         for k in (1, 2):
             exact = dynamics.flow(x0, k, 1.0)
-            rk = _rk4_flow(x0, k, 1.0, 1000)
+            rk = _rk4_flow(x0, k, 1.0, RK4_STEPS)
             out.append((float(np.linalg.norm(exact.g - rk)),
                         1.0 + float(np.linalg.norm(exact.g))))
     return out
@@ -354,50 +353,59 @@ def check_flow_group(n, seeds):
 @dataclass(frozen=True)
 class CheckDef:
     func: object
-    profile: str
+    tolerance: float   # relative; one of the config levels EXACT .. NESTED
     suites: tuple[str, ...]
 
 
 CHECKS: dict[str, CheckDef] = {
-    "antisymmetry": CheckDef(check_antisymmetry, "default", ("theorem1",)),
-    "leibniz": CheckDef(check_leibniz, "default", ("theorem1",)),
+    "antisymmetry": CheckDef(
+        partial(_antisymmetry_samples, invariant_pairs, tuple(_BRACKETS_BY_CHART)),
+        FD, ("theorem1",)),
+    "antisymmetry-hk": CheckDef(
+        partial(_antisymmetry_samples, _hamiltonian_pairs, ("full",)),
+        ANALYTIC, ("theorem1",)),
+    "leibniz": CheckDef(check_leibniz, FD, ("theorem1",)),
     # Jacobi rows: brackets b_i and the coefficient vectors s of sum_i s_i b_i
     "jacobi-full-1": CheckDef(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)]),
-                              "nested", ("theorem1",)),
+                              NESTED, ("theorem1",)),
     "jacobi-full-2": CheckDef(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)]),
-                              "nested", ("theorem1",)),
+                              NESTED, ("theorem1",)),
     "jacobi-pencil": CheckDef(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
                                       [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)]),
-                              "nested", ("theorem1",)),
+                              NESTED, ("theorem1",)),
     "jacobi-red": CheckDef(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
-                                   [(1.0, 0.0), (0.0, 1.0)]), "nested", ("theorem2",)),
+                                   [(1.0, 0.0), (0.0, 1.0)]), NESTED, ("theorem2",)),
     "jacobi-suth": CheckDef(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)]),
-                            "nested", ("prop4",)),
+                            NESTED, ("prop4",)),
+    # the ladder identity holds for every dF, so only the analytic dH_k enter
     "ladder-full": CheckDef(partial(_ladder_samples, br.pb1_full, br.pb2_full),
-                            "default", ("theorem1",)),
+                            ANALYTIC, ("theorem1",)),
     "ladder-red": CheckDef(partial(_ladder_samples, br.pb1_red, br.pb2_red),
-                           "default", ("theorem2",)),
-    "involutivity": CheckDef(check_involutivity, "strict", ("theorem1",)),
+                           ANALYTIC, ("theorem2",)),
+    "involutivity": CheckDef(check_involutivity, ANALYTIC, ("theorem1",)),
     "reduction-pb1": CheckDef(
         partial(_transfer_samples, br.pb1_red, br.pb1_full, _red_to_full),
-        "default", ("theorem2",)),
+        FD, ("theorem2",)),
     "reduction-pb2": CheckDef(
         partial(_transfer_samples, br.pb2_red, br.pb2_full, _red_to_full),
-        "default", ("theorem2",)),
+        FD, ("theorem2",)),
+    # one FD level on each side, but the reference pb2_red gradient steps by
+    # the whole point norm: at large |L| its phase step is large, and its
+    # truncation error reaches 7e-5 at n = 5
     "rs-bracket": CheckDef(
         partial(_transfer_samples, br.pb_rs, br.pb2_red, coords.from_rs),
-        "nested", ("prop3",)),
+        NESTED, ("prop3",)),
     "suth-bracket": CheckDef(
         partial(_transfer_samples, br.pb_suth, br.pb1_red, coords.from_suth),
-        "default", ("prop4",)),
-    "roundtrip-rs": CheckDef(check_roundtrip_rs, "strict", ("prop3",)),
-    "roundtrip-suth": CheckDef(check_roundtrip_suth, "strict", ("prop4",)),
-    "bplus-residual": CheckDef(check_bplus_residual, "strict", ("prop3",)),
-    "hamiltonian-rs": CheckDef(check_hamiltonian_rs, "strict", ("prop3",)),
-    "hamiltonian-suth": CheckDef(check_hamiltonian_suth, "strict", ("prop4",)),
-    "flow-rk4": CheckDef(check_flow_rk4, "default", ("flows",)),
-    "flow-conserved": CheckDef(check_flow_conserved, "strict", ("flows",)),
-    "flow-group": CheckDef(check_flow_group, "strict", ("flows",)),
+        FD, ("prop4",)),
+    "roundtrip-rs": CheckDef(check_roundtrip_rs, EXACT, ("prop3",)),
+    "roundtrip-suth": CheckDef(check_roundtrip_suth, EXACT, ("prop4",)),
+    "bplus-residual": CheckDef(check_bplus_residual, EXACT, ("prop3",)),
+    "hamiltonian-rs": CheckDef(check_hamiltonian_rs, EXACT, ("prop3",)),
+    "hamiltonian-suth": CheckDef(check_hamiltonian_suth, EXACT, ("prop4",)),
+    "flow-rk4": CheckDef(check_flow_rk4, RK4, ("flows",)),
+    "flow-conserved": CheckDef(check_flow_conserved, ANALYTIC, ("flows",)),
+    "flow-group": CheckDef(check_flow_group, EXACT, ("flows",)),
 }
 
 SUITES = ("theorem1", "theorem2", "prop3", "prop4", "flows")
@@ -413,8 +421,7 @@ def suite_checks(suite: str) -> list[str]:
 
 def run_check(spec: CheckSpec) -> CheckResult:
     cdef = CHECKS[spec.check_id]
-    profile = spec.profile or cdef.profile
-    tol = PROFILES[profile]
+    tol = PROFILES[spec.profile] if spec.profile else cdef.tolerance
     t0 = time.perf_counter()
     errors = []
     seeds_run = spec.seeds
@@ -432,7 +439,7 @@ def run_check(spec: CheckSpec) -> CheckResult:
         max_abs = max_rel = float("nan")
     passed = bool(samples and max_rel <= tol and not errors)
     return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs),
-                       float(max_rel), profile, tol, passed, wall, errors)
+                       float(max_rel), spec.profile, tol, passed, wall, errors)
 
 
 def run_checks(specs: list[CheckSpec]) -> dict:
@@ -445,7 +452,7 @@ def run_checks(specs: list[CheckSpec]) -> dict:
         },
         "specs": [
             {"check_id": s.check_id, "n": s.n, "seeds": s.seeds,
-             "profile": s.profile or CHECKS[s.check_id].profile}
+             "profile": s.profile}
             for s in specs
         ],
         "checks": [

@@ -23,9 +23,18 @@ FD_OUTER_STEP_SCALE = 3e-4
 # Discarded-part threshold for strict subspace projections.
 STRICT_PROJECTION_TOL = 1e-10
 
-# Tolerance profiles for the check harness (relative defects).
-PROFILES = {
-    "strict": 1e-10,   # analytic-derivative paths
-    "default": 1e-6,   # first-order finite-difference paths
-    "nested": 1e-4,    # nested finite differences (Jacobi)
-}
+# Tolerance levels of the check registry (relative defects), one per error
+# model; each registry row names the level of the computation it checks.
+EXACT = 1e-12      # closed-form algebra: rounding of O(n^3) flops on O(1) data
+ANALYTIC = 1e-10   # analytic gradients or spectra: rounding amplified by L^k, eigh
+RK4 = 1e-8         # the RK4 oracle: step-polynomial error plus rounding
+FD = 1e-6          # one central-difference level: O(h^2) truncation, eps/h rounding
+NESTED = 1e-4      # nested differences: the outer step divides inner FD noise
+
+# `--profile` overrides: each name replaces every row's level with one level.
+PROFILES = {"strict": ANALYTIC, "default": FD, "nested": NESTED}
+
+# Unitarity guard of the exact flow, per dimension: |g^dagger g - 1| of a g
+# from QR or a unitary flow is a few eps in each of n^2 entries, about n eps
+# in the Frobenius norm; 1e-13 leaves a factor of about 450 per dimension.
+UNITARY_TOL = 1e-13

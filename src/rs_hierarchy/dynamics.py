@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import TorusReg
-from .config import MATCH_TIE_TOL
+from .config import MATCH_TIE_TOL, UNITARY_TOL
 from .phase import FullPoint, RedPoint
 
 TWO_PI = 2.0 * np.pi
@@ -38,7 +38,7 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     if k < 1:
         raise ValueError("need k >= 1")
     defect = np.linalg.norm(x0.g.conj().T @ x0.g - np.eye(x0.n))
-    if defect > 1e-13 * x0.n:
+    if defect > UNITARY_TOL * x0.n:
         raise ValueError(f"flow needs a unitary g: |g^dagger g - 1| = {defect:.3e}")
     w, V = np.linalg.eigh(x0.L)
     U = (V * np.exp(1j * t[:, None] * w ** k)[:, None, :]) @ V.conj().T

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from rs_hierarchy import algebra, coords, dynamics
+from rs_hierarchy import algebra, checks, config, coords, dynamics
 from rs_hierarchy.algebra import RegularityError, TorusReg
 from rs_hierarchy.brackets import pb1_full, pb2_full
-from rs_hierarchy.config import PROFILES
 from rs_hierarchy.dynamics import (AmbiguousMatchError, flow, h_rs, h_suth2, hk,
                                    reduce_point, trajectory)
 from rs_hierarchy.phase import (FullPoint, RedPoint, RSPoint, SuthPoint,
@@ -86,7 +85,7 @@ def test_flow_is_hamiltonian_flow_of_h_k_plus_1_under_pb1_and_h_k_under_pb2(k, s
     for bracket, H in ((pb1_full, hamiltonian_observable(k + 1)),
                        (pb2_full, hamiltonian_observable(k))):
         v = bracket(F, H, x)
-        assert abs(rate - v) <= PROFILES["default"] * (1 + abs(rate) + abs(v)), bracket.name
+        assert abs(rate - v) <= config.FD * (1 + abs(rate) + abs(v)), bracket.name
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +223,8 @@ def test_trajectory_conserved_quantities_flat():
     assert np.all(drift <= 1e-12 * scale)
 
 
-def test_trajectory_matches_rk4_on_eigenphases():
-    # integrate d/dt g = i L^k g with classic RK4 and compare eigenphases
-    x0 = sample_point("full", 3, 9)
-    k, T, steps = 2, 1.0, 1000
+def _rk4_stepped(x0, k, T, steps):
+    """Classic RK4 on d/dt g = i L^k g, one step after another."""
     h = T / steps
     A = 1j * np.linalg.matrix_power(x0.L, k)
     g = x0.g.copy()
@@ -237,11 +234,28 @@ def test_trajectory_matches_rk4_on_eigenphases():
         k3 = A @ (g + 0.5 * h * k2)
         k4 = A @ (g + h * k3)
         g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return g
+
+
+def test_trajectory_matches_rk4_on_eigenphases():
+    # integrate d/dt g = i L^k g with classic RK4 and compare eigenphases
+    x0 = sample_point("full", 3, 9)
+    k, T, steps = 2, 1.0, 1000
+    g = _rk4_stepped(x0, k, T, steps)
     exact = flow(x0, k, T)
     assert np.linalg.norm(g - exact.g) <= 1e-8 * (1 + np.linalg.norm(exact.g))
     red_rk4, _ = reduce_point(FullPoint(g, x0.L))
     red_ex, _ = reduce_point(exact)
     assert np.allclose(red_rk4.Q.q, red_ex.Q.q, atol=1e-8)
+    # the flow-rk4 oracle, one matrix power of RK4's step polynomial, is the
+    # same RK4 as the stepped loop
+    for n in (2, 3, 4, 5):
+        for seed in range(5):
+            x = sample_point("full", n, seed)
+            for kk in (1, 2):
+                ref = _rk4_stepped(x, kk, T, steps)
+                err = np.linalg.norm(checks._rk4_flow(x, kk, T, steps) - ref)
+                assert err <= 1e-12 * np.linalg.norm(ref), (n, seed, kk)
 
 
 # ---------------------------------------------------------------------------

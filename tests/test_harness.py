@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import rs_hierarchy
-from rs_hierarchy import checks, dynamics, phase, reporting
+from rs_hierarchy import brackets as br
+from rs_hierarchy import checks, config, dynamics, phase, reporting
+from rs_hierarchy.algebra import pairing, r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
 
@@ -80,7 +82,7 @@ def test_run_check_smoke_and_determinism():
 
 def test_failing_check_still_reports(monkeypatch):
     # numpy-float samples must not leak a numpy.bool into the report
-    row = checks.CheckDef(lambda n, seeds: [(np.float64(1.0), 1.0)], "strict", ())
+    row = checks.CheckDef(lambda n, seeds: [(np.float64(1.0), 1.0)], 1e-10, ())
     monkeypatch.setitem(checks.CHECKS, "planted-failure", row)
     spec = CheckSpec("planted-failure", n=2, seeds=1)
     assert run_check(spec).passed is False
@@ -89,26 +91,28 @@ def test_failing_check_still_reports(monkeypatch):
     assert parsed["checks"][0]["passed"] is False
 
 
-def test_antisymmetry_rows_split_analytic_from_fd():
-    rows = checks.antisymmetry_rows()
-    assert checks.check_antisymmetry(2, 1) == [
-        s for chart, pairs in rows for s in checks.antisymmetry_samples(chart, pairs, 2, 1)]
-    analytic = [(chart, pairs) for chart, pairs in rows
-                if all(A.grad is not None for pair in pairs for A in pair)]
-    assert [(chart, len(pairs)) for chart, pairs in analytic] == [("full", 3)]
-    for chart, pairs in rows:
-        if (chart, pairs) not in analytic:
-            assert all(A.grad is None for pair in pairs for A in pair)
-    samples = checks.antisymmetry_samples(*analytic[0], 2, 2)
-    assert len(samples) == 2 * 3 * 2
-    assert max(a / s for a, s in samples) <= 1e-13
+def test_registry_tolerances_are_config_levels():
+    levels = {config.EXACT, config.ANALYTIC, config.RK4, config.FD, config.NESTED}
+    assert {cdef.tolerance for cdef in checks.CHECKS.values()} <= levels
+    assert set(config.PROFILES.values()) <= levels
+
+
+def test_ladder_red_catches_planted_r_term_defect():
+    # pb2_red with its R-term scaled by 1 + 1e-8 must fail the ladder row
+    def planted(x, gf, gh):
+        Ldf, Ldh = x.L @ gf.d2, x.L @ gh.d2
+        return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
+                + 2.0 * (1.0 + 1e-8) * pairing(Ldf, r_apply(x.Q, Ldh)))
+    samples = checks._ladder_samples(br.pb1_red, br.Bracket("red", planted, "planted"), 3, 2)
+    assert max(a / s for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
 
 
 def test_profile_override_changes_tolerance():
     spec = CheckSpec("roundtrip-rs", n=2, seeds=1, profile="strict")
     r = run_check(spec)
     assert r.profile == "strict"
-    assert r.tolerance == pytest.approx(1e-10)
+    assert r.tolerance == config.PROFILES["strict"]
+    assert run_check(CheckSpec("roundtrip-rs", n=2, seeds=1)).tolerance == config.EXACT
 
 
 def test_report_is_json_ready():
