@@ -123,14 +123,12 @@ class TorusReg:
 
 def r_multiplier(Q: TorusReg) -> np.ndarray:
     """Entrywise multiplier of the R-operator: (1/2)(w+1)/(w-1) off the
-    diagonal with w = e^{i(q_j - q_k)}, zero on the diagonal."""
+    diagonal with w = e^{i(q_j - q_k)}, zero on the diagonal; |w - 1| is
+    Q's eigenvalue gap, which TorusReg keeps above REGULARITY_GAP."""
     w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
-    denom = w - 1.0
     off = ~np.eye(Q.n, dtype=bool)
-    if np.min(np.abs(denom[off])) <= REGULARITY_GAP:
-        raise RegularityError("R-operator denominator below regularity gap")
     M = np.zeros_like(w)
-    M[off] = 0.5 * (w[off] + 1.0) / denom[off]
+    M[off] = 0.5 * (w[off] + 1.0) / (w[off] - 1.0)
     return M
 
 

@@ -3,21 +3,24 @@ the changes of variables, plus the runner that aggregates them into a report.
 
 Each check draws deterministic sample points, evaluates a defect that should
 vanish (or an equality that should hold) and reports the worst absolute and
-relative defect.  The relative defect is measured against a per-sample scale
-of the form 1 + (magnitudes entering the identity).
+relative defect and the seed of the worst relative one.  The relative defect
+is measured against a per-sample scale of the form 1 + (magnitudes entering
+the identity).
 
-A registry row maps a check id to a function of (n, seeds) that returns
-(abs_defect, scale) samples: a check body, or a shared sampler bound to its
-brackets, such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares
-one Bracket with another across a chart map.  Each row states its check's
-tolerance once, as the config level of the error model of what it checks
-(EXACT, ANALYTIC, RK4, FD, NESTED); a --profile replaces it for every row.
+A registry row maps a check id to a per-seed body func(n, seed) that returns
+the (abs_defect, scale) samples of the points drawn from that seed: a check
+function, or a shared sampler bound to its brackets, such as
+_transfer_samples(pb_rs, pb2_red, from_rs), which compares one Bracket with
+another across a chart map.  run_check alone loops over seeds 0..S-1.  Each
+row states its check's tolerance once, as the config level of the error
+model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED); a --profile
+replaces it for every row.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -54,6 +57,7 @@ class CheckResult:
     seeds_run: int
     max_abs_defect: float
     max_rel_defect: float
+    worst_seed: int | None      # seed of the largest abs/scale; None without samples
     profile: str | None
     tolerance: float
     passed: bool
@@ -89,7 +93,7 @@ _BRACKETS_BY_CHART = {
 
 
 # ---------------------------------------------------------------------------
-# check bodies: each returns a list of (abs_defect, scale) samples
+# check bodies: each maps (n, seed) to a list of (abs_defect, scale) samples
 
 
 def _hamiltonian_pairs(chart):
@@ -97,39 +101,36 @@ def _hamiltonian_pairs(chart):
     return [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
 
 
-def _antisymmetry_samples(pairs_of, charts, n, seeds):
+def _antisymmetry_samples(pairs_of, charts, n, seed):
     """{F,H} + {H,F} for every bracket of each chart on the pairs
     pairs_of(chart); dF and dH are taken once per point and contracted in
     both orders."""
     out = []
     for chart in charts:
-        pairs = pairs_of(chart)
-        for seed in range(seeds):
-            x = sample_point(chart, n, seed)
-            for F, H in pairs:
-                dF, dH = phase.grad(F, x), phase.grad(H, x)
-                for bracket in _BRACKETS_BY_CHART[chart]:
-                    v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
-                    out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
+        x = sample_point(chart, n, seed)
+        for F, H in pairs_of(chart):
+            dF, dH = phase.grad(F, x), phase.grad(H, x)
+            for bracket in _BRACKETS_BY_CHART[chart]:
+                v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
+                out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
     return out
 
 
-def check_leibniz(n, seeds):
+def check_leibniz(n, seed):
     out = []
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
         pairs = invariant_pairs(chart)
         (F, G), (_, H) = pairs[0], pairs[1]
         GH = phase.product(G, H)
-        for seed in range(seeds):
-            x = sample_point(chart, n, seed)
-            gx, hx = G(x), H(x)
-            for bracket in bracket_list:
-                lhs = bracket(F, GH, x)
-                fg = bracket(F, G, x)
-                fh = bracket(F, H, x)
-                rhs = gx * fh + hx * fg
-                scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
-                out.append((abs(lhs - rhs), scale))
+        x = sample_point(chart, n, seed)
+        gx, hx = G(x), H(x)
+        for bracket in bracket_list:
+            lhs = bracket(F, GH, x)
+            fg = bracket(F, G, x)
+            fh = bracket(F, H, x)
+            rhs = gx * fh + hx * fg
+            scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
+            out.append((abs(lhs - rhs), scale))
     return out
 
 
@@ -142,47 +143,33 @@ def _jacobi_scale(values) -> float:
     return 1.0 + sum(abs(v) for v in values)
 
 
-def _jacobi_samples(brackets, coeffs, n, seeds):
-    """Per coefficient vector s, then per seed: the defect |s.T.s| of
-    sum_i s_i b_i (T the jacobiator) against the scale of s.V, V the pair
-    values of the b_i from one set of gradients of F, G, H at x."""
+def _jacobi_samples(brackets, coeffs, n, seed):
+    """Per coefficient vector s: the defect |s.T.s| of sum_i s_i b_i (T the
+    jacobiator) against the scale of s.V, V the pair values of the b_i from
+    one set of gradients of F, G, H at x."""
     F, G, H = invariant_triple(brackets[0].chart)
-    per_seed = []
-    for seed in range(seeds):
-        x = sample_point(brackets[0].chart, n, seed)
-        T = br.jacobiator(brackets, F, G, H, x)
-        d = [phase.grad(A, x) for A in (F, G, H)]
-        per_seed.append((T, np.array([_pair_values(b, *d, x) for b in brackets])))
-    return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V))
-            for s in map(np.array, coeffs) for T, V in per_seed]
+    x = sample_point(brackets[0].chart, n, seed)
+    T = br.jacobiator(brackets, F, G, H, x)
+    d = [phase.grad(A, x) for A in (F, G, H)]
+    V = np.array([_pair_values(b, *d, x) for b in brackets])
+    return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
 
 
-def _ladder_samples(pb1, pb2, n, seeds):
+def _ladder_samples(pb1, pb2, n, seed):
     """{F, H_k}_2 against {F, H_{k+1}}_1 for k = 1..4 on the chart of pb1."""
     chart = pb1.chart
     F = invariant_observable(1, 1, "re", chart=chart)
-    out = []
-    for seed in range(seeds):
-        x = sample_point(chart, n, seed)
-        for k in range(1, 5):
-            a = pb2(F, hamiltonian_observable(k, chart=chart), x)
-            b = pb1(F, hamiltonian_observable(k + 1, chart=chart), x)
-            out.append((abs(a - b), 1.0 + abs(a) + abs(b)))
-    return out
+    x = sample_point(chart, n, seed)
+    ab = [(pb2(F, hamiltonian_observable(k, chart=chart), x),
+           pb1(F, hamiltonian_observable(k + 1, chart=chart), x)) for k in range(1, 5)]
+    return [(abs(a - b), 1.0 + abs(a) + abs(b)) for a, b in ab]
 
 
-def check_involutivity(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("full", n, seed)
-        Hs = [hamiltonian_observable(k) for k in range(1, 6)]
-        for i in range(len(Hs)):
-            for j in range(len(Hs)):
-                for bracket in (br.pb1_full, br.pb2_full):
-                    v = bracket(Hs[i], Hs[j], x)
-                    scale = 1.0 + abs(Hs[i](x)) + abs(Hs[j](x))
-                    out.append((abs(v), scale))
-    return out
+def check_involutivity(n, seed):
+    x = sample_point("full", n, seed)
+    Hs = [hamiltonian_observable(k) for k in range(1, 6)]
+    return [(abs(bracket(Hi, Hj, x)), 1.0 + abs(Hi(x)) + abs(Hj(x)))
+            for Hi in Hs for Hj in Hs for bracket in (br.pb1_full, br.pb2_full)]
 
 
 def _grad_norm(g) -> float:
@@ -193,22 +180,20 @@ def _red_to_full(x: RedPoint) -> FullPoint:
     return FullPoint(x.Q.matrix(), x.L)
 
 
-def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
+def _transfer_samples(bracket, ref_bracket, to_ref, n, seed):
     """`bracket` at x against `ref_bracket` at to_ref(x) on the invariant
     pairs of their charts.  The bracket contracts two FD gradients, so the
     scale adds |dF|*|dH| to the two values; dF and dH are taken once."""
-    pairs = invariant_pairs(bracket.chart)
-    ref_pairs = invariant_pairs(ref_bracket.chart)
+    x = sample_point(bracket.chart, n, seed)
+    y = to_ref(x)
     out = []
-    for seed in range(seeds):
-        x = sample_point(bracket.chart, n, seed)
-        y = to_ref(x)
-        for (F, H), (f, h) in zip(pairs, ref_pairs):
-            dF, dH = phase.grad(F, x), phase.grad(H, x)
-            a = bracket.contract(x, dF, dH)
-            b = ref_bracket(f, h, y)
-            scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)
-            out.append((abs(a - b), scale))
+    for (F, H), (f, h) in zip(invariant_pairs(bracket.chart),
+                              invariant_pairs(ref_bracket.chart)):
+        dF, dH = phase.grad(F, x), phase.grad(H, x)
+        a = bracket.contract(x, dF, dH)
+        b = ref_bracket(f, h, y)
+        scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)
+        out.append((abs(a - b), scale))
     return out
 
 
@@ -228,69 +213,51 @@ def _chol_cond_factor(L) -> float:
     return float(np.sqrt(w[-1] / w[0]))
 
 
-def check_roundtrip_rs(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("rs", n, seed)
-        mid = coords.from_rs(x)
-        back = coords.to_rs(mid)
-        scale = (1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L)
-        defect = (np.linalg.norm(back.p - x.p)
-                  + np.linalg.norm(back.lam - x.lam)
-                  + np.linalg.norm(back.Q.q - x.Q.q))
-        out.append((float(defect), scale))
-        y = _pd_red_point(n, seed)
-        back2 = coords.from_rs(coords.to_rs(y))
-        out.append((float(np.linalg.norm(back2.L - y.L)),
-                    (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L)))
-    return out
+def check_roundtrip_rs(n, seed):
+    x = sample_point("rs", n, seed)
+    mid = coords.from_rs(x)
+    back = coords.to_rs(mid)
+    defect = (np.linalg.norm(back.p - x.p)
+              + np.linalg.norm(back.lam - x.lam)
+              + np.linalg.norm(back.Q.q - x.Q.q))
+    y = _pd_red_point(n, seed)
+    back2 = coords.from_rs(coords.to_rs(y))
+    return [(float(defect), (1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L)),
+            (float(np.linalg.norm(back2.L - y.L)),
+             (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L))]
 
 
-def check_roundtrip_suth(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("suth", n, seed)
-        back = coords.to_suth(coords.from_suth(x))
-        scale = 1.0 + phase.point_norm(x)
-        defect = (np.linalg.norm(back.p - x.p)
-                  + np.linalg.norm(back.phi - x.phi))
-        out.append((float(defect), scale))
-        y = sample_point("red", n, seed)
-        back2 = coords.from_suth(coords.to_suth(y))
-        out.append((float(np.linalg.norm(back2.L - y.L)),
-                    1.0 + phase.point_norm(y)))
-    return out
+def check_roundtrip_suth(n, seed):
+    x = sample_point("suth", n, seed)
+    back = coords.to_suth(coords.from_suth(x))
+    defect = (np.linalg.norm(back.p - x.p)
+              + np.linalg.norm(back.phi - x.phi))
+    y = sample_point("red", n, seed)
+    back2 = coords.from_suth(coords.to_suth(y))
+    return [(float(defect), 1.0 + phase.point_norm(x)),
+            (float(np.linalg.norm(back2.L - y.L)), 1.0 + phase.point_norm(y))]
 
 
-def check_bplus_residual(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("rs", n, seed)
-        bp = coords.solve_bplus(x.Q, x.lam)
-        Qm = x.Q.matrix()
-        res = np.linalg.norm(bp @ x.lam - Qm.conj() @ bp @ Qm)
-        out.append((float(res), 1.0 + float(np.linalg.norm(bp))))
-    return out
+def check_bplus_residual(n, seed):
+    x = sample_point("rs", n, seed)
+    bp = coords.solve_bplus(x.Q, x.lam)
+    Qm = x.Q.matrix()
+    res = np.linalg.norm(bp @ x.lam - Qm.conj() @ bp @ Qm)
+    return [(float(res), 1.0 + float(np.linalg.norm(bp)))]
 
 
-def check_hamiltonian_rs(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("rs", n, seed)
-        a = dynamics.h_rs(x)
-        b = float(np.real(np.trace(coords.from_rs(x).L)))
-        out.append((abs(a - b), 1.0 + abs(a) + abs(b)))
-    return out
+def check_hamiltonian_rs(n, seed):
+    x = sample_point("rs", n, seed)
+    a = dynamics.h_rs(x)
+    b = float(np.real(np.trace(coords.from_rs(x).L)))
+    return [(abs(a - b), 1.0 + abs(a) + abs(b))]
 
 
-def check_hamiltonian_suth(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x = sample_point("suth", n, seed)
-        a = dynamics.h_suth2(x)
-        b = dynamics.hk(coords.from_suth(x).L, 2)
-        out.append((abs(a - b), 1.0 + abs(a) + abs(b)))
-    return out
+def check_hamiltonian_suth(n, seed):
+    x = sample_point("suth", n, seed)
+    a = dynamics.h_suth2(x)
+    b = dynamics.hk(coords.from_suth(x).L, 2)
+    return [(abs(a - b), 1.0 + abs(a) + abs(b))]
 
 
 def _rk4_flow(x0, k, t1, steps):
@@ -309,41 +276,29 @@ def _rk4_flow(x0, k, t1, steps):
 RK4_STEPS = 4096
 
 
-def check_flow_rk4(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x0 = sample_point("full", n, seed)
-        for k in (1, 2):
-            exact = dynamics.flow(x0, k, 1.0)
-            rk = _rk4_flow(x0, k, 1.0, RK4_STEPS)
-            out.append((float(np.linalg.norm(exact.g - rk)),
-                        1.0 + float(np.linalg.norm(exact.g))))
-    return out
+def _g_samples(pairs):
+    """|a - b| against 1 + |a| for each pair (a, b) of group elements."""
+    return [(float(np.linalg.norm(a - b)), 1.0 + float(np.linalg.norm(a))) for a, b in pairs]
 
 
-def check_flow_conserved(n, seeds):
-    t_grid = np.linspace(0.0, 1.0, 21)
-    out = []
-    for seed in range(seeds):
-        x0 = sample_point("full", n, seed)
-        traj = dynamics.trajectory(x0, 2, t_grid)
-        drift = np.max(np.abs(traj.conserved - traj.conserved[0]), axis=0)
-        ref = 1.0 + np.abs(traj.conserved[0])
-        for d, r in zip(drift, ref):
-            out.append((float(d), float(r)))
-    return out
+def check_flow_rk4(n, seed):
+    x0 = sample_point("full", n, seed)
+    return _g_samples((dynamics.flow(x0, k, 1.0).g, _rk4_flow(x0, k, 1.0, RK4_STEPS))
+                      for k in (1, 2))
 
 
-def check_flow_group(n, seeds):
-    out = []
-    for seed in range(seeds):
-        x0 = sample_point("full", n, seed)
-        for k in (1, 2):
-            a = dynamics.flow(x0, k, 0.7 + 0.4)
-            b = dynamics.flow(dynamics.flow(x0, k, 0.7), k, 0.4)
-            out.append((float(np.linalg.norm(a.g - b.g)),
-                        1.0 + float(np.linalg.norm(a.g))))
-    return out
+def check_flow_conserved(n, seed):
+    x0 = sample_point("full", n, seed)
+    traj = dynamics.trajectory(x0, 2, np.linspace(0.0, 1.0, 21))
+    drift = np.max(np.abs(traj.conserved - traj.conserved[0]), axis=0)
+    ref = 1.0 + np.abs(traj.conserved[0])
+    return [(float(d), float(r)) for d, r in zip(drift, ref)]
+
+
+def check_flow_group(n, seed):
+    x0 = sample_point("full", n, seed)
+    return _g_samples((dynamics.flow(x0, k, 0.7 + 0.4).g,
+                       dynamics.flow(dynamics.flow(x0, k, 0.7), k, 0.4).g) for k in (1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +307,7 @@ def check_flow_group(n, seeds):
 
 @dataclass(frozen=True)
 class CheckDef:
-    func: object
+    func: object       # per-seed body: func(n, seed) -> [(abs_defect, scale), ...]
     tolerance: float   # relative; one of the config levels EXACT .. NESTED
     suites: tuple[str, ...]
 
@@ -420,30 +375,36 @@ def suite_checks(suite: str) -> list[str]:
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
+    """Run the row's body for seeds 0..S-1, stopping at the first seed that
+    raises; the samples of the seeds before it still count."""
     cdef = CHECKS[spec.check_id]
     tol = PROFILES[spec.profile] if spec.profile else cdef.tolerance
     t0 = time.perf_counter()
-    errors = []
-    seeds_run = spec.seeds
-    try:
-        samples = cdef.func(spec.n, spec.seeds)
-    except Exception as exc:  # sampler / chart failures are reported, not fatal
-        errors.append(f"{type(exc).__name__}: {exc}")
-        samples = []
-        seeds_run = 0
+    samples, errors = [], []   # samples: (abs_defect, scale, seed)
+    seeds_run = 0
+    for seed in range(spec.seeds):
+        try:
+            samples += [(a, s, seed) for a, s in cdef.func(spec.n, seed)]
+        except Exception as exc:  # sampler / chart failures are reported, not fatal
+            errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+            break
+        seeds_run += 1
     wall = time.perf_counter() - t0
     if samples:
-        max_abs = max(a for a, _ in samples)
-        max_rel = max(a / s for a, s in samples)
+        max_abs = max(a for a, _, _ in samples)
+        a, s, worst_seed = max(samples, key=lambda t: t[0] / t[1])
+        max_rel = a / s
     else:
         max_abs = max_rel = float("nan")
+        worst_seed = None
     passed = bool(samples and max_rel <= tol and not errors)
-    return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs),
-                       float(max_rel), spec.profile, tol, passed, wall, errors)
+    return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs), float(max_rel),
+                       worst_seed, spec.profile, tol, passed, wall, errors)
 
 
 def run_checks(specs: list[CheckSpec]) -> dict:
-    """Execute a list of check specs and aggregate a JSON-ready report."""
+    """Execute a list of check specs and aggregate a JSON-ready report: one
+    entry per result with the fields of CheckResult, NaN written as null."""
     results = [run_check(s) for s in specs]
     return {
         "library_version": __version__,
@@ -456,13 +417,9 @@ def run_checks(specs: list[CheckSpec]) -> dict:
             for s in specs
         ],
         "checks": [
-            {"check_id": r.check_id, "n": r.n, "seeds_run": r.seeds_run,
-             "max_abs_defect": None if np.isnan(r.max_abs_defect) else r.max_abs_defect,
-             "max_rel_defect": None if np.isnan(r.max_rel_defect) else r.max_rel_defect,
-             "profile": r.profile, "tolerance": r.tolerance,
-             "passed": r.passed, "wall_time": r.wall_time,
-             "errors": r.errors}
+            {k: None if isinstance(v, float) and np.isnan(v) else v
+             for k, v in asdict(r).items()}
             for r in results
         ],
-        "all_passed": all(r.passed for r in results) if results else True,
+        "all_passed": all(r.passed for r in results),
     }

@@ -92,6 +92,7 @@ def _cmd_check(args) -> int:
         rel = entry["max_rel_defect"]
         rel_s = f"{rel:.3e}" if rel is not None else "n/a"
         print(f"{status} {entry['check_id']} (n={entry['n']}, "
+              f"worst_seed={entry['worst_seed']}, "
               f"rel_defect={rel_s}, tol={entry['tolerance']:.1e})",
               file=sys.stderr)
     return 0 if report["all_passed"] else 1

@@ -7,7 +7,9 @@ b_+ from (Q, lambda) by a superdiagonal-by-superdiagonal recursion on the
 defining relation b_+ lambda = Q^{-1} b_+ Q.
 
 Sutherland direction: L = p - (R(Q) + id/2)(phi), which acts entrywise as
-multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.
+multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.  In both
+directions each divisor |w - 1| is an eigenvalue gap of Q, which TorusReg
+keeps above config.REGULARITY_GAP.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra
-from .algebra import RegularityError, TorusReg
-from .config import REGULARITY_GAP
+from .algebra import TorusReg
 from .phase import RedPoint, RSPoint, SuthPoint
 
 
@@ -44,11 +45,7 @@ def solve_bplus(Q: TorusReg, lam: np.ndarray) -> np.ndarray:
     for d in range(1, n):
         for j in range(n - d):
             k = j + d
-            denom = w[j, k] - 1.0
-            if abs(denom) <= REGULARITY_GAP:
-                raise RegularityError(
-                    f"denominator |e^(i(q_{k}-q_{j})) - 1| = {abs(denom):.3e}")
-            bp[j, k] = np.dot(bp[j, j:k], lam[j:k, k]) / denom
+            bp[j, k] = np.dot(bp[j, j:k], lam[j:k, k]) / (w[j, k] - 1.0)
     return bp
 
 
@@ -65,11 +62,8 @@ def _suth_multiplier(Q: TorusReg) -> np.ndarray:
     w/(w-1) with w = e^{i(q_j - q_k)}; zero on the diagonal."""
     w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
     off = ~np.eye(Q.n, dtype=bool)
-    denom = w - 1.0
-    if np.min(np.abs(denom[off])) <= REGULARITY_GAP:
-        raise RegularityError("Sutherland multiplier denominator below gap")
     M = np.zeros_like(w)
-    M[off] = w[off] / denom[off]
+    M[off] = w[off] / (w[off] - 1.0)
     return M
 
 

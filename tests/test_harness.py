@@ -66,7 +66,7 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
         calls[0] += 1
         return call(self, x)
     monkeypatch.setattr(phase.Observable, "__call__", counting)
-    checks.CHECKS[check_id].func(3, 1)
+    checks.CHECKS[check_id].func(3, 0)
     assert calls[0] == evals
 
 
@@ -82,13 +82,34 @@ def test_run_check_smoke_and_determinism():
 
 def test_failing_check_still_reports(monkeypatch):
     # numpy-float samples must not leak a numpy.bool into the report
-    row = checks.CheckDef(lambda n, seeds: [(np.float64(1.0), 1.0)], 1e-10, ())
+    row = checks.CheckDef(lambda n, seed: [(np.float64(1.0), 1.0)], 1e-10, ())
     monkeypatch.setitem(checks.CHECKS, "planted-failure", row)
     spec = CheckSpec("planted-failure", n=2, seeds=1)
     assert run_check(spec).passed is False
     parsed = json.loads(reporting.dumps_json(run_checks([spec])))
     assert parsed["all_passed"] is False
     assert parsed["checks"][0]["passed"] is False
+
+
+def test_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
+    row = checks.CheckDef(lambda n, seed: [(0.0, 1.0)] if seed == 0 else 1 / 0, config.FD, ())
+    monkeypatch.setitem(checks.CHECKS, "raises-at-seed-1", row)
+    spec = CheckSpec("raises-at-seed-1", n=2, seeds=3)
+    r = run_check(spec)
+    assert r.seeds_run == 1
+    assert r.errors == ["seed 1: ZeroDivisionError: division by zero"]
+    assert r.max_rel_defect == 0.0 and r.worst_seed == 0
+    assert r.passed is False
+    entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
+    assert entry["errors"] == r.errors and entry["worst_seed"] == 0
+
+
+def test_run_check_names_worst_seed():
+    # rs-bracket at n = 5 reads 6.75e-5 from seed 4 alone; seeds 0..3 read
+    # at most 1.2e-7
+    r = run_check(CheckSpec("rs-bracket", n=5, seeds=5))
+    assert r.worst_seed == 4
+    assert r.max_rel_defect > 1e-5
 
 
 def test_registry_tolerances_are_config_levels():
@@ -103,7 +124,9 @@ def test_ladder_red_catches_planted_r_term_defect():
         Ldf, Ldh = x.L @ gf.d2, x.L @ gh.d2
         return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
                 + 2.0 * (1.0 + 1e-8) * pairing(Ldf, r_apply(x.Q, Ldh)))
-    samples = checks._ladder_samples(br.pb1_red, br.Bracket("red", planted, "planted"), 3, 2)
+    pb2_planted = br.Bracket("red", planted, "planted")
+    samples = [s for seed in (0, 1)
+               for s in checks._ladder_samples(br.pb1_red, pb2_planted, 3, seed)]
     assert max(a / s for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
 
 
