@@ -6,6 +6,8 @@ All matrices are plain complex numpy arrays; subspace membership is enforced
 by construction (projection) rather than asserted.  The real Lie algebra
 gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 (and likewise u(n) and Herm(n)) are complementary isotropic subspaces.
+`TorusReg` and `make_hermitian` also take a stack along one leading axis,
+and check each member on its own.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from .config import PD_FLOOR, REGULARITY_GAP, STRICT_PROJECTION_TOL
 
 
 class RegularityError(ValueError):
-    """Torus element too close to the non-regular locus."""
+    """Torus element too close to the non-regular locus.  For a stack,
+    `member` is the index of the first such element (None for one element)."""
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -61,14 +68,21 @@ def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _strict_check(X, projected, strict):
+    """With strict, raise if the projection discarded more than
+    STRICT_PROJECTION_TOL * (1 + |X|) of any matrix of X (Frobenius norms per
+    matrix, so one bad member of a stack is not averaged away)."""
     if strict:
-        discarded = np.linalg.norm(X - projected)
-        if discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X)):
-            raise SubspaceError(f"discarded component has norm {discarded:.3e}")
+        discarded = np.linalg.norm(X - projected, axis=(-2, -1))
+        bad = discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            where = f"member {i}: " if X.ndim > 2 else ""
+            raise SubspaceError(f"{where}discarded component has norm "
+                                f"{discarded.flat[i]:.3e}")
 
 
 def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
-    H = 0.5 * (X + X.conj().T)
+    H = 0.5 * (X + X.conj().swapaxes(-1, -2))
     _strict_check(X, H, strict)
     return H
 
@@ -90,32 +104,70 @@ def make_zero_diag_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
 # regular torus elements
 
 
+def diag_matrix(v: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrix with diagonal v, per member of a stack; equal to
+    np.diag(v).astype(complex) for one vector."""
+    n = v.shape[-1]
+    M = np.zeros(v.shape + (n,), dtype=complex)
+    M[..., range(n), range(n)] = v
+    return M
+
+
+@lru_cache(maxsize=None)
+def off_diagonal(n: int) -> np.ndarray:
+    """Read-only boolean mask of the off-diagonal entries of an n x n matrix."""
+    off = ~np.eye(n, dtype=bool)
+    off.setflags(write=False)
+    return off
+
+
 @dataclass(frozen=True)
 class TorusReg:
-    """Regular element of the maximal torus, stored as n real phases."""
+    """Regular element of the maximal torus, stored as n real phases, or a
+    stack of them (q of shape (B, n)).  The gate rejects a stack if any
+    member is irregular, and its RegularityError names the first one."""
 
     q: np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "q", q)
-        if q.ndim != 1 or q.size < 2:
-            raise ValueError("need at least two phases")
-        if self.min_gap() <= REGULARITY_GAP:
-            raise RegularityError(
-                f"eigenvalue gap {self.min_gap():.3e} below {REGULARITY_GAP:.1e}")
+        if q.ndim not in (1, 2) or q.shape[-1] < 2:
+            raise ValueError("need at least two phases (and at most one stack axis)")
+        gaps = self._pair_gaps()
+        if gaps.min() <= REGULARITY_GAP:
+            gap = gaps.min(axis=-1)
+            if q.ndim == 1:
+                raise RegularityError(f"eigenvalue gap {gap:.3e} below {REGULARITY_GAP:.1e}")
+            i = int(np.flatnonzero(gap <= REGULARITY_GAP)[0])
+            raise RegularityError(f"member {i}: eigenvalue gap {gap[i]:.3e} below "
+                                  f"{REGULARITY_GAP:.1e}", member=i)
 
     @property
     def n(self) -> int:
-        return self.q.size
+        return self.q.shape[-1]
 
-    def min_gap(self) -> float:
+    def _pair_gaps(self) -> np.ndarray:
+        """|e^{iq_j} - e^{iq_k}| over the pairs j != k, per member of a stack."""
         z = np.exp(1j * self.q)
-        d = np.abs(z[:, None] - z[None, :])
-        return float(np.min(d[~np.eye(self.n, dtype=bool)]))
+        return np.abs(z[..., :, None] - z[..., None, :])[..., off_diagonal(self.n)]
+
+    def min_gap(self):
+        """Smallest eigenvalue gap, per member of a stack."""
+        return self._pair_gaps().min(axis=-1)
+
+    def __getitem__(self, i) -> "TorusReg":
+        """Member(s) i of a stack, indexed along the stack axis only.  They
+        passed the gate with the stack, so they are not gated again."""
+        if self.q.ndim != 2 or isinstance(i, tuple):
+            raise TypeError("index a stack of torus elements along its stack axis")
+        member = object.__new__(TorusReg)
+        object.__setattr__(member, "q", self.q[i])
+        return member
 
     def matrix(self) -> np.ndarray:
-        return np.diag(np.exp(1j * self.q))
+        """diag(e^{iq}), per member of a stack."""
+        return diag_matrix(np.exp(1j * self.q))
 
     def shifted(self, dq: np.ndarray) -> "TorusReg":
         return TorusReg(self.q + dq)
@@ -126,7 +178,7 @@ def r_multiplier(Q: TorusReg) -> np.ndarray:
     diagonal with w = e^{i(q_j - q_k)}, zero on the diagonal; |w - 1| is
     Q's eigenvalue gap, which TorusReg keeps above REGULARITY_GAP."""
     w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
-    off = ~np.eye(Q.n, dtype=bool)
+    off = off_diagonal(Q.n)
     M = np.zeros_like(w)
     M[off] = 0.5 * (w[off] + 1.0) / (w[off] - 1.0)
     return M

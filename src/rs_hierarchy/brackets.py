@@ -101,11 +101,12 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
     central differences.  The Jacobi defect of sum_i s_i b_i is s.T.s.
 
-    Anything but a Bracket raises TypeError.  At each outer stencil point one
-    callable takes the gradients of F, G, H once (default step) and returns
-    every inner value {G,H}_i, {H,F}_i, {F,G}_i; one sweep with the coarse
-    step FD_OUTER_STEP_SCALE*(1 + |x|) differentiates them all, since the
-    inner values carry O(h^2) noise.
+    Anything but a Bracket raises TypeError.  One sweep with the coarse step
+    FD_OUTER_STEP_SCALE*(1 + |x|) differentiates every inner value {G,H}_i,
+    {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
+    inner callable a stack of outer stencil points, which takes the
+    gradients of F, G, H once (default step) at each member in turn, each
+    one batched sweep of its own.
     """
     chart = F.chart
     if not (G.chart == chart == H.chart):
@@ -117,10 +118,13 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         if b.chart != chart:
             raise ValueError("brackets and observables live on different charts")
 
-    def inner(y):
+    def inner_at(y):
         dF, dG, dH = (phase.grad(A, y) for A in (F, G, H))
-        return np.array([[b.contract(y, dG, dH), b.contract(y, dH, dF),
-                          b.contract(y, dF, dG)] for b in brackets])
+        return [[b.contract(y, dG, dH), b.contract(y, dH, dF),
+                 b.contract(y, dF, dG)] for b in brackets]
+
+    def inner(ys):
+        return np.array([inner_at(y) for y in phase.members(ys)])
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     outer = [phase.grad(A, x, h_outer) for A in (F, G, H)]

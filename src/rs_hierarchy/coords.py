@@ -10,6 +10,9 @@ Sutherland direction: L = p - (R(Q) + id/2)(phi), which acts entrywise as
 multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.  In both
 directions each divisor |w - 1| is an eigenvalue gap of Q, which TorusReg
 keeps above config.REGULARITY_GAP.
+
+solve_bplus, from_rs and from_suth also take stacked points (a leading
+batch axis on any field, as in phase) and map them member by member.
 """
 
 from __future__ import annotations
@@ -38,14 +41,21 @@ def solve_bplus(Q: TorusReg, lam: np.ndarray) -> np.ndarray:
     Entry (j,k) on superdiagonal d = k - j is determined by lower
     superdiagonals:  (b_+)_{jk} = sum_{j<=m<k} (b_+)_{jm} lam_{mk} divided by
     (e^{i(q_k - q_j)} - 1).
+
+    Q and lam may each be a stack; the result is then the stack of b_+ over
+    their common batch axis.  Each entry's sum is a (1 x d)(d x 1) matrix
+    product, which rounds as np.dot does for one point, so a member of a
+    stack equals the single-point result bit for bit.
     """
     n = Q.n
-    w = np.exp(1j * (Q.q[None, :] - Q.q[:, None]))  # w[j,k] = e^{i(q_k - q_j)}
-    bp = np.eye(n, dtype=complex)
+    w = np.exp(1j * (Q.q[..., None, :] - Q.q[..., :, None]))  # w[j,k] = e^{i(q_k - q_j)}
+    bp = np.zeros(np.broadcast_shapes(w.shape, lam.shape), dtype=complex)
+    bp[..., range(n), range(n)] = 1.0
     for d in range(1, n):
         for j in range(n - d):
             k = j + d
-            bp[j, k] = np.dot(bp[j, j:k], lam[j:k, k]) / (w[j, k] - 1.0)
+            bp[..., j, k] = ((bp[..., j, None, j:k] @ lam[..., j:k, k, None])[..., 0, 0]
+                             / (w[..., j, k] - 1.0))
     return bp
 
 
@@ -53,23 +63,23 @@ def from_rs(x: RSPoint) -> RedPoint:
     """(Q, p, lambda) -> (Q, L) with L = e^p b_+ b_+^dagger e^p."""
     bplus = solve_bplus(x.Q, x.lam)
     ep = np.exp(x.p)
-    L = ep[:, None] * (bplus @ bplus.conj().T) * ep[None, :]
+    L = ep[..., :, None] * (bplus @ bplus.conj().swapaxes(-1, -2)) * ep[..., None, :]
     return RedPoint(x.Q, algebra.make_hermitian(L, strict=True))
 
 
 def _suth_multiplier(Q: TorusReg) -> np.ndarray:
     """Entrywise action of (R(Q) + id/2) on off-diagonal entries:
     w/(w-1) with w = e^{i(q_j - q_k)}; zero on the diagonal."""
-    w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
-    off = ~np.eye(Q.n, dtype=bool)
+    w = np.exp(1j * (Q.q[..., :, None] - Q.q[..., None, :]))
+    off = algebra.off_diagonal(Q.n)
     M = np.zeros_like(w)
-    M[off] = w[off] / (w[off] - 1.0)
+    M[..., off] = w[..., off] / (w[..., off] - 1.0)
     return M
 
 
 def from_suth(x: SuthPoint) -> RedPoint:
     """(Q, p, phi) -> (Q, L) with L = p - (R(Q) + id/2)(phi)."""
-    L = np.diag(x.p).astype(complex) - _suth_multiplier(x.Q) * x.phi
+    L = algebra.diag_matrix(x.p) - _suth_multiplier(x.Q) * x.phi
     return RedPoint(x.Q, algebra.make_hermitian(L, strict=True))
 
 
@@ -78,7 +88,7 @@ def to_suth(x: RedPoint) -> SuthPoint:
     the entrywise multiplier on the off-diagonal part."""
     p = np.real(np.diag(x.L))
     M = _suth_multiplier(x.Q)
-    off = ~np.eye(x.n, dtype=bool)
+    off = algebra.off_diagonal(x.n)
     phi = np.zeros_like(x.L)
     phi[off] = -x.L[off] / M[off]
     return SuthPoint(x.Q, p, algebra.make_zero_diag_hermitian(phi, strict=True))

@@ -119,42 +119,56 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
     whole grid as one stack (_diagonalize, then one stacked eigvalsh for the
     conserved h_1..h_n); a sequential pass keeps the eigenphase labels
-    continuous by cyclic-rotation matching between consecutive samples."""
+    continuous by cyclic-rotation matching between consecutive samples.  The
+    regularity gate runs on the whole stack before the matching, and the
+    strict Hermitian projection on the whole relabelled stack after it; an
+    error names its sample i and its t."""
     t_grid = np.asarray(t_grid, dtype=float)
     g = _flow_g(x0, k, t_grid)
     phases, eta = _diagonalize(g)
     eta_h = eta.conj().swapaxes(-1, -2)
     L_red = eta_h @ x0.L @ eta
     defects = np.linalg.norm((eta * np.exp(1j * phases)[:, None, :]) @ eta_h - g, axis=(1, 2))
-    points = []
-    for i, t in enumerate(t_grid):
+    try:
+        TorusReg(phases)  # raises RegularityError on an eigenvalue collision
+    except algebra.RegularityError as exc:
+        i = exc.member
+        raise algebra.RegularityError(f"at sample {i} (t = {t_grid[i]}): {exc}", i) from exc
+    perms = [np.arange(x0.n)]
+    for i in range(1, len(t_grid)):
         try:
-            Q = TorusReg(phases[i])  # raises RegularityError on eigenvalue collision
-            perm = _match_permutation(points[-1].Q.q, Q.q) if points else np.arange(x0.n)
-        except (algebra.RegularityError, AmbiguousMatchError) as exc:
-            raise type(exc)(f"at sample {i} (t = {t}): {exc}") from exc
-        L = algebra.make_hermitian(L_red[i][np.ix_(perm, perm)], strict=True)
-        points.append(RedPoint(TorusReg(Q.q[perm]), L))
-    w = np.linalg.eigvalsh(np.array([pt.L for pt in points]))
+            perms.append(_match_permutation(phases[i - 1][perms[-1]], phases[i]))
+        except AmbiguousMatchError as exc:
+            raise AmbiguousMatchError(f"at sample {i} (t = {t_grid[i]}): {exc}") from exc
+    perms = np.array(perms)
+    q = np.take_along_axis(phases, perms, axis=-1)
+    L = np.take_along_axis(np.take_along_axis(L_red, perms[:, :, None], axis=1),
+                           perms[:, None, :], axis=2)
+    L = algebra.make_hermitian(L, strict=True)
+    Q = TorusReg(q)
+    points = tuple(RedPoint(Q[i], L[i]) for i in range(len(t_grid)))
+    w = np.linalg.eigvalsh(L)
     conserved = np.stack([np.sum(w ** l, axis=-1) / l for l in range(1, x0.n + 1)], axis=-1)
-    return Trajectory(t_grid, tuple(points), conserved, defects)
+    return Trajectory(t_grid, points, conserved, defects)
 
 
-def h_rs(x) -> float:
+def h_rs(x):
     """Ruijsenaars-type Hamiltonian sum_i e^{2 p_i} (b_+ b_+^dagger)_{ii};
-    equals tr(L) at the corresponding reduced point."""
+    equals tr(L) at the corresponding reduced point.  One value per member
+    of a stacked point, so it serves as an observable's value."""
     from .coords import solve_bplus
     bp = solve_bplus(x.Q, x.lam)
-    V = np.real(np.diag(bp @ bp.conj().T))
-    return float(np.sum(np.exp(2.0 * x.p) * V))
+    V = np.real(np.diagonal(bp @ bp.conj().swapaxes(-1, -2), axis1=-2, axis2=-1))
+    return np.sum(np.exp(2.0 * x.p) * V, axis=-1)
 
 
-def h_suth2(x) -> float:
+def h_suth2(x):
     """Spin Sutherland Hamiltonian
     (1/2) sum_i p_i^2 + (1/8) sum_{j != l} |phi_jl|^2 / sin^2((q_j - q_l)/2);
-    equals tr(L^2)/2 at the corresponding reduced point."""
+    equals tr(L^2)/2 at the corresponding reduced point.  One value per
+    member of a stacked point, so it serves as an observable's value."""
     q = x.Q.q
-    off = ~np.eye(x.n, dtype=bool)
-    s2 = np.sin(0.5 * (q[:, None] - q[None, :])) ** 2
-    pot = np.sum((np.abs(x.phi) ** 2)[off] / s2[off]) / 8.0
-    return float(0.5 * np.sum(x.p ** 2) + pot)
+    off = algebra.off_diagonal(x.n)
+    s2 = np.sin(0.5 * (q[..., :, None] - q[..., None, :])) ** 2
+    pot = np.sum((np.abs(x.phi) ** 2)[..., off] / s2[..., off], axis=-1) / 8.0
+    return 0.5 * np.sum(x.p ** 2, axis=-1) + pot

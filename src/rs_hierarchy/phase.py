@@ -7,12 +7,20 @@ Each chart has its own derivative signature, obtained by pairing directional
 derivatives along a basis of displacement directions with the dual basis
 under <X,Y> = Im tr(XY).
 
-One central-difference engine, `fd_grad`, takes any callable, also an
-array-valued one, and serves all four charts from a table; `grad` is its
-front for observables.  A chart's row holds its gradient tuple type and one
-block per component: the space of the directions (in algebra.basis order,
-paired with its dual basis), the displacement along a direction X and how
-it moves the point.  Group-valued displacements use exact one-parameter
+A chart point may be a stack of B points: its fields carry one leading
+batch axis of length B (a TorusReg holds a stack of phase vectors), and a
+field without it is shared by every member.  Observables and the chart maps
+evaluate stacks member by member.
+
+One central-difference engine, `fd_grad`, serves all four charts from a
+table; `grad` is its front for observables.  Its contract: f maps a stack of
+B points, in which every field carries the batch axis, to an array with
+leading axis B (more axes for an array-valued f).  A chart's row holds its
+gradient tuple type and one block per component: the space of the
+directions (in algebra.basis order, paired with its dual basis), the
+displacement along a direction X and how it moves the point.  For each
+block, fd_grad moves the point by all 2*dim displacements at once and calls
+f once on that stack.  Group-valued displacements use exact one-parameter
 subgroups: the u(n) exponential 1 + sin t X + (1 - cos t) X^2 (every u(n)
 basis element has X^3 = -X) and the nilpotent 1 + tX for strictly upper X;
 the other coordinates move on straight lines tX.
@@ -45,7 +53,7 @@ class FullPoint:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,42 @@ def _arrays(x) -> list[np.ndarray]:
             for v in (getattr(x, f.name) for f in fields(x))]
 
 
+# Axes of one point's field: the torus phases and p are vectors, the rest
+# matrices.  A stack of B points adds a leading axis of length B.
+_VECTOR_FIELDS = ("Q", "p")
+
+
+def _fields(x) -> list[tuple[bool, object]]:
+    """Per field of x in order: whether it carries the batch axis, and its value."""
+    return [(a.ndim > (1 if f.name in _VECTOR_FIELDS else 2), getattr(x, f.name))
+            for f, a in zip(fields(x), _arrays(x))]
+
+
+def batch_size(x) -> int:
+    """Number of points in x: B for a stack of B points, 1 for one point."""
+    for stacked, v in _fields(x):
+        if stacked:
+            return len(v.q if isinstance(v, TorusReg) else v)
+    return 1
+
+
+def _stacked(x, B: int):
+    """x as a stack of B points in which every field carries the batch axis:
+    a field without it is shared by every member (a broadcast view, no copy)."""
+    def shared(v):
+        if isinstance(v, TorusReg):
+            return TorusReg(np.broadcast_to(v.q, (B,) + v.q.shape))
+        return np.broadcast_to(v, (B,) + v.shape)
+    return type(x)(*(v if stacked else shared(v) for stacked, v in _fields(x)))
+
+
+def members(x) -> list:
+    """The single points of a stack x, in stack order."""
+    parts = _fields(x)
+    return [type(x)(*(v[i] if stacked else v for stacked, v in parts))
+            for i in range(batch_size(x))]
+
+
 def point_norm(x) -> float:
     return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in _arrays(x))))
 
@@ -104,6 +148,8 @@ def point_norm(x) -> float:
 class Observable:
     """Real-valued function on one chart.
 
+    `value` maps a stack of B points to an array of B values (and one point
+    to one value); calling the observable on one point returns a float.
     `grad`, when present, returns the chart's full derivative tuple (same
     shape as the corresponding grad_* result) and is preferred over finite
     differences.
@@ -124,7 +170,8 @@ class Observable:
 def product(F: Observable, H: Observable) -> Observable:
     if F.chart != H.chart:
         raise ValueError("observables live on different charts")
-    return Observable(F.chart, lambda x: F(x) * H(x), name=f"{F.name}*{H.name}")
+    return Observable(F.chart, lambda x: F.value(x) * H.value(x),
+                      name=f"{F.name}*{H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +231,15 @@ def _displacements(curve: str, space: str, n: int, t: float) -> np.ndarray:
     return np.eye(n) + t * B
 
 
-# Per chart: the gradient tuple type and one block per component.  A line
-# in u(n)_0 shifts the torus phases by Im diag(tX); one in b(n)_0 or
-# Herm(n)_0 shifts p by Re diag(tX).
+def _diag(D: np.ndarray) -> np.ndarray:
+    """Diagonal of each matrix of a stack."""
+    return np.diagonal(D, axis1=-2, axis2=-1)
+
+
+# Per chart: the gradient tuple type and one block per component; each move
+# takes one displacement D or a stack of them.  A line in u(n)_0 shifts the
+# torus phases by Im diag(tX); one in b(n)_0 or Herm(n)_0 shifts p by
+# Re diag(tX).
 _CHART_TABLE = {
     "full": (FullGrad, (
         _Block("u", "u_exp", lambda x, D: FullPoint(D @ x.g, x.L)),
@@ -194,20 +247,20 @@ _CHART_TABLE = {
         _Block("herm", "line", lambda x, D: FullPoint(x.g, x.L + D)))),
     "red": (RedGrad, (
         _Block("u0", "line",
-               lambda x, D: RedPoint(x.Q.shifted(D.diagonal().imag), x.L)),
+               lambda x, D: RedPoint(x.Q.shifted(_diag(D).imag), x.L)),
         _Block("herm", "line", lambda x, D: RedPoint(x.Q, x.L + D)))),
     "rs": (RSGrad, (
         _Block("u0", "line",
-               lambda x, D: RSPoint(x.Q.shifted(D.diagonal().imag), x.p, x.lam)),
+               lambda x, D: RSPoint(x.Q.shifted(_diag(D).imag), x.p, x.lam)),
         _Block("b0", "line",
-               lambda x, D: RSPoint(x.Q, x.p + D.diagonal().real, x.lam)),
+               lambda x, D: RSPoint(x.Q, x.p + _diag(D).real, x.lam)),
         _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, D @ x.lam)),
         _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, x.lam @ D)))),
     "suth": (SuthGrad, (
         _Block("u0", "line",
-               lambda x, D: SuthPoint(x.Q.shifted(D.diagonal().imag), x.p, x.phi)),
+               lambda x, D: SuthPoint(x.Q.shifted(_diag(D).imag), x.p, x.phi)),
         _Block("herm0", "line",
-               lambda x, D: SuthPoint(x.Q, x.p + D.diagonal().real, x.phi)),
+               lambda x, D: SuthPoint(x.Q, x.p + _diag(D).real, x.phi)),
         _Block("hermperp", "line", lambda x, D: SuthPoint(x.Q, x.p, x.phi + D)))),
 }
 
@@ -217,18 +270,26 @@ def fd_step(x, step: float | None = None) -> float:
 
 
 def fd_grad(f: Callable, chart: str, x, step: float | None = None):
-    """Gradient tuple of f at x on `chart` by central differences: each
-    block pairs the differences of f along its basis with the dual basis.
-    f may return an array; its axes then lead every component, so one sweep
-    differentiates many functions at the same stencil points."""
+    """Gradient tuple of f at the point x on `chart` by central differences.
+
+    f maps a stack of B points, every field carrying the batch axis, to an
+    array with leading axis B.  Per block, the 2*dim displaced points (all
+    + steps, then all - steps) form one stack and f is called once on it;
+    the differences are paired with the dual basis.  Axes of f's values
+    after the first lead every component, so one sweep differentiates many
+    functions at the same stencil points."""
     kind, blocks = _CHART_TABLE[chart]
     h = fd_step(x, step)
     parts = []
     for space, curve, move in blocks:
-        plus = _displacements(curve, space, x.n, h)
-        minus = _displacements(curve, space, x.n, -h)
-        d = np.array([(f(move(x, P)) - f(move(x, M))) / (2.0 * h)
-                      for P, M in zip(plus, minus)])
+        D = np.concatenate((_displacements(curve, space, x.n, h),
+                            _displacements(curve, space, x.n, -h)))
+        v = np.asarray(f(_stacked(move(x, D), len(D))))
+        if v.shape[:1] != D.shape[:1]:
+            raise ValueError(f"f must map a stack of {len(D)} points to an array "
+                             f"with leading axis {len(D)}; got shape {v.shape}")
+        m = len(D) // 2
+        d = (v[:m] - v[m:]) / (2.0 * h)
         parts.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
     return kind(*parts)
 
@@ -238,7 +299,7 @@ def grad(F: Observable, x, step: float | None = None):
     defining identity): an analytic F.grad as is, otherwise fd_grad."""
     if F.grad is not None:
         return _CHART_TABLE[F.chart][0](*F.grad(x))
-    return fd_grad(F, F.chart, x, step)
+    return fd_grad(F.value, F.chart, x, step)
 
 
 def _check_chart(F: Observable, chart: str) -> None:
@@ -291,8 +352,8 @@ def invariant_observable(m: int, k: int, part: str = "re",
     take = np.real if part == "re" else np.imag
 
     def tr_val(U, L):
-        return float(take(np.trace(np.linalg.matrix_power(U, m)
-                                   @ np.linalg.matrix_power(L, k))))
+        return take(np.trace(np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k),
+                             axis1=-2, axis2=-1))
 
     name = f"{part}-tr(g^{m} L^{k})[{chart}]"
     if chart == "full":
@@ -323,7 +384,7 @@ def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
         raise ValueError("need k >= 1")
 
     def val(x):
-        return float(np.real(np.trace(np.linalg.matrix_power(x.L, k)))) / k
+        return np.real(np.trace(np.linalg.matrix_power(x.L, k), axis1=-2, axis2=-1)) / k
 
     if chart == "full":
         def g(x):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rs_hierarchy import algebra
+from rs_hierarchy import algebra, config
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
                                   TorusReg, chol_upper, dual_basis, pairing,
                                   r_apply, r_bracket, split_ub)
@@ -161,6 +161,34 @@ def test_r_bracket_antisymmetry():
 def test_torus_regularity_enforced():
     with pytest.raises(RegularityError):
         TorusReg(np.array([0.5, 0.5 + 1e-9]))
+
+
+def test_stacked_torus_gate_names_the_irregular_member():
+    q = np.array([[0.1, 1.0, 2.0], [0.3, 1.5, 4.0], [0.5, 0.5 + 1e-9, 2.0], [0.2, 2.2, 4.2]])
+    with pytest.raises(RegularityError, match=r"^member 2: eigenvalue gap 1\.000e-09") as info:
+        TorusReg(q)
+    assert info.value.member == 2
+    Q = TorusReg(q[[0, 1, 3]])
+    assert Q.n == 3 and Q.min_gap().shape == (3,)
+    assert np.array_equal(Q.matrix()[1], TorusReg(q[1]).matrix())
+    assert np.array_equal(Q[2].q, q[3])
+
+
+def test_strict_projection_checks_each_member_of_a_stack():
+    # the second member's anti-Hermitian part (norm 1e-5) is far above the
+    # tolerance for that member, though a single norm over the stack, which
+    # the large first member dominates, would let it pass
+    rng = np.random.default_rng(2)
+    big = algebra.make_hermitian(1e6 * _rand_gl(rng, 3))
+    small = algebra.make_hermitian(_rand_gl(rng, 3))
+    small[0, 1] += 1e-5
+    stack = np.stack([big, small])
+    flat = np.linalg.norm(stack - algebra.make_hermitian(stack))
+    assert flat <= config.STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(stack))
+    with pytest.raises(algebra.SubspaceError, match="^member 1: "):
+        algebra.make_hermitian(stack, strict=True)
+    assert np.array_equal(algebra.make_hermitian(stack[:1], strict=True)[0],
+                          algebra.make_hermitian(big, strict=True))
 
 
 # ---------------------------------------------------------------------------

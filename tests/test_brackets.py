@@ -70,7 +70,7 @@ def test_bihamiltonian_ladder_full_and_red():
 def test_full_bracket_against_direct_contraction_and_flow():
     n = 2
     x = sample_point("full", n, 0)
-    F = Observable("full", lambda p: float(np.real(np.trace(p.g))))
+    F = Observable("full", lambda p: np.real(np.trace(p.g, axis1=-2, axis2=-1)))
     H = hamiltonian_observable(2)
 
     # direct contraction of the defining formula with the gradients
@@ -105,8 +105,8 @@ def test_leibniz_rule():
 
 def test_pb_rs_p_only_functions_commute():
     x = sample_point("rs", 3, 0)
-    F = Observable("rs", lambda p: float(np.sum(np.exp(2 * p.p))))
-    H = Observable("rs", lambda p: float(np.sum(p.p ** 2)))
+    F = Observable("rs", lambda p: np.sum(np.exp(2 * p.p), axis=-1))
+    H = Observable("rs", lambda p: np.sum(p.p ** 2, axis=-1))
     assert abs(br.pb_rs(F, H, x)) <= 1e-8 * (1 + abs(F(x)) + abs(H(x)))
 
 
@@ -124,8 +124,8 @@ def test_pb_rs_against_direct_contraction():
 
 def test_pb_suth_momentum_functions_commute():
     x = sample_point("suth", 3, 0)
-    F = Observable("suth", lambda p: float(np.sum(p.p ** 2)))
-    H = Observable("suth", lambda p: float(np.sum(p.p ** 3)))
+    F = Observable("suth", lambda p: np.sum(p.p ** 2, axis=-1))
+    H = Observable("suth", lambda p: np.sum(p.p ** 3, axis=-1))
     assert abs(br.pb_suth(F, H, x)) <= 1e-8 * (1 + abs(F(x)) + abs(H(x)))
 
 
@@ -134,7 +134,7 @@ def test_casimir_term_matches_direct_r_bracket():
     # <L, [d2f, d2h]_{R(Q)}> term
     x = sample_point("red", 3, 3)
     f = hamiltonian_observable(2, chart="red")
-    h = Observable("red", lambda p: float(np.real(np.trace(p.L @ p.L @ p.L))))
+    h = Observable("red", lambda p: np.real(np.trace(p.L @ p.L @ p.L, axis1=-2, axis2=-1)))
     gf = phase.grad_red(f, x)
     gh = phase.grad_red(h, x)
     direct = algebra.pairing(x.L, algebra.r_bracket(x.Q, gf.d2, gh.d2))
@@ -229,12 +229,12 @@ def test_jacobiator_gives_pencil_defects():
 
 
 def _counted(F):
-    calls = [0]
+    points = [0]   # evaluated points: the length of each stack's batch axis
 
     def value(x):
-        calls[0] += 1
+        points[0] += phase.batch_size(x)
         return F.value(x)
-    return dataclasses.replace(F, value=value), calls
+    return dataclasses.replace(F, value=value), points
 
 
 # At n = 3 a gradient costs 54 evaluations on the full chart and 24 on the

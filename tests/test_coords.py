@@ -67,6 +67,18 @@ def test_solve_bplus_residual_and_uniqueness():
             assert res_bad > 1e-5
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_solve_bplus_on_a_stack_equals_per_point_results(n):
+    xs = [sample_point("rs", n, seed) for seed in range(6)]
+    lam = np.stack([x.lam for x in xs])
+    Q = TorusReg(np.stack([x.Q.q for x in xs]))
+    stacked = coords.solve_bplus(Q, lam)
+    shared_Q = coords.solve_bplus(xs[0].Q, lam)   # one torus element for all
+    for i, x in enumerate(xs):
+        assert np.array_equal(stacked[i], coords.solve_bplus(x.Q, x.lam))
+        assert np.array_equal(shared_Q[i], coords.solve_bplus(xs[0].Q, x.lam))
+
+
 def test_rs_round_trips():
     for n in (2, 3, 4, 5):
         for seed in range(10):

@@ -215,6 +215,14 @@ def test_trajectory_tie_names_sample_and_time():
         trajectory(x0, 1, [0.0, 1.0])
 
 
+def test_trajectory_collision_names_sample_and_time():
+    # the phases t and 0.5 meet at t = 0.5; the stacked gate reports it
+    # before the matching sees the tie
+    x0 = FullPoint(np.diag([1.0, np.exp(0.5j)]), np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(RegularityError, match=r"^at sample 2 \(t = 0.5\): member 2: "):
+        trajectory(x0, 1, [0.0, 0.25, 0.5, 0.75])
+
+
 def test_trajectory_conserved_quantities_flat():
     x0 = sample_point("full", 4, 5)
     traj = trajectory(x0, 3, np.linspace(0.0, 1.0, 25))

@@ -54,20 +54,32 @@ def test_run_checks_empty_report():
 # the two on its own side for the scale: 3 * 2 * (24 + 54) = 468 and so on.
 # The antisymmetry check takes the two gradients of each invariant pair once
 # per chart for all of the chart's brackets: 3 * 2 * (54 + 24 + 24) = 612.
+# A ladder takes F's gradient once (the dH_k are analytic): 54 and 24.
+# Leibniz takes dF, dG, dH and d(GH) once per chart, where an evaluation of
+# GH counts itself and its two factors, and evaluates G and H at x:
+# (3 + 3) * 54 + 2 + 2 * ((3 + 3) * 24 + 2) = 618.
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
     ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 618),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
-    calls = [0]
-    call = phase.Observable.__call__
+    # count evaluated points, the length of each stack's batch axis, over
+    # every observable the check builds
+    points = [0]
+    post_init = phase.Observable.__post_init__
 
-    def counting(self, x):
-        calls[0] += 1
-        return call(self, x)
-    monkeypatch.setattr(phase.Observable, "__call__", counting)
+    def counting_post_init(self):
+        post_init(self)
+        value = self.value
+
+        def counting(x):
+            points[0] += phase.batch_size(x)
+            return value(x)
+        object.__setattr__(self, "value", counting)
+    monkeypatch.setattr(phase.Observable, "__post_init__", counting_post_init)
     checks.CHECKS[check_id].func(3, 0)
-    assert calls[0] == evals
+    assert points[0] == evals
 
 
 def test_run_check_smoke_and_determinism():

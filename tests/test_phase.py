@@ -83,7 +83,7 @@ def test_grad_full_hamiltonian_analytic():
 
 def test_grad_full_constant_function():
     x = sample_point("full", 3, 1)
-    g = grad_full(Observable("full", lambda p: 4.2), x)
+    g = grad_full(Observable("full", lambda p: np.full(phase.batch_size(p), 4.2)), x)
     assert np.allclose(g.D1, 0, atol=1e-9)
     assert np.allclose(g.D1p, 0, atol=1e-9)
     assert np.allclose(g.d2, 0, atol=1e-9)
@@ -92,7 +92,7 @@ def test_grad_full_constant_function():
 def test_grad_full_defining_identity_random_directions():
     rng = np.random.default_rng(11)
     x = sample_point("full", 3, 2)
-    F = Observable("full", lambda p: float(np.real(np.trace(p.g @ p.L))))
+    F = Observable("full", lambda p: np.real(np.trace(p.g @ p.L, axis1=-2, axis2=-1)))
     g = grad_full(F, x)
     h = fd_step(x)
     for _ in range(20):
@@ -123,7 +123,7 @@ def test_grad_linearity():
     x = sample_point("full", 3, 4)
     F = invariant_observable(1, 1, "re", chart="full")
     H = invariant_observable(0, 2, "re", chart="full")
-    comb = Observable("full", lambda p: 2.0 * F(p) - 0.5 * H(p))
+    comb = Observable("full", lambda p: 2.0 * F.value(p) - 0.5 * H.value(p))
     gc = grad_full(comb, x)
     gF = grad_full(F, x)
     gH = grad_full(H, x)
@@ -132,15 +132,18 @@ def test_grad_linearity():
 
 
 def test_grad_evaluation_counts():
-    # two evaluations per direction; a block has n^2 directions in u(n) or
-    # Herm(n), n on the torus or in p, and n(n-1) in b_+ or Herm(n)_perp
-    counts = {"full": 54, "red": 24, "rs": 36, "suth": 24}
-    for chart, want in counts.items():
+    # two evaluated points per direction; a block has n^2 directions in u(n)
+    # or Herm(n), n on the torus or in p, and n(n-1) in b_+ or Herm(n)_perp.
+    # Each block is one call on the stack of its points.
+    counts = {"full": (54, 3), "red": (24, 2), "rs": (36, 4), "suth": (24, 3)}
+    for chart, (want, blocks) in counts.items():
         F = invariant_observable(1, 1, "re", chart=chart)
-        calls = []
-        counted = Observable(chart, lambda p, F=F, calls=calls: calls.append(p) or F(p))
+        points = []
+        counted = Observable(chart, lambda p, F=F, points=points:
+                             points.append(phase.batch_size(p)) or F.value(p))
         getattr(phase, f"grad_{chart}")(counted, sample_point(chart, 3, 0))
-        assert len(calls) == want, chart
+        assert sum(points) == want, chart
+        assert len(points) == blocks, chart
 
 
 @pytest.mark.parametrize("chart", phase.CHARTS)
@@ -149,11 +152,45 @@ def test_fd_grad_of_array_valued_callable(chart):
     F = invariant_observable(1, 1, "re", chart=chart)
     H = invariant_observable(2, 1, "im", chart=chart)
     x = sample_point(chart, 3, 1)
-    both = phase.fd_grad(lambda y: np.array([F(y), H(y)]), chart, x)
+    both = phase.fd_grad(lambda y: np.stack([F.value(y), H.value(y)], -1), chart, x)
     assert type(both) is type(phase.grad(F, x))
     for i, A in enumerate((F, H)):
         for c, a in zip(both, phase.grad(A, x), strict=True):
             assert np.array_equal(c[i], a)
+
+
+def _per_point_fd_grad(F, chart, x):
+    """The central-difference loop one displaced point at a time: the oracle
+    for the batched sweep of phase.fd_grad."""
+    kind, blocks = phase._CHART_TABLE[chart]
+    h = fd_step(x)
+    parts = []
+    for space, curve, move in blocks:
+        plus = phase._displacements(curve, space, x.n, h)
+        minus = phase._displacements(curve, space, x.n, -h)
+        d = np.array([(F(move(x, P)) - F(move(x, M))) / (2.0 * h)
+                      for P, M in zip(plus, minus, strict=True)])
+        parts.append(np.tensordot(d, phase._stacks(space, x.n)[1], axes=(0, 0)))
+    return kind(*parts)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_fd_grad_equals_per_point_loop(chart, n):
+    # one call of the observable per block on the stack of its displaced
+    # points gives the per-point loop's gradient bit for bit
+    x = sample_point(chart, n, 1)
+    for params in ((1, 1, "re"), (2, 1, "im"), (0, 2, "re")):
+        F = invariant_observable(*params, chart=chart)
+        assert type(F(x)) is float
+        for a, b in zip(phase.grad(F, x), _per_point_fd_grad(F, chart, x), strict=True):
+            assert np.array_equal(a, b), (params, np.max(np.abs(a - b)))
+
+
+def test_fd_grad_rejects_a_value_without_the_batch_axis():
+    x = sample_point("red", 2, 0)
+    with pytest.raises(ValueError, match="leading axis 4"):
+        phase.fd_grad(lambda p: 1.0, "red", x)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -171,7 +208,7 @@ def test_group_displacements_are_exact(n):
 
 def test_grad_red_hamiltonian():
     x = sample_point("red", 3, 0)
-    f = Observable("red", lambda p: float(np.real(np.trace(p.L @ p.L))) / 2.0)
+    f = Observable("red", lambda p: np.real(np.trace(p.L @ p.L, axis1=-2, axis2=-1)) / 2.0)
     g = grad_red(f, x)
     assert np.linalg.norm(g.D1) <= 1e-8
     assert np.linalg.norm(g.d2 - 1j * x.L) <= FD_TOL * (1 + np.linalg.norm(x.L))
@@ -179,7 +216,7 @@ def test_grad_red_hamiltonian():
 
 def test_grad_red_q_only_function():
     x = sample_point("red", 3, 1)
-    f = Observable("red", lambda p: float(np.sum(np.cos(p.Q.q))))
+    f = Observable("red", lambda p: np.sum(np.cos(p.Q.q), axis=-1))
     g = grad_red(f, x)
     assert np.allclose(g.d2, 0, atol=1e-9)
 
@@ -187,7 +224,7 @@ def test_grad_red_q_only_function():
 def test_grad_red_defining_identity():
     rng = np.random.default_rng(13)
     x = sample_point("red", 3, 2)
-    f = Observable("red", lambda p: float(np.real(np.trace(p.Q.matrix() @ p.L))))
+    f = Observable("red", lambda p: np.real(np.trace(p.Q.matrix() @ p.L, axis1=-2, axis2=-1)))
     g = grad_red(f, x)
     h = fd_step(x)
     for _ in range(20):
@@ -208,7 +245,7 @@ def test_grad_red_defining_identity():
 
 def test_grad_rs_p_only_function():
     x = sample_point("rs", 3, 0)
-    F = Observable("rs", lambda p: float(np.sum(np.exp(2 * p.p))))
+    F = Observable("rs", lambda p: np.sum(np.exp(2 * p.p), axis=-1))
     g = grad_rs(F, x)
     assert np.allclose(g.DQ, 0, atol=1e-8)
     assert np.allclose(g.Dlam, 0, atol=1e-8)
@@ -221,7 +258,7 @@ def test_grad_rs_p_only_function():
 def test_grad_rs_left_right_agree_at_identity():
     Q = sample_point("rs", 2, 1).Q
     x = RSPoint(Q, np.zeros(2), np.eye(2, dtype=complex))
-    F = Observable("rs", lambda p: float(np.real(p.lam[0, 1])))
+    F = Observable("rs", lambda p: np.real(p.lam[..., 0, 1]))
     g = grad_rs(F, x)
     assert np.linalg.norm(g.Dlam - g.Dlamp) <= 1e-8
 
@@ -256,7 +293,7 @@ def test_grad_rs_defining_identity():
 
 def test_grad_suth_phi_independent():
     x = sample_point("suth", 3, 0)
-    F = Observable("suth", lambda p: float(np.sum(p.p ** 2)) / 2.0)
+    F = Observable("suth", lambda p: np.sum(p.p ** 2, axis=-1) / 2.0)
     g = grad_suth(F, x)
     assert np.allclose(g.dphi, 0, atol=1e-9)
     assert np.linalg.norm(g.dp - 1j * np.diag(x.p).astype(complex)) <= FD_TOL * _scale(F, x, g)
@@ -298,7 +335,7 @@ def test_grad_suth_quadratic_analytic_vs_fd():
     C = np.diag([1.0, -2.0, 0.5])
 
     def val(p):
-        return float(np.sum(p.p ** 2) + np.real(np.trace(C @ p.phi @ p.phi)))
+        return np.sum(p.p ** 2, axis=-1) + np.real(np.trace(C @ p.phi @ p.phi, axis1=-2, axis2=-1))
 
     def analytic(p):
         DQ = np.zeros((3, 3), dtype=complex)
