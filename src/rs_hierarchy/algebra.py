@@ -7,7 +7,8 @@ by construction (projection) rather than asserted.  The real Lie algebra
 gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 (and likewise u(n) and Herm(n)) are complementary isotropic subspaces.
 `TorusReg` and `make_hermitian` also take a stack along one leading axis,
-and check each member on its own.
+and check each member on its own; `pairing`, `split_ub`, `comm` and the
+R-operator act on stacks member by member.
 """
 
 from __future__ import annotations
@@ -41,21 +42,24 @@ class SubspaceError(ValueError):
 # pairing and splittings
 
 
-def pairing(X: np.ndarray, Y: np.ndarray) -> float:
-    """Invariant bilinear form <X,Y> = Im tr(XY) on gl(n,C) as a real algebra."""
-    if X.shape != Y.shape or X.shape[0] != X.shape[1]:
+def pairing(X: np.ndarray, Y: np.ndarray):
+    """Invariant bilinear form <X,Y> = Im tr(XY) on gl(n,C) as a real algebra:
+    a float for two matrices, an array of values for stacks of them."""
+    if X.shape != Y.shape or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
-    return float(np.imag(np.sum(X * Y.T)))
+    v = (X * Y.swapaxes(-1, -2)).sum(axis=(-2, -1)).imag
+    return float(v) if v.ndim == 0 else v
 
 
 def split_ub(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split X = X_u + X_b with X_u anti-Hermitian and X_b upper triangular
-    with real diagonal.  The splitting is exact (entrywise)."""
+    with real diagonal, per member of a stack.  The splitting is exact
+    (entrywise)."""
     lower = np.tril(X, -1)
-    diag = np.diag(np.diag(X))
-    upper = np.triu(X, 1)
-    X_u = lower - lower.conj().T + 1j * np.diag(np.imag(np.diag(X)))
-    X_b = upper + lower.conj().T + np.diag(np.real(np.diag(diag)))
+    lower_h = lower.conj().swapaxes(-1, -2)
+    diag = np.diagonal(X, axis1=-2, axis2=-1)
+    X_u = lower - lower_h + 1j * diag_matrix(diag.imag)
+    X_b = np.triu(X, 1) + lower_h + diag_matrix(diag.real)
     return X_u, X_b
 
 
@@ -175,13 +179,12 @@ class TorusReg:
 
 def r_multiplier(Q: TorusReg) -> np.ndarray:
     """Entrywise multiplier of the R-operator: (1/2)(w+1)/(w-1) off the
-    diagonal with w = e^{i(q_j - q_k)}, zero on the diagonal; |w - 1| is
-    Q's eigenvalue gap, which TorusReg keeps above REGULARITY_GAP."""
-    w = np.exp(1j * (Q.q[:, None] - Q.q[None, :]))
-    off = off_diagonal(Q.n)
-    M = np.zeros_like(w)
-    M[off] = 0.5 * (w[off] + 1.0) / (w[off] - 1.0)
-    return M
+    diagonal with w = e^{i(q_j - q_k)}, zero on the diagonal, per member of
+    a stack; |w - 1| is Q's eigenvalue gap, which TorusReg keeps above
+    REGULARITY_GAP."""
+    w = np.exp(1j * (Q.q[..., :, None] - Q.q[..., None, :]))
+    return np.divide(0.5 * (w + 1.0), w - 1.0, out=np.zeros_like(w),
+                     where=off_diagonal(Q.n))
 
 
 def r_apply(Q: TorusReg, X: np.ndarray) -> np.ndarray:

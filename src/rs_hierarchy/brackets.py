@@ -4,8 +4,11 @@ finite-difference Jacobiator.
 A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
 Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
 observables of its chart takes their gradients and contracts them; code
-that already holds the gradients calls `contract` directly.  `jacobiator`
-takes each gradient once per stencil point for all brackets of one call.
+that already holds the gradients calls `contract` directly.  Every contract
+also takes a stack of points with the stacked gradients at them and returns
+one value per member.  `jacobiator` takes each gradient once per stencil
+point for all brackets of one call, and its inner level is one sweep over
+each whole outer stack.
 """
 
 from __future__ import annotations
@@ -26,43 +29,43 @@ class Bracket:
     """A Poisson bracket as a bilinear form in the gradient tuples of one
     chart: {F,H}(x) = contract(x, dF, dH) with dF = phase.grad(F, x)."""
     chart: str
-    contract: Callable[..., float]
+    contract: Callable    # float for one point, array of B for a stack
     name: str
 
     def __call__(self, F: Observable, H: Observable, x) -> float:
         if not (F.chart == self.chart == H.chart):
             raise ValueError(f"{self.name} takes observables on the "
                              f"{self.chart!r} chart")
-        return self.contract(x, phase.grad(F, x), phase.grad(H, x))
+        return self.contract(x, *phase.grads((F, H), x))
 
 
-def _pi1_full(x, gF, gH) -> float:
+def _pi1_full(x, gF, gH):
     return (pairing(gF.D1, gH.d2) - pairing(gH.D1, gF.d2)
             + pairing(x.L, comm(gF.d2, gH.d2)))
 
 
-def _pi2_full(x, gF, gH) -> float:
+def _pi2_full(x, gF, gH):
     LdF = x.L @ gF.d2
     LdH = x.L @ gH.d2
-    ginv = x.g.conj().T
+    ginv = x.g.conj().swapaxes(-1, -2)
     return (pairing(gF.D1, LdH) - pairing(gH.D1, LdF)
             + 2.0 * pairing(LdF, split_ub(LdH)[0])
             - 0.5 * pairing(gF.D1p, ginv @ gH.D1 @ x.g))
 
 
-def _pi1_red(x, gf, gh) -> float:
+def _pi1_red(x, gf, gh):
     return (pairing(gf.D1, gh.d2) - pairing(gh.D1, gf.d2)
             + pairing(x.L, r_bracket(x.Q, gf.d2, gh.d2)))
 
 
-def _pi2_red(x, gf, gh) -> float:
+def _pi2_red(x, gf, gh):
     Ldf = x.L @ gf.d2
     Ldh = x.L @ gh.d2
     return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
             + 2.0 * pairing(Ldf, r_apply(x.Q, Ldh)))
 
 
-def _pi_rs(x, gF, gH) -> float:
+def _pi_rs(x, gF, gH):
     # The source states the Ruijsenaars-chart bracket with a factor 2 on the
     # left-hand side; the 1/2 gives it the normalization of the other charts.
     lam_inv = np.linalg.inv(x.lam)
@@ -70,7 +73,7 @@ def _pi_rs(x, gF, gH) -> float:
                   + pairing(gF.Dlamp, lam_inv @ gH.Dlam @ x.lam))
 
 
-def _pi_suth(x, gF, gH) -> float:
+def _pi_suth(x, gF, gH):
     return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
             + pairing(x.phi, comm(gF.dphi, gH.dphi)))
 
@@ -104,9 +107,9 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     Anything but a Bracket raises TypeError.  One sweep with the coarse step
     FD_OUTER_STEP_SCALE*(1 + |x|) differentiates every inner value {G,H}_i,
     {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
-    inner callable a stack of outer stencil points, which takes the
-    gradients of F, G, H once (default step) at each member in turn, each
-    one batched sweep of its own.
+    inner callable a stack of outer stencil points; that takes the gradients
+    of F, G, H on the whole stack in one sweep (each member at its own
+    default step) and contracts every bracket once on it.
     """
     chart = F.chart
     if not (G.chart == chart == H.chart):
@@ -118,16 +121,14 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         if b.chart != chart:
             raise ValueError("brackets and observables live on different charts")
 
-    def inner_at(y):
-        dF, dG, dH = (phase.grad(A, y) for A in (F, G, H))
-        return [[b.contract(y, dG, dH), b.contract(y, dH, dF),
-                 b.contract(y, dF, dG)] for b in brackets]
-
     def inner(ys):
-        return np.array([inner_at(y) for y in phase.members(ys)])
+        dF, dG, dH = phase.grads((F, G, H), ys)
+        T = np.array([[b.contract(ys, dG, dH), b.contract(ys, dH, dF),
+                       b.contract(ys, dF, dG)] for b in brackets])
+        return np.moveaxis(T, -1, 0)
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    outer = [phase.grad(A, x, h_outer) for A in (F, G, H)]
+    outer = phase.grads((F, G, H), x, h_outer)
     D = phase.fd_grad(inner, chart, x, h_outer)
     d_inner = [[type(D)(*(part[i, c] for part in D)) for c in range(3)]
                for i in range(len(brackets))]

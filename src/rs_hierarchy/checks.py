@@ -109,7 +109,7 @@ def _antisymmetry_samples(pairs_of, charts, n, seed):
     for chart in charts:
         x = sample_point(chart, n, seed)
         for F, H in pairs_of(chart):
-            dF, dH = phase.grad(F, x), phase.grad(H, x)
+            dF, dH = phase.grads((F, H), x)
             for bracket in _BRACKETS_BY_CHART[chart]:
                 v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
                 out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
@@ -125,7 +125,7 @@ def check_leibniz(n, seed):
         (F, G), (_, H) = pairs[0], pairs[1]
         x = sample_point(chart, n, seed)
         gx, hx = G(x), H(x)
-        dF, dG, dH, dGH = (phase.grad(A, x) for A in (F, G, H, phase.product(G, H)))
+        dF, dG, dH, dGH = phase.grads((F, G, H, phase.product(G, H)), x)
         for bracket in bracket_list:
             lhs = bracket.contract(x, dF, dGH)
             fg = bracket.contract(x, dF, dG)
@@ -152,7 +152,7 @@ def _jacobi_samples(brackets, coeffs, n, seed):
     F, G, H = invariant_triple(brackets[0].chart)
     x = sample_point(brackets[0].chart, n, seed)
     T = br.jacobiator(brackets, F, G, H, x)
-    d = [phase.grad(A, x) for A in (F, G, H)]
+    d = phase.grads((F, G, H), x)
     V = np.array([_pair_values(b, *d, x) for b in brackets])
     return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
 
@@ -193,7 +193,7 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seed):
     out = []
     for (F, H), (f, h) in zip(invariant_pairs(bracket.chart),
                               invariant_pairs(ref_bracket.chart)):
-        dF, dH = phase.grad(F, x), phase.grad(H, x)
+        dF, dH = phase.grads((F, H), x)
         a = bracket.contract(x, dF, dH)
         b = ref_bracket(f, h, y)
         scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)

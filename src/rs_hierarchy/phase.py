@@ -9,8 +9,9 @@ under <X,Y> = Im tr(XY).
 
 A chart point may be a stack of B points: its fields carry one leading
 batch axis of length B (a TorusReg holds a stack of phase vectors), and a
-field without it is shared by every member.  Observables and the chart maps
-evaluate stacks member by member.
+field without it is shared by every member.  Observables, the chart maps
+and the bracket contractions evaluate a whole stack at once, one value per
+member.
 
 One central-difference engine, `fd_grad`, serves all four charts from a
 table; `grad` is its front for observables.  Its contract: f maps a stack of
@@ -20,10 +21,12 @@ gradient tuple type and one block per component: the space of the
 directions (in algebra.basis order, paired with its dual basis), the
 displacement along a direction X and how it moves the point.  For each
 block, fd_grad moves the point by all 2*dim displacements at once and calls
-f once on that stack.  Group-valued displacements use exact one-parameter
-subgroups: the u(n) exponential 1 + sin t X + (1 - cos t) X^2 (every u(n)
-basis element has X^3 = -X) and the nilpotent 1 + tX for strictly upper X;
-the other coordinates move on straight lines tX.
+f once on that stack; at a stack of B points it moves every member, each by
+its own step, and calls f once on the B*2*dim displaced points.
+Group-valued displacements use exact one-parameter subgroups: the u(n)
+exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
+X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
+coordinates move on straight lines tX.
 """
 
 from __future__ import annotations
@@ -93,30 +96,36 @@ class SuthPoint:
         return self.Q.n
 
 
-def _arrays(x) -> list[np.ndarray]:
-    """The coordinate arrays of a chart point in field order; a torus field
-    contributes its phases."""
-    return [v.q if isinstance(v, TorusReg) else v
-            for v in (getattr(x, f.name) for f in fields(x))]
-
-
 # Axes of one point's field: the torus phases and p are vectors, the rest
 # matrices.  A stack of B points adds a leading axis of length B.
 _VECTOR_FIELDS = ("Q", "p")
 
 
-def _fields(x) -> list[tuple[bool, object]]:
-    """Per field of x in order: whether it carries the batch axis, and its value."""
-    return [(a.ndim > (1 if f.name in _VECTOR_FIELDS else 2), getattr(x, f.name))
-            for f, a in zip(fields(x), _arrays(x))]
+@lru_cache(maxsize=None)
+def _layout(kind: type) -> tuple[tuple[str, int], ...]:
+    """Per field of a point type: its name and the number of axes of one point."""
+    return tuple((f.name, 1 if f.name in _VECTOR_FIELDS else 2) for f in fields(kind))
+
+
+def _fields(x) -> list[tuple[bool, object, np.ndarray]]:
+    """Per field of x in order: whether it carries the batch axis, its value
+    and its coordinate array."""
+    out = []
+    for name, ndim in _layout(type(x)):
+        v = getattr(x, name)
+        a = v.q if isinstance(v, TorusReg) else v
+        out.append((a.ndim > ndim, v, a))
+    return out
+
+
+def _size(parts) -> int | None:
+    """Batch length of a point given by its _fields, None for one point."""
+    return next((len(a) for stacked, _, a in parts if stacked), None)
 
 
 def batch_size(x) -> int:
     """Number of points in x: B for a stack of B points, 1 for one point."""
-    for stacked, v in _fields(x):
-        if stacked:
-            return len(v.q if isinstance(v, TorusReg) else v)
-    return 1
+    return _size(_fields(x)) or 1
 
 
 def _stacked(x, B: int):
@@ -126,18 +135,26 @@ def _stacked(x, B: int):
         if isinstance(v, TorusReg):
             return TorusReg(np.broadcast_to(v.q, (B,) + v.q.shape))
         return np.broadcast_to(v, (B,) + v.shape)
-    return type(x)(*(v if stacked else shared(v) for stacked, v in _fields(x)))
+    return type(x)(*(v if stacked else shared(v) for stacked, v, _ in _fields(x)))
 
 
-def members(x) -> list:
-    """The single points of a stack x, in stack order."""
+def point_norm(x):
+    """Norm of the coordinate arrays of x: a float for one point, one value
+    per member for a stack (a shared field counts for every member).  A
+    member's sum of squares is the dot product re.re + im.im that
+    np.linalg.norm forms, so its norm is that of the point on its own."""
     parts = _fields(x)
-    return [type(x)(*(v[i] if stacked else v for stacked, v in parts))
-            for i in range(batch_size(x))]
-
-
-def point_norm(x) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in _arrays(x))))
+    B = _size(parts)
+    if B is None:
+        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for _, _, a in parts)))
+    total = 0.0
+    for stacked, _, a in parts:
+        r = a.reshape(B if stacked else 1, 1, -1)
+        sq = (r.real @ r.real.swapaxes(-1, -2))[:, 0, 0]
+        if np.iscomplexobj(r):
+            sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[:, 0, 0]
+        total = total + np.sqrt(sq) ** 2
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +282,9 @@ _CHART_TABLE = {
 }
 
 
-def fd_step(x, step: float | None = None) -> float:
+def fd_step(x, step: float | None = None):
+    """Central-difference step FD_STEP_SCALE*(1 + |x|), or `step` when given;
+    one per member for a stack."""
     return step if step is not None else FD_STEP_SCALE * (1.0 + point_norm(x))
 
 
@@ -277,21 +296,37 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     + steps, then all - steps) form one stack and f is called once on it;
     the differences are paired with the dual basis.  Axes of f's values
     after the first lead every component, so one sweep differentiates many
-    functions at the same stencil points."""
+    functions at the same stencil points.
+
+    x may be a stack of B points: each member gets its own step (the default
+    one, or `step` for all), the one stack per block holds the B*2*dim
+    displaced points, and every component gains the leading axis B.  Member
+    b's gradient equals that of the point on its own, bit for bit."""
     kind, blocks = _CHART_TABLE[chart]
+    parts = _fields(x)
+    B = _size(parts)
     h = fd_step(x, step)
-    parts = []
+    if B is not None:
+        h = np.broadcast_to(h, (B,))     # one step per member
+    out = []
     for space, curve, move in blocks:
-        D = np.concatenate((_displacements(curve, space, x.n, h),
-                            _displacements(curve, space, x.n, -h)))
-        v = np.asarray(f(_stacked(move(x, D), len(D))))
+        t = h if B is None else h[:, None, None, None]
+        D = np.concatenate((_displacements(curve, space, x.n, t),
+                            _displacements(curve, space, x.n, -t)), axis=-3)
+        k, y = D.shape[-3], x
+        if B is not None:   # stencil-major: displacement j of member b at j*B + b
+            D = D.swapaxes(0, 1).reshape(-1, x.n, x.n)
+            idx = np.tile(np.arange(B), k)
+            y = type(x)(*(v[idx] if stacked else v for stacked, v, _ in parts))
+        v = np.asarray(f(_stacked(move(y, D), len(D))))
         if v.shape[:1] != D.shape[:1]:
             raise ValueError(f"f must map a stack of {len(D)} points to an array "
                              f"with leading axis {len(D)}; got shape {v.shape}")
-        m = len(D) // 2
-        d = (v[:m] - v[m:]) / (2.0 * h)
-        parts.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
-    return kind(*parts)
+        v = v.reshape((k,) + np.shape(h) + v.shape[1:])
+        d = v[:k // 2] - v[k // 2:]
+        d /= 2.0 * (h if B is None else h.reshape((B,) + (1,) * (d.ndim - 2)))
+        out.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
+    return kind(*out)
 
 
 def grad(F: Observable, x, step: float | None = None):
@@ -300,6 +335,17 @@ def grad(F: Observable, x, step: float | None = None):
     if F.grad is not None:
         return _CHART_TABLE[F.chart][0](*F.grad(x))
     return fd_grad(F.value, F.chart, x, step)
+
+
+def grads(Fs, x, step: float | None = None) -> list:
+    """Gradient tuples of the observables Fs of one chart at x: an analytic
+    F.grad as is, the others from one fd_grad sweep over all their values,
+    each equal to its own grad(F, x, step) bit for bit."""
+    fd = [F for F in Fs if F.grad is None]
+    if fd:
+        D = fd_grad(lambda y: np.stack([F.value(y) for F in fd], -1), fd[0].chart, x, step)
+        swept = iter([type(D)(*(c[..., i, :, :] for c in D)) for i in range(len(fd))])
+    return [grad(F, x, step) if F.grad is not None else next(swept) for F in Fs]
 
 
 def _check_chart(F: Observable, chart: str) -> None:
@@ -352,8 +398,10 @@ def invariant_observable(m: int, k: int, part: str = "re",
     take = np.real if part == "re" else np.imag
 
     def tr_val(U, L):
-        return take(np.trace(np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k),
-                             axis1=-2, axis2=-1))
+        # a zeroth power is the identity, so its product is left out
+        P = (np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k) if m and k
+             else np.linalg.matrix_power(U if m else L, m or k))
+        return take(np.trace(P, axis1=-2, axis2=-1))
 
     name = f"{part}-tr(g^{m} L^{k})[{chart}]"
     if chart == "full":

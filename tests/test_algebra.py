@@ -33,6 +33,22 @@ def test_pairing_examples():
 def test_pairing_dimension_mismatch():
     with pytest.raises(ValueError):
         pairing(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+    # the square check reads the last two axes, and the error names both shapes
+    with pytest.raises(ValueError, match=r"\(4, 2, 3\) vs \(4, 2, 3\)"):
+        pairing(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"\(4, 2, 2\) vs \(2, 2\)"):
+        pairing(np.ones((4, 2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pairing_on_a_stack_equals_per_member(n):
+    rng = np.random.default_rng(n)
+    X, Y = (np.stack([_rand_gl(rng, n) for _ in range(6)]) for _ in range(2))
+    got = pairing(X, Y)
+    assert got.shape == (6,)
+    for b in range(6):
+        want = pairing(X[b], Y[b])
+        assert type(want) is float and got[b] == want
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))
@@ -97,8 +113,30 @@ def test_split_ub_reconstruction_and_memberships(seed, n):
     assert np.allclose(u2, u) and np.allclose(b_of_u, 0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_split_ub_on_a_stack_equals_per_member(n):
+    rng = np.random.default_rng(n)
+    X = np.stack([_rand_gl(rng, n) for _ in range(6)])
+    u, b = split_ub(X)
+    for i in range(6):
+        ui, bi = split_ub(X[i])
+        assert np.array_equal(u[i], ui) and np.array_equal(b[i], bi)
+
+
 # ---------------------------------------------------------------------------
 # R-operator
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_r_multiplier_on_a_stack_equals_per_member(n):
+    rng = np.random.default_rng(n)
+    # neighbouring phases at least pi/n apart
+    Q = TorusReg(2 * np.pi * (np.arange(n) + rng.uniform(0, 0.5, (6, n))) / n)
+    X = np.stack([_rand_gl(rng, n) for _ in range(6)])
+    M, RX = algebra.r_multiplier(Q), r_apply(Q, X)
+    for i in range(6):
+        assert np.array_equal(M[i], algebra.r_multiplier(Q[i]))
+        assert np.array_equal(RX[i], r_apply(Q[i], X[i]))
 
 
 def test_r_apply_kills_diagonal():

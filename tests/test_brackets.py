@@ -228,32 +228,69 @@ def test_jacobiator_gives_pencil_defects():
         assert abs(c @ T @ c - direct) <= 1e-10 * scale
 
 
+def _stack(points):
+    """One chart point holding `points` along the batch axis."""
+    def values(p):
+        return [getattr(p, f.name) for f in dataclasses.fields(p)]
+    return type(points[0])(*(
+        algebra.TorusReg(np.stack([v.q for v in vs]))
+        if isinstance(vs[0], algebra.TorusReg)
+        else np.stack(vs) for vs in zip(*map(values, points))))
+
+
+STACK_BRACKETS = ALL_BRACKETS + [(br.pencil(0.5), "full")]
+
+
+@pytest.mark.parametrize("bracket,chart", STACK_BRACKETS,
+                         ids=[f"{b.name}-{chart}" for b, chart in STACK_BRACKETS])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_contract_on_a_stack_equals_per_member(bracket, chart, n):
+    # one contraction over a stack of points and gradients gives each
+    # member's value bit for bit; one point still gives a float
+    F, H = _pair(chart)
+    points = [sample_point(chart, n, seed) for seed in range(3)]
+    grads = [[phase.grad(A, x) for x in points] for A in (F, H)]
+    dF, dH = (type(g[0])(*map(np.stack, zip(*g))) for g in grads)
+    got = bracket.contract(_stack(points), dF, dH)
+    assert got.shape == (len(points),)
+    for b, x in enumerate(points):
+        want = bracket.contract(x, grads[0][b], grads[1][b])
+        assert type(want) is float
+        assert got[b] == want, b
+
+
 def _counted(F):
-    points = [0]   # evaluated points: the length of each stack's batch axis
+    count = {"points": 0, "calls": 0}   # points: the length of each stack's batch axis
 
     def value(x):
-        points[0] += phase.batch_size(x)
+        count["points"] += phase.batch_size(x)
+        count["calls"] += 1
         return F.value(x)
-    return dataclasses.replace(F, value=value), points
+    return dataclasses.replace(F, value=value), count
 
 
 # At n = 3 a gradient costs 54 evaluations on the full chart and 24 on the
 # reduced and Sutherland charts.  A Jacobi defect takes one outer gradient
 # of each of F, G, H and, at each of the outer stencil points, one inner
 # gradient of each: 3*54 + 54*3*54 = 8910 and 3*24 + 24*3*24 = 1800.  The
-# Jacobiator of two brackets reuses the same gradients for both.
-@pytest.mark.parametrize("jacobi,chart,evals", [
-    (functools.partial(br.jacobi_defect, br.pb1_full), "full", 8910),
-    (functools.partial(br.jacobi_defect, br.pb2_full), "full", 8910),
-    (functools.partial(br.jacobiator, (br.pb1_full, br.pb2_full)), "full", 8910),
-    (functools.partial(br.jacobi_defect, br.pb1_red), "red", 1800),
-    (functools.partial(br.jacobi_defect, br.pb2_red), "red", 1800),
-    (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 1800),
+# Jacobiator of two brackets reuses the same gradients for both.  Each
+# gradient block is one call: the outer gradients make 3 * blocks calls, and
+# the inner ones one call per block per observable per outer block,
+# 3 * blocks^2: 9 + 27 = 36 on the full and Sutherland charts (3 blocks) and
+# 6 + 12 = 18 on the reduced chart (2 blocks).
+@pytest.mark.parametrize("jacobi,chart,evals,calls", [
+    (functools.partial(br.jacobi_defect, br.pb1_full), "full", 8910, 36),
+    (functools.partial(br.jacobi_defect, br.pb2_full), "full", 8910, 36),
+    (functools.partial(br.jacobiator, (br.pb1_full, br.pb2_full)), "full", 8910, 36),
+    (functools.partial(br.jacobi_defect, br.pb1_red), "red", 1800, 18),
+    (functools.partial(br.jacobi_defect, br.pb2_red), "red", 1800, 18),
+    (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 1800, 36),
 ], ids=["pb1_full", "pb2_full", "mixed_full", "pb1_red", "pb2_red", "pb_suth"])
-def test_jacobi_evaluation_counts(jacobi, chart, evals):
+def test_jacobi_evaluation_counts(jacobi, chart, evals, calls):
     counted = [_counted(F) for F in _triple(chart)]
     jacobi(*(F for F, _ in counted), sample_point(chart, 3, 0))
-    assert sum(calls[0] for _, calls in counted) == evals
+    assert sum(count["points"] for _, count in counted) == evals
+    assert sum(count["calls"] for _, count in counted) == calls
 
 
 def test_bracket_chart_mismatch_raises():

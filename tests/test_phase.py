@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from rs_hierarchy import algebra, coords, phase
+from rs_hierarchy.algebra import TorusReg
 from rs_hierarchy.phase import (FullPoint, Observable, RedPoint, RSPoint,
                                 SuthPoint, fd_step, grad_full, grad_red,
                                 grad_rs, grad_suth, hamiltonian_observable,
@@ -34,7 +37,7 @@ def test_sample_determinism():
         a = sample_point(chart, 3, 5)
         b = sample_point(chart, 3, 5)
         assert type(a) is type(b)
-        for u, v in zip(phase._arrays(a), phase._arrays(b), strict=True):
+        for (_, _, u), (_, _, v) in zip(phase._fields(a), phase._fields(b), strict=True):
             assert np.array_equal(u, v)
 
 
@@ -185,6 +188,66 @@ def test_fd_grad_equals_per_point_loop(chart, n):
         assert type(F(x)) is float
         for a, b in zip(phase.grad(F, x), _per_point_fd_grad(F, chart, x), strict=True):
             assert np.array_equal(a, b), (params, np.max(np.abs(a - b)))
+
+
+def _stack(points):
+    """One chart point holding `points` along the batch axis."""
+    def values(p):
+        return [getattr(p, f.name) for f in dataclasses.fields(p)]
+    return type(points[0])(*(
+        TorusReg(np.stack([v.q for v in vs])) if isinstance(vs[0], TorusReg)
+        else np.stack(vs) for vs in zip(*map(values, points))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_fd_grad_on_a_stack_equals_per_member(chart, n):
+    # each member of a stack gets its own step, and its gradient is the one
+    # of the point on its own, bit for bit
+    points = [sample_point(chart, n, seed) for seed in range(4)]
+    steps = [fd_step(p) for p in points]
+    assert len(set(steps)) == len(points)
+    ys = _stack(points)
+    assert np.array_equal(fd_step(ys), steps)
+    for params in ((1, 1, "re"), (2, 1, "im")):
+        F = invariant_observable(*params, chart=chart)
+        for step in (None, 1e-4):
+            got = phase.grad(F, ys, step)
+            for b, p in enumerate(points):
+                for a, c in zip(got, phase.grad(F, p, step), strict=True):
+                    assert np.array_equal(a[b], c), (params, step, b)
+
+
+def test_fd_grad_on_a_stack_with_a_shared_field():
+    # a field without the batch axis is shared by every member and counts
+    # in each member's step
+    gs = [sample_point("full", 3, seed).g for seed in range(3)]
+    L = sample_point("full", 3, 5).L
+    F = invariant_observable(2, 1, "re", chart="full")
+    got = phase.grad(F, FullPoint(np.stack(gs), L))
+    for b, g in enumerate(gs):
+        for a, c in zip(got, phase.grad(F, FullPoint(g, L)), strict=True):
+            assert np.array_equal(a[b], c)
+
+
+@pytest.mark.parametrize("chart", ["full", "red", "suth"])
+def test_grads_equal_grad_per_observable(chart):
+    # one sweep over the FD observables, the analytic gradient as is; at one
+    # point and on a stack, each equal to its own grad bit for bit
+    Fs = [invariant_observable(1, 1, "re", chart=chart),
+          invariant_observable(0, 2, "re", chart=chart),
+          invariant_observable(1, 0, "im", chart=chart)]
+    if chart != "suth":
+        Fs.insert(1, hamiltonian_observable(2, chart=chart))
+    for x in (sample_point(chart, 3, 0), _stack([sample_point(chart, 3, s) for s in range(3)])):
+        for step in (None, 1e-4):
+            got = phase.grads(Fs, x, step)
+            assert len(got) == len(Fs)
+            for g, F in zip(got, Fs):
+                want = phase.grad(F, x, step)
+                assert type(g) is type(want)
+                for a, c in zip(g, want, strict=True):
+                    assert np.array_equal(a, c), F.name
 
 
 def test_fd_grad_rejects_a_value_without_the_batch_axis():
@@ -386,6 +449,20 @@ def test_invariant_observable_restriction_through_charts():
     s = sample_point("suth", 3, 5)
     G = invariant_observable(1, 1, "re", chart="suth")
     assert G(s) == pytest.approx(f(coords.from_suth(s)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_invariant_observable_zeroth_power_is_left_out_exactly(n):
+    # tr(g^m L^k) without the identity factor of a zeroth power equals the
+    # trace of the full product bit for bit, on one point and on a stack
+    points = [sample_point("full", n, seed) for seed in range(3)]
+    for m, k in ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1)):
+        for part, take in (("re", np.real), ("im", np.imag)):
+            F = invariant_observable(m, k, part, chart="full")
+            want = [take(np.trace(np.linalg.matrix_power(p.g, m)
+                                  @ np.linalg.matrix_power(p.L, k))) for p in points]
+            assert [F(p) for p in points] == want
+            assert np.array_equal(F.value(_stack(points)), want)
 
 
 def test_invariant_observable_rejects_trivial():
