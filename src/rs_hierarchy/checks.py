@@ -101,15 +101,20 @@ def _hamiltonian_pairs(chart):
     return [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
 
 
+def _pair_grads(pairs, x) -> list[tuple]:
+    """(dF, dH) at x for each pair (F, H), all from one phase.grads call."""
+    d = phase.grads([F for pair in pairs for F in pair], x)
+    return list(zip(d[::2], d[1::2]))
+
+
 def _antisymmetry_samples(pairs_of, charts, n, seed):
     """{F,H} + {H,F} for every bracket of each chart on the pairs
-    pairs_of(chart); dF and dH are taken once per point and contracted in
-    both orders."""
+    pairs_of(chart); the gradients of all pairs are taken in one sweep per
+    chart and contracted in both orders."""
     out = []
     for chart in charts:
         x = sample_point(chart, n, seed)
-        for F, H in pairs_of(chart):
-            dF, dH = phase.grads((F, H), x)
+        for dF, dH in _pair_grads(pairs_of(chart), x):
             for bracket in _BRACKETS_BY_CHART[chart]:
                 v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
                 out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
@@ -170,10 +175,14 @@ def _ladder_samples(pb1, pb2, n, seed):
 
 
 def check_involutivity(n, seed):
+    """{H_i, H_j} for i, j = 1..5 under both full brackets; the analytic dH_k
+    and the values H_k(x) are taken once."""
     x = sample_point("full", n, seed)
     Hs = [hamiltonian_observable(k) for k in range(1, 6)]
-    return [(abs(bracket(Hi, Hj, x)), 1.0 + abs(Hi(x)) + abs(Hj(x)))
-            for Hi in Hs for Hj in Hs for bracket in (br.pb1_full, br.pb2_full)]
+    dH = phase.grads(Hs, x)
+    v = [H(x) for H in Hs]
+    return [(abs(bracket.contract(x, dH[i], dH[j])), 1.0 + abs(v[i]) + abs(v[j]))
+            for i in range(5) for j in range(5) for bracket in (br.pb1_full, br.pb2_full)]
 
 
 def _grad_norm(g) -> float:
@@ -187,15 +196,15 @@ def _red_to_full(x: RedPoint) -> FullPoint:
 def _transfer_samples(bracket, ref_bracket, to_ref, n, seed):
     """`bracket` at x against `ref_bracket` at to_ref(x) on the invariant
     pairs of their charts.  The bracket contracts two FD gradients, so the
-    scale adds |dF|*|dH| to the two values; dF and dH are taken once."""
+    scale adds |dF|*|dH| to the two values; the gradients of all pairs are
+    taken in one sweep on each side."""
     x = sample_point(bracket.chart, n, seed)
     y = to_ref(x)
     out = []
-    for (F, H), (f, h) in zip(invariant_pairs(bracket.chart),
-                              invariant_pairs(ref_bracket.chart)):
-        dF, dH = phase.grads((F, H), x)
+    for (dF, dH), (df, dh) in zip(_pair_grads(invariant_pairs(bracket.chart), x),
+                                  _pair_grads(invariant_pairs(ref_bracket.chart), y)):
         a = bracket.contract(x, dF, dH)
-        b = ref_bracket(f, h, y)
+        b = ref_bracket.contract(y, df, dh)
         scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)
         out.append((abs(a - b), scale))
     return out

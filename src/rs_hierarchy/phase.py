@@ -23,6 +23,8 @@ displacement along a direction X and how it moves the point.  For each
 block, fd_grad moves the point by all 2*dim displacements at once and calls
 f once on that stack; at a stack of B points it moves every member, each by
 its own step, and calls f once on the B*2*dim displaced points.
+`grads` sweeps several observables at once; the invariant observables among
+them share one call of the chart map to (U, L) per stencil stack.
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -32,7 +34,7 @@ coordinates move on straight lines tX.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -185,10 +187,13 @@ class Observable:
 
 
 def product(F: Observable, H: Observable) -> Observable:
+    """Observable F*H; the product of two trace forms is one itself."""
     if F.chart != H.chart:
         raise ValueError("observables live on different charts")
-    return Observable(F.chart, lambda x: F.value(x) * H.value(x),
-                      name=f"{F.name}*{H.name}")
+    value = (_Product(F.chart, F.value, H.value)
+             if isinstance(F.value, _TraceForm) and isinstance(H.value, _TraceForm)
+             else lambda x: F.value(x) * H.value(x))
+    return Observable(F.chart, value, name=f"{F.name}*{H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +342,29 @@ def grad(F: Observable, x, step: float | None = None):
     return fd_grad(F.value, F.chart, x, step)
 
 
+def _values(Fs, y) -> np.ndarray:
+    """Values of the observables Fs of one chart at the stack y, stacked
+    along a last axis.  The trace forms among them share one call of the
+    chart's (U, L) map and one trace per (m, k); the others call `value`."""
+    UL, traces, out = None, {}, []
+    for F in Fs:
+        if isinstance(F.value, _TraceForm):
+            if UL is None:
+                UL = _UL_MAPS[F.chart](y)
+            out.append(F.value.at(*UL, traces))
+        else:
+            out.append(F.value(y))
+    return np.stack(out, -1)
+
+
 def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
     F.grad as is, the others from one fd_grad sweep over all their values,
-    each equal to its own grad(F, x, step) bit for bit."""
+    each equal to its own grad(F, x, step) bit for bit.  Per stencil stack
+    the invariant observables and their products share one chart map."""
     fd = [F for F in Fs if F.grad is None]
     if fd:
-        D = fd_grad(lambda y: np.stack([F.value(y) for F in fd], -1), fd[0].chart, x, step)
+        D = fd_grad(partial(_values, fd), fd[0].chart, x, step)
         swept = iter([type(D)(*(c[..., i, :, :] for c in D)) for i in range(len(fd))])
     return [grad(F, x, step) if F.grad is not None else next(swept) for F in Fs]
 
@@ -387,42 +408,77 @@ def grad_suth(F: Observable, x: SuthPoint, step: float | None = None) -> SuthGra
 # invariant observable family
 
 
+def _reduced_ul(y: RedPoint):
+    return y.Q.matrix(), y.L
+
+
+def _coords():
+    from . import coords  # coords imports this module
+    return coords
+
+
+# Per chart: the map of a point (or a stack) to the (U, L) at which the
+# invariant family reads tr(U^m L^k); (g, L) on the full chart, (Q, L) on
+# the others, through the coordinate map to the reduced chart.
+_UL_MAPS = {
+    "full": lambda x: (x.g, x.L),
+    "red": _reduced_ul,
+    "rs": lambda x: _reduced_ul(_coords().from_rs(x)),
+    "suth": lambda x: _reduced_ul(_coords().from_suth(x)),
+}
+
+
+class _TraceForm:
+    """Value of an invariant observable, or of a product of them, on `chart`:
+    `at(U, L, traces)` reads it at the (U, L) of the chart's map, keeping
+    each complex trace in `traces` by (m, k); calling it on x maps x first."""
+    chart: str
+
+    def __call__(self, x):
+        return self.at(*_UL_MAPS[self.chart](x), {})
+
+
+@dataclass(frozen=True)
+class _Trace(_TraceForm):
+    """Re/Im tr(U^m L^k)."""
+    chart: str
+    m: int
+    k: int
+    part: str
+
+    def at(self, U, L, traces):
+        m, k = self.m, self.k
+        if (m, k) not in traces:
+            # a zeroth power is the identity, so its product is left out
+            P = (np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k) if m and k
+                 else np.linalg.matrix_power(U if m else L, m or k))
+            traces[m, k] = np.trace(P, axis1=-2, axis2=-1)
+        return (np.real if self.part == "re" else np.imag)(traces[m, k])
+
+
+@dataclass(frozen=True)
+class _Product(_TraceForm):
+    """F * H of two trace forms."""
+    chart: str
+    F: _TraceForm
+    H: _TraceForm
+
+    def at(self, U, L, traces):
+        return self.F.at(U, L, traces) * self.H.at(U, L, traces)
+
+
 def invariant_observable(m: int, k: int, part: str = "re",
                          chart: str = "full") -> Observable:
     """Conjugation-invariant trace observable Re/Im tr(g^m L^k), together
-    with its restriction to each chart through the coordinate maps."""
+    with its restriction to each chart through the coordinate maps.  Its
+    value is a trace form read at the chart's (U, L) map, so `grads` maps
+    each stencil stack once for all such observables of one sweep."""
     if m < 0 or k < 0 or (m, k) == (0, 0):
         raise ValueError("need m, k >= 0 with (m, k) != (0, 0)")
     if part not in ("re", "im"):
         raise ValueError(f"unknown part {part!r}")
-    take = np.real if part == "re" else np.imag
-
-    def tr_val(U, L):
-        # a zeroth power is the identity, so its product is left out
-        P = (np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k) if m and k
-             else np.linalg.matrix_power(U if m else L, m or k))
-        return take(np.trace(P, axis1=-2, axis2=-1))
-
-    name = f"{part}-tr(g^{m} L^{k})[{chart}]"
-    if chart == "full":
-        return Observable("full", lambda x: tr_val(x.g, x.L), name=name)
-    if chart == "red":
-        return Observable("red", lambda x: tr_val(x.Q.matrix(), x.L), name=name)
-    if chart == "rs":
-        from . import coords
-
-        def val_rs(x):
-            y = coords.from_rs(x)
-            return tr_val(y.Q.matrix(), y.L)
-        return Observable("rs", val_rs, name=name)
-    if chart == "suth":
-        from . import coords
-
-        def val_suth(x):
-            y = coords.from_suth(x)
-            return tr_val(y.Q.matrix(), y.L)
-        return Observable("suth", val_suth, name=name)
-    raise ValueError(f"unknown chart {chart!r}")
+    return Observable(chart, _Trace(chart, m, k, part),
+                      name=f"{part}-tr(g^{m} L^{k})[{chart}]")
 
 
 def hamiltonian_observable(k: int, chart: str = "full") -> Observable:

@@ -7,14 +7,16 @@ significant digits so files are bit-reproducible and round-trip exactly.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 
 import numpy as np
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
+    """x with 17 significant digits; ValueError for any non-finite real
+    (Python or numpy float of any width), which JSON cannot hold."""
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x}")
     return format(float(x), ".17g")
 
@@ -47,11 +49,11 @@ def trajectory_csv(traj) -> str:
     """Render a Trajectory in the CSV schema."""
     idx = range(1, traj.n + 1)
     header = ["t"] + [f"q_{i}" for i in idx] + [f"h_{l}" for l in idx] + ["gauge_defect"]
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for i, t in enumerate(traj.times):
-        row = ([_fmt(t)] + [_fmt(v) for v in traj.points[i].Q.q]
-               + [_fmt(v) for v in traj.conserved[i]]
-               + [_fmt(traj.gauge_defects[i])])
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
+    table = np.column_stack([traj.times, [p.Q.q for p in traj.points],
+                             traj.conserved, traj.gauge_defects])
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"non-finite value in report: {table[~finite][0]}")
+    lines = [",".join(header)] + [",".join([format(v, ".17g") for v in row])
+                                  for row in table.tolist()]
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import rs_hierarchy
 from rs_hierarchy import brackets as br
-from rs_hierarchy import checks, config, dynamics, phase, reporting
+from rs_hierarchy import checks, config, coords, dynamics, phase, reporting
 from rs_hierarchy.algebra import pairing, r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
@@ -58,28 +59,56 @@ def test_run_checks_empty_report():
 # Leibniz takes dF, dG, dH and d(GH) once per chart, where an evaluation of
 # GH counts itself and its two factors, and evaluates G and H at x:
 # (3 + 3) * 54 + 2 + 2 * ((3 + 3) * 24 + 2) = 618.
+# Each check takes all its gradients on one chart in one sweep, so the chart
+# map runs once per block of that sweep: 4 from_rs calls for rs-bracket, 3
+# from_suth calls for suth-bracket and antisymmetry, 3 + 2 for leibniz (its
+# sweep, then G(x) and H(x)), and 5 sweeps of 3 blocks for jacobi-suth (the
+# outer one, one inner one per outer block and the gradients of the scale;
+# its points are the 1,800 of its Jacobi defect and 3 * 24 for the scale).
+# The map the transfer rows apply to x itself is bound at import, so it is
+# not counted.
+_MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
+              "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 5},
+              "jacobi-suth": {"from_suth": 15}}
+
+
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
     ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
-    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 618),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 618), ("jacobi-suth", 1872),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
     # count evaluated points, the length of each stack's batch axis, over
-    # every observable the check builds
+    # every observable the check evaluates: a trace form where it is read
+    # at the shared (U, L) of its stack, any other value where it is called
     points = [0]
+    for form in (phase._Trace, phase._Product):
+        def counting_at(self, U, L, traces, at=form.at):
+            points[0] += int(np.prod(U.shape[:-2]))
+            return at(self, U, L, traces)
+        monkeypatch.setattr(form, "at", counting_at)
     post_init = phase.Observable.__post_init__
 
     def counting_post_init(self):
         post_init(self)
         value = self.value
+        if isinstance(value, phase._TraceForm):
+            return
 
         def counting(x):
             points[0] += phase.batch_size(x)
             return value(x)
         object.__setattr__(self, "value", counting)
     monkeypatch.setattr(phase.Observable, "__post_init__", counting_post_init)
+    calls = {}
+    for name in ("from_rs", "from_suth"):
+        def counting_map(x, f=getattr(coords, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return f(x)
+        monkeypatch.setattr(coords, name, counting_map)
     checks.CHECKS[check_id].func(3, 0)
     assert points[0] == evals
+    assert calls == _MAP_CALLS.get(check_id, {})
 
 
 def test_run_check_smoke_and_determinism():
@@ -177,6 +206,35 @@ def test_dumps_json_float_formatting():
     assert json.loads(reporting.dumps_json(odd)) == odd
     with pytest.raises(ValueError):
         reporting.dumps_json({"bad": float("nan")})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.float64("inf"),
+                                 np.float32("nan"), np.float32("inf"), np.float16("-inf")])
+def test_dumps_json_rejects_every_non_finite_float(bad):
+    # a bare nan or inf is not JSON, whatever the width of the float
+    with pytest.raises(ValueError, match="non-finite"):
+        reporting.dumps_json({"bad": [1.0, bad]})
+
+
+def test_dumps_json_narrow_floats_keep_their_digits():
+    text = reporting.dumps_json({"x": np.float32(0.1), "y": np.float16(-2.5)})
+    assert json.loads(text) == {"x": float(np.float32(0.1)), "y": -2.5}
+    assert "0.10000000149011612" in text
+
+
+def test_trajectory_csv_equals_per_value_formatting():
+    # the whole table is formatted at once; each value as format(float(v),
+    # ".17g") one at a time is the reference
+    traj = dynamics.trajectory(sample_point("full", 4, 1), 1, np.linspace(0.0, 1.0, 11))
+    lines = ["t,q_1,q_2,q_3,q_4,h_1,h_2,h_3,h_4,gauge_defect"]
+    for i, t in enumerate(traj.times):
+        row = [t, *traj.points[i].Q.q, *traj.conserved[i], traj.gauge_defects[i]]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    assert reporting.trajectory_csv(traj) == "\n".join(lines) + "\n"
+    defects = traj.gauge_defects.copy()
+    defects[3] = np.inf
+    with pytest.raises(ValueError, match="non-finite value in report: inf"):
+        reporting.trajectory_csv(dataclasses.replace(traj, gauge_defects=defects))
 
 
 def test_trajectory_csv_schema_and_reproducibility():

@@ -250,6 +250,46 @@ def test_grads_equal_grad_per_observable(chart):
                     assert np.array_equal(a, c), F.name
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_grads_with_a_shared_chart_map_equal_grad(chart, n):
+    # the invariant observables and the product of two of them read one
+    # chart map per stencil stack (G shares F's trace); an observable that
+    # is not a trace form calls its own value.  Each gradient equals the
+    # observable's own grad bit for bit, at one point and on a stack
+    F = invariant_observable(1, 1, "re", chart=chart)
+    G = invariant_observable(1, 1, "im", chart=chart)
+    H = invariant_observable(1, 2, "re", chart=chart)
+    K = invariant_observable(2, 1, "im", chart=chart)
+    Fs = [F, phase.product(G, H), Observable(chart, point_norm, name="norm"), G, H, K]
+    for x in (sample_point(chart, n, 2), _stack([sample_point(chart, n, s) for s in (3, 4)])):
+        got = phase.grads(Fs, x)
+        for g, A in zip(got, Fs, strict=True):
+            for a, c in zip(g, phase.grad(A, x), strict=True):
+                assert np.array_equal(a, c), A.name
+    # the product as a plain value (not a trace form) is the same observable
+    x = sample_point(chart, n, 2)
+    plain = Observable(chart, lambda y: G.value(y) * H.value(y))
+    for a, c in zip(phase.grads(Fs, x)[1], phase.grad(plain, x), strict=True):
+        assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_grads_maps_each_stencil_stack_once(chart, monkeypatch):
+    # one call of the chart's (U, L) map per block covers every trace form of
+    # the sweep, at all 2*dim stencil points of the block
+    calls = []
+    ul = phase._UL_MAPS[chart]
+    monkeypatch.setitem(phase._UL_MAPS, chart,
+                        lambda y: calls.append(phase.batch_size(y)) or ul(y))
+    Fs = [invariant_observable(*p, chart=chart)
+          for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"), (1, 1, "im"))]
+    Fs.append(phase.product(Fs[0], Fs[1]))
+    phase.grads(Fs, sample_point(chart, 3, 0))
+    assert len(calls) == len(phase._CHART_TABLE[chart][1])
+    assert sum(calls) == {"full": 54, "red": 24, "rs": 36, "suth": 24}[chart]
+
+
 def test_fd_grad_rejects_a_value_without_the_batch_axis():
     x = sample_point("red", 2, 0)
     with pytest.raises(ValueError, match="leading axis 4"):
