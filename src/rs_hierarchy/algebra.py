@@ -6,9 +6,9 @@ All matrices are plain complex numpy arrays; subspace membership is enforced
 by construction (projection) rather than asserted.  The real Lie algebra
 gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 (and likewise u(n) and Herm(n)) are complementary isotropic subspaces.
-`TorusReg` and `make_hermitian` also take a stack along one leading axis,
-and check each member on its own; `pairing`, `split_ub`, `comm` and the
-R-operator act on stacks member by member.
+`TorusReg` and `make_hermitian` also take a stack along any number of
+leading batch axes, and check each member on its own; `pairing`, `split_ub`,
+`comm` and the R-operator act on stacks member by member.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .config import PD_FLOOR, REGULARITY_GAP, STRICT_PROJECTION_TOL
 
 class RegularityError(ValueError):
     """Torus element too close to the non-regular locus.  For a stack,
-    `member` is the index of the first such element (None for one element)."""
+    `member` is the flat (C-order) index of the first such element over its
+    batch axes (None for one element)."""
 
     def __init__(self, message: str, member: int | None = None):
         super().__init__(message)
@@ -128,23 +129,24 @@ def off_diagonal(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TorusReg:
     """Regular element of the maximal torus, stored as n real phases, or a
-    stack of them (q of shape (B, n)).  The gate rejects a stack if any
-    member is irregular, and its RegularityError names the first one."""
+    stack of them (q of shape S + (n,) for batch axes S).  The gate rejects
+    a stack if any member is irregular, and its RegularityError names the
+    first one."""
 
     q: np.ndarray
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         object.__setattr__(self, "q", q)
-        if q.ndim not in (1, 2) or q.shape[-1] < 2:
-            raise ValueError("need at least two phases (and at most one stack axis)")
+        if q.ndim < 1 or q.shape[-1] < 2:
+            raise ValueError("need at least two phases")
         gaps = self._pair_gaps()
         if gaps.min() <= REGULARITY_GAP:
             gap = gaps.min(axis=-1)
             if q.ndim == 1:
                 raise RegularityError(f"eigenvalue gap {gap:.3e} below {REGULARITY_GAP:.1e}")
             i = int(np.flatnonzero(gap <= REGULARITY_GAP)[0])
-            raise RegularityError(f"member {i}: eigenvalue gap {gap[i]:.3e} below "
+            raise RegularityError(f"member {i}: eigenvalue gap {gap.flat[i]:.3e} below "
                                   f"{REGULARITY_GAP:.1e}", member=i)
 
     @property
@@ -161,13 +163,23 @@ class TorusReg:
         return self._pair_gaps().min(axis=-1)
 
     def __getitem__(self, i) -> "TorusReg":
-        """Member(s) i of a stack, indexed along the stack axis only.  They
-        passed the gate with the stack, so they are not gated again."""
-        if self.q.ndim != 2 or isinstance(i, tuple):
-            raise TypeError("index a stack of torus elements along its stack axis")
-        member = object.__new__(TorusReg)
-        object.__setattr__(member, "q", self.q[i])
-        return member
+        """Member(s) i of a stack, indexed along its first batch axis only.
+        They passed the gate with the stack, so they are not gated again."""
+        if self.q.ndim < 2 or isinstance(i, tuple):
+            raise TypeError("index a stack of torus elements along its first batch axis")
+        return self._ungated(self.q[i])
+
+    def broadcast_to(self, S: tuple) -> "TorusReg":
+        """self for every member of the batch axes S (its own batch axes
+        last): a read-only view of q, not gated again."""
+        return self._ungated(np.broadcast_to(self.q, S + (self.n,)))
+
+    @staticmethod
+    def _ungated(q: np.ndarray) -> "TorusReg":
+        """TorusReg over q, whose members passed the gate already."""
+        Q = object.__new__(TorusReg)
+        object.__setattr__(Q, "q", q)
+        return Q
 
     def matrix(self) -> np.ndarray:
         """diag(e^{iq}), per member of a stack."""

@@ -5,10 +5,10 @@ A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
 Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
 observables of its chart takes their gradients and contracts them; code
 that already holds the gradients calls `contract` directly.  Every contract
-also takes a stack of points with the stacked gradients at them and returns
-one value per member.  `jacobiator` takes each gradient once per stencil
-point for all brackets of one call, and its inner level is one sweep over
-each whole outer stack.
+also takes a batch of points (batch axes S, as in phase, every field
+carrying them) with the gradients at them and returns one value per member.
+`jacobiator` takes each gradient once per stencil point for all brackets of
+one call, and its inner level is one sweep over each whole outer stack.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Bracket:
     """A Poisson bracket as a bilinear form in the gradient tuples of one
     chart: {F,H}(x) = contract(x, dF, dH) with dF = phase.grad(F, x)."""
     chart: str
-    contract: Callable    # float for one point, array of B for a stack
+    contract: Callable    # float for one point, array of shape S for a batch
     name: str
 
     def __call__(self, F: Observable, H: Observable, x) -> float:
@@ -125,12 +125,12 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         dF, dG, dH = phase.grads((F, G, H), ys)
         T = np.array([[b.contract(ys, dG, dH), b.contract(ys, dH, dF),
                        b.contract(ys, dF, dG)] for b in brackets])
-        return np.moveaxis(T, -1, 0)
+        return np.moveaxis(T, (0, 1), (-2, -1))
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     outer = phase.grads((F, G, H), x, h_outer)
     D = phase.fd_grad(inner, chart, x, h_outer)
-    d_inner = [[type(D)(*(part[i, c] for part in D)) for c in range(3)]
+    d_inner = [[type(D)(*(part[..., i, c, :, :] for part in D)) for c in range(3)]
                for i in range(len(brackets))]
     return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))
                       for row in d_inner] for b in brackets])

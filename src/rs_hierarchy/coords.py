@@ -11,8 +11,9 @@ multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.  In both
 directions each divisor |w - 1| is an eigenvalue gap of Q, which TorusReg
 keeps above config.REGULARITY_GAP.
 
-solve_bplus, from_rs and from_suth also take stacked points (a leading
-batch axis on any field, as in phase) and map them member by member.
+solve_bplus, from_rs and from_suth also take stacked points (leading batch
+axes S on any field, as in phase; a field without them is shared) and map
+them member by member.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def solve_bplus(Q: TorusReg, lam: np.ndarray) -> np.ndarray:
     (e^{i(q_k - q_j)} - 1).
 
     Q and lam may each be a stack; the result is then the stack of b_+ over
-    their common batch axis.  Each entry's sum is a (1 x d)(d x 1) matrix
+    their common batch axes.  Each entry's sum is a (1 x d)(d x 1) matrix
     product, which rounds as np.dot does for one point, so a member of a
     stack equals the single-point result bit for bit.
     """

@@ -7,22 +7,22 @@ Each chart has its own derivative signature, obtained by pairing directional
 derivatives along a basis of displacement directions with the dual basis
 under <X,Y> = Im tr(XY).
 
-A chart point may be a stack of B points: its fields carry one leading
-batch axis of length B (a TorusReg holds a stack of phase vectors), and a
-field without it is shared by every member.  Observables, the chart maps
-and the bracket contractions evaluate a whole stack at once, one value per
-member.
+A chart point may be a batch of points: its fields carry the same leading
+batch axes S, any number of them (a TorusReg holds phase vectors of shape
+S + (n,)), and a field without them is shared by every member.  One point is
+the batch with no axes, S = ().  Observables, the chart maps and the bracket
+contractions evaluate a whole batch at once, one value per member.
 
 One central-difference engine, `fd_grad`, serves all four charts from a
-table; `grad` is its front for observables.  Its contract: f maps a stack of
-B points, in which every field carries the batch axis, to an array with
-leading axis B (more axes for an array-valued f).  A chart's row holds its
-gradient tuple type and one block per component: the space of the
-directions (in algebra.basis order, paired with its dual basis), the
-displacement along a direction X and how it moves the point.  For each
-block, fd_grad moves the point by all 2*dim displacements at once and calls
-f once on that stack; at a stack of B points it moves every member, each by
-its own step, and calls f once on the B*2*dim displaced points.
+table; `grad` is its front for observables.  Its contract: f maps points of
+batch shape S', every field carrying those axes, to an array with leading
+axes S' (more axes for an array-valued f).  A chart's row holds its gradient
+tuple type and one block per component: the space of the directions (in
+algebra.basis order, paired with its dual basis), the displacement along a
+direction X and how it moves the point.  For each block, fd_grad moves every
+member of x by all 2*dim displacements at once, each member by its own step,
+and calls f once on the moved points, of batch shape (2*dim,) + S; the
+fields the block leaves alone reach f as read-only broadcast views.
 `grads` sweeps several observables at once; the invariant observables among
 them share one call of the chart map to (U, L) per stencil stack.
 Group-valued displacements use exact one-parameter subgroups: the u(n)
@@ -99,7 +99,7 @@ class SuthPoint:
 
 
 # Axes of one point's field: the torus phases and p are vectors, the rest
-# matrices.  A stack of B points adds a leading axis of length B.
+# matrices.  A batch of points adds its batch axes S in front.
 _VECTOR_FIELDS = ("Q", "p")
 
 
@@ -109,52 +109,47 @@ def _layout(kind: type) -> tuple[tuple[str, int], ...]:
     return tuple((f.name, 1 if f.name in _VECTOR_FIELDS else 2) for f in fields(kind))
 
 
-def _fields(x) -> list[tuple[bool, object, np.ndarray]]:
-    """Per field of x in order: whether it carries the batch axis, its value
-    and its coordinate array."""
+def _arrays(x) -> list[tuple[object, np.ndarray, tuple]]:
+    """Per field of x in order: its value, its coordinate array and the batch
+    axes that array carries (S, or () for a field shared by every member)."""
     out = []
     for name, ndim in _layout(type(x)):
         v = getattr(x, name)
         a = v.q if isinstance(v, TorusReg) else v
-        out.append((a.ndim > ndim, v, a))
+        out.append((v, a, a.shape[:a.ndim - ndim]))
     return out
 
 
-def _size(parts) -> int | None:
-    """Batch length of a point given by its _fields, None for one point."""
-    return next((len(a) for stacked, _, a in parts if stacked), None)
+def batch_shape(x) -> tuple:
+    """Batch axes S of x, () for one point: the longest batch prefix of its
+    fields, since each field carries all of S or none of it."""
+    return max((s for _, _, s in _arrays(x)), key=len)
 
 
-def batch_size(x) -> int:
-    """Number of points in x: B for a stack of B points, 1 for one point."""
-    return _size(_fields(x)) or 1
-
-
-def _stacked(x, B: int):
-    """x as a stack of B points in which every field carries the batch axis:
-    a field without it is shared by every member (a broadcast view, no copy)."""
-    def shared(v):
+def _broadcast(x, S: tuple):
+    """x with every field carrying the batch axes S: a field that carries
+    them is kept as is, any other becomes a read-only broadcast view (no
+    copy, and a TorusReg is not gated again)."""
+    def carry(v, a, s):
+        if s == S:
+            return v
         if isinstance(v, TorusReg):
-            return TorusReg(np.broadcast_to(v.q, (B,) + v.q.shape))
-        return np.broadcast_to(v, (B,) + v.shape)
-    return type(x)(*(v if stacked else shared(v) for stacked, v, _ in _fields(x)))
+            return v.broadcast_to(S)
+        return np.broadcast_to(a, S + a.shape[len(s):])
+    return type(x)(*(carry(*part) for part in _arrays(x)))
 
 
 def point_norm(x):
-    """Norm of the coordinate arrays of x: a float for one point, one value
-    per member for a stack (a shared field counts for every member).  A
-    member's sum of squares is the dot product re.re + im.im that
-    np.linalg.norm forms, so its norm is that of the point on its own."""
-    parts = _fields(x)
-    B = _size(parts)
-    if B is None:
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for _, _, a in parts)))
+    """Norm of the coordinate arrays of x, one value per member (shape
+    batch_shape(x); a shared field counts for every member).  A member's sum
+    of squares is the dot product re.re + im.im that np.linalg.norm forms,
+    so its norm is that of the point on its own, bit for bit."""
     total = 0.0
-    for stacked, _, a in parts:
-        r = a.reshape(B if stacked else 1, 1, -1)
-        sq = (r.real @ r.real.swapaxes(-1, -2))[:, 0, 0]
+    for _, a, s in _arrays(x):
+        r = a.reshape(s + (1, -1))
+        sq = (r.real @ r.real.swapaxes(-1, -2))[..., 0, 0]
         if np.iscomplexobj(r):
-            sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[:, 0, 0]
+            sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[..., 0, 0]
         total = total + np.sqrt(sq) ** 2
     return np.sqrt(total)
 
@@ -167,7 +162,7 @@ def point_norm(x):
 class Observable:
     """Real-valued function on one chart.
 
-    `value` maps a stack of B points to an array of B values (and one point
+    `value` maps points of batch shape S to an array of shape S (one point
     to one value); calling the observable on one point returns a float.
     `grad`, when present, returns the chart's full derivative tuple (same
     shape as the corresponding grad_* result) and is preferred over finite
@@ -184,16 +179,6 @@ class Observable:
 
     def __call__(self, x) -> float:
         return float(self.value(x))
-
-
-def product(F: Observable, H: Observable) -> Observable:
-    """Observable F*H; the product of two trace forms is one itself."""
-    if F.chart != H.chart:
-        raise ValueError("observables live on different charts")
-    value = (_Product(F.chart, F.value, H.value)
-             if isinstance(F.value, _TraceForm) and isinstance(H.value, _TraceForm)
-             else lambda x: F.value(x) * H.value(x))
-    return Observable(F.chart, value, name=f"{F.name}*{H.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +226,23 @@ def _stacks(space: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return B, np.stack(algebra.dual_basis(space, n)[1]), B @ B
 
 
-def _displacements(curve: str, space: str, n: int, t: float) -> np.ndarray:
-    """Displacement at parameter t along every basis element X of `space`:
-    the line tX, the u(n) exponential 1 + sin t X + (1 - cos t) X^2 (each
-    u(n) basis element has X^3 = -X) or the nilpotent exponential 1 + tX."""
+def _displacements(curve: str, space: str, n: int, t: np.ndarray) -> np.ndarray:
+    """Displacements along every basis element X of `space` at each of the
+    parameters t, an array of shape (m,) + S; of shape (m*dim,) + S + (n, n),
+    all directions at t[0] first.  Along X: the line tX, the u(n)
+    exponential 1 + sin t X + (1 - cos t) X^2 (each u(n) basis element has
+    X^3 = -X) or the nilpotent exponential 1 + tX."""
+    grow = (slice(None),) + (None,) * (t.ndim - 1)   # the axes S after the basis axis
     B, _, B2 = _stacks(space, n)
+    B, B2 = B[grow], B2[grow]
+    t = t.reshape(t.shape[:1] + (1,) + t.shape[1:] + (1, 1))
     if curve == "line":
-        return t * B
-    if curve == "u_exp":
-        return np.eye(n) + np.sin(t) * B + (1.0 - np.cos(t)) * B2
-    return np.eye(n) + t * B
+        D = t * B
+    elif curve == "u_exp":
+        D = np.eye(n) + np.sin(t) * B + (1.0 - np.cos(t)) * B2
+    else:
+        D = np.eye(n) + t * B
+    return D.reshape((-1,) + D.shape[2:])
 
 
 def _diag(D: np.ndarray) -> np.ndarray:
@@ -259,7 +251,8 @@ def _diag(D: np.ndarray) -> np.ndarray:
 
 
 # Per chart: the gradient tuple type and one block per component; each move
-# takes one displacement D or a stack of them.  A line in u(n)_0 shifts the
+# takes the displacements D, of shape (2*dim,) + S + (n, n) at a point of
+# batch shape S, and returns the moved points.  A line in u(n)_0 shifts the
 # torus phases by Im diag(tX); one in b(n)_0 or Herm(n)_0 shifts p by
 # Re diag(tX).
 _CHART_TABLE = {
@@ -289,47 +282,37 @@ _CHART_TABLE = {
 
 def fd_step(x, step: float | None = None):
     """Central-difference step FD_STEP_SCALE*(1 + |x|), or `step` when given;
-    one per member for a stack."""
+    one per member of a batch."""
     return step if step is not None else FD_STEP_SCALE * (1.0 + point_norm(x))
 
 
 def fd_grad(f: Callable, chart: str, x, step: float | None = None):
-    """Gradient tuple of f at the point x on `chart` by central differences.
+    """Gradient tuple of f at x on `chart` by central differences.
 
-    f maps a stack of B points, every field carrying the batch axis, to an
-    array with leading axis B.  Per block, the 2*dim displaced points (all
-    + steps, then all - steps) form one stack and f is called once on it;
-    the differences are paired with the dual basis.  Axes of f's values
-    after the first lead every component, so one sweep differentiates many
-    functions at the same stencil points.
-
-    x may be a stack of B points: each member gets its own step (the default
-    one, or `step` for all), the one stack per block holds the B*2*dim
-    displaced points, and every component gains the leading axis B.  Member
+    x is a point of batch shape S (S = () for one point); each member gets
+    its own step, the default one or `step` for all.  Per block, the
+    displacements (all + steps, then all - steps) have shape
+    (2*dim,) + S + (n, n), and f is called once on x moved by them, every
+    field carrying those batch axes.  f returns an array with those leading
+    axes; the differences are paired with the dual basis.  Every component
+    has shape S + (axes of f's values after the batch axes) + (n, n), so one
+    sweep differentiates many functions at the same stencil points.  Member
     b's gradient equals that of the point on its own, bit for bit."""
     kind, blocks = _CHART_TABLE[chart]
-    parts = _fields(x)
-    B = _size(parts)
-    h = fd_step(x, step)
-    if B is not None:
-        h = np.broadcast_to(h, (B,))     # one step per member
+    S = batch_shape(x)
+    h = np.full(S, fd_step(x, step))
+    t = np.array((h, -h))
     out = []
     for space, curve, move in blocks:
-        t = h if B is None else h[:, None, None, None]
-        D = np.concatenate((_displacements(curve, space, x.n, t),
-                            _displacements(curve, space, x.n, -t)), axis=-3)
-        k, y = D.shape[-3], x
-        if B is not None:   # stencil-major: displacement j of member b at j*B + b
-            D = D.swapaxes(0, 1).reshape(-1, x.n, x.n)
-            idx = np.tile(np.arange(B), k)
-            y = type(x)(*(v[idx] if stacked else v for stacked, v, _ in parts))
-        v = np.asarray(f(_stacked(move(y, D), len(D))))
-        if v.shape[:1] != D.shape[:1]:
-            raise ValueError(f"f must map a stack of {len(D)} points to an array "
-                             f"with leading axis {len(D)}; got shape {v.shape}")
-        v = v.reshape((k,) + np.shape(h) + v.shape[1:])
-        d = v[:k // 2] - v[k // 2:]
-        d /= 2.0 * (h if B is None else h.reshape((B,) + (1,) * (d.ndim - 2)))
+        D = _displacements(curve, space, x.n, t)
+        batch = D.shape[:-2]
+        v = np.asarray(f(_broadcast(move(x, D), batch)))
+        if v.shape[:len(batch)] != batch:
+            raise ValueError(f"f must map points of batch shape {batch} to an array "
+                             f"with those leading axes; got shape {v.shape}")
+        k = len(D) // 2
+        d = v[:k] - v[k:]
+        d /= 2.0 * h.reshape(S + (1,) * (d.ndim - len(batch)))
         out.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
     return kind(*out)
 
@@ -343,12 +326,13 @@ def grad(F: Observable, x, step: float | None = None):
 
 
 def _values(Fs, y) -> np.ndarray:
-    """Values of the observables Fs of one chart at the stack y, stacked
-    along a last axis.  The trace forms among them share one call of the
-    chart's (U, L) map and one trace per (m, k); the others call `value`."""
+    """Values of the observables Fs of one chart at the batch y, stacked
+    along a last axis.  The invariant observables among them share one call
+    of the chart's (U, L) map and one trace per (m, k); the others call
+    `value`."""
     UL, traces, out = None, {}, []
     for F in Fs:
-        if isinstance(F.value, _TraceForm):
+        if isinstance(F.value, _Trace):
             if UL is None:
                 UL = _UL_MAPS[F.chart](y)
             out.append(F.value.at(*UL, traces))
@@ -361,7 +345,7 @@ def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
     F.grad as is, the others from one fd_grad sweep over all their values,
     each equal to its own grad(F, x, step) bit for bit.  Per stencil stack
-    the invariant observables and their products share one chart map."""
+    the invariant observables share one chart map."""
     fd = [F for F in Fs if F.grad is None]
     if fd:
         D = fd_grad(partial(_values, fd), fd[0].chart, x, step)
@@ -417,7 +401,7 @@ def _coords():
     return coords
 
 
-# Per chart: the map of a point (or a stack) to the (U, L) at which the
+# Per chart: the map of a point (or a batch) to the (U, L) at which the
 # invariant family reads tr(U^m L^k); (g, L) on the full chart, (Q, L) on
 # the others, through the coordinate map to the reduced chart.
 _UL_MAPS = {
@@ -428,23 +412,18 @@ _UL_MAPS = {
 }
 
 
-class _TraceForm:
-    """Value of an invariant observable, or of a product of them, on `chart`:
+@dataclass(frozen=True)
+class _Trace:
+    """Value Re/Im tr(U^m L^k) of an invariant observable on `chart`:
     `at(U, L, traces)` reads it at the (U, L) of the chart's map, keeping
     each complex trace in `traces` by (m, k); calling it on x maps x first."""
-    chart: str
-
-    def __call__(self, x):
-        return self.at(*_UL_MAPS[self.chart](x), {})
-
-
-@dataclass(frozen=True)
-class _Trace(_TraceForm):
-    """Re/Im tr(U^m L^k)."""
     chart: str
     m: int
     k: int
     part: str
+
+    def __call__(self, x):
+        return self.at(*_UL_MAPS[self.chart](x), {})
 
     def at(self, U, L, traces):
         m, k = self.m, self.k
@@ -456,23 +435,12 @@ class _Trace(_TraceForm):
         return (np.real if self.part == "re" else np.imag)(traces[m, k])
 
 
-@dataclass(frozen=True)
-class _Product(_TraceForm):
-    """F * H of two trace forms."""
-    chart: str
-    F: _TraceForm
-    H: _TraceForm
-
-    def at(self, U, L, traces):
-        return self.F.at(U, L, traces) * self.H.at(U, L, traces)
-
-
 def invariant_observable(m: int, k: int, part: str = "re",
                          chart: str = "full") -> Observable:
     """Conjugation-invariant trace observable Re/Im tr(g^m L^k), together
     with its restriction to each chart through the coordinate maps.  Its
-    value is a trace form read at the chart's (U, L) map, so `grads` maps
-    each stencil stack once for all such observables of one sweep."""
+    value is a _Trace read at the chart's (U, L) map, so `grads` maps each
+    stencil stack once for all such observables of one sweep."""
     if m < 0 or k < 0 or (m, k) == (0, 0):
         raise ValueError("need m, k >= 0 with (m, k) != (0, 0)")
     if part not in ("re", "im"):
@@ -486,20 +454,17 @@ def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
     (d2 H_k = i L^{k-1}, all group-direction derivatives zero)."""
     if k < 1:
         raise ValueError("need k >= 1")
+    if chart not in ("full", "red"):
+        raise ValueError("analytic Hamiltonians live on the full or reduced chart")
+    zeros = len(_CHART_TABLE[chart][0]._fields) - 1   # the group directions
 
     def val(x):
         return np.real(np.trace(np.linalg.matrix_power(x.L, k), axis1=-2, axis2=-1)) / k
 
-    if chart == "full":
-        def g(x):
-            z = np.zeros_like(x.L)
-            return FullGrad(z, z, 1j * np.linalg.matrix_power(x.L, k - 1))
-        return Observable("full", val, grad=g, name=f"H_{k}[full]")
-    if chart == "red":
-        def g(x):
-            return RedGrad(np.zeros_like(x.L), 1j * np.linalg.matrix_power(x.L, k - 1))
-        return Observable("red", val, grad=g, name=f"H_{k}[red]")
-    raise ValueError("analytic Hamiltonians live on the full or reduced chart")
+    def g(x):
+        return (np.zeros_like(x.L),) * zeros + (1j * np.linalg.matrix_power(x.L, k - 1),)
+
+    return Observable(chart, val, grad=g, name=f"H_{k}[{chart}]")
 
 
 # ---------------------------------------------------------------------------

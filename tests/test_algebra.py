@@ -210,6 +210,13 @@ def test_stacked_torus_gate_names_the_irregular_member():
     assert Q.n == 3 and Q.min_gap().shape == (3,)
     assert np.array_equal(Q.matrix()[1], TorusReg(q[1]).matrix())
     assert np.array_equal(Q[2].q, q[3])
+    # any number of batch axes: the member is the flat index over them
+    with pytest.raises(RegularityError, match=r"^member 4: eigenvalue gap 1\.000e-09") as info:
+        TorusReg(q[[0, 1, 3, 0, 2, 3]].reshape(2, 3, 3))
+    assert info.value.member == 4
+    Q2 = TorusReg(q[[0, 1, 3, 3, 1, 0]].reshape(2, 3, 3))
+    assert Q2.min_gap().shape == (2, 3)
+    assert np.array_equal(Q2.min_gap()[1], Q.min_gap()[::-1])
 
 
 def test_strict_projection_checks_each_member_of_a_stack():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_leibniz_rule():
                            (br.pb1_red, "red"), (br.pb_suth, "suth")]:
         F, G = _pair(chart)
         H = invariant_observable(2, 1, "re", chart=chart)
-        GH = phase.product(G, H)
+        GH = Observable(chart, lambda y: G.value(y) * H.value(y))
         x = sample_point(chart, 3, 2)
         lhs = bracket(F, GH, x)
         rhs = G(x) * bracket(F, H, x) + H(x) * bracket(F, G, x)
@@ -263,7 +264,7 @@ def _counted(F):
     count = {"points": 0, "calls": 0}   # points: the length of each stack's batch axis
 
     def value(x):
-        count["points"] += phase.batch_size(x)
+        count["points"] += math.prod(phase.batch_shape(x))
         count["calls"] += 1
         return F.value(x)
     return dataclasses.replace(F, value=value), count

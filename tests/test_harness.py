@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -56,9 +57,8 @@ def test_run_checks_empty_report():
 # The antisymmetry check takes the two gradients of each invariant pair once
 # per chart for all of the chart's brackets: 3 * 2 * (54 + 24 + 24) = 612.
 # A ladder takes F's gradient once (the dH_k are analytic): 54 and 24.
-# Leibniz takes dF, dG, dH and d(GH) once per chart, where an evaluation of
-# GH counts itself and its two factors, and evaluates G and H at x:
-# (3 + 3) * 54 + 2 + 2 * ((3 + 3) * 24 + 2) = 618.
+# Leibniz takes dF, dG and dH once per chart, forms d(GH) from them, and
+# evaluates G and H at x: 3 * 54 + 2 + 2 * (3 * 24 + 2) = 312.
 # Each check takes all its gradients on one chart in one sweep, so the chart
 # map runs once per block of that sweep: 4 from_rs calls for rs-bracket, 3
 # from_suth calls for suth-bracket and antisymmetry, 3 + 2 for leibniz (its
@@ -75,28 +75,29 @@ _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
     ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
-    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 618), ("jacobi-suth", 1872),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 312), ("jacobi-suth", 1872),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
-    # count evaluated points, the length of each stack's batch axis, over
-    # every observable the check evaluates: a trace form where it is read
+    # count evaluated points, the size of each batch, over every observable
+    # the check evaluates: an invariant observable's _Trace where it is read
     # at the shared (U, L) of its stack, any other value where it is called
     points = [0]
-    for form in (phase._Trace, phase._Product):
-        def counting_at(self, U, L, traces, at=form.at):
-            points[0] += int(np.prod(U.shape[:-2]))
-            return at(self, U, L, traces)
-        monkeypatch.setattr(form, "at", counting_at)
+    at = phase._Trace.at
+
+    def counting_at(self, U, L, traces):
+        points[0] += int(np.prod(U.shape[:-2]))
+        return at(self, U, L, traces)
+    monkeypatch.setattr(phase._Trace, "at", counting_at)
     post_init = phase.Observable.__post_init__
 
     def counting_post_init(self):
         post_init(self)
         value = self.value
-        if isinstance(value, phase._TraceForm):
+        if isinstance(value, phase._Trace):
             return
 
         def counting(x):
-            points[0] += phase.batch_size(x)
+            points[0] += math.prod(phase.batch_shape(x))
             return value(x)
         object.__setattr__(self, "value", counting)
     monkeypatch.setattr(phase.Observable, "__post_init__", counting_post_init)
@@ -109,6 +110,17 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
     checks.CHECKS[check_id].func(3, 0)
     assert points[0] == evals
     assert calls == _MAP_CALLS.get(check_id, {})
+
+
+def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
+    # its three pairs hold three distinct Hamiltonians, each in two pairs:
+    # one analytic gradient per Hamiltonian, not one per pair member
+    taken = []
+    grad = phase.grad
+    monkeypatch.setattr(phase, "grad", lambda F, x, step=None: taken.append(F.name)
+                        or grad(F, x, step))
+    checks.CHECKS["antisymmetry-hk"].func(3, 0)
+    assert sorted(taken) == ["H_1[full]", "H_2[full]", "H_3[full]"]
 
 
 def test_run_check_smoke_and_determinism():

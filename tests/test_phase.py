@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_sample_determinism():
         a = sample_point(chart, 3, 5)
         b = sample_point(chart, 3, 5)
         assert type(a) is type(b)
-        for (_, _, u), (_, _, v) in zip(phase._fields(a), phase._fields(b), strict=True):
+        for (_, u, _), (_, v, _) in zip(phase._arrays(a), phase._arrays(b), strict=True):
             assert np.array_equal(u, v)
 
 
@@ -86,7 +87,7 @@ def test_grad_full_hamiltonian_analytic():
 
 def test_grad_full_constant_function():
     x = sample_point("full", 3, 1)
-    g = grad_full(Observable("full", lambda p: np.full(phase.batch_size(p), 4.2)), x)
+    g = grad_full(Observable("full", lambda p: np.full(phase.batch_shape(p), 4.2)), x)
     assert np.allclose(g.D1, 0, atol=1e-9)
     assert np.allclose(g.D1p, 0, atol=1e-9)
     assert np.allclose(g.d2, 0, atol=1e-9)
@@ -143,7 +144,7 @@ def test_grad_evaluation_counts():
         F = invariant_observable(1, 1, "re", chart=chart)
         points = []
         counted = Observable(chart, lambda p, F=F, points=points:
-                             points.append(phase.batch_size(p)) or F.value(p))
+                             points.append(math.prod(phase.batch_shape(p))) or F.value(p))
         getattr(phase, f"grad_{chart}")(counted, sample_point(chart, 3, 0))
         assert sum(points) == want, chart
         assert len(points) == blocks, chart
@@ -169,8 +170,7 @@ def _per_point_fd_grad(F, chart, x):
     h = fd_step(x)
     parts = []
     for space, curve, move in blocks:
-        plus = phase._displacements(curve, space, x.n, h)
-        minus = phase._displacements(curve, space, x.n, -h)
+        plus, minus = np.split(phase._displacements(curve, space, x.n, np.array([h, -h])), 2)
         d = np.array([(F(move(x, P)) - F(move(x, M))) / (2.0 * h)
                       for P, M in zip(plus, minus, strict=True)])
         parts.append(np.tensordot(d, phase._stacks(space, x.n)[1], axes=(0, 0)))
@@ -219,7 +219,7 @@ def test_fd_grad_on_a_stack_equals_per_member(chart, n):
 
 
 def test_fd_grad_on_a_stack_with_a_shared_field():
-    # a field without the batch axis is shared by every member and counts
+    # a field without the batch axes is shared by every member and counts
     # in each member's step
     gs = [sample_point("full", 3, seed).g for seed in range(3)]
     L = sample_point("full", 3, 5).L
@@ -228,6 +228,60 @@ def test_fd_grad_on_a_stack_with_a_shared_field():
     for b, g in enumerate(gs):
         for a, c in zip(got, phase.grad(F, FullPoint(g, L)), strict=True):
             assert np.array_equal(a[b], c)
+    # the same on batch axes (2, 3)
+    gs = [sample_point("full", 3, seed).g for seed in range(6)]
+    got = phase.grad(F, FullPoint(np.stack(gs).reshape(2, 3, 3, 3), L))
+    for b, g in enumerate(gs):
+        for a, c in zip(got, phase.grad(F, FullPoint(g, L)), strict=True):
+            assert np.array_equal(a[divmod(b, 3)], c)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_fd_grad_on_a_rank_2_batch_equals_per_member(chart, n):
+    # a point with batch axes (2, 3): each member gets its own step, and its
+    # gradient is the one of the point on its own, bit for bit
+    points = [sample_point(chart, n, seed) for seed in range(6)]
+    x = _stack([_stack(points[:3]), _stack(points[3:])])
+    assert phase.batch_shape(x) == (2, 3)
+    assert phase.fd_step(x).shape == (2, 3)
+    for params in ((1, 1, "re"), (2, 1, "im")):
+        F = invariant_observable(*params, chart=chart)
+        got = phase.grad(F, x)
+        for b, p in enumerate(points):
+            for a, c in zip(got, phase.grad(F, p), strict=True):
+                assert a.shape == (2, 3) + c.shape
+                assert np.array_equal(a[divmod(b, 3)], c), (params, b)
+
+
+# Per chart, the field each block of the chart table moves.
+_MOVED = {"full": ("g", "g", "L"), "red": ("Q", "L"),
+          "rs": ("Q", "p", "lam", "lam"), "suth": ("Q", "p", "phi")}
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_fd_grad_hands_unmoved_fields_as_broadcast_views(chart):
+    # per block, the moved field is a new array; every other field reaches f
+    # as a read-only view with stride 0 along the stencil axis and along the
+    # batch axes that x's field does not carry, not as a copy
+    def f(y):
+        seen.append([a for _, a, _ in phase._arrays(y)])
+        return np.zeros(phase.batch_shape(y))
+
+    xs = [sample_point(chart, 3, 0), _stack([sample_point(chart, 3, s) for s in range(3)])]
+    if chart == "full":   # L shared by a stack of three g
+        xs.append(FullPoint(xs[1].g, sample_point("full", 3, 3).L))
+    for x in xs:
+        S, seen = phase.batch_shape(x), []
+        phase.fd_grad(f, chart, x)
+        names = [field.name for field in dataclasses.fields(x)]
+        for moved, arrays in zip(_MOVED[chart], seen, strict=True):
+            for name, a, (_, _, s) in zip(names, arrays, phase._arrays(x), strict=True):
+                if name == moved:
+                    assert a.flags.writeable, name
+                else:
+                    assert not a.flags.writeable, name
+                    assert not any(a.strides[:1 + len(S) - len(s)]), (name, a.strides)
 
 
 @pytest.mark.parametrize("chart", ["full", "red", "suth"])
@@ -253,25 +307,22 @@ def test_grads_equal_grad_per_observable(chart):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("chart", phase.CHARTS)
 def test_grads_with_a_shared_chart_map_equal_grad(chart, n):
-    # the invariant observables and the product of two of them read one
-    # chart map per stencil stack (G shares F's trace); an observable that
-    # is not a trace form calls its own value.  Each gradient equals the
-    # observable's own grad bit for bit, at one point and on a stack
+    # the invariant observables read one chart map per stencil stack (G
+    # shares F's trace); an observable with any other value, here a product
+    # of two invariant ones and the point norm, calls its own value.  Each
+    # gradient equals the observable's own grad bit for bit, at one point
+    # and on a stack
     F = invariant_observable(1, 1, "re", chart=chart)
     G = invariant_observable(1, 1, "im", chart=chart)
     H = invariant_observable(1, 2, "re", chart=chart)
     K = invariant_observable(2, 1, "im", chart=chart)
-    Fs = [F, phase.product(G, H), Observable(chart, point_norm, name="norm"), G, H, K]
+    GH = Observable(chart, lambda y: G.value(y) * H.value(y), name="GH")
+    Fs = [F, GH, Observable(chart, point_norm, name="norm"), G, H, K]
     for x in (sample_point(chart, n, 2), _stack([sample_point(chart, n, s) for s in (3, 4)])):
         got = phase.grads(Fs, x)
         for g, A in zip(got, Fs, strict=True):
             for a, c in zip(g, phase.grad(A, x), strict=True):
                 assert np.array_equal(a, c), A.name
-    # the product as a plain value (not a trace form) is the same observable
-    x = sample_point(chart, n, 2)
-    plain = Observable(chart, lambda y: G.value(y) * H.value(y))
-    for a, c in zip(phase.grads(Fs, x)[1], phase.grad(plain, x), strict=True):
-        assert np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("chart", phase.CHARTS)
@@ -281,26 +332,30 @@ def test_grads_maps_each_stencil_stack_once(chart, monkeypatch):
     calls = []
     ul = phase._UL_MAPS[chart]
     monkeypatch.setitem(phase._UL_MAPS, chart,
-                        lambda y: calls.append(phase.batch_size(y)) or ul(y))
+                        lambda y: calls.append(math.prod(phase.batch_shape(y))) or ul(y))
     Fs = [invariant_observable(*p, chart=chart)
           for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"), (1, 1, "im"))]
-    Fs.append(phase.product(Fs[0], Fs[1]))
     phase.grads(Fs, sample_point(chart, 3, 0))
     assert len(calls) == len(phase._CHART_TABLE[chart][1])
     assert sum(calls) == {"full": 54, "red": 24, "rs": 36, "suth": 24}[chart]
 
 
 def test_fd_grad_rejects_a_value_without_the_batch_axis():
+    # the error names the batch shape of the moved points: 4 stencil points
+    # of the torus block at n = 2, times the batch axes of x
     x = sample_point("red", 2, 0)
-    with pytest.raises(ValueError, match="leading axis 4"):
+    with pytest.raises(ValueError, match=r"batch shape \(4,\) .* got shape \(\)$"):
         phase.fd_grad(lambda p: 1.0, "red", x)
+    ys = _stack([sample_point("red", 2, s) for s in range(3)])
+    with pytest.raises(ValueError, match=r"batch shape \(4, 3\) .* got shape \(4,\)$"):
+        phase.fd_grad(lambda p: np.zeros(4), "red", ys)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_group_displacements_are_exact(n):
     for curve, space in (("u_exp", "u"), ("nil_exp", "bplus")):
         for t in (0.3, -0.3):
-            curves = phase._displacements(curve, space, n, t)
+            curves = phase._displacements(curve, space, n, np.array([t]))
             for X, E in zip(algebra.basis(space, n), curves, strict=True):
                 assert np.max(np.abs(E - scipy.linalg.expm(t * X))) <= 1e-14
 
