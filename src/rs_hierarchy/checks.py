@@ -133,7 +133,7 @@ def check_leibniz(n, seed):
         pairs = invariant_pairs(chart)
         (F, G), (_, H) = pairs[0], pairs[1]
         x = sample_point(chart, n, seed)
-        gx, hx = G(x), H(x)
+        gx, hx = phase._values((G, H), x)
         dF, dG, dH = phase.grads((F, G, H), x)
         dGH = type(dG)(*(gx * a + hx * b for a, b in zip(dH, dG)))
         for bracket in bracket_list:

@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "H_{k+1} under the first bracket, H_k under the second")
     f.add_argument("--t0", type=float, default=0.0)
     f.add_argument("--t1", type=float, default=1.0)
-    f.add_argument("--steps", type=int, default=100)
+    f.add_argument("--steps", type=int, default=100,
+                   help="number of grid samples from t0 to t1, both included (CSV rows)")
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--out", required=True)
 

@@ -92,37 +92,40 @@ def _circ_dist(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def _match_permutation(prev_q, q) -> np.ndarray:
-    """Permutation perm labelling the sorted new phases q as q[perm] after
-    the labelled previous phases prev_q.  Eigenphases of a generic unitary
-    one-parameter family do not cross, so their cyclic order is kept and only
-    the winding is open: of the n cyclic rotations of argsort(prev_q), take
-    the one with the least sum of squared circular distances.  Raises
-    AmbiguousMatchError when the two cheapest rotations tie."""
-    prev_q, q = np.asarray(prev_q, dtype=float), np.asarray(q, dtype=float)
-    n = len(q)
-    order = np.argsort(prev_q)
-    d2 = _circ_dist(prev_q[order][:, None], q[None, :]) ** 2
+def _rotations(phases, t_grid) -> np.ndarray:
+    """Cumulative cyclic rotation R_i labelling sample i of a stack of sorted
+    phase rows as phases[i, (arange(n) + R_i) mod n], R_0 = 0.  Eigenphases
+    of a generic unitary one-parameter family do not cross, so their cyclic
+    order is kept and only the winding is open.  As the rows are sorted, the
+    cost of rotation r at step i, sum_j d(phases[i-1, j], phases[i, j + r])^2
+    (d the circular distance), does not depend on earlier labels: one
+    (T-1, n, n) array of squared distances gives every step's n costs, and R
+    is the cumulative sum mod n of each step's cheapest rotation.  Raises
+    AmbiguousMatchError at the first step whose two cheapest rotations tie."""
+    n = phases.shape[-1]
+    d2 = _circ_dist(phases[:-1, :, None], phases[1:, None, :]) ** 2
     shift = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [j, r] = j + r
-    cost = d2[np.arange(n)[:, None], shift].sum(axis=0)
-    best, second = np.argsort(cost)[:2]
-    if cost[second] - cost[best] < MATCH_TIE_TOL:
+    cost = d2[:, np.arange(n)[:, None], shift].sum(axis=1)
+    low = np.sort(cost, axis=-1)[:, :2]
+    ties = np.flatnonzero(np.diff(low, axis=-1) < MATCH_TIE_TOL)
+    if ties.size:
+        i = ties[0] + 1
         raise AmbiguousMatchError(
-            f"eigenphase matching ties between rotations costing "
-            f"{cost[best]:.17g} and {cost[second]:.17g}")
-    perm = np.empty(n, dtype=int)
-    perm[order] = shift[:, best]
-    return perm
+            f"at sample {i} (t = {t_grid[i]}): eigenphase matching ties between "
+            f"rotations costing {low[i - 1, 0]:.17g} and {low[i - 1, 1]:.17g}")
+    return np.concatenate(([0], np.cumsum(np.argmin(cost, axis=-1)))) % n
 
 
 def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
     whole grid as one stack (_diagonalize, then one stacked eigvalsh for the
-    conserved h_1..h_n); a sequential pass keeps the eigenphase labels
-    continuous by cyclic-rotation matching between consecutive samples.  The
-    regularity gate runs on the whole stack before the matching, and the
-    strict Hermitian projection on the whole relabelled stack after it; an
-    error names its sample i and its t."""
+    conserved h_1..h_n).  The eigenphase labels stay continuous by cyclic
+    rotations: the per-step rotation costs form one stacked array, and the
+    labels of sample i are rotated by the cumulative sum mod n of the
+    cheapest rotations up to it (_rotations).  The regularity gate runs on
+    the whole stack before the matching, and the strict Hermitian projection
+    on the whole relabelled stack after it; an error names its sample i and
+    its t."""
     t_grid = np.asarray(t_grid, dtype=float)
     g = _flow_g(x0, k, t_grid)
     phases, eta = _diagonalize(g)
@@ -134,13 +137,7 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     except algebra.RegularityError as exc:
         i = exc.member
         raise algebra.RegularityError(f"at sample {i} (t = {t_grid[i]}): {exc}", i) from exc
-    perms = [np.arange(x0.n)]
-    for i in range(1, len(t_grid)):
-        try:
-            perms.append(_match_permutation(phases[i - 1][perms[-1]], phases[i]))
-        except AmbiguousMatchError as exc:
-            raise AmbiguousMatchError(f"at sample {i} (t = {t_grid[i]}): {exc}") from exc
-    perms = np.array(perms)
+    perms = (np.arange(x0.n) + _rotations(phases, t_grid)[:, None]) % x0.n
     q = np.take_along_axis(phases, perms, axis=-1)
     L = np.take_along_axis(np.take_along_axis(L_red, perms[:, :, None], axis=1),
                            perms[:, None, :], axis=2)

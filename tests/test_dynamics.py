@@ -201,9 +201,70 @@ def test_trajectory_samples_equal_single_point_reduction(n, k):
         assert np.max(np.abs(red.L[np.ix_(perm, perm)] - pt.L)) <= 1e-12
 
 
-def test_match_permutation_tie_raises():
-    with pytest.raises(AmbiguousMatchError):
-        dynamics._match_permutation([0.0, np.pi], [0.5 * np.pi, 1.5 * np.pi])
+def _match_permutation(prev_q, q) -> np.ndarray:
+    """Per-step reference matcher: the permutation perm labelling the sorted
+    new phases q as q[perm] after the labelled previous phases prev_q, by the
+    cyclic rotation of argsort(prev_q) with the least sum of squared circular
+    distances."""
+    prev_q, q = np.asarray(prev_q, dtype=float), np.asarray(q, dtype=float)
+    n = len(q)
+    order = np.argsort(prev_q)
+    d2 = dynamics._circ_dist(prev_q[order][:, None], q[None, :]) ** 2
+    shift = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [j, r] = j + r
+    cost = d2[np.arange(n)[:, None], shift].sum(axis=0)
+    best, second = np.argsort(cost)[:2]
+    if cost[second] - cost[best] < config.MATCH_TIE_TOL:
+        raise AmbiguousMatchError(
+            f"eigenphase matching ties between rotations costing "
+            f"{cost[best]:.17g} and {cost[second]:.17g}")
+    perm = np.empty(n, dtype=int)
+    perm[order] = shift[:, best]
+    return perm
+
+
+def _reference_labels(phases) -> np.ndarray:
+    """One sequential pass of _match_permutation over the sorted phase rows."""
+    perms = [np.arange(phases.shape[-1])]
+    for i in range(1, len(phases)):
+        perms.append(_match_permutation(phases[i - 1][perms[-1]], phases[i]))
+    return np.array(perms)
+
+
+@pytest.mark.parametrize("points", [21, 101])
+def test_trajectory_equals_per_step_matching(points):
+    # the stacked cumulative rotations give, bit for bit, the labels, L and
+    # conserved values of a sequential per-step matching pass
+    t_grid = np.linspace(0.0, 1.0, points)
+    wound = 0
+    for n in range(2, 7):
+        for k in (1, 2, 3):
+            for seed in range(5):
+                x0 = sample_point("full", n, seed)
+                phases, eta = dynamics._diagonalize(dynamics._flow_g(x0, k, t_grid))
+                perms = _reference_labels(phases)
+                L_red = eta.conj().swapaxes(-1, -2) @ x0.L @ eta
+                L = algebra.make_hermitian(
+                    np.stack([L_red[i][np.ix_(p, p)] for i, p in enumerate(perms)]), strict=True)
+                w = np.linalg.eigvalsh(L)
+                traj = trajectory(x0, k, t_grid)
+                assert np.array_equal(np.stack([pt.Q.q for pt in traj.points]),
+                                      np.take_along_axis(phases, perms, axis=-1))
+                assert np.array_equal(np.stack([pt.L for pt in traj.points]), L)
+                assert np.array_equal(traj.conserved, np.stack(
+                    [np.sum(w ** l, axis=-1) / l for l in range(1, n + 1)], axis=-1))
+                wound += bool(np.any(perms != np.arange(n)))
+    assert wound > 0  # some cases wind, so the cumulative sum is exercised
+
+
+_TIE = (r"eigenphase matching ties between rotations costing "
+        r"[0-9.e+-]+ and [0-9.e+-]+$")
+
+
+def test_rotations_tie_raises():
+    # the phases 0 and pi both advancing by pi/2 costs the same as both
+    # falling back by pi/2 to the other's new place
+    with pytest.raises(AmbiguousMatchError, match=r"^at sample 1 \(t = 1.0\): " + _TIE):
+        dynamics._rotations(np.array([[0.0, np.pi], [0.5 * np.pi, 1.5 * np.pi]]), [0.0, 1.0])
 
 
 def test_trajectory_tie_names_sample_and_time():
@@ -213,6 +274,17 @@ def test_trajectory_tie_names_sample_and_time():
                    0.5 * np.pi * np.eye(2, dtype=complex))
     with pytest.raises(AmbiguousMatchError, match=r"sample 1 \(t = 1.0\)"):
         trajectory(x0, 1, [0.0, 1.0])
+
+
+def test_trajectory_tie_names_first_of_two():
+    # the same flow advances both phases by pi/4 over the first step and by
+    # pi/2 over each later one, so samples 2 and 3 both tie; the first is named
+    x0 = FullPoint(np.diag([1.0, -1.0]).astype(complex),
+                   0.5 * np.pi * np.eye(2, dtype=complex))
+    with pytest.raises(AmbiguousMatchError, match=r"^at sample 1 \(t = 2.5\): " + _TIE):
+        trajectory(x0, 1, [1.5, 2.5])
+    with pytest.raises(AmbiguousMatchError, match=r"^at sample 2 \(t = 1.5\): " + _TIE):
+        trajectory(x0, 1, [0.0, 0.5, 1.5, 2.5])
 
 
 def test_trajectory_collision_names_sample_and_time():

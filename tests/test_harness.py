@@ -68,7 +68,7 @@ def test_run_checks_empty_report():
 # The map the transfer rows apply to x itself is bound at import, so it is
 # not counted.
 _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
-              "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 5},
+              "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 4},
               "jacobi-suth": {"from_suth": 15}}
 
 
