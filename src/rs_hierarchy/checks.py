@@ -7,14 +7,16 @@ relative defect and the seed of the worst relative one.  The relative defect
 is measured against a per-sample scale of the form 1 + (magnitudes entering
 the identity).
 
-A registry row maps a check id to a per-seed body func(n, seed) that returns
-the (abs_defect, scale) samples of the points drawn from that seed: a check
-function, or a shared sampler bound to its brackets, such as
-_transfer_samples(pb_rs, pb2_red, from_rs), which compares one Bracket with
-another across a chart map.  run_check alone loops over seeds 0..S-1.  Each
-row states its check's tolerance once, as the config level of the error
-model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED); a --profile
-replaces it for every row.
+A registry row maps a check id to a body func(n, seeds) that returns its
+(abs_defect, scale) samples at a tuple of seeds, each an array pair of shape
+(len(seeds),): a check function, or a shared sampler bound to its brackets,
+such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
+Bracket with another across a chart map.  Most bodies take one gradient
+sweep on the sample_points of all seeds; the others run a one-seed body per
+seed through _per_seed.  run_check calls the body once on seeds 0..S-1 and
+lays the samples out seed-major.  Each row states its check's tolerance
+once, as the config level of the error model of what it checks (EXACT,
+ANALYTIC, RK4, FD, NESTED); a --profile replaces it for every row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import __version__, coords, dynamics, phase
 from . import brackets as br
 from .config import ANALYTIC, EXACT, FD, NESTED, PROFILES, RK4
 from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
-                    sample_point)
+                    sample_point, sample_points)
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ _BRACKETS_BY_CHART = {
 
 
 # ---------------------------------------------------------------------------
-# check bodies: each maps (n, seed) to a list of (abs_defect, scale) samples
+# check bodies: each maps (n, seeds) to a list of (abs_defect, scale) samples,
+# each an array pair over the seeds
 
 
 def _hamiltonian_pairs(chart):
@@ -109,13 +112,13 @@ def _pair_grads(pairs, x) -> list[tuple]:
     return [(d[F], d[H]) for F, H in pairs]
 
 
-def _antisymmetry_samples(pairs_of, charts, n, seed):
+def _antisymmetry_samples(pairs_of, charts, n, seeds):
     """{F,H} + {H,F} for every bracket of each chart on the pairs
     pairs_of(chart); the gradients of all pairs are taken in one sweep per
     chart and contracted in both orders."""
     out = []
     for chart in charts:
-        x = sample_point(chart, n, seed)
+        x = sample_points(chart, n, seeds)
         for dF, dH in _pair_grads(pairs_of(chart), x):
             for bracket in _BRACKETS_BY_CHART[chart]:
                 v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
@@ -123,7 +126,7 @@ def _antisymmetry_samples(pairs_of, charts, n, seed):
     return out
 
 
-def check_leibniz(n, seed):
+def check_leibniz(n, seeds):
     """{F,GH} against G{F,H} + H{F,G} for every bracket of each chart, with
     d(GH) = G dH + H dG formed from the one sweep of dF, dG, dH per chart.
     A Bracket is bilinear in its gradient tuples, so the defect is rounding:
@@ -132,10 +135,11 @@ def check_leibniz(n, seed):
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
         pairs = invariant_pairs(chart)
         (F, G), (_, H) = pairs[0], pairs[1]
-        x = sample_point(chart, n, seed)
-        gx, hx = phase._values((G, H), x)
+        x = sample_points(chart, n, seeds)
+        gx, hx = np.moveaxis(phase._values((G, H), x), -1, 0)
         dF, dG, dH = phase.grads((F, G, H), x)
-        dGH = type(dG)(*(gx * a + hx * b for a, b in zip(dH, dG)))
+        gm, hm = gx[:, None, None], hx[:, None, None]
+        dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
         for bracket in bracket_list:
             lhs = bracket.contract(x, dF, dGH)
             fg = bracket.contract(x, dF, dG)
@@ -167,43 +171,44 @@ def _jacobi_samples(brackets, coeffs, n, seed):
     return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
 
 
-def _ladder_samples(pb1, pb2, n, seed):
+def _ladder_samples(pb1, pb2, n, seeds):
     """{F, H_k}_2 against {F, H_{k+1}}_1 for k = 1..4 on the chart of pb1;
     dF is taken once and contracted with the analytic dH_k."""
     chart = pb1.chart
     F = invariant_observable(1, 1, "re", chart=chart)
-    x = sample_point(chart, n, seed)
+    x = sample_points(chart, n, seeds)
     dF = phase.grad(F, x)
     dH = {k: phase.grad(hamiltonian_observable(k, chart=chart), x) for k in range(1, 6)}
     ab = [(pb2.contract(x, dF, dH[k]), pb1.contract(x, dF, dH[k + 1])) for k in range(1, 5)]
     return [(abs(a - b), 1.0 + abs(a) + abs(b)) for a, b in ab]
 
 
-def check_involutivity(n, seed):
+def check_involutivity(n, seeds):
     """{H_i, H_j} for i, j = 1..5 under both full brackets; the analytic dH_k
     and the values H_k(x) are taken once."""
-    x = sample_point("full", n, seed)
+    x = sample_points("full", n, seeds)
     Hs = [hamiltonian_observable(k) for k in range(1, 6)]
     dH = phase.grads(Hs, x)
-    v = [H(x) for H in Hs]
+    v = [H.value(x) for H in Hs]
     return [(abs(bracket.contract(x, dH[i], dH[j])), 1.0 + abs(v[i]) + abs(v[j]))
             for i in range(5) for j in range(5) for bracket in (br.pb1_full, br.pb2_full)]
 
 
-def _grad_norm(g) -> float:
-    return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in g)))
+def _grad_norm(g) -> np.ndarray:
+    """Norm of a gradient tuple, one value per member of a stack."""
+    return np.sqrt(sum(phase._member_norm(c, c.shape[:-2]) ** 2 for c in g))
 
 
 def _red_to_full(x: RedPoint) -> FullPoint:
     return FullPoint(x.Q.matrix(), x.L)
 
 
-def _transfer_samples(bracket, ref_bracket, to_ref, n, seed):
+def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     """`bracket` at x against `ref_bracket` at to_ref(x) on the invariant
     pairs of their charts.  The bracket contracts two FD gradients, so the
     scale adds |dF|*|dH| to the two values; the gradients of all pairs are
     taken in one sweep on each side."""
-    x = sample_point(bracket.chart, n, seed)
+    x = sample_points(bracket.chart, n, seeds)
     y = to_ref(x)
     out = []
     for (dF, dH), (df, dh) in zip(_pair_grads(invariant_pairs(bracket.chart), x),
@@ -256,18 +261,19 @@ def check_roundtrip_suth(n, seed):
             (float(np.linalg.norm(back2.L - y.L)), 1.0 + phase.point_norm(y))]
 
 
-def check_bplus_residual(n, seed):
-    x = sample_point("rs", n, seed)
+def check_bplus_residual(n, seeds):
+    x = sample_points("rs", n, seeds)
     bp = coords.solve_bplus(x.Q, x.lam)
     Qm = x.Q.matrix()
-    res = np.linalg.norm(bp @ x.lam - Qm.conj() @ bp @ Qm)
-    return [(float(res), 1.0 + float(np.linalg.norm(bp)))]
+    res = bp @ x.lam - Qm.conj() @ bp @ Qm
+    return [(phase._member_norm(res, res.shape[:-2]),
+             1.0 + phase._member_norm(bp, bp.shape[:-2]))]
 
 
-def check_hamiltonian_rs(n, seed):
-    x = sample_point("rs", n, seed)
+def check_hamiltonian_rs(n, seeds):
+    x = sample_points("rs", n, seeds)
     a = dynamics.h_rs(x)
-    b = float(np.real(np.trace(coords.from_rs(x).L)))
+    b = np.real(np.trace(coords.from_rs(x).L, axis1=-2, axis2=-1))
     return [(abs(a - b), 1.0 + abs(a) + abs(b))]
 
 
@@ -319,13 +325,22 @@ def check_flow_group(n, seed):
                        dynamics.flow(dynamics.flow(x0, k, 0.7), k, 0.4).g) for k in (1, 2))
 
 
+def _per_seed(body):
+    """The registry body that runs body(n, seed) -> [(abs_defect, scale), ...]
+    once per seed and stacks each sample's pairs over the seeds."""
+    def func(n, seeds):
+        per = [body(n, seed) for seed in seeds]
+        return [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per)]
+    return func
+
+
 # ---------------------------------------------------------------------------
 # registry
 
 
 @dataclass(frozen=True)
 class CheckDef:
-    func: object       # per-seed body: func(n, seed) -> [(abs_defect, scale), ...]
+    func: object       # func(n, seeds) -> [(abs_defect, scale), ...], arrays over seeds
     tolerance: float   # relative; one of the config levels EXACT .. NESTED
     suites: tuple[str, ...]
 
@@ -339,16 +354,17 @@ CHECKS: dict[str, CheckDef] = {
         ANALYTIC, ("theorem1",)),
     "leibniz": CheckDef(check_leibniz, EXACT, ("theorem1",)),
     # Jacobi rows: brackets b_i and the coefficient vectors s of sum_i s_i b_i
-    "jacobi-full-1": CheckDef(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)]),
+    "jacobi-full-1": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)])),
                               NESTED, ("theorem1",)),
-    "jacobi-full-2": CheckDef(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)]),
+    "jacobi-full-2": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)])),
                               NESTED, ("theorem1",)),
-    "jacobi-pencil": CheckDef(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
-                                      [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)]),
+    "jacobi-pencil": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
+                                                [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)])),
                               NESTED, ("theorem1",)),
-    "jacobi-red": CheckDef(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
-                                   [(1.0, 0.0), (0.0, 1.0)]), NESTED, ("theorem2",)),
-    "jacobi-suth": CheckDef(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)]),
+    "jacobi-red": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
+                                             [(1.0, 0.0), (0.0, 1.0)])),
+                           NESTED, ("theorem2",)),
+    "jacobi-suth": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)])),
                             NESTED, ("prop4",)),
     # the ladder identity holds for every dF, so only the analytic dH_k enter
     "ladder-full": CheckDef(partial(_ladder_samples, br.pb1_full, br.pb2_full),
@@ -371,14 +387,14 @@ CHECKS: dict[str, CheckDef] = {
     "suth-bracket": CheckDef(
         partial(_transfer_samples, br.pb_suth, br.pb1_red, coords.from_suth),
         FD, ("prop4",)),
-    "roundtrip-rs": CheckDef(check_roundtrip_rs, EXACT, ("prop3",)),
-    "roundtrip-suth": CheckDef(check_roundtrip_suth, EXACT, ("prop4",)),
+    "roundtrip-rs": CheckDef(_per_seed(check_roundtrip_rs), EXACT, ("prop3",)),
+    "roundtrip-suth": CheckDef(_per_seed(check_roundtrip_suth), EXACT, ("prop4",)),
     "bplus-residual": CheckDef(check_bplus_residual, EXACT, ("prop3",)),
     "hamiltonian-rs": CheckDef(check_hamiltonian_rs, EXACT, ("prop3",)),
-    "hamiltonian-suth": CheckDef(check_hamiltonian_suth, EXACT, ("prop4",)),
-    "flow-rk4": CheckDef(check_flow_rk4, RK4, ("flows",)),
-    "flow-conserved": CheckDef(check_flow_conserved, ANALYTIC, ("flows",)),
-    "flow-group": CheckDef(check_flow_group, EXACT, ("flows",)),
+    "hamiltonian-suth": CheckDef(_per_seed(check_hamiltonian_suth), EXACT, ("prop4",)),
+    "flow-rk4": CheckDef(_per_seed(check_flow_rk4), RK4, ("flows",)),
+    "flow-conserved": CheckDef(_per_seed(check_flow_conserved), ANALYTIC, ("flows",)),
+    "flow-group": CheckDef(_per_seed(check_flow_group), EXACT, ("flows",)),
 }
 
 SUITES = ("theorem1", "theorem2", "prop3", "prop4", "flows")
@@ -392,21 +408,39 @@ def suite_checks(suite: str) -> list[str]:
     return [cid for cid, cdef in CHECKS.items() if suite in cdef.suites]
 
 
+def _seed_samples(func, n: int, seeds: tuple) -> list[tuple]:
+    """(abs_defect, scale, seed) of each sample of func(n, seeds), seed-major:
+    all samples of seeds[0] in the body's order, then those of seeds[1]..."""
+    cols = [(np.asarray(a).tolist(), np.asarray(s).tolist()) for a, s in func(n, seeds)]
+    if any(np.shape(v) != (len(seeds),) for pair in cols for v in pair):
+        raise ValueError(f"a check body must return arrays of shape ({len(seeds)},)")
+    return [(a[i], s[i], seed) for i, seed in enumerate(seeds) for a, s in cols]
+
+
 def run_check(spec: CheckSpec) -> CheckResult:
-    """Run the row's body for seeds 0..S-1, stopping at the first seed that
-    raises; the samples of the seeds before it still count."""
+    """Run the row's body once on seeds 0..S-1.  If that raises, the seeds
+    are replayed one at a time through the same body up to the first that
+    raises: the samples of the seeds before it still count, and the error
+    names it.  If no seed raises on its own, the error of the whole stack is
+    recorded, so the check still fails."""
     cdef = CHECKS[spec.check_id]
     tol = PROFILES[spec.profile] if spec.profile else cdef.tolerance
     t0 = time.perf_counter()
-    samples, errors = [], []   # samples: (abs_defect, scale, seed)
-    seeds_run = 0
-    for seed in range(spec.seeds):
-        try:
-            samples += [(a, s, seed) for a, s in cdef.func(spec.n, seed)]
-        except Exception as exc:  # sampler / chart failures are reported, not fatal
-            errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
-            break
-        seeds_run += 1
+    seeds, errors = tuple(range(spec.seeds)), []
+    try:
+        samples, seeds_run = _seed_samples(cdef.func, spec.n, seeds), spec.seeds
+    except Exception as stacked:  # sampler / chart failures are reported, not fatal
+        samples, seeds_run = [], 0
+        for seed in seeds:
+            try:
+                samples += _seed_samples(cdef.func, spec.n, (seed,))
+            except Exception as exc:
+                errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
+                break
+            seeds_run += 1
+        else:
+            errors.append(f"seeds 0..{spec.seeds - 1} stacked: "
+                          f"{type(stacked).__name__}: {stacked}")
     wall = time.perf_counter() - t0
     if samples:
         max_abs = max(a for a, _, _ in samples)

@@ -139,18 +139,25 @@ def _broadcast(x, S: tuple):
     return type(x)(*(carry(*part) for part in _arrays(x)))
 
 
+def _member_norm(a: np.ndarray, S: tuple) -> np.ndarray:
+    """np.linalg.norm of each member of the array a with batch axes S, of
+    shape S.  A member's sum of squares is the dot product re.re + im.im
+    that np.linalg.norm forms, so each value equals np.linalg.norm of the
+    member on its own, bit for bit."""
+    r = a.reshape(S + (1, -1))
+    sq = (r.real @ r.real.swapaxes(-1, -2))[..., 0, 0]
+    if np.iscomplexobj(r):
+        sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[..., 0, 0]
+    return np.sqrt(sq)
+
+
 def point_norm(x):
     """Norm of the coordinate arrays of x, one value per member (shape
-    batch_shape(x); a shared field counts for every member).  A member's sum
-    of squares is the dot product re.re + im.im that np.linalg.norm forms,
-    so its norm is that of the point on its own, bit for bit."""
+    batch_shape(x); a shared field counts for every member), equal to that
+    of the point on its own, bit for bit."""
     total = 0.0
     for _, a, s in _arrays(x):
-        r = a.reshape(s + (1, -1))
-        sq = (r.real @ r.real.swapaxes(-1, -2))[..., 0, 0]
-        if np.iscomplexobj(r):
-            sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[..., 0, 0]
-        total = total + np.sqrt(sq) ** 2
+        total = total + _member_norm(a, s) ** 2
     return np.sqrt(total)
 
 
@@ -534,3 +541,12 @@ def sample_point(chart: str, n: int, seed: int):
     phi = _gaussian_hermitian(rng, n)
     phi = phi - np.diag(np.diag(phi))
     return SuthPoint(Q, p, phi)
+
+
+def sample_points(chart: str, n: int, seeds):
+    """The sample_point of each seed, stacked into one point of batch shape
+    (len(seeds),): member i equals sample_point(chart, n, seeds[i])."""
+    xs = [sample_point(chart, n, seed) for seed in seeds]
+    cols = [[getattr(x, name) for x in xs] for name, _ in _layout(type(xs[0]))]
+    return type(xs[0])(*(TorusReg(np.stack([v.q for v in c])) if isinstance(c[0], TorusReg)
+                         else np.stack(c) for c in cols))

@@ -66,7 +66,10 @@ def test_run_checks_empty_report():
 # outer one, one inner one per outer block and the gradients of the scale;
 # its points are the 1,800 of its Jacobi defect and 3 * 24 for the scale).
 # The map the transfer rows apply to x itself is bound at import, so it is
-# not counted.
+# not counted.  A stacked row evaluates all its seeds in those sweeps: its
+# points grow with the number of seeds and its chart-map calls do not.  The
+# per-seed jacobi-suth runs its sweeps once per seed.
+_PER_SEED_ROWS = {"jacobi-suth"}
 _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
               "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 4},
               "jacobi-suth": {"from_suth": 15}}
@@ -107,19 +110,24 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
             calls[name] = calls.get(name, 0) + 1
             return f(x)
         monkeypatch.setattr(coords, name, counting_map)
-    checks.CHECKS[check_id].func(3, 0)
-    assert points[0] == evals
-    assert calls == _MAP_CALLS.get(check_id, {})
+    for seeds in ((0,), (0, 1, 2)):
+        points[0] = 0
+        calls.clear()
+        checks.CHECKS[check_id].func(3, seeds)
+        assert points[0] == evals * len(seeds), seeds
+        per_map = len(seeds) if check_id in _PER_SEED_ROWS else 1
+        assert calls == {k: v * per_map for k, v in _MAP_CALLS.get(check_id, {}).items()}
 
 
 def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
     # its three pairs hold three distinct Hamiltonians, each in two pairs:
-    # one analytic gradient per Hamiltonian, not one per pair member
+    # one analytic gradient per Hamiltonian, not one per pair member, and
+    # one for the whole stack of seeds
     taken = []
     grad = phase.grad
     monkeypatch.setattr(phase, "grad", lambda F, x, step=None: taken.append(F.name)
                         or grad(F, x, step))
-    checks.CHECKS["antisymmetry-hk"].func(3, 0)
+    checks.CHECKS["antisymmetry-hk"].func(3, (0, 1, 2))
     assert sorted(taken) == ["H_1[full]", "H_2[full]", "H_3[full]"]
 
 
@@ -135,7 +143,8 @@ def test_run_check_smoke_and_determinism():
 
 def test_failing_check_still_reports(monkeypatch):
     # numpy-float samples must not leak a numpy.bool into the report
-    row = checks.CheckDef(lambda n, seed: [(np.float64(1.0), 1.0)], 1e-10, ())
+    row = checks.CheckDef(lambda n, seeds: [(np.full(len(seeds), 1.0), np.ones(len(seeds)))],
+                          1e-10, ())
     monkeypatch.setitem(checks.CHECKS, "planted-failure", row)
     spec = CheckSpec("planted-failure", n=2, seeds=1)
     assert run_check(spec).passed is False
@@ -145,7 +154,8 @@ def test_failing_check_still_reports(monkeypatch):
 
 
 def test_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
-    row = checks.CheckDef(lambda n, seed: [(0.0, 1.0)] if seed == 0 else 1 / 0, config.FD, ())
+    row = checks.CheckDef(checks._per_seed(lambda n, seed: [(0.0, 1.0)] if seed == 0 else 1 / 0),
+                          config.FD, ())
     monkeypatch.setitem(checks.CHECKS, "raises-at-seed-1", row)
     spec = CheckSpec("raises-at-seed-1", n=2, seeds=3)
     r = run_check(spec)
@@ -155,6 +165,89 @@ def test_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
     assert r.passed is False
     entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
     assert entry["errors"] == r.errors and entry["worst_seed"] == 0
+
+
+def test_stacked_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
+    # a stacked row draws every seed's point at once; when seed 1's draw
+    # raises, the replay seed by seed keeps seed 0's samples and names seed 1
+    draw = phase.sample_point
+
+    def failing_draw(chart, n, seed):
+        if seed == 1:
+            raise RuntimeError(f"regularity re-draw budget exceeded (seed {seed})")
+        return draw(chart, n, seed)
+    monkeypatch.setattr(phase, "sample_point", failing_draw)
+    r = run_check(CheckSpec("involutivity", n=2, seeds=3))
+    assert r.seeds_run == 1
+    assert r.errors == ["seed 1: RuntimeError: regularity re-draw budget exceeded (seed 1)"]
+    assert r.worst_seed == 0 and r.passed is False
+    one = run_check(CheckSpec("involutivity", n=2, seeds=1))
+    assert (r.max_abs_defect, r.max_rel_defect) == (one.max_abs_defect, one.max_rel_defect)
+
+
+def test_row_raising_only_when_stacked_still_fails(monkeypatch):
+    # every seed passes on its own, so the replay keeps all their samples,
+    # and the error of the whole stack is still recorded
+    def body(n, seeds):
+        if len(seeds) > 1:
+            raise ValueError("stack only")
+        return [(np.array([0.5 * seeds[0]]), np.ones(1))]
+    monkeypatch.setitem(checks.CHECKS, "raises-stacked", checks.CheckDef(body, 1.0, ()))
+    r = run_check(CheckSpec("raises-stacked", n=2, seeds=3))
+    assert r.seeds_run == 3
+    assert r.errors == ["seeds 0..2 stacked: ValueError: stack only"]
+    assert r.max_rel_defect == 1.0 and r.worst_seed == 2
+    assert r.passed is False
+
+
+def test_samples_are_laid_out_seed_major(monkeypatch):
+    # sample 1 of seed 0 ties sample 0 of seed 1; seed by seed, as the
+    # one-seed bodies ran, seed 0's sample comes first and is the worst
+    row = checks.CheckDef(lambda n, seeds: [(np.array([0.0, 1.0]), np.ones(2)),
+                                            (np.array([1.0, 0.0]), np.ones(2))], 1.0, ())
+    monkeypatch.setitem(checks.CHECKS, "tied-row", row)
+    assert run_check(CheckSpec("tied-row", n=2, seeds=2)).worst_seed == 0
+
+
+def test_row_returning_scalars_fails_loudly(monkeypatch):
+    # a body must return one value per seed; scalars are an error, not samples
+    row = checks.CheckDef(lambda n, seeds: [(0.0, 1.0)], 1.0, ())
+    monkeypatch.setitem(checks.CHECKS, "scalar-row", row)
+    r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
+    assert r.seeds_run == 0 and r.worst_seed is None and r.passed is False
+    assert r.errors == ["seed 0: ValueError: a check body must return arrays of shape (1,)"]
+
+
+# rows whose bodies evaluate all their seeds as one stack of sample points
+STACKED_ROWS = ("antisymmetry", "antisymmetry-hk", "leibniz", "ladder-full", "ladder-red",
+                "involutivity", "reduction-pb1", "reduction-pb2", "rs-bracket",
+                "suth-bracket", "bplus-residual", "hamiltonian-rs")
+
+
+@pytest.mark.parametrize("check_id", STACKED_ROWS)
+def test_seed_stack_equals_seed_by_seed(check_id):
+    # bit for bit: the body on seeds (0, 1, 2) against its three one-seed calls
+    func = checks.CHECKS[check_id].func
+    for n in (2, 3, 4, 5):
+        stacked = func(n, (0, 1, 2))
+        alone = [func(n, (seed,)) for seed in (0, 1, 2)]
+        assert len(stacked) == len(alone[0])
+        for k, (a, s) in enumerate(stacked):
+            for got, i in ((a, 0), (s, 1)):
+                want = np.concatenate([per[k][i] for per in alone])
+                assert got.dtype == want.dtype == np.float64
+                assert got.tobytes() == want.tobytes(), (n, k)
+
+
+def test_grad_norm_equals_norm_of_each_member():
+    # one norm per member, each equal to the np.linalg.norm form on its own
+    F = phase.invariant_observable(2, 1, "im", chart="rs")
+    for n in (2, 3, 4, 5):
+        g = phase.grad(F, phase.sample_points("rs", n, (0, 1, 2)))
+        got = checks._grad_norm(g)
+        assert got.shape == (3,)
+        for i in range(3):
+            assert got[i] == float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in g)))
 
 
 def test_run_check_names_worst_seed():
@@ -178,9 +271,8 @@ def test_ladder_red_catches_planted_r_term_defect():
         return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
                 + 2.0 * (1.0 + 1e-8) * pairing(Ldf, r_apply(x.Q, Ldh)))
     pb2_planted = br.Bracket("red", planted, "planted")
-    samples = [s for seed in (0, 1)
-               for s in checks._ladder_samples(br.pb1_red, pb2_planted, 3, seed)]
-    assert max(a / s for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
+    samples = checks._ladder_samples(br.pb1_red, pb2_planted, 3, (0, 1))
+    assert max(np.max(a / s) for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
 
 
 def test_profile_override_changes_tolerance():

@@ -42,6 +42,19 @@ def test_sample_determinism():
             assert np.array_equal(u, v)
 
 
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_sample_points_stack_the_draw_of_each_seed(chart):
+    for n in (2, 3, 4, 5):
+        seeds = (0, 3, 7)
+        x = phase.sample_points(chart, n, seeds)
+        assert type(x) is type(sample_point(chart, n, 0))
+        assert phase.batch_shape(x) == (3,)
+        for i, seed in enumerate(seeds):
+            want = phase._arrays(sample_point(chart, n, seed))
+            for (_, u, _), (_, v, _) in zip(phase._arrays(x), want, strict=True):
+                assert u[i].tobytes() == v.tobytes()
+
+
 def test_sampled_full_point_is_unitary():
     x = sample_point("full", 4, 0)
     assert np.linalg.norm(x.g.conj().T @ x.g - np.eye(4)) <= 1e-12 * 4
