@@ -6,9 +6,10 @@ All matrices are plain complex numpy arrays; subspace membership is enforced
 by construction (projection) rather than asserted.  The real Lie algebra
 gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 (and likewise u(n) and Herm(n)) are complementary isotropic subspaces.
-`TorusReg` and `make_hermitian` also take a stack along any number of
-leading batch axes, and check each member on its own; `pairing`, `split_ub`,
-`comm` and the R-operator act on stacks member by member.
+`TorusReg`, `chol_upper` and the `make_*` projections also take a stack
+along any number of leading batch axes, and check each member on its own;
+`pairing`, `split_ub`, `comm` and the R-operator act on stacks member by
+member.
 """
 
 from __future__ import annotations
@@ -21,17 +22,20 @@ import numpy as np
 from .config import PD_FLOOR, REGULARITY_GAP, STRICT_PROJECTION_TOL
 
 
-class RegularityError(ValueError):
-    """Torus element too close to the non-regular locus.  For a stack,
-    `member` is the flat (C-order) index of the first such element over its
-    batch axes (None for one element)."""
+class _MemberError(ValueError):
+    """A gate failure.  For a stack, `member` is the flat (C-order) index of
+    the first failing member over its batch axes (None for one element)."""
 
     def __init__(self, message: str, member: int | None = None):
         super().__init__(message)
         self.member = member
 
 
-class NotPositiveDefiniteError(ValueError):
+class RegularityError(_MemberError):
+    """Torus element too close to the non-regular locus."""
+
+
+class NotPositiveDefiniteError(_MemberError):
     """Hermitian input is not positive definite within the configured floor."""
 
 
@@ -93,14 +97,14 @@ def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
 
 
 def make_unipotent_upper(X: np.ndarray, strict: bool = False) -> np.ndarray:
-    U = np.triu(X, 1) + np.eye(X.shape[0])
+    U = np.triu(X, 1) + np.eye(X.shape[-1])
     _strict_check(X, U, strict)
     return U
 
 
 def make_zero_diag_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
     P = make_hermitian(X)
-    P = P - np.diag(np.diag(P))
+    P = P - diag_matrix(np.diagonal(P, axis1=-2, axis2=-1))
     _strict_check(X, P, strict)
     return P
 
@@ -217,16 +221,22 @@ def r_bracket(Q: TorusReg, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def chol_upper(L: np.ndarray) -> np.ndarray:
     """Unique b in B(n) (upper triangular, positive real diagonal) with
-    b b^dagger = L, for Hermitian L with smallest eigenvalue above PD_FLOOR.
+    b b^dagger = L, for Hermitian L with smallest eigenvalue above PD_FLOOR;
+    per member of a stack, whose NotPositiveDefiniteError names the first
+    failing member.
 
     Uses the index-reversal trick: conjugating by the reversal permutation
     maps the problem onto a standard lower Cholesky factorization.
     """
     L = make_hermitian(L)
-    w = np.linalg.eigvalsh(L)
-    if w[0] <= PD_FLOOR:
-        raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e}")
-    J = np.flip(np.eye(L.shape[0]), axis=0)
+    w = np.linalg.eigvalsh(L)[..., 0]
+    if (w <= PD_FLOOR).any():
+        if L.ndim == 2:
+            raise NotPositiveDefiniteError(f"smallest eigenvalue {w:.3e}")
+        i = int(np.flatnonzero(w <= PD_FLOOR)[0])
+        raise NotPositiveDefiniteError(f"member {i}: smallest eigenvalue {w.flat[i]:.3e}",
+                                       member=i)
+    J = np.flip(np.eye(L.shape[-1]), axis=0)
     C = np.linalg.cholesky(J @ L @ J)   # lower, positive real diagonal
     return J @ C @ J
 

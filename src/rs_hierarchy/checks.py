@@ -12,8 +12,9 @@ A registry row maps a check id to a body func(n, seeds) that returns its
 (len(seeds),): a check function, or a shared sampler bound to its brackets,
 such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
 Bracket with another across a chart map.  Most bodies take one gradient
-sweep on the sample_points of all seeds; the others run a one-seed body per
-seed through _per_seed.  run_check calls the body once on seeds 0..S-1 and
+sweep, or one chart round trip, on the sample_points of all seeds; the
+jacobi-*, hamiltonian-suth and flow-* rows run a one-seed body per seed
+through _per_seed.  run_check calls the body once on seeds 0..S-1 and
 lays the samples out seed-major.  Each row states its check's tolerance
 once, as the config level of the error model of what it checks (EXACT,
 ANALYTIC, RK4, FD, NESTED); a --profile replaces it for every row.
@@ -29,6 +30,7 @@ import numpy as np
 
 from . import __version__, coords, dynamics, phase
 from . import brackets as br
+from .algebra import make_hermitian
 from .config import ANALYTIC, EXACT, FD, NESTED, PROFILES, RK4
 from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
                     sample_point, sample_points)
@@ -220,45 +222,49 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     return out
 
 
-def _pd_red_point(n, seed):
-    rng = np.random.default_rng([23, n, seed])
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    L = A @ A.conj().T + 0.5 * np.eye(n)
-    Q = sample_point("red", n, seed).Q
-    from .algebra import make_hermitian
-    return RedPoint(Q, make_hermitian(L))
+def _pd_red_points(n, seeds):
+    """Reduced points with positive definite L = A A^dagger + 1/2, one per
+    seed, stacked; Q is that of sample_points("red", n, seeds)."""
+    def pd(seed):
+        rng = np.random.default_rng([23, n, seed])
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return A @ A.conj().T + 0.5 * np.eye(n)
+    L = np.stack([pd(seed) for seed in seeds])
+    return RedPoint(sample_points("red", n, seeds).Q, make_hermitian(L))
 
 
-def _chol_cond_factor(L) -> float:
-    """Forward-error amplification of a triangular-factorization round trip:
-    the factor itself carries sqrt(kappa(L)) of the matrix conditioning."""
+def _chol_cond_factor(L) -> np.ndarray:
+    """Forward-error amplification of a triangular-factorization round trip,
+    one value per member: the factor itself carries sqrt(kappa(L)) of the
+    matrix conditioning."""
     w = np.linalg.eigvalsh(L)
-    return float(np.sqrt(w[-1] / w[0]))
+    return np.sqrt(w[..., -1] / w[..., 0])
 
 
-def check_roundtrip_rs(n, seed):
-    x = sample_point("rs", n, seed)
+def check_roundtrip_rs(n, seeds):
+    S = (len(seeds),)
+    x = sample_points("rs", n, seeds)
     mid = coords.from_rs(x)
     back = coords.to_rs(mid)
-    defect = (np.linalg.norm(back.p - x.p)
-              + np.linalg.norm(back.lam - x.lam)
-              + np.linalg.norm(back.Q.q - x.Q.q))
-    y = _pd_red_point(n, seed)
+    defect = (phase._member_norm(back.p - x.p, S)
+              + phase._member_norm(back.lam - x.lam, S)
+              + phase._member_norm(back.Q.q - x.Q.q, S))
+    y = _pd_red_points(n, seeds)
     back2 = coords.from_rs(coords.to_rs(y))
-    return [(float(defect), (1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L)),
-            (float(np.linalg.norm(back2.L - y.L)),
+    return [(defect, (1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L)),
+            (phase._member_norm(back2.L - y.L, S),
              (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L))]
 
 
-def check_roundtrip_suth(n, seed):
-    x = sample_point("suth", n, seed)
+def check_roundtrip_suth(n, seeds):
+    S = (len(seeds),)
+    x = sample_points("suth", n, seeds)
     back = coords.to_suth(coords.from_suth(x))
-    defect = (np.linalg.norm(back.p - x.p)
-              + np.linalg.norm(back.phi - x.phi))
-    y = sample_point("red", n, seed)
+    defect = phase._member_norm(back.p - x.p, S) + phase._member_norm(back.phi - x.phi, S)
+    y = sample_points("red", n, seeds)
     back2 = coords.from_suth(coords.to_suth(y))
-    return [(float(defect), 1.0 + phase.point_norm(x)),
-            (float(np.linalg.norm(back2.L - y.L)), 1.0 + phase.point_norm(y))]
+    return [(defect, 1.0 + phase.point_norm(x)),
+            (phase._member_norm(back2.L - y.L, S), 1.0 + phase.point_norm(y))]
 
 
 def check_bplus_residual(n, seeds):
@@ -387,8 +393,8 @@ CHECKS: dict[str, CheckDef] = {
     "suth-bracket": CheckDef(
         partial(_transfer_samples, br.pb_suth, br.pb1_red, coords.from_suth),
         FD, ("prop4",)),
-    "roundtrip-rs": CheckDef(_per_seed(check_roundtrip_rs), EXACT, ("prop3",)),
-    "roundtrip-suth": CheckDef(_per_seed(check_roundtrip_suth), EXACT, ("prop4",)),
+    "roundtrip-rs": CheckDef(check_roundtrip_rs, EXACT, ("prop3",)),
+    "roundtrip-suth": CheckDef(check_roundtrip_suth, EXACT, ("prop4",)),
     "bplus-residual": CheckDef(check_bplus_residual, EXACT, ("prop3",)),
     "hamiltonian-rs": CheckDef(check_hamiltonian_rs, EXACT, ("prop3",)),
     "hamiltonian-suth": CheckDef(_per_seed(check_hamiltonian_suth), EXACT, ("prop4",)),

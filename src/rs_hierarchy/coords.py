@@ -11,9 +11,9 @@ multiplication by w/(w-1), w = e^{i(q_j - q_k)}, off the diagonal.  In both
 directions each divisor |w - 1| is an eigenvalue gap of Q, which TorusReg
 keeps above config.REGULARITY_GAP.
 
-solve_bplus, from_rs and from_suth also take stacked points (leading batch
-axes S on any field, as in phase; a field without them is shared) and map
-them member by member.
+solve_bplus, from_rs, to_rs, from_suth and to_suth also take stacked
+points (leading batch axes S on any field, as in phase; a field without
+them is shared) and map them member by member.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .phase import RedPoint, RSPoint, SuthPoint
 def to_rs(x: RedPoint) -> RSPoint:
     """(Q, L) -> (Q, p, lambda) for positive definite L."""
     b = algebra.chol_upper(x.L)
-    p = np.log(np.real(np.diag(b)))
-    bplus = np.exp(-p)[:, None] * b
+    p = np.log(np.real(np.diagonal(b, axis1=-2, axis2=-1)))
+    bplus = np.exp(-p)[..., :, None] * b
     Qm = x.Q.matrix()
     lam = np.linalg.solve(bplus, Qm.conj() @ bplus @ Qm)
     lam = algebra.make_unipotent_upper(lam, strict=True)
@@ -87,9 +87,9 @@ def from_suth(x: SuthPoint) -> RedPoint:
 def to_suth(x: RedPoint) -> SuthPoint:
     """(Q, L) -> (Q, p, phi): p is the (real) diagonal of L and phi inverts
     the entrywise multiplier on the off-diagonal part."""
-    p = np.real(np.diag(x.L))
+    p = np.real(np.diagonal(x.L, axis1=-2, axis2=-1))
     M = _suth_multiplier(x.Q)
     off = algebra.off_diagonal(x.n)
-    phi = np.zeros_like(x.L)
-    phi[off] = -x.L[off] / M[off]
+    phi = np.zeros(np.broadcast_shapes(M.shape, x.L.shape), dtype=complex)
+    phi[..., off] = -x.L[..., off] / M[..., off]
     return SuthPoint(x.Q, p, algebra.make_zero_diag_hermitian(phi, strict=True))

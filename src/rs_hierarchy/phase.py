@@ -33,6 +33,7 @@ coordinates move on straight lines tX.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -515,38 +516,60 @@ def _regular_torus(rng, n, seed):
     raise RuntimeError(f"regularity re-draw budget exceeded (seed {seed})")
 
 
+# Bound of each sampling memo: far above the distinct points of a suite run.
+_MEMO_SIZE = 1024
+
+
+def _read_only(x):
+    """x with every coordinate array made read-only, so that a caller cannot
+    edit a memoized point in place."""
+    for _, a, _ in _arrays(x):
+        a.setflags(write=False)
+    return x
+
+
 def sample_point(chart: str, n: int, seed: int):
     """Deterministic random point of a chart: Haar g, Gaussian Hermitian L,
     uniform regular torus phases, Gaussian strictly-upper lambda, Gaussian
-    off-diagonal Hermitian phi."""
+    off-diagonal Hermitian phi.  The point is drawn once per (chart, n, seed)
+    and shared: its arrays are read-only, so copy one before editing it."""
     if chart not in CHARTS:
         raise ValueError(f"unknown chart {chart!r}")
     if n < 2 or seed < 0:
         raise ValueError(f"need n >= 2 and seed >= 0, got n={n}, seed={seed}")
+    return _draw(chart, n, seed)
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _draw(chart: str, n: int, seed: int):
     rng = _rng(chart, n, seed)
     if chart == "full":
-        return FullPoint(_haar_unitary(rng, n), _gaussian_hermitian(rng, n))
+        return _read_only(FullPoint(_haar_unitary(rng, n), _gaussian_hermitian(rng, n)))
+    Q = _regular_torus(rng, n, seed)
     if chart == "red":
-        Q = _regular_torus(rng, n, seed)
-        return RedPoint(Q, _gaussian_hermitian(rng, n))
+        return _read_only(RedPoint(Q, _gaussian_hermitian(rng, n)))
+    p = rng.standard_normal(n)
     if chart == "rs":
-        Q = _regular_torus(rng, n, seed)
-        p = rng.standard_normal(n)
         lam = np.eye(n, dtype=complex)
         iu = np.triu_indices(n, 1)
         lam[iu] = rng.standard_normal(len(iu[0])) + 1j * rng.standard_normal(len(iu[0]))
-        return RSPoint(Q, p, lam)
-    Q = _regular_torus(rng, n, seed)
-    p = rng.standard_normal(n)
+        return _read_only(RSPoint(Q, p, lam))
     phi = _gaussian_hermitian(rng, n)
-    phi = phi - np.diag(np.diag(phi))
-    return SuthPoint(Q, p, phi)
+    return _read_only(SuthPoint(Q, p, phi - np.diag(np.diag(phi))))
 
 
 def sample_points(chart: str, n: int, seeds):
     """The sample_point of each seed, stacked into one point of batch shape
-    (len(seeds),): member i equals sample_point(chart, n, seeds[i])."""
+    (len(seeds),): member i equals sample_point(chart, n, seeds[i]).  Drawn
+    once per seed tuple and read-only, as sample_point; a seed that is not
+    an integer raises TypeError whether or not the tuple was drawn before."""
+    return _stack(chart, n, tuple(map(operator.index, seeds)))
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _stack(chart: str, n: int, seeds: tuple):
     xs = [sample_point(chart, n, seed) for seed in seeds]
     cols = [[getattr(x, name) for x in xs] for name, _ in _layout(type(xs[0]))]
-    return type(xs[0])(*(TorusReg(np.stack([v.q for v in c])) if isinstance(c[0], TorusReg)
-                         else np.stack(c) for c in cols))
+    return _read_only(type(xs[0])(*(TorusReg(np.stack([v.q for v in c]))
+                                    if isinstance(c[0], TorusReg) else np.stack(c)
+                                    for c in cols)))

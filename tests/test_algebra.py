@@ -268,8 +268,44 @@ def test_chol_upper_uniqueness(seed, n):
 
 
 def test_chol_upper_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
+    with pytest.raises(NotPositiveDefiniteError) as err:
         chol_upper(np.diag([1.0, -1.0]).astype(complex))
+    assert err.value.member is None
+
+
+def _pd_stack(rng, m, n):
+    A = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return A @ A.conj().swapaxes(-1, -2) + 0.5 * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_chol_upper_on_a_stack_equals_per_member(n):
+    L = _pd_stack(np.random.default_rng(n), 3, n)
+    b = chol_upper(L)
+    assert b.shape == (3, n, n)
+    for i in range(3):
+        assert b[i].tobytes() == chol_upper(L[i]).tobytes()
+
+
+def test_chol_upper_names_the_first_failing_member():
+    # a stack of 3 whose member 1 is indefinite raises the typed error, not
+    # numpy's ambiguous truth value, and names member 1
+    L = _pd_stack(np.random.default_rng(0), 3, 3)
+    L[1] = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(NotPositiveDefiniteError, match=r"^member 1: ") as err:
+        chol_upper(L)
+    assert err.value.member == 1
+
+
+@pytest.mark.parametrize("m", [3, 4])   # batch size other than n, and equal to n
+def test_stacked_projections_equal_per_member(m):
+    n = 4
+    X = np.random.default_rng(m).standard_normal((m, n, n, 2)).view(complex)[..., 0]
+    for project in (algebra.make_unipotent_upper, algebra.make_zero_diag_hermitian):
+        P = project(X)
+        assert P.shape == (m, n, n)
+        for i in range(m):
+            assert P[i].tobytes() == project(X[i]).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 import rs_hierarchy
 from rs_hierarchy import brackets as br
-from rs_hierarchy import checks, config, coords, dynamics, phase, reporting
+from rs_hierarchy import algebra, checks, config, coords, dynamics, phase, reporting
 from rs_hierarchy.algebra import pairing, r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
@@ -221,7 +221,8 @@ def test_row_returning_scalars_fails_loudly(monkeypatch):
 # rows whose bodies evaluate all their seeds as one stack of sample points
 STACKED_ROWS = ("antisymmetry", "antisymmetry-hk", "leibniz", "ladder-full", "ladder-red",
                 "involutivity", "reduction-pb1", "reduction-pb2", "rs-bracket",
-                "suth-bracket", "bplus-residual", "hamiltonian-rs")
+                "suth-bracket", "roundtrip-rs", "roundtrip-suth", "bplus-residual",
+                "hamiltonian-rs")
 
 
 @pytest.mark.parametrize("check_id", STACKED_ROWS)
@@ -237,6 +238,43 @@ def test_seed_stack_equals_seed_by_seed(check_id):
                 want = np.concatenate([per[k][i] for per in alone])
                 assert got.dtype == want.dtype == np.float64
                 assert got.tobytes() == want.tobytes(), (n, k)
+
+
+def _round_trip_reference(n, seed):
+    # the one-point round trips with np.linalg.norm of each whole difference
+    norm = np.linalg.norm
+    x = sample_point("rs", n, seed)
+    mid = coords.from_rs(x)
+    back = coords.to_rs(mid)
+    rng = np.random.default_rng([23, n, seed])
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    y = phase.RedPoint(sample_point("red", n, seed).Q,
+                       algebra.make_hermitian(A @ A.conj().T + 0.5 * np.eye(n)))
+    back2 = coords.from_rs(coords.to_rs(y))
+    s = sample_point("suth", n, seed)
+    sback = coords.to_suth(coords.from_suth(s))
+    r = sample_point("red", n, seed)
+    rback = coords.from_suth(coords.to_suth(r))
+    cond = [float(np.sqrt(w[-1] / w[0])) for w in map(np.linalg.eigvalsh, (mid.L, y.L))]
+    return {"roundtrip-rs": [
+                (norm(back.p - x.p) + norm(back.lam - x.lam) + norm(back.Q.q - x.Q.q),
+                 (1.0 + phase.point_norm(x)) * cond[0]),
+                (norm(back2.L - y.L), (1.0 + phase.point_norm(y)) * cond[1])],
+            "roundtrip-suth": [
+                (norm(sback.p - s.p) + norm(sback.phi - s.phi), 1.0 + phase.point_norm(s)),
+                (norm(rback.L - r.L), 1.0 + phase.point_norm(r))]}
+
+
+@pytest.mark.parametrize("check_id", ["roundtrip-rs", "roundtrip-suth"])
+def test_stacked_round_trips_equal_the_one_point_form(check_id):
+    # bit for bit against np.linalg.norm of each member's differences
+    for n in (2, 3, 4, 5):
+        seeds = tuple(range(8))
+        got = checks.CHECKS[check_id].func(n, seeds)
+        want = [_round_trip_reference(n, seed)[check_id] for seed in seeds]
+        for k, (a, s) in enumerate(got):
+            assert a.tobytes() == np.array([w[k][0] for w in want]).tobytes(), (n, k)
+            assert s.tobytes() == np.array([w[k][1] for w in want]).tobytes(), (n, k)
 
 
 def test_grad_norm_equals_norm_of_each_member():

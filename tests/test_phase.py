@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rs_hierarchy import algebra, coords, phase
+from rs_hierarchy import algebra, checks, coords, phase
 from rs_hierarchy.algebra import TorusReg
 from rs_hierarchy.phase import (FullPoint, Observable, RedPoint, RSPoint,
                                 SuthPoint, fd_step, grad_full, grad_red,
@@ -53,6 +53,39 @@ def test_sample_points_stack_the_draw_of_each_seed(chart):
             want = phase._arrays(sample_point(chart, n, seed))
             for (_, u, _), (_, v, _) in zip(phase._arrays(x), want, strict=True):
                 assert u[i].tobytes() == v.tobytes()
+                assert not u.flags.writeable   # the stack is memoized, as its members
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_memoized_sample_point_is_a_read_only_fresh_draw(chart):
+    for n in (2, 3, 4, 5):
+        for seed in range(5):
+            x = sample_point(chart, n, seed)
+            assert sample_point(chart, n, seed) is x
+            fresh = phase._draw.__wrapped__(chart, n, seed)
+            for (_, a, _), (_, b, _) in zip(phase._arrays(x), phase._arrays(fresh),
+                                            strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+
+
+def test_suite_run_draws_each_point_once(monkeypatch):
+    phase._draw.cache_clear()
+    phase._stack.cache_clear()
+    drawn = []
+    rng = phase._rng
+    monkeypatch.setattr(phase, "_rng", lambda *key: drawn.append(key) or rng(*key))
+    checks.run_checks([checks.CheckSpec(cid, n=3, seeds=5) for cid in checks.CHECKS])
+    assert sorted(drawn) == sorted((chart, 3, seed) for chart in phase.CHARTS
+                                   for seed in range(5))
+
+
+def test_sample_points_rejects_a_non_integer_seed_even_when_memoized():
+    phase.sample_points("full", 2, (0, 1))
+    with pytest.raises(TypeError):
+        phase.sample_points("full", 2, (0, 1.0))
 
 
 def test_sampled_full_point_is_unitary():
