@@ -8,7 +8,8 @@ that already holds the gradients calls `contract` directly.  Every contract
 also takes a batch of points (batch axes S, as in phase, every field
 carrying them) with the gradients at them and returns one value per member.
 `jacobiator` takes each gradient once per stencil point for all brackets of
-one call, and its inner level is one sweep over each whole outer stack.
+one call, and its inner level is one sweep over each whole outer stack; a
+later call at the same points takes those gradients from phase's memo.
 """
 
 from __future__ import annotations
@@ -109,7 +110,11 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
     inner callable a stack of outer stencil points; that takes the gradients
     of F, G, H on the whole stack in one sweep (each member at its own
-    default step) and contracts every bracket once on it.
+    default step) and contracts every bracket once on it.  Those gradients
+    come from phase's gradient memo when an earlier call took them at the
+    same points and steps (keyed by content, at most _MEMO_SIZE entries): a
+    second bracket tuple on the same F, G, H and x takes no inner sweep.
+    Code that swaps a chart map calls phase.clear_memos() first.
     """
     chart = F.chart
     if not (G.chart == chart == H.chart):

@@ -13,11 +13,16 @@ A registry row maps a check id to a body func(n, seeds) that returns its
 such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
 Bracket with another across a chart map.  Most bodies take one gradient
 sweep, or one chart round trip, on the sample_points of all seeds; the
-jacobi-*, hamiltonian-suth and flow-* rows run a one-seed body per seed
-through _per_seed.  run_check calls the body once on seeds 0..S-1 and
-lays the samples out seed-major.  Each row states its check's tolerance
-once, as the config level of the error model of what it checks (EXACT,
-ANALYTIC, RK4, FD, NESTED); a --profile replaces it for every row.
+jacobi-* and flow-* rows run a one-seed body per seed through _per_seed.
+run_check calls the body once on seeds 0..S-1 and lays the samples out
+seed-major.  Rows share gradients through phase's gradient memo (keyed by
+content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
+reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
+jacobi-pencil those of jacobi-full-1, leibniz and the ladders those of
+antisymmetry.  A row's samples do not depend on what the memo holds.
+Each row states its check's tolerance once, as the config level of the
+error model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED); a
+--profile replaces it for every row.
 """
 
 from __future__ import annotations
@@ -283,8 +288,8 @@ def check_hamiltonian_rs(n, seeds):
     return [(abs(a - b), 1.0 + abs(a) + abs(b))]
 
 
-def check_hamiltonian_suth(n, seed):
-    x = sample_point("suth", n, seed)
+def check_hamiltonian_suth(n, seeds):
+    x = sample_points("suth", n, seeds)
     a = dynamics.h_suth2(x)
     b = dynamics.hk(coords.from_suth(x).L, 2)
     return [(abs(a - b), 1.0 + abs(a) + abs(b))]
@@ -397,7 +402,7 @@ CHECKS: dict[str, CheckDef] = {
     "roundtrip-suth": CheckDef(check_roundtrip_suth, EXACT, ("prop4",)),
     "bplus-residual": CheckDef(check_bplus_residual, EXACT, ("prop3",)),
     "hamiltonian-rs": CheckDef(check_hamiltonian_rs, EXACT, ("prop3",)),
-    "hamiltonian-suth": CheckDef(_per_seed(check_hamiltonian_suth), EXACT, ("prop4",)),
+    "hamiltonian-suth": CheckDef(check_hamiltonian_suth, EXACT, ("prop4",)),
     "flow-rk4": CheckDef(_per_seed(check_flow_rk4), RK4, ("flows",)),
     "flow-conserved": CheckDef(_per_seed(check_flow_conserved), ANALYTIC, ("flows",)),
     "flow-group": CheckDef(_per_seed(check_flow_group), EXACT, ("flows",)),

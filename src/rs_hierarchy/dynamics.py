@@ -25,12 +25,13 @@ class AmbiguousMatchError(ValueError):
     """Two cyclic rotations match consecutive eigenphase samples equally well."""
 
 
-def hk(L: np.ndarray, k: int) -> float:
-    """Free Hamiltonian tr(L^k)/k, from the eigenvalues of L."""
+def hk(L: np.ndarray, k: int):
+    """Free Hamiltonian tr(L^k)/k, from the eigenvalues of L: a float for
+    one matrix, one value per member of a stack."""
     if k < 1:
         raise ValueError("need k >= 1")
-    w = np.linalg.eigvalsh(L)
-    return float(np.sum(w ** k)) / k
+    h = np.sum(np.linalg.eigvalsh(L) ** k, axis=-1) / k
+    return float(h) if h.ndim == 0 else h
 
 
 def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
@@ -163,9 +164,13 @@ def h_suth2(x):
     """Spin Sutherland Hamiltonian
     (1/2) sum_i p_i^2 + (1/8) sum_{j != l} |phi_jl|^2 / sin^2((q_j - q_l)/2);
     equals tr(L^2)/2 at the corresponding reduced point.  One value per
-    member of a stacked point, so it serves as an observable's value."""
+    member of a stacked point, so it serves as an observable's value.  The
+    potential terms are summed from a contiguous copy: on a stack, boolean
+    indexing leaves them strided, and a strided sum adds in another order
+    than a member's own."""
     q = x.Q.q
     off = algebra.off_diagonal(x.n)
     s2 = np.sin(0.5 * (q[..., :, None] - q[..., None, :])) ** 2
-    pot = np.sum((np.abs(x.phi) ** 2)[..., off] / s2[..., off], axis=-1) / 8.0
+    terms = np.ascontiguousarray((np.abs(x.phi) ** 2)[..., off] / s2[..., off])
+    pot = np.sum(terms, axis=-1) / 8.0
     return 0.5 * np.sum(x.p ** 2, axis=-1) + pot

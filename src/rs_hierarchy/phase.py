@@ -24,7 +24,8 @@ member of x by all 2*dim displacements at once, each member by its own step,
 and calls f once on the moved points, of batch shape (2*dim,) + S; the
 fields the block leaves alone reach f as read-only broadcast views.
 `grads` sweeps several observables at once; the invariant observables among
-them share one call of the chart map to (U, L) per stencil stack.
+them share one call of the chart map to (U, L) per stencil stack, and their
+gradients are memoized by content (see grads; clear_memos empties it).
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -34,17 +35,27 @@ coordinates move on straight lines tX.
 from __future__ import annotations
 
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+try:  # hashlib would also load OpenSSL, about 4 ms of import time
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without its own blake2
+    from hashlib import blake2b
+
 from . import algebra
 from .algebra import TorusReg
 from .config import FD_STEP_SCALE
 
 CHARTS = ("full", "red", "rs", "suth")
+
+# Bound of each memo (sample points, stacks of them and gradients): far above
+# the distinct entries of a suite run.
+_MEMO_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +338,13 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
 
 def grad(F: Observable, x, step: float | None = None):
     """Gradient tuple of F at x on F's chart (each grad_<chart> states its
-    defining identity): an analytic F.grad as is, otherwise fd_grad."""
+    defining identity): an analytic F.grad as is, an invariant observable
+    through grads and so its gradient memo (read-only tuples), any other by
+    fd_grad."""
     if F.grad is not None:
         return _CHART_TABLE[F.chart][0](*F.grad(x))
+    if isinstance(F.value, _Trace):
+        return grads((F,), x, step)[0]
     return fd_grad(F.value, F.chart, x, step)
 
 
@@ -349,16 +364,88 @@ def _values(Fs, y) -> np.ndarray:
     return np.stack(out, -1)
 
 
+class _Memo(OrderedDict):
+    """Map of at most `size` entries that drops the least recently used one
+    and counts its hits."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size, self.hits = size, 0
+
+    def lookup(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def store(self, key, value) -> None:
+        self[key] = value
+        if len(self) > self.size:
+            self.popitem(last=False)
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = 0
+
+
+def _point_key(x, h: np.ndarray) -> tuple:
+    """Key of the point x swept with the per-member steps h: its type and a
+    128-bit blake2b digest of the dtype, shape and bytes of each field and
+    of h, so equal content gives the key of x whatever its memory layout."""
+    digest = blake2b(digest_size=16)
+    for a in [a for _, a, _ in _arrays(x)] + [h]:
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a))
+    return type(x), digest.digest()
+
+
 def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
     F.grad as is, the others from one fd_grad sweep over all their values,
-    each equal to its own grad(F, x, step) bit for bit.  Per stencil stack
-    the invariant observables share one chart map."""
+    each equal to its own grad(F, x, step) (bit for bit but for the sign of
+    a zero, which may follow the number of observables swept together).
+    Per stencil stack the invariant observables share one chart map.
+
+    The gradient of an invariant observable is memoized: _GRADS maps its
+    _Trace and the key of x (the point type and a digest of each field's
+    dtype, shape and bytes and of the resolved steps fd_step(x, step)) to
+    the read-only gradient tuple of a finished sweep, so a fresh array with
+    equal content hits, and the sweep takes only the missing ones.  A sweep
+    that raises stores nothing.  The memo keeps the _MEMO_SIZE most recently
+    used entries; it does not see a patched chart map, so code that swaps
+    one calls clear_memos() first."""
     fd = [F for F in Fs if F.grad is None]
-    if fd:
-        D = fd_grad(partial(_values, fd), fd[0].chart, x, step)
-        swept = iter([type(D)(*(c[..., i, :, :] for c in D)) for i in range(len(fd))])
-    return [grad(F, x, step) if F.grad is not None else next(swept) for F in Fs]
+    if not fd:
+        return [grad(F, x, step) for F in Fs]
+    h = np.full(batch_shape(x), fd_step(x, step))
+    traced = {F.value: F for F in fd if isinstance(F.value, _Trace)}
+    key = _point_key(x, h) if traced else None
+    got = {v: _GRADS.lookup((v, key)) for v in traced}
+    missing = [v for v in traced if got[v] is None]
+    sweep = [traced[v] for v in missing] + [F for F in fd if not isinstance(F.value, _Trace)]
+    if sweep:
+        D = fd_grad(partial(_values, sweep), fd[0].chart, x, h)
+        swept = [type(D)(*(c[..., i, :, :] for c in D)) for i in range(len(sweep))]
+        for v, g in zip(missing, swept):
+            for c in g:
+                c.setflags(write=False)
+            _GRADS.store((v, key), g)
+            got[v] = g
+        rest = iter(swept[len(missing):])
+    return [grad(F, x, step) if F.grad is not None
+            else got[F.value] if isinstance(F.value, _Trace) else next(rest) for F in Fs]
+
+
+_GRADS = _Memo(_MEMO_SIZE)
+
+
+def clear_memos() -> None:
+    """Empty the memos of sample points, their stacks and gradients: the
+    precondition of code that swaps a chart map, sampler or trace form."""
+    _GRADS.clear()
+    _draw.cache_clear()
+    _stack.cache_clear()
 
 
 def _check_chart(F: Observable, chart: str) -> None:
@@ -514,10 +601,6 @@ def _regular_torus(rng, n, seed):
         if Q.min_gap() > _SAMPLING_GAP:
             return Q
     raise RuntimeError(f"regularity re-draw budget exceeded (seed {seed})")
-
-
-# Bound of each sampling memo: far above the distinct points of a suite run.
-_MEMO_SIZE = 1024
 
 
 def _read_only(x):

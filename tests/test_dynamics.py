@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rs_hierarchy import algebra, checks, config, coords, dynamics
+from rs_hierarchy import algebra, checks, config, coords, dynamics, phase
 from rs_hierarchy.algebra import RegularityError, TorusReg
 from rs_hierarchy.brackets import pb1_full, pb2_full
 from rs_hierarchy.dynamics import (AmbiguousMatchError, flow, h_rs, h_suth2, hk,
@@ -371,3 +371,19 @@ def test_h_suth2_examples():
     phi = np.array([[0, 1], [1, 0]], dtype=complex)
     val = h_suth2(SuthPoint(Q2, np.array([1.0, 0.0]), phi))
     assert val == pytest.approx(0.5 + 2.0 / 8.0)
+
+
+def test_stacked_hamiltonians_equal_each_member_alone():
+    # h_suth2 on a stack of Sutherland points and hk on the stack of their
+    # L: one value per member, each the one-point value bit for bit
+    for n in (2, 3, 4, 5, 6):
+        seeds = range(40)
+        x = phase.sample_points("suth", n, seeds)
+        L = coords.from_suth(x).L
+        got_h, got_k = h_suth2(x), hk(L, 2)
+        assert got_h.shape == got_k.shape == (40,)
+        for i, seed in enumerate(seeds):
+            one = sample_point("suth", n, seed)
+            assert float(got_h[i]).hex() == float(h_suth2(one)).hex(), (n, seed)
+            alone = hk(coords.from_suth(one).L, 2)
+            assert type(alone) is float and float(got_k[i]).hex() == alone.hex(), (n, seed)

@@ -75,15 +75,9 @@ _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
               "jacobi-suth": {"from_suth": 15}}
 
 
-@pytest.mark.parametrize("check_id,evals", [
-    ("reduction-pb1", 468), ("reduction-pb2", 468),
-    ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
-    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 312), ("jacobi-suth", 1872),
-])
-def test_check_evaluation_counts(monkeypatch, check_id, evals):
-    # count evaluated points, the size of each batch, over every observable
-    # the check evaluates: an invariant observable's _Trace where it is read
-    # at the shared (U, L) of its stack, any other value where it is called
+def _count_trace_points(monkeypatch) -> list:
+    # a counter of the points at which an invariant observable's _Trace is
+    # read, at the shared (U, L) of its stack
     points = [0]
     at = phase._Trace.at
 
@@ -91,6 +85,19 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
         points[0] += int(np.prod(U.shape[:-2]))
         return at(self, U, L, traces)
     monkeypatch.setattr(phase._Trace, "at", counting_at)
+    return points
+
+
+@pytest.mark.parametrize("check_id,evals", [
+    ("reduction-pb1", 468), ("reduction-pb2", 468),
+    ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 312), ("jacobi-suth", 1872),
+])
+def test_check_evaluation_counts(monkeypatch, check_id, evals):
+    # count evaluated points, the size of each batch, over every observable
+    # the check evaluates: an invariant observable's _Trace where it is read,
+    # any other value where it is called; each run from an empty memo
+    points = _count_trace_points(monkeypatch)
     post_init = phase.Observable.__post_init__
 
     def counting_post_init(self):
@@ -111,12 +118,64 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
             return f(x)
         monkeypatch.setattr(coords, name, counting_map)
     for seeds in ((0,), (0, 1, 2)):
+        phase.clear_memos()
         points[0] = 0
         calls.clear()
         checks.CHECKS[check_id].func(3, seeds)
         assert points[0] == evals * len(seeds), seeds
         per_map = len(seeds) if check_id in _PER_SEED_ROWS else 1
         assert calls == {k: v * per_map for k, v in _MAP_CALLS.get(check_id, {}).items()}
+
+
+# Rows that take the gradients an earlier row of the suite took, at the same
+# points and steps, and the earlier row.  leibniz still reads G(x) and H(x)
+# on each of its three charts; those values are not gradients.
+_WARM_ROWS = {"reduction-pb2": ("reduction-pb1", 0), "leibniz": ("antisymmetry", 2 * 3),
+              "ladder-full": ("antisymmetry", 0), "ladder-red": ("antisymmetry", 0),
+              "jacobi-full-2": ("jacobi-full-1", 0), "jacobi-pencil": ("jacobi-full-1", 0)}
+
+
+def test_rows_take_the_gradients_of_earlier_rows_from_the_memo(monkeypatch):
+    # the suite in its order at n = 3 from an empty memo: each row above
+    # takes every gradient from the memo, so it sweeps no _Trace point
+    phase.clear_memos()
+    points = _count_trace_points(monkeypatch)
+    seeds = (0, 1, 2)
+    counts = {}
+    for check_id in suite_checks("all"):
+        points[0] = 0
+        checks.CHECKS[check_id].func(3, seeds)
+        counts[check_id] = points[0]
+    for check_id, (earlier, values) in _WARM_ROWS.items():
+        assert counts[earlier] > 0, earlier
+        assert counts[check_id] == values * len(seeds), check_id
+
+
+# the rows of the sweep-n2-5 and jacobi-n3 benchmark workloads
+_ORDER_ROWS = ("antisymmetry", "leibniz", "ladder-full", "ladder-red", "involutivity",
+               "reduction-pb1", "reduction-pb2", "rs-bracket", "suth-bracket",
+               "roundtrip-rs", "roundtrip-suth", "bplus-residual", "hamiltonian-rs",
+               "hamiltonian-suth", "jacobi-full-1", "jacobi-full-2", "jacobi-pencil",
+               "jacobi-red", "jacobi-suth")
+
+
+def test_results_do_not_depend_on_the_order_of_the_rows():
+    # forward, in reverse and each row from an empty memo: the same defects
+    # and worst seed, bit for bit
+    def run(check_id, cold=False):
+        if cold:
+            phase.clear_memos()
+        r = run_check(CheckSpec(check_id, n=3, seeds=3))
+        assert not r.errors, (check_id, r.errors)
+        return r.max_abs_defect.hex(), r.max_rel_defect.hex(), r.worst_seed
+
+    phase.clear_memos()
+    forward = {cid: run(cid) for cid in _ORDER_ROWS}
+    phase.clear_memos()
+    reverse = {cid: run(cid) for cid in reversed(_ORDER_ROWS)}
+    cold = {cid: run(cid, cold=True) for cid in _ORDER_ROWS}
+    assert reverse == forward
+    assert cold == forward
 
 
 def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
@@ -176,6 +235,7 @@ def test_stacked_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
         if seed == 1:
             raise RuntimeError(f"regularity re-draw budget exceeded (seed {seed})")
         return draw(chart, n, seed)
+    phase.clear_memos()   # a memoized stack would not call the swapped sampler
     monkeypatch.setattr(phase, "sample_point", failing_draw)
     r = run_check(CheckSpec("involutivity", n=2, seeds=3))
     assert r.seeds_run == 1
@@ -222,7 +282,7 @@ def test_row_returning_scalars_fails_loudly(monkeypatch):
 STACKED_ROWS = ("antisymmetry", "antisymmetry-hk", "leibniz", "ladder-full", "ladder-red",
                 "involutivity", "reduction-pb1", "reduction-pb2", "rs-bracket",
                 "suth-bracket", "roundtrip-rs", "roundtrip-suth", "bplus-residual",
-                "hamiltonian-rs")
+                "hamiltonian-rs", "hamiltonian-suth")
 
 
 @pytest.mark.parametrize("check_id", STACKED_ROWS)

@@ -72,8 +72,7 @@ def test_memoized_sample_point_is_a_read_only_fresh_draw(chart):
 
 
 def test_suite_run_draws_each_point_once(monkeypatch):
-    phase._draw.cache_clear()
-    phase._stack.cache_clear()
+    phase.clear_memos()
     drawn = []
     rng = phase._rng
     monkeypatch.setattr(phase, "_rng", lambda *key: drawn.append(key) or rng(*key))
@@ -186,6 +185,7 @@ def test_grad_evaluation_counts():
     # or Herm(n), n on the torus or in p, and n(n-1) in b_+ or Herm(n)_perp.
     # Each block is one call on the stack of its points.
     counts = {"full": (54, 3), "red": (24, 2), "rs": (36, 4), "suth": (24, 3)}
+    phase.clear_memos()
     for chart, (want, blocks) in counts.items():
         F = invariant_observable(1, 1, "re", chart=chart)
         points = []
@@ -375,6 +375,7 @@ def test_grads_with_a_shared_chart_map_equal_grad(chart, n):
 def test_grads_maps_each_stencil_stack_once(chart, monkeypatch):
     # one call of the chart's (U, L) map per block covers every trace form of
     # the sweep, at all 2*dim stencil points of the block
+    phase.clear_memos()
     calls = []
     ul = phase._UL_MAPS[chart]
     monkeypatch.setitem(phase._UL_MAPS, chart,
@@ -384,6 +385,92 @@ def test_grads_maps_each_stencil_stack_once(chart, monkeypatch):
     phase.grads(Fs, sample_point(chart, 3, 0))
     assert len(calls) == len(phase._CHART_TABLE[chart][1])
     assert sum(calls) == {"full": 54, "red": 24, "rs": 36, "suth": 24}[chart]
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_memo_hit_is_a_read_only_cold_fd_grad(chart):
+    # a second sweep, in another order, and grad take the stored tuples;
+    # each equals a cold fd_grad of its observable alone bit for bit, up to
+    # the sign of a zero (one column or three change tensordot's product)
+    Fs = [invariant_observable(*p, chart=chart)
+          for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"))]
+    for x in (sample_point(chart, 3, 0), phase.sample_points(chart, 3, (1, 2))):
+        for step in (None, 1e-4):
+            phase.clear_memos()
+            first = phase.grads(Fs, x, step)
+            again = phase.grads(Fs[::-1], x, step)[::-1]
+            assert phase._GRADS.hits == len(Fs) and len(phase._GRADS) == len(Fs)
+            assert phase.grad(Fs[1], x, step) is first[1]
+            for F, g, h in zip(Fs, first, again, strict=True):
+                assert h is g
+                for a, c in zip(h, phase.fd_grad(F.value, chart, x, step), strict=True):
+                    assert a.shape == c.shape, F.name
+                    assert (a + 0.0).tobytes() == (c + 0.0).tobytes(), F.name
+                    assert not a.flags.writeable
+
+
+def _rebuilt(x, edit=None):
+    """x with fresh copies of its arrays; edit(name, a) may change one."""
+    values = []
+    for field in dataclasses.fields(x):
+        v = getattr(x, field.name)
+        a = (v.q if isinstance(v, TorusReg) else v).copy()
+        if edit is not None:
+            edit(field.name, a)
+        values.append(TorusReg(a) if isinstance(v, TorusReg) else a)
+    return type(x)(*values)
+
+
+def _one_ulp_up(a):
+    z = a.reshape(-1)[1]
+    a.reshape(-1)[1] = (complex(np.nextafter(z.real, np.inf), z.imag)
+                        if np.iscomplexobj(a) else np.nextafter(z, np.inf))
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_memo_keys_on_the_content_of_the_point_and_the_resolved_step(chart):
+    F = invariant_observable(1, 1, "re", chart=chart)
+    x = sample_point(chart, 3, 0)
+    phase.clear_memos()
+    g = phase.grad(F, x)
+    # equal content hits: fresh arrays, and the default step passed as given
+    assert phase.grad(F, _rebuilt(x)) is g
+    assert phase.grad(F, x, fd_step(x)) is g
+    # a stack of copies and the same stack as broadcast views share a key
+    assert phase.grad(F, phase._broadcast(x, (2,))) is phase.grad(F, _stack([x, x]))
+    assert phase._GRADS.hits == 3 and len(phase._GRADS) == 2
+    # one ulp in any field, or another step, misses
+    for field in dataclasses.fields(x):
+        y = _rebuilt(x, lambda name, a, field=field: name == field.name and _one_ulp_up(a))
+        phase.grad(F, y)
+    phase.grad(F, x, 1e-4)
+    assert phase._GRADS.hits == 3
+    assert len(phase._GRADS) == 2 + len(dataclasses.fields(x)) + 1
+
+
+def test_a_sweep_that_raises_stores_nothing():
+    def planted(y):
+        raise FloatingPointError("planted")
+    F = invariant_observable(1, 1, "re", chart="red")
+    x = sample_point("red", 3, 0)
+    phase.clear_memos()
+    with pytest.raises(FloatingPointError, match="planted"):
+        phase.grads([F, Observable("red", planted)], x)
+    assert len(phase._GRADS) == 0
+    phase.grad(F, x)
+    assert len(phase._GRADS) == 1 and phase._GRADS.hits == 0
+
+
+def test_memo_drops_the_least_recently_used_entry(monkeypatch):
+    monkeypatch.setattr(phase, "_GRADS", phase._Memo(2))
+    A, B, C = (invariant_observable(*p, chart="red")
+               for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im")))
+    x = sample_point("red", 2, 0)
+    a, b = phase.grad(A, x), phase.grad(B, x)
+    assert phase.grad(A, x) is a
+    phase.grad(C, x)
+    assert len(phase._GRADS) == 2
+    assert phase.grad(A, x) is a and phase.grad(B, x) is not b
 
 
 def test_fd_grad_rejects_a_value_without_the_batch_axis():
