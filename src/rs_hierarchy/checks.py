@@ -21,12 +21,13 @@ reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
 jacobi-pencil those of jacobi-full-1, leibniz and the ladders those of
 antisymmetry.  A row's samples do not depend on what the memo holds.
 Each row states its check's tolerance once, as the config level of the
-error model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED); a
---profile replaces it for every row.
+error model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED), and
+nothing else sets it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -36,7 +37,7 @@ import numpy as np
 from . import __version__, coords, dynamics, phase
 from . import brackets as br
 from .algebra import make_hermitian
-from .config import ANALYTIC, EXACT, FD, NESTED, PROFILES, RK4
+from .config import ANALYTIC, EXACT, FD, NESTED, RK4
 from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
                     sample_point, sample_points)
 
@@ -46,7 +47,6 @@ class CheckSpec:
     check_id: str
     n: int = 3
     seeds: int = 5
-    profile: str | None = None   # None: use the registry row's tolerance
 
     def __post_init__(self):
         if self.n < 2:
@@ -55,8 +55,6 @@ class CheckSpec:
             raise ValueError("need seeds >= 1")
         if self.check_id not in CHECKS:
             raise KeyError(f"unknown check id {self.check_id!r}")
-        if self.profile is not None and self.profile not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}")
 
 
 @dataclass
@@ -64,10 +62,9 @@ class CheckResult:
     check_id: str
     n: int
     seeds_run: int
-    max_abs_defect: float
+    max_abs_defect: float       # over the finite samples; NaN without any
     max_rel_defect: float
-    worst_seed: int | None      # seed of the largest abs/scale; None without samples
-    profile: str | None
+    worst_seed: int | None      # seed of the largest abs/scale; None without finite samples
     tolerance: float
     passed: bool
     wall_time: float
@@ -420,12 +417,14 @@ def suite_checks(suite: str) -> list[str]:
 
 
 def _seed_samples(func, n: int, seeds: tuple) -> list[tuple]:
-    """(abs_defect, scale, seed) of each sample of func(n, seeds), seed-major:
-    all samples of seeds[0] in the body's order, then those of seeds[1]..."""
+    """(abs_defect, scale, seed, index) of each sample of func(n, seeds),
+    seed-major: all samples of seeds[0] in the body's order (index 0, 1, ...),
+    then those of seeds[1]..."""
     cols = [(np.asarray(a).tolist(), np.asarray(s).tolist()) for a, s in func(n, seeds)]
     if any(np.shape(v) != (len(seeds),) for pair in cols for v in pair):
         raise ValueError(f"a check body must return arrays of shape ({len(seeds)},)")
-    return [(a[i], s[i], seed) for i, seed in enumerate(seeds) for a, s in cols]
+    return [(a[i], s[i], seed, k) for i, seed in enumerate(seeds)
+            for k, (a, s) in enumerate(cols)]
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
@@ -433,9 +432,10 @@ def run_check(spec: CheckSpec) -> CheckResult:
     are replayed one at a time through the same body up to the first that
     raises: the samples of the seeds before it still count, and the error
     names it.  If no seed raises on its own, the error of the whole stack is
-    recorded, so the check still fails."""
+    recorded, so the check still fails.  A sample with a non-finite defect or
+    scale fails the check too: the error names the first, and the worst
+    sample is taken over the finite ones."""
     cdef = CHECKS[spec.check_id]
-    tol = PROFILES[spec.profile] if spec.profile else cdef.tolerance
     t0 = time.perf_counter()
     seeds, errors = tuple(range(spec.seeds)), []
     try:
@@ -453,16 +453,20 @@ def run_check(spec: CheckSpec) -> CheckResult:
             errors.append(f"seeds 0..{spec.seeds - 1} stacked: "
                           f"{type(stacked).__name__}: {stacked}")
     wall = time.perf_counter() - t0
-    if samples:
-        max_abs = max(a for a, _, _ in samples)
-        a, s, worst_seed = max(samples, key=lambda t: t[0] / t[1])
+    finite = [t for t in samples if math.isfinite(t[0]) and math.isfinite(t[1])]
+    if len(finite) < len(samples):
+        a, s, seed, k = next(t for t in samples if t not in finite)
+        errors.append(f"seed {seed} sample {k}: non-finite defect {a} or scale {s}")
+    if finite:
+        max_abs = max(t[0] for t in finite)
+        a, s, worst_seed, _ = max(finite, key=lambda t: t[0] / t[1])
         max_rel = a / s
     else:
         max_abs = max_rel = float("nan")
         worst_seed = None
-    passed = bool(samples and max_rel <= tol and not errors)
+    passed = bool(finite and max_rel <= cdef.tolerance and not errors)
     return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs), float(max_rel),
-                       worst_seed, spec.profile, tol, passed, wall, errors)
+                       worst_seed, cdef.tolerance, passed, wall, errors)
 
 
 def run_checks(specs: list[CheckSpec]) -> dict:
@@ -471,14 +475,7 @@ def run_checks(specs: list[CheckSpec]) -> dict:
     results = [run_check(s) for s in specs]
     return {
         "library_version": __version__,
-        "config": {
-            "profiles": {k: float(v) for k, v in PROFILES.items()},
-        },
-        "specs": [
-            {"check_id": s.check_id, "n": s.n, "seeds": s.seeds,
-             "profile": s.profile}
-            for s in specs
-        ],
+        "specs": [{"check_id": s.check_id, "n": s.n, "seeds": s.seeds} for s in specs],
         "checks": [
             {k: None if isinstance(v, float) and np.isnan(v) else v
              for k, v in asdict(r).items()}

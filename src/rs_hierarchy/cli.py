@@ -17,7 +17,6 @@ import numpy as np
 
 from . import brackets as br
 from . import checks, dynamics, reporting
-from .config import PROFILES
 from .phase import invariant_observable, sample_point
 
 
@@ -50,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("all",) + checks.SUITES)
     c.add_argument("--n", type=int, default=3)
     c.add_argument("--seeds", type=int, default=5)
-    c.add_argument("--profile", default=None, choices=tuple(PROFILES))
     c.add_argument("--out", default=None, help="JSON report path (default stdout)")
 
     f = sub.add_parser("flow", help="export a reduced trajectory as CSV")
@@ -77,8 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     try:
         ids = checks.suite_checks(args.suite)
-        specs = [checks.CheckSpec(cid, n=args.n, seeds=args.seeds, profile=args.profile)
-                 for cid in ids]
+        specs = [checks.CheckSpec(cid, n=args.n, seeds=args.seeds) for cid in ids]
     except (KeyError, ValueError) as exc:
         _config_error(str(exc))
     report = checks.run_checks(specs)
@@ -100,8 +97,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_flow(args) -> int:
-    if args.steps < 2 or args.n < 2 or args.k < 1:
-        _config_error("need steps >= 2, n >= 2, k >= 1")
+    if args.steps < 2 or args.n < 2 or args.k < 1 or not np.isfinite([args.t0, args.t1]).all():
+        _config_error("need steps >= 2, n >= 2, k >= 1 and finite t0, t1")
     x0 = _sample("full", args.n, args.seed)
     t_grid = np.linspace(args.t0, args.t1, args.steps)
     try:

@@ -1,4 +1,4 @@
-"""Numerical margins and tolerance profiles used across the library."""
+"""Numerical margins and the tolerance levels of the check registry."""
 
 # Minimal pairwise gap |e^{iq_j} - e^{iq_k}| below which a torus element is
 # treated as non-regular.  The charts only exist on the regular part.
@@ -30,9 +30,6 @@ ANALYTIC = 1e-10   # analytic gradients or spectra: rounding amplified by L^k, e
 RK4 = 1e-8         # the RK4 oracle: step-polynomial error plus rounding
 FD = 1e-6          # one central-difference level: O(h^2) truncation, eps/h rounding
 NESTED = 1e-4      # nested differences: the outer step divides inner FD noise
-
-# `--profile` overrides: each name replaces every row's level with one level.
-PROFILES = {"strict": ANALYTIC, "default": FD, "nested": NESTED}
 
 # Unitarity guard of the exact flow, per dimension: |g^dagger g - 1| of a g
 # from QR or a unitary flow is a few eps in each of n^2 entries, about n eps

@@ -3,13 +3,14 @@ import json
 import math
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 import rs_hierarchy
 from rs_hierarchy import brackets as br
-from rs_hierarchy import algebra, checks, config, coords, dynamics, phase, reporting
+from rs_hierarchy import algebra, checks, cli, config, coords, dynamics, phase, reporting
 from rs_hierarchy.algebra import pairing, r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
@@ -38,15 +39,13 @@ def test_spec_validation():
         CheckSpec("antisymmetry", n=1)
     with pytest.raises(ValueError):
         CheckSpec("antisymmetry", seeds=0)
-    with pytest.raises(ValueError):
-        CheckSpec("antisymmetry", profile="bogus")
 
 
 def test_run_checks_empty_report():
     report = run_checks([])
+    assert set(report) == {"library_version", "specs", "checks", "all_passed"}
     assert report["checks"] == []
     assert report["all_passed"] is True
-    assert "profiles" in report["config"]
     assert report["library_version"] == rs_hierarchy.__version__
 
 
@@ -278,6 +277,38 @@ def test_row_returning_scalars_fails_loudly(monkeypatch):
     assert r.errors == ["seed 0: ValueError: a check body must return arrays of shape (1,)"]
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("samples, error, worst", [
+    # a NaN after the first sample, which a max with a key would skip
+    ([([1e-14, NAN, NAN], [1.0, 1.0, 1.0])],
+     "seed 1 sample 0: non-finite defect nan or scale 1.0", (1e-14, 0)),
+    # a second sample that is all NaN
+    ([([1e-14, 2e-14, 0.0], [1.0, 1.0, 1.0]), ([NAN, NAN, NAN], [1.0, 1.0, 1.0])],
+     "seed 0 sample 1: non-finite defect nan or scale 1.0", (2e-14, 1)),
+    # an infinite scale, which would read as a zero relative defect
+    ([([1e-14, 1.0, 0.0], [1.0, INF, 1.0])],
+     "seed 1 sample 0: non-finite defect 1.0 or scale inf", (1e-14, 0)),
+    # no finite sample at all
+    ([([NAN, NAN, NAN], [1.0, 1.0, 1.0])],
+     "seed 0 sample 0: non-finite defect nan or scale 1.0", (None, None)),
+])
+def test_non_finite_sample_fails_the_check(monkeypatch, samples, error, worst):
+    # the error names the first non-finite sample; the worst-sample fields
+    # are taken over the finite ones, null when there are none
+    row = checks.CheckDef(lambda n, seeds: [(np.array(a), np.array(s)) for a, s in samples],
+                          1e-10, ())
+    monkeypatch.setitem(checks.CHECKS, "non-finite-row", row)
+    spec = CheckSpec("non-finite-row", n=2, seeds=3)
+    r = run_check(spec)
+    assert r.passed is False and r.seeds_run == 3
+    assert r.errors == [error]
+    entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
+    assert (entry["max_rel_defect"], entry["worst_seed"]) == worst
+    assert entry["max_abs_defect"] == worst[0] and entry["errors"] == [error]
+
+
 # rows whose bodies evaluate all their seeds as one stack of sample points
 STACKED_ROWS = ("antisymmetry", "antisymmetry-hk", "leibniz", "ladder-full", "ladder-red",
                 "involutivity", "reduction-pb1", "reduction-pb2", "rs-bracket",
@@ -359,26 +390,21 @@ def test_run_check_names_worst_seed():
 def test_registry_tolerances_are_config_levels():
     levels = {config.EXACT, config.ANALYTIC, config.RK4, config.FD, config.NESTED}
     assert {cdef.tolerance for cdef in checks.CHECKS.values()} <= levels
-    assert set(config.PROFILES.values()) <= levels
+
+
+def _planted_pb2_red(eps):
+    """pb2_red with its R-term scaled by 1 + eps."""
+    def contract(x, gf, gh):
+        Ldf, Ldh = x.L @ gf.d2, x.L @ gh.d2
+        return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
+                + 2.0 * (1.0 + eps) * pairing(Ldf, r_apply(x.Q, Ldh)))
+    return br.Bracket("red", contract, f"pb2_red planted at {eps}")
 
 
 def test_ladder_red_catches_planted_r_term_defect():
     # pb2_red with its R-term scaled by 1 + 1e-8 must fail the ladder row
-    def planted(x, gf, gh):
-        Ldf, Ldh = x.L @ gf.d2, x.L @ gh.d2
-        return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
-                + 2.0 * (1.0 + 1e-8) * pairing(Ldf, r_apply(x.Q, Ldh)))
-    pb2_planted = br.Bracket("red", planted, "planted")
-    samples = checks._ladder_samples(br.pb1_red, pb2_planted, 3, (0, 1))
+    samples = checks._ladder_samples(br.pb1_red, _planted_pb2_red(1e-8), 3, (0, 1))
     assert max(np.max(a / s) for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
-
-
-def test_profile_override_changes_tolerance():
-    spec = CheckSpec("roundtrip-rs", n=2, seeds=1, profile="strict")
-    r = run_check(spec)
-    assert r.profile == "strict"
-    assert r.tolerance == config.PROFILES["strict"]
-    assert run_check(CheckSpec("roundtrip-rs", n=2, seeds=1)).tolerance == config.EXACT
 
 
 def test_report_is_json_ready():
@@ -483,21 +509,35 @@ def test_cli_check_stdout_json():
     assert report["all_passed"] is True
 
 
-def test_cli_check_env_profile_override_failure_exit():
-    # the finite-difference suites cannot meet the strict 1e-10 tolerance,
-    # so forcing the strict profile must flip the exit code to 1
-    res = _run(["check", "--suite", "theorem2", "--n", "2", "--seeds", "1",
-                "--profile", "strict"])
-    assert res.returncode == 1
-    assert "FAIL" in res.stderr
+def test_cli_planted_defect_fails_at_registry_tolerances(monkeypatch, tmp_path, capsys):
+    # the rows that contract pb2_red, given one with its R-term off by 1e-3,
+    # fail at their own tolerances: exit 1, and the report is still written
+    planted = _planted_pb2_red(1e-3)
+    for cid, func in (("ladder-red", partial(checks._ladder_samples, br.pb1_red, planted)),
+                      ("reduction-pb2", partial(checks._transfer_samples, planted,
+                                                br.pb2_full, checks._red_to_full))):
+        monkeypatch.setitem(checks.CHECKS, cid,
+                            dataclasses.replace(checks.CHECKS[cid], func=func))
+    out = tmp_path / "planted.json"
+    assert cli.main(["check", "--suite", "theorem2", "--n", "2", "--seeds", "2",
+                     "--out", str(out)]) == 1
+    assert "FAIL ladder-red" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["all_passed"] is False
+    failing = [c for c in report["checks"] if not c["passed"]]
+    assert {c["check_id"] for c in failing} == {"ladder-red", "reduction-pb2"}
+    for c in failing:
+        assert type(c["worst_seed"]) is int and c["worst_seed"] in (0, 1), c
+        assert c["errors"] == [], c
 
 
 def test_cli_config_errors_exit_2(tmp_path):
     res = _run(["check", "--suite", "prop3", "--n", "1"])
     assert res.returncode == 2
     res = _run(["check", "--suite", "prop3", "--n", "2", "--seeds", "1",
-                "--profile", "bogus"])
+                "--profile", "strict"])
     assert res.returncode == 2
+    assert "unrecognized arguments: --profile strict" in res.stderr
     res = _run(["bracket", "--chart", "rs", "--which", "1",
                 "--f", "1,1,re", "--h", "0,2,re"])
     assert res.returncode == 2
@@ -509,9 +549,10 @@ def test_cli_config_errors_exit_2(tmp_path):
                     "--f", "1,1,re", "--h", "0,2,re", *args])
         assert res.returncode == 2, args
         assert "Traceback" not in res.stderr
-    res = _run(["flow", "--seed", "-1", "--out", str(tmp_path / "t.csv")])
-    assert res.returncode == 2
-    assert "Traceback" not in res.stderr
+    for args in (["--seed", "-1"], ["--t1", "nan"], ["--t1", "inf"], ["--t0=-inf"]):
+        res = _run(["flow", *args, "--out", str(tmp_path / "t.csv")])
+        assert res.returncode == 2, args
+        assert "Traceback" not in res.stderr and "Warning" not in res.stderr, args
 
 
 def test_cli_runs_without_scipy(tmp_path):
