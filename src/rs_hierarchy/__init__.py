@@ -10,8 +10,8 @@ from .algebra import (NotPositiveDefiniteError, RegularityError, SubspaceError,
 from .brackets import (Bracket, jacobi_defect, jacobiator, pb1_full, pb1_red,
                        pb2_full, pb2_red, pb_rs, pb_suth, pencil)
 from .coords import from_rs, from_suth, solve_bplus, to_rs, to_suth
-from .dynamics import (AmbiguousMatchError, Trajectory, flow, h_rs, h_suth2, hk,
-                       reduce_point, trajectory)
+from .dynamics import (AmbiguousMatchError, CertificationError, Trajectory, flow,
+                       h_rs, h_suth2, hk, reduce_point, trajectory)
 from .phase import (FullPoint, Observable, RedPoint, RSPoint, SuthPoint,
                     grad_full, grad_red, grad_rs, grad_suth,
                     hamiltonian_observable, invariant_observable, sample_point)
@@ -27,6 +27,7 @@ __all__ = [
     "pencil", "jacobi_defect", "jacobiator",
     "to_rs", "from_rs", "solve_bplus", "to_suth", "from_suth",
     "hk", "flow", "reduce_point", "trajectory", "Trajectory", "AmbiguousMatchError",
+    "CertificationError",
     "h_rs", "h_suth2",
     "__version__",
 ]

@@ -31,7 +31,9 @@ RK4 = 1e-8         # the RK4 oracle: step-polynomial error plus rounding
 FD = 1e-6          # one central-difference level: O(h^2) truncation, eps/h rounding
 NESTED = 1e-4      # nested differences: the outer step divides inner FD noise
 
-# Unitarity guard of the exact flow, per dimension: |g^dagger g - 1| of a g
-# from QR or a unitary flow is a few eps in each of n^2 entries, about n eps
-# in the Frobenius norm; 1e-13 leaves a factor of about 450 per dimension.
+# Unitarity guard, per dimension: the exact flow's |g^dagger g - 1|, and the
+# certification of the reduction g = eta e^{iq} eta^dagger, which gates both
+# its residual |eta e^{iq} eta^dagger - g| and |eta^dagger eta - 1|.  Each is
+# a few eps in each of n^2 entries, about n eps in the Frobenius norm; 1e-13
+# leaves a factor of about 450 per dimension.
 UNITARY_TOL = 1e-13

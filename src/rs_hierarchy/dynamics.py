@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import TorusReg
-from .config import MATCH_TIE_TOL, UNITARY_TOL
+from .config import MATCH_TIE_TOL, REGULARITY_GAP, UNITARY_TOL
 from .phase import FullPoint, RedPoint
 
 TWO_PI = 2.0 * np.pi
@@ -23,6 +23,10 @@ TWO_PI = 2.0 * np.pi
 
 class AmbiguousMatchError(ValueError):
     """Two cyclic rotations match consecutive eigenphase samples equally well."""
+
+
+class CertificationError(algebra._MemberError):
+    """No Hermitian angle reconstructs g within UNITARY_TOL * n: g is not unitary."""
 
 
 def hk(L: np.ndarray, k: int):
@@ -39,7 +43,7 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     if k < 1:
         raise ValueError("need k >= 1")
     defect = np.linalg.norm(x0.g.conj().T @ x0.g - np.eye(x0.n))
-    if defect > UNITARY_TOL * x0.n:
+    if not defect <= UNITARY_TOL * x0.n:  # also a NaN defect
         raise ValueError(f"flow needs a unitary g: |g^dagger g - 1| = {defect:.3e}")
     w, V = np.linalg.eigh(x0.L)
     U = (V * np.exp(1j * t[:, None] * w ** k)[:, None, :]) @ V.conj().T
@@ -52,26 +56,81 @@ def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
     return FullPoint(_flow_g(x0, k, np.array([t], dtype=float))[0], x0.L)
 
 
-def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted phases q in [0, 2pi) and unitary eta with g = eta e^{iq} eta^dagger,
-    for a unitary g or a stack of them: eig, then QR of the sorted eigenvectors
-    so that eta is exactly unitary, then each column's largest-magnitude entry
-    made real positive, which also fixes the phases of QR's R."""
-    ev, Z = np.linalg.eig(g)
-    phases = np.mod(np.angle(ev), TWO_PI)
+def _eigh_reduction(g: np.ndarray, theta: float):
+    """One Hermitian attempt at g = eta e^{iq} eta^dagger on a (S, n, n) stack.
+    The eigenvectors Z of A = (e^{-i theta} g + h.c.)/2 are those of g when
+    the eigenvalues cos(q - theta) of A are distinct, i.e. when no two phases
+    are mirror images about theta.  The phases are the angles of the Rayleigh
+    quotients lam = diag(T), T = Z^dagger g Z.  One first-order step
+    Z <- Z + Z E, E_jl = T_jl / (lam_l - lam_j), corrects Z by g's own gaps;
+    pairs closer than REGULARITY_GAP keep E_jl = 0, as g is nearly a multiple
+    of the identity on their span (and the regularity gate rejects them).
+    One Newton-Schulz step Z <- Z (3 - Z^dagger Z)/2 restores unitarity.  The
+    phases are sorted in [0, 2pi) with the columns of eta, and each column's
+    largest-magnitude entry is made real positive.  Returns the phases, eta,
+    the residual |eta e^{iq} eta^dagger - g| and the defect |eta^dagger eta - 1|
+    of each member, each member computed on its own."""
+    n = g.shape[-1]
+    c = np.exp(-1j * theta)
+    Z = np.linalg.eigh(0.5 * (c * g + np.conj(c) * g.conj().swapaxes(-1, -2)))[1]
+    T = Z.conj().swapaxes(-1, -2) @ g @ Z
+    lam = np.diagonal(T, axis1=-2, axis2=-1)
+    den = lam[..., None, :] - lam[..., :, None]  # [j, l] = lam_l - lam_j
+    Z = Z + Z @ np.divide(T, den, out=np.zeros_like(T), where=np.abs(den) > REGULARITY_GAP)
+    Z = Z @ (1.5 * np.eye(n) - 0.5 * (Z.conj().swapaxes(-1, -2) @ Z))
+    phases = np.mod(np.angle(lam), TWO_PI)
     order = np.argsort(phases, axis=-1)
     phases = np.take_along_axis(phases, order, axis=-1)
-    eta = np.linalg.qr(np.take_along_axis(Z, order[..., None, :], axis=-1))[0]
-    i = np.argmax(np.abs(eta), axis=-2)[..., None, :]
-    return phases, eta * np.exp(-1j * np.angle(np.take_along_axis(eta, i, axis=-2)))
+    eta = np.take_along_axis(Z, order[..., None, :], axis=-1)
+    top = np.take_along_axis(eta, np.argmax(np.abs(eta), axis=-2)[..., None, :], axis=-2)
+    eta = eta * (top.conj() / np.abs(top))
+    eta_h = eta.conj().swapaxes(-1, -2)
+    residual = np.linalg.norm((eta * np.exp(1j * phases)[..., None, :]) @ eta_h - g, axis=(-2, -1))
+    unitarity = np.linalg.norm(eta_h @ eta - np.eye(n), axis=(-2, -1))
+    return phases, eta, residual, unitarity
+
+
+def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted phases q in [0, 2pi), unitary eta with g = eta e^{iq} eta^dagger
+    (each column's largest-magnitude entry real positive) and the residual
+    |eta e^{iq} eta^dagger - g|, for a unitary g or a stack of them, by
+    _eigh_reduction at theta = 0.  Each member is certified by its residual
+    and its |eta^dagger eta - 1|, both at most UNITARY_TOL * n; the members
+    that fail are tried again at theta = pi m / M, m = 1..M-1,
+    M = n(n-1)/2 + 1.  Each pair of phases is mirrored about one theta mod
+    pi, so one of the M angles separates every pair.  Raises
+    CertificationError naming the first member that no angle certifies (a g
+    that is not unitary)."""
+    n = g.shape[-1]
+    tol = UNITARY_TOL * n
+    flat = g.reshape(-1, n, n)
+    phases, eta = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
+    residual, unitarity = np.empty(len(flat)), np.empty(len(flat))
+    todo = np.arange(len(flat))
+    M = n * (n - 1) // 2 + 1
+    for m in range(M):
+        phases[todo], eta[todo], residual[todo], unitarity[todo] = _eigh_reduction(
+            flat[todo], np.pi * m / M)
+        todo = np.flatnonzero(~((residual <= tol) & (unitarity <= tol)))
+        if not todo.size:
+            return (phases.reshape(g.shape[:-1]), eta.reshape(g.shape),
+                    residual.reshape(g.shape[:-2]))
+    i = int(todo[0])
+    where, member = ("", None) if g.ndim == 2 else (f"member {i}: ", i)
+    raise CertificationError(
+        f"{where}no Hermitian angle certifies the diagonalization: "
+        f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
+        f"|eta^dagger eta - 1| = {unitarity[i]:.3e}, against {tol:.1e}; is g unitary?", member)
 
 
 def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
-    """Diagonalize g = eta Q eta^dagger as in _diagonalize (eig, QR of the
-    sorted eigenvectors, largest entry of each column real positive); returns
-    the reduced point (Q, eta^dagger L eta) and the gauge eta."""
-    phases, eta = _diagonalize(x.g)
-    Q = TorusReg(phases)  # raises RegularityError on eigenvalue collision
+    """Diagonalize g = eta Q eta^dagger as in _diagonalize (a certified eigh
+    reduction; sorted phases, largest entry of each column of eta real
+    positive); returns the reduced point (Q, eta^dagger L eta) and the gauge
+    eta.  Raises CertificationError for a g that is not unitary and
+    RegularityError on an eigenvalue collision."""
+    phases, eta, _ = _diagonalize(x.g)
+    Q = TorusReg(phases)
     return RedPoint(Q, algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)), eta
 
 
@@ -119,25 +178,24 @@ def _rotations(phases, t_grid) -> np.ndarray:
 
 def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
-    whole grid as one stack (_diagonalize, then one stacked eigvalsh for the
+    whole grid as one stack (the certified eigh reduction _diagonalize, whose
+    residuals are the gauge defects, then one stacked eigvalsh for the
     conserved h_1..h_n).  The eigenphase labels stay continuous by cyclic
     rotations: the per-step rotation costs form one stacked array, and the
     labels of sample i are rotated by the cumulative sum mod n of the
-    cheapest rotations up to it (_rotations).  The regularity gate runs on
-    the whole stack before the matching, and the strict Hermitian projection
-    on the whole relabelled stack after it; an error names its sample i and
-    its t."""
+    cheapest rotations up to it (_rotations).  The certification and the
+    regularity gate run on the whole stack before the matching, and the
+    strict Hermitian projection on the whole relabelled stack after it; a
+    CertificationError, RegularityError or AmbiguousMatchError names its
+    sample i and its t."""
     t_grid = np.asarray(t_grid, dtype=float)
-    g = _flow_g(x0, k, t_grid)
-    phases, eta = _diagonalize(g)
-    eta_h = eta.conj().swapaxes(-1, -2)
-    L_red = eta_h @ x0.L @ eta
-    defects = np.linalg.norm((eta * np.exp(1j * phases)[:, None, :]) @ eta_h - g, axis=(1, 2))
     try:
+        phases, eta, defects = _diagonalize(_flow_g(x0, k, t_grid))
         TorusReg(phases)  # raises RegularityError on an eigenvalue collision
-    except algebra.RegularityError as exc:
+    except (CertificationError, algebra.RegularityError) as exc:
         i = exc.member
-        raise algebra.RegularityError(f"at sample {i} (t = {t_grid[i]}): {exc}", i) from exc
+        raise type(exc)(f"at sample {i} (t = {t_grid[i]}): {exc}", i) from exc
+    L_red = eta.conj().swapaxes(-1, -2) @ x0.L @ eta
     perms = (np.arange(x0.n) + _rotations(phases, t_grid)[:, None]) % x0.n
     q = np.take_along_axis(phases, perms, axis=-1)
     L = np.take_along_axis(np.take_along_axis(L_red, perms[:, :, None], axis=1),

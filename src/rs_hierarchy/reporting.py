@@ -46,7 +46,8 @@ def dumps_json(obj, indent: int = 0) -> str:
 
 
 def trajectory_csv(traj) -> str:
-    """Render a Trajectory in the CSV schema."""
+    """Render a Trajectory in the CSV schema; the whole table is formatted
+    by one % operation."""
     idx = range(1, traj.n + 1)
     header = ["t"] + [f"q_{i}" for i in idx] + [f"h_{l}" for l in idx] + ["gauge_defect"]
     table = np.column_stack([traj.times, [p.Q.q for p in traj.points],
@@ -54,6 +55,6 @@ def trajectory_csv(traj) -> str:
     finite = np.isfinite(table)
     if not finite.all():
         raise ValueError(f"non-finite value in report: {table[~finite][0]}")
-    lines = [",".join(header)] + [",".join([format(v, ".17g") for v in row])
-                                  for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+    rows, cols = table.shape
+    row = ",".join(["%.17g"] * cols) + "\n"  # "%.17g" % v == format(v, ".17g")
+    return ",".join(header) + "\n" + row * rows % tuple(table.ravel().tolist())

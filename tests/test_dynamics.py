@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from rs_hierarchy import algebra, checks, config, coords, dynamics, phase
 from rs_hierarchy.algebra import RegularityError, TorusReg
 from rs_hierarchy.brackets import pb1_full, pb2_full
-from rs_hierarchy.dynamics import (AmbiguousMatchError, flow, h_rs, h_suth2, hk,
-                                   reduce_point, trajectory)
+from rs_hierarchy.dynamics import (AmbiguousMatchError, CertificationError, flow, h_rs,
+                                   h_suth2, hk, reduce_point, trajectory)
 from rs_hierarchy.phase import (FullPoint, RedPoint, RSPoint, SuthPoint,
                                 hamiltonian_observable, invariant_observable,
                                 sample_point)
@@ -62,6 +64,8 @@ def test_flow_rejects_non_unitary_g():
     L = np.diag([1.0, -2.0]).astype(complex)
     with pytest.raises(ValueError, match="unitary"):
         flow(FullPoint(2.0 * np.eye(2, dtype=complex), L), 1, 0.3)
+    with pytest.raises(ValueError, match=r"unitary g: .* = nan$"):
+        flow(FullPoint(np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), L), 1, 0.3)
 
 
 def test_flow_diagonal_generator_explicit():
@@ -136,6 +140,94 @@ def test_reduce_point_rejects_degenerate_spectrum():
     g = np.eye(3, dtype=complex)
     with pytest.raises(RegularityError):
         reduce_point(FullPoint(g, np.zeros((3, 3), dtype=complex)))
+
+
+def test_reduce_point_rejects_non_unitary_g():
+    # QR would make eta unitary and return a reduction whose reconstruction
+    # is off by 0.54; no Hermitian angle certifies it
+    x = sample_point("full", 3, 0)
+    g = x.g @ np.diag([1.0, 1.0, 1.5])
+    with pytest.raises(CertificationError, match=r"^no Hermitian angle certifies") as info:
+        reduce_point(FullPoint(g, x.L))
+    assert info.value.member is None
+
+
+def _eig_qr_diagonalize(g):
+    """Reference: the general eig of g, QR of the eigenvectors sorted by
+    phase, and each column's largest-magnitude entry made real positive."""
+    ev, Z = np.linalg.eig(g)
+    phases = np.mod(np.angle(ev), 2 * np.pi)
+    order = np.argsort(phases, axis=-1)
+    phases = np.take_along_axis(phases, order, axis=-1)
+    eta = np.linalg.qr(np.take_along_axis(Z, order[..., None, :], axis=-1))[0]
+    i = np.argmax(np.abs(eta), axis=-2)[..., None, :]
+    return phases, eta * np.exp(-1j * np.angle(np.take_along_axis(eta, i, axis=-2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_diagonalize_matches_eig_qr_reference(n):
+    # 180 trajectories per n (k = 1..3, seeds 0..29, 21 and 101 samples):
+    # the same labels, phases to 1e-14, the same gauge to 1e-12, and each
+    # returned residual is the reconstruction error, at most 1e-14
+    for points in (21, 101):
+        t_grid = np.linspace(0.0, 1.0, points)
+        for k in (1, 2, 3):
+            for seed in range(30):
+                g = dynamics._flow_g(sample_point("full", n, seed), k, t_grid)
+                phases, eta, residual = dynamics._diagonalize(g)
+                ref_phases, ref_eta = _eig_qr_diagonalize(g)
+                case = (points, k, seed)
+                assert np.array_equal(dynamics._rotations(phases, t_grid),
+                                      dynamics._rotations(ref_phases, t_grid)), case
+                assert np.max(np.abs(phases - ref_phases)) <= 1e-14, case
+                assert np.max(np.abs(eta - ref_eta)) <= 1e-12, case
+                recon = (eta * np.exp(1j * phases)[:, None, :]) @ eta.conj().swapaxes(-1, -2)
+                assert np.array_equal(residual, np.linalg.norm(recon - g, axis=(1, 2))), case
+                assert np.max(residual) <= 1e-14, case
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_diagonalize_retries_at_a_separating_angle(n, monkeypatch):
+    # the phases a and -a have the same cosine, so the theta = 0 Hermitian
+    # part does not separate them (at n = 2 it is cos(a) times the identity)
+    phases = np.array({2: [0.7, -0.7], 3: [0.7, -0.7, 2.9], 4: [0.7, -0.7, 2.1, -2.1]}[n])
+    V = sample_point("full", n, 4).g
+    g = (V * np.exp(1j * phases)) @ V.conj().T
+    thetas = []
+    attempt = dynamics._eigh_reduction
+    monkeypatch.setattr(dynamics, "_eigh_reduction",
+                        lambda g, theta: thetas.append(theta) or attempt(g, theta))
+    q, eta, residual = dynamics._diagonalize(g)
+    assert thetas[0] == 0.0 and len(thetas) >= 2
+    assert np.max(np.abs(q - np.sort(np.mod(phases, 2 * np.pi)))) <= 1e-14
+    assert residual <= config.UNITARY_TOL * n
+    assert np.linalg.norm(eta.conj().T @ eta - np.eye(n)) <= config.UNITARY_TOL * n
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_diagonalize_is_stack_independent(n):
+    # one member reduces to the same bits alone, in a 101-stack and in a
+    # 2001-stack
+    g = dynamics._flow_g(sample_point("full", n, 3), 2, np.linspace(0.0, 1.0, 2001))
+    fine = dynamics._diagonalize(g)
+    coarse = dynamics._diagonalize(np.ascontiguousarray(g[::20]))
+    for m in (0, 37, 100):
+        alone = dynamics._diagonalize(g[20 * m].copy())
+        for a, c, f in zip(alone, coarse, fine):
+            assert a.tobytes() == c[m].tobytes() == f[20 * m].tobytes(), m
+
+
+def test_diagonalize_phase_collisions_raise_no_warning():
+    # a collision leaves some lam_l - lam_j at 0: the reduction is certified
+    # without dividing by it, and the regularity gate rejects the phases
+    g = np.stack([np.eye(3, dtype=complex), np.diag(np.exp([0.5j, 0.5j, 2j]))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phases, _, residual = dynamics._diagonalize(g)
+    assert np.all(residual <= config.UNITARY_TOL * 3)
+    assert np.allclose(phases, [[0.0, 0.0, 0.0], [0.5, 0.5, 2.0]], atol=1e-15)
+    with pytest.raises(RegularityError, match=r"^member 0: "):
+        TorusReg(phases)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +332,7 @@ def test_trajectory_equals_per_step_matching(points):
         for k in (1, 2, 3):
             for seed in range(5):
                 x0 = sample_point("full", n, seed)
-                phases, eta = dynamics._diagonalize(dynamics._flow_g(x0, k, t_grid))
+                phases, eta, _ = dynamics._diagonalize(dynamics._flow_g(x0, k, t_grid))
                 perms = _reference_labels(phases)
                 L_red = eta.conj().swapaxes(-1, -2) @ x0.L @ eta
                 L = algebra.make_hermitian(
@@ -293,6 +385,20 @@ def test_trajectory_collision_names_sample_and_time():
     x0 = FullPoint(np.diag([1.0, np.exp(0.5j)]), np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(RegularityError, match=r"^at sample 2 \(t = 0.5\): member 2: "):
         trajectory(x0, 1, [0.0, 0.25, 0.5, 0.75])
+
+
+def test_trajectory_uncertified_sample_names_sample_and_time(monkeypatch):
+    # a g(t) made non-unitary at sample 2 fails its certification
+    flow_g = dynamics._flow_g
+
+    def broken(x0, k, t):
+        g = flow_g(x0, k, t)
+        g[2] = g[2] @ np.diag([1.0, 1.0, 1.5])
+        return g
+    monkeypatch.setattr(dynamics, "_flow_g", broken)
+    with pytest.raises(CertificationError,
+                       match=r"^at sample 2 \(t = 0.5\): member 2: no Hermitian angle certifies"):
+        trajectory(sample_point("full", 3, 0), 1, [0.0, 0.25, 0.5, 0.75])
 
 
 def test_trajectory_conserved_quantities_flat():

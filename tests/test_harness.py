@@ -450,15 +450,31 @@ def test_dumps_json_narrow_floats_keep_their_digits():
     assert "0.10000000149011612" in text
 
 
-def test_trajectory_csv_equals_per_value_formatting():
-    # the whole table is formatted at once; each value as format(float(v),
-    # ".17g") one at a time is the reference
-    traj = dynamics.trajectory(sample_point("full", 4, 1), 1, np.linspace(0.0, 1.0, 11))
-    lines = ["t,q_1,q_2,q_3,q_4,h_1,h_2,h_3,h_4,gauge_defect"]
+def _per_value_csv(traj) -> str:
+    """Reference writer: each value as format(float(v), ".17g") on its own."""
+    n = traj.n
+    lines = [",".join(["t"] + [f"q_{i}" for i in range(1, n + 1)]
+                      + [f"h_{l}" for l in range(1, n + 1)] + ["gauge_defect"])]
     for i, t in enumerate(traj.times):
         row = [t, *traj.points[i].Q.q, *traj.conserved[i], traj.gauge_defects[i]]
         lines.append(",".join(format(float(v), ".17g") for v in row))
-    assert reporting.trajectory_csv(traj) == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_equals_per_value_formatting():
+    # the whole table is formatted by one % operation; the per-value writer
+    # is the reference, also at signed zeros, subnormals and the largest float
+    for n, k, seed in ((2, 1, 0), (4, 1, 1), (5, 3, 2)):
+        traj = dynamics.trajectory(sample_point("full", n, seed), k, np.linspace(0.0, 1.0, 11))
+        assert reporting.trajectory_csv(traj) == _per_value_csv(traj)
+    extremes = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0])
+    edge = dataclasses.replace(traj, times=np.resize(extremes, 11),
+                               conserved=np.resize(extremes[::-1], traj.conserved.shape),
+                               gauge_defects=np.resize(extremes[3:], 11))
+    text = reporting.trajectory_csv(edge)
+    assert text == _per_value_csv(edge)
+    assert "\n-0," in text and ",4.9406564584124654e-324" in text and ",1.7976931348623157e+308" in text
     defects = traj.gauge_defects.copy()
     defects[3] = np.inf
     with pytest.raises(ValueError, match="non-finite value in report: inf"):
