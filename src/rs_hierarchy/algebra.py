@@ -73,39 +73,40 @@ def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subspace projections with an optional strictness check
+# subspace projections: make_hermitian checks what it discards when strict,
+# the others always
 
 
-def _strict_check(X, projected, strict):
-    """With strict, raise if the projection discarded more than
+def _strict_check(X, projected):
+    """Raise if the projection discarded more than
     STRICT_PROJECTION_TOL * (1 + |X|) of any matrix of X (Frobenius norms per
     matrix, so one bad member of a stack is not averaged away)."""
-    if strict:
-        discarded = np.linalg.norm(X - projected, axis=(-2, -1))
-        bad = discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            where = f"member {i}: " if X.ndim > 2 else ""
-            raise SubspaceError(f"{where}discarded component has norm "
-                                f"{discarded.flat[i]:.3e}")
+    discarded = np.linalg.norm(X - projected, axis=(-2, -1))
+    bad = discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        where = f"member {i}: " if X.ndim > 2 else ""
+        raise SubspaceError(f"{where}discarded component has norm "
+                            f"{discarded.flat[i]:.3e}")
 
 
 def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
     H = 0.5 * (X + X.conj().swapaxes(-1, -2))
-    _strict_check(X, H, strict)
+    if strict:
+        _strict_check(X, H)
     return H
 
 
-def make_unipotent_upper(X: np.ndarray, strict: bool = False) -> np.ndarray:
+def make_unipotent_upper(X: np.ndarray) -> np.ndarray:
     U = np.triu(X, 1) + np.eye(X.shape[-1])
-    _strict_check(X, U, strict)
+    _strict_check(X, U)
     return U
 
 
-def make_zero_diag_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
+def make_zero_diag_hermitian(X: np.ndarray) -> np.ndarray:
     P = make_hermitian(X)
     P = P - diag_matrix(np.diagonal(P, axis1=-2, axis2=-1))
-    _strict_check(X, P, strict)
+    _strict_check(X, P)
     return P
 
 

@@ -1,15 +1,17 @@
-"""Poisson brackets on the four charts, the bracket pencil and a
-finite-difference Jacobiator.
+"""Poisson brackets on the four charts and a finite-difference Jacobiator.
 
 A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
 Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
-observables of its chart takes their gradients and contracts them; code
-that already holds the gradients calls `contract` directly.  Every contract
-also takes a batch of points (batch axes S, as in phase, every field
-carrying them) with the gradients at them and returns one value per member.
+observables of its chart takes their gradients in one phase.grads call and
+contracts them; code that already holds the gradients calls `contract`
+directly.  Every contract also takes a batch of points (batch axes S, as in
+phase, every field carrying them) with the gradients at them and returns one
+value per member.
 `jacobiator` takes each gradient once per stencil point for all brackets of
 one call, and its inner level is one sweep over each whole outer stack; a
-later call at the same points takes those gradients from phase's memo.
+later call at the same points takes those gradients from phase's memo.  A
+pencil sum_i s_i b_i needs no Bracket of its own: its Jacobi defect is the
+quadratic form s.T.s in the jacobiator T of the b_i.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .phase import Observable
 @dataclass(frozen=True)
 class Bracket:
     """A Poisson bracket as a bilinear form in the gradient tuples of one
-    chart: {F,H}(x) = contract(x, dF, dH) with dF = phase.grad(F, x)."""
+    chart: {F,H}(x) = contract(x, dF, dH) with (dF, dH) = phase.grads((F, H), x)."""
     chart: str
     contract: Callable    # float for one point, array of shape S for a batch
     name: str
@@ -90,14 +92,6 @@ pb2_red = Bracket("red", _pi2_red, "pb2_red")
 pb_rs = Bracket("rs", _pi_rs, "pb_rs")
 # First bracket in the Sutherland variables (Q, p, phi).
 pb_suth = Bracket("suth", _pi_suth, "pb_suth")
-
-
-def pencil(s: float) -> Bracket:
-    """Bracket pencil pb1 + s*pb2 on the full chart; every member is Poisson
-    by compatibility of the two brackets."""
-    def contract(x, gF, gH):
-        return _pi1_full(x, gF, gH) + s * _pi2_full(x, gF, gH)
-    return Bracket("full", contract, f"pencil({s})")
 
 
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,

@@ -140,7 +140,7 @@ def check_leibniz(n, seeds):
         pairs = invariant_pairs(chart)
         (F, G), (_, H) = pairs[0], pairs[1]
         x = sample_points(chart, n, seeds)
-        gx, hx = np.moveaxis(phase._values((G, H), x), -1, 0)
+        gx, hx = np.moveaxis(phase._values((G.value, H.value), x), -1, 0)
         dF, dG, dH = phase.grads((F, G, H), x)
         gm, hm = gx[:, None, None], hx[:, None, None]
         dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
@@ -177,13 +177,13 @@ def _jacobi_samples(brackets, coeffs, n, seed):
 
 def _ladder_samples(pb1, pb2, n, seeds):
     """{F, H_k}_2 against {F, H_{k+1}}_1 for k = 1..4 on the chart of pb1;
-    dF is taken once and contracted with the analytic dH_k."""
+    dF and the analytic dH_1..dH_5 come from one grads call."""
     chart = pb1.chart
     F = invariant_observable(1, 1, "re", chart=chart)
     x = sample_points(chart, n, seeds)
-    dF = phase.grad(F, x)
-    dH = {k: phase.grad(hamiltonian_observable(k, chart=chart), x) for k in range(1, 6)}
-    ab = [(pb2.contract(x, dF, dH[k]), pb1.contract(x, dF, dH[k + 1])) for k in range(1, 5)]
+    Hs = [hamiltonian_observable(k, chart=chart) for k in range(1, 6)]
+    dF, *dH = phase.grads([F] + Hs, x)
+    ab = [(pb2.contract(x, dF, dk), pb1.contract(x, dF, dk1)) for dk, dk1 in zip(dH, dH[1:])]
     return [(abs(a - b), 1.0 + abs(a) + abs(b)) for a, b in ab]
 
 

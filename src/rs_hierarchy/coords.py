@@ -32,7 +32,7 @@ def to_rs(x: RedPoint) -> RSPoint:
     bplus = np.exp(-p)[..., :, None] * b
     Qm = x.Q.matrix()
     lam = np.linalg.solve(bplus, Qm.conj() @ bplus @ Qm)
-    lam = algebra.make_unipotent_upper(lam, strict=True)
+    lam = algebra.make_unipotent_upper(lam)
     return RSPoint(x.Q, p, lam)
 
 
@@ -92,4 +92,4 @@ def to_suth(x: RedPoint) -> SuthPoint:
     off = algebra.off_diagonal(x.n)
     phi = np.zeros(np.broadcast_shapes(M.shape, x.L.shape), dtype=complex)
     phi[..., off] = -x.L[..., off] / M[..., off]
-    return SuthPoint(x.Q, p, algebra.make_zero_diag_hermitian(phi, strict=True))
+    return SuthPoint(x.Q, p, algebra.make_zero_diag_hermitian(phi))

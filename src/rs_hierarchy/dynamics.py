@@ -26,7 +26,8 @@ class AmbiguousMatchError(ValueError):
 
 
 class CertificationError(algebra._MemberError):
-    """No Hermitian angle reconstructs g within UNITARY_TOL * n: g is not unitary."""
+    """g holds a NaN or an infinity, or no Hermitian angle reconstructs it
+    within UNITARY_TOL * n: g is not unitary."""
 
 
 def hk(L: np.ndarray, k: int):
@@ -99,11 +100,20 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that fail are tried again at theta = pi m / M, m = 1..M-1,
     M = n(n-1)/2 + 1.  Each pair of phases is mirrored about one theta mod
     pi, so one of the M angles separates every pair.  Raises
-    CertificationError naming the first member that no angle certifies (a g
-    that is not unitary)."""
+    CertificationError naming the first member that holds a NaN or an
+    infinity (before any eigh), or else the first that no angle certifies
+    (a g that is not unitary)."""
     n = g.shape[-1]
     tol = UNITARY_TOL * n
     flat = g.reshape(-1, n, n)
+
+    def failure(i, message):
+        where, member = ("", None) if g.ndim == 2 else (f"member {i}: ", i)
+        return CertificationError(where + message, member)
+
+    bad = np.flatnonzero(~np.isfinite(flat).all(axis=(-2, -1)))
+    if bad.size:
+        raise failure(int(bad[0]), "g holds a non-finite entry; no reduction is certified")
     phases, eta = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
     residual, unitarity = np.empty(len(flat)), np.empty(len(flat))
     todo = np.arange(len(flat))
@@ -116,19 +126,18 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             return (phases.reshape(g.shape[:-1]), eta.reshape(g.shape),
                     residual.reshape(g.shape[:-2]))
     i = int(todo[0])
-    where, member = ("", None) if g.ndim == 2 else (f"member {i}: ", i)
-    raise CertificationError(
-        f"{where}no Hermitian angle certifies the diagonalization: "
-        f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
-        f"|eta^dagger eta - 1| = {unitarity[i]:.3e}, against {tol:.1e}; is g unitary?", member)
+    raise failure(i, f"no Hermitian angle certifies the diagonalization: "
+                     f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
+                     f"|eta^dagger eta - 1| = {unitarity[i]:.3e}, against {tol:.1e}; "
+                     "is g unitary?")
 
 
 def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
     """Diagonalize g = eta Q eta^dagger as in _diagonalize (a certified eigh
     reduction; sorted phases, largest entry of each column of eta real
     positive); returns the reduced point (Q, eta^dagger L eta) and the gauge
-    eta.  Raises CertificationError for a g that is not unitary and
-    RegularityError on an eigenvalue collision."""
+    eta.  Raises CertificationError for a g that is not finite or not
+    unitary and RegularityError on an eigenvalue collision."""
     phases, eta, _ = _diagonalize(x.g)
     Q = TorusReg(phases)
     return RedPoint(Q, algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)), eta

@@ -14,18 +14,20 @@ the batch with no axes, S = ().  Observables, the chart maps and the bracket
 contractions evaluate a whole batch at once, one value per member.
 
 One central-difference engine, `fd_grad`, serves all four charts from a
-table; `grad` is its front for observables.  Its contract: f maps points of
-batch shape S', every field carrying those axes, to an array with leading
-axes S' (more axes for an array-valued f).  A chart's row holds its gradient
-tuple type and one block per component: the space of the directions (in
-algebra.basis order, paired with its dual basis), the displacement along a
-direction X and how it moves the point.  For each block, fd_grad moves every
-member of x by all 2*dim displacements at once, each member by its own step,
-and calls f once on the moved points, of batch shape (2*dim,) + S; the
-fields the block leaves alone reach f as read-only broadcast views.
-`grads` sweeps several observables at once; the invariant observables among
-them share one call of the chart map to (U, L) per stencil stack, and their
-gradients are memoized by content (see grads; clear_memos empties it).
+table, and `grads` is its only front for observables (`grad` is grads of
+one observable; the grad_<chart> fronts also check the chart).  fd_grad's
+contract: f maps points of batch shape S', every field carrying those axes,
+to an array with leading axes S' (more axes for an array-valued f).  A
+chart's row holds its gradient tuple type and one block per component: the
+space of the directions (in algebra.basis order, paired with its dual
+basis), the displacement along a direction X and how it moves the point.
+For each block, fd_grad moves every member of x by all 2*dim displacements
+at once, each member by its own step, and calls f once on the moved points,
+of batch shape (2*dim,) + S; the fields the block leaves alone reach f as
+read-only broadcast views.  `grads` sweeps several observables at once; the
+invariant observables among them share one call of the chart map to (U, L)
+per stencil stack, and every finite-difference gradient is memoized by
+content (see grads; clear_memos empties it).
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -185,7 +187,8 @@ class Observable:
     to one value); calling the observable on one point returns a float.
     `grad`, when present, returns the chart's full derivative tuple (same
     shape as the corresponding grad_* result) and is preferred over finite
-    differences.
+    differences.  Without it, `value` must be a hashable, pure function of
+    the point: grads memoizes its gradients under it.
     """
     chart: str
     value: Callable
@@ -316,7 +319,10 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     axes; the differences are paired with the dual basis.  Every component
     has shape S + (axes of f's values after the batch axes) + (n, n), so one
     sweep differentiates many functions at the same stencil points.  Member
-    b's gradient equals that of the point on its own, bit for bit."""
+    b's gradient equals that of the point on its own, bit for bit, and so
+    does a function's part of a sweep and fd_grad of that function alone:
+    the product with the dual basis may sign a zero by the number of
+    functions, so each component is returned + 0.0."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
     h = np.full(S, fd_step(x, step))
@@ -332,35 +338,22 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
         k = len(D) // 2
         d = v[:k] - v[k:]
         d /= 2.0 * h.reshape(S + (1,) * (d.ndim - len(batch)))
-        out.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)))
+        out.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)) + 0.0)
     return kind(*out)
 
 
-def grad(F: Observable, x, step: float | None = None):
-    """Gradient tuple of F at x on F's chart (each grad_<chart> states its
-    defining identity): an analytic F.grad as is, an invariant observable
-    through grads and so its gradient memo (read-only tuples), any other by
-    fd_grad."""
-    if F.grad is not None:
-        return _CHART_TABLE[F.chart][0](*F.grad(x))
-    if isinstance(F.value, _Trace):
-        return grads((F,), x, step)[0]
-    return fd_grad(F.value, F.chart, x, step)
-
-
-def _values(Fs, y) -> np.ndarray:
-    """Values of the observables Fs of one chart at the batch y, stacked
-    along a last axis.  The invariant observables among them share one call
-    of the chart's (U, L) map and one trace per (m, k); the others call
-    `value`."""
+def _values(values, y) -> np.ndarray:
+    """Values of the value callables of one chart at the batch y, stacked
+    along a last axis.  The _Trace values among them share one call of the
+    chart's (U, L) map and one trace per (m, k); the others are called on y."""
     UL, traces, out = None, {}, []
-    for F in Fs:
-        if isinstance(F.value, _Trace):
+    for v in values:
+        if isinstance(v, _Trace):
             if UL is None:
-                UL = _UL_MAPS[F.chart](y)
-            out.append(F.value.at(*UL, traces))
+                UL = _UL_MAPS[v.chart](y)
+            out.append(v.at(*UL, traces))
         else:
-            out.append(F.value(y))
+            out.append(v(y))
     return np.stack(out, -1)
 
 
@@ -402,39 +395,39 @@ def _point_key(x, h: np.ndarray) -> tuple:
 
 def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
-    F.grad as is, the others from one fd_grad sweep over all their values,
-    each equal to its own grad(F, x, step) (bit for bit but for the sign of
-    a zero, which may follow the number of observables swept together).
-    Per stencil stack the invariant observables share one chart map.
+    F.grad as is, every other distinct value's from the memo or else from
+    one fd_grad sweep over all the missing values.  Either way each equals
+    fd_grad(F.value, chart, x, step) alone, bit for bit.
 
-    The gradient of an invariant observable is memoized: _GRADS maps its
-    _Trace and the key of x (the point type and a digest of each field's
-    dtype, shape and bytes and of the resolved steps fd_step(x, step)) to
-    the read-only gradient tuple of a finished sweep, so a fresh array with
-    equal content hits, and the sweep takes only the missing ones.  A sweep
-    that raises stores nothing.  The memo keeps the _MEMO_SIZE most recently
-    used entries; it does not see a patched chart map, so code that swaps
-    one calls clear_memos() first."""
-    fd = [F for F in Fs if F.grad is None]
-    if not fd:
-        return [grad(F, x, step) for F in Fs]
-    h = np.full(batch_shape(x), fd_step(x, step))
-    traced = {F.value: F for F in fd if isinstance(F.value, _Trace)}
-    key = _point_key(x, h) if traced else None
-    got = {v: _GRADS.lookup((v, key)) for v in traced}
-    missing = [v for v in traced if got[v] is None]
-    sweep = [traced[v] for v in missing] + [F for F in fd if not isinstance(F.value, _Trace)]
-    if sweep:
-        D = fd_grad(partial(_values, sweep), fd[0].chart, x, h)
-        swept = [type(D)(*(c[..., i, :, :] for c in D)) for i in range(len(sweep))]
-        for v, g in zip(missing, swept):
-            for c in g:
-                c.setflags(write=False)
-            _GRADS.store((v, key), g)
-            got[v] = g
-        rest = iter(swept[len(missing):])
-    return [grad(F, x, step) if F.grad is not None
-            else got[F.value] if isinstance(F.value, _Trace) else next(rest) for F in Fs]
+    _GRADS maps a value and the key of x (the point type and a digest of
+    each field's dtype, shape and bytes and of the resolved steps
+    fd_step(x, step)) to the read-only gradient tuple of a finished sweep,
+    so a fresh array with equal content hits.  A sweep that raises stores
+    nothing.  The memo keeps the _MEMO_SIZE most recently used entries; it
+    does not see a patched chart map, so code that swaps one calls
+    clear_memos() first."""
+    values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
+    got = {}
+    if values:
+        h = np.full(batch_shape(x), fd_step(x, step))
+        key = _point_key(x, h)
+        got = {v: _GRADS.lookup((v, key)) for v in values}
+        missing = [v for v in values if got[v] is None]
+        if missing:
+            D = fd_grad(partial(_values, missing), Fs[0].chart, x, h)
+            for i, v in enumerate(missing):
+                g = got[v] = type(D)(*(c[..., i, :, :] for c in D))
+                for c in g:
+                    c.setflags(write=False)
+                _GRADS.store((v, key), g)
+    return [got[F.value] if F.grad is None else _CHART_TABLE[F.chart][0](*F.grad(x))
+            for F in Fs]
+
+
+def grad(F: Observable, x, step: float | None = None):
+    """Gradient tuple of F at x on F's chart, grads((F,), x, step)[0]; each
+    grad_<chart> states its defining identity."""
+    return grads((F,), x, step)[0]
 
 
 _GRADS = _Memo(_MEMO_SIZE)
@@ -453,34 +446,34 @@ def _check_chart(F: Observable, chart: str) -> None:
         raise ValueError(f"observable is not on the {chart!r} chart")
 
 
-def grad_full(F: Observable, x: FullPoint, step: float | None = None) -> FullGrad:
+def grad_full(F: Observable, x: FullPoint) -> FullGrad:
     """Derivatives (D1 F, D1' F, d2 F) defined by
     d/dt|0 F(e^{tX} g e^{tX'}, L + tY) = <D1F,X> + <D1'F,X'> + <d2F,Y>."""
     _check_chart(F, "full")
-    return grad(F, x, step)
+    return grad(F, x)
 
 
-def grad_red(f: Observable, x: RedPoint, step: float | None = None) -> RedGrad:
+def grad_red(f: Observable, x: RedPoint) -> RedGrad:
     """Derivatives (D1 f, d2 f) defined by
     d/dt|0 f(e^{tX} Q, L + tY) = <D1f,X> + <d2f,Y>, X in u(n)_0."""
     _check_chart(f, "red")
-    return grad(f, x, step)
+    return grad(f, x)
 
 
-def grad_rs(F: Observable, x: RSPoint, step: float | None = None) -> RSGrad:
+def grad_rs(F: Observable, x: RSPoint) -> RSGrad:
     """Derivatives (DQ, dp, Dlam, Dlam') defined by
     d/dt|0 F(e^{tX0} Q, p + tY0, e^{tX+} lam e^{tY+})
       = <DQ,X0> + <dp,Y0> + <Dlam,X+> + <Dlam',Y+>."""
     _check_chart(F, "rs")
-    return grad(F, x, step)
+    return grad(F, x)
 
 
-def grad_suth(F: Observable, x: SuthPoint, step: float | None = None) -> SuthGrad:
+def grad_suth(F: Observable, x: SuthPoint) -> SuthGrad:
     """Derivatives (DQ, dp, dphi) defined by
     d/dt|0 F(e^{tX} Q, p + tY0, phi + tYperp)
       = <DQ,X> + <dp,Y0> + <dphi,Yperp>."""
     _check_chart(F, "suth")
-    return grad(F, x, step)
+    return grad(F, x)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +527,7 @@ def invariant_observable(m: int, k: int, part: str = "re",
                          chart: str = "full") -> Observable:
     """Conjugation-invariant trace observable Re/Im tr(g^m L^k), together
     with its restriction to each chart through the coordinate maps.  Its
-    value is a _Trace read at the chart's (U, L) map, so `grads` maps each
+    value is a _Trace read at the chart's (U, L) map, so `_values` maps each
     stencil stack once for all such observables of one sweep."""
     if m < 0 or k < 0 or (m, k) == (0, 0):
         raise ValueError("need m, k >= 0 with (m, k) != (0, 0)")

@@ -152,6 +152,24 @@ def test_reduce_point_rejects_non_unitary_g():
     assert info.value.member is None
 
 
+def test_reduce_point_rejects_a_non_finite_g():
+    # before any eigh, whose own failure on a NaN is an untyped LinAlgError
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = np.nan
+    with pytest.raises(CertificationError, match=r"^g holds a non-finite entry") as info:
+        reduce_point(FullPoint(g, np.zeros((3, 3), dtype=complex)))
+    assert info.value.member is None
+
+
+def test_diagonalize_names_the_first_non_finite_member_of_a_stack():
+    g = np.stack([sample_point("full", 3, seed).g for seed in range(3)])
+    g[1, 2, 0] = np.nan
+    g[2, 0, 0] = np.inf
+    with pytest.raises(CertificationError, match=r"^member 1: g holds a non-finite") as info:
+        dynamics._diagonalize(g)
+    assert info.value.member == 1
+
+
 def _eig_qr_diagonalize(g):
     """Reference: the general eig of g, QR of the eigenvectors sorted by
     phase, and each column's largest-magnitude entry made real positive."""

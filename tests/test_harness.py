@@ -182,9 +182,12 @@ def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
     # one analytic gradient per Hamiltonian, not one per pair member, and
     # one for the whole stack of seeds
     taken = []
-    grad = phase.grad
-    monkeypatch.setattr(phase, "grad", lambda F, x, step=None: taken.append(F.name)
-                        or grad(F, x, step))
+    make = phase.hamiltonian_observable
+
+    def counted(k, chart="full"):
+        H = make(k, chart)
+        return dataclasses.replace(H, grad=lambda x: taken.append(H.name) or H.grad(x))
+    monkeypatch.setattr(checks, "hamiltonian_observable", counted)
     checks.CHECKS["antisymmetry-hk"].func(3, (0, 1, 2))
     assert sorted(taken) == ["H_1[full]", "H_2[full]", "H_3[full]"]
 

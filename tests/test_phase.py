@@ -390,23 +390,41 @@ def test_grads_maps_each_stencil_stack_once(chart, monkeypatch):
 @pytest.mark.parametrize("chart", phase.CHARTS)
 def test_memo_hit_is_a_read_only_cold_fd_grad(chart):
     # a second sweep, in another order, and grad take the stored tuples;
-    # each equals a cold fd_grad of its observable alone bit for bit, up to
-    # the sign of a zero (one column or three change tensordot's product)
+    # each equals a cold fd_grad of its observable alone bit for bit, the
+    # sign of every zero included (768 components over the four charts)
     Fs = [invariant_observable(*p, chart=chart)
-          for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"))]
-    for x in (sample_point(chart, 3, 0), phase.sample_points(chart, 3, (1, 2))):
-        for step in (None, 1e-4):
-            phase.clear_memos()
-            first = phase.grads(Fs, x, step)
-            again = phase.grads(Fs[::-1], x, step)[::-1]
-            assert phase._GRADS.hits == len(Fs) and len(phase._GRADS) == len(Fs)
-            assert phase.grad(Fs[1], x, step) is first[1]
-            for F, g, h in zip(Fs, first, again, strict=True):
-                assert h is g
-                for a, c in zip(h, phase.fd_grad(F.value, chart, x, step), strict=True):
-                    assert a.shape == c.shape, F.name
-                    assert (a + 0.0).tobytes() == (c + 0.0).tobytes(), F.name
-                    assert not a.flags.writeable
+          for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"), (1, 2, "im"))]
+    for n in (2, 3, 4, 5):
+        for x in (sample_point(chart, n, 0), phase.sample_points(chart, n, (1, 2, 3))):
+            for step in (None, 1e-4):
+                phase.clear_memos()
+                first = phase.grads(Fs, x, step)
+                again = phase.grads(Fs[::-1], x, step)[::-1]
+                assert phase._GRADS.hits == len(Fs) and len(phase._GRADS) == len(Fs)
+                assert phase.grad(Fs[1], x, step) is first[1]
+                for F, g, h in zip(Fs, first, again, strict=True):
+                    assert h is g
+                    for a, c in zip(h, phase.fd_grad(F.value, chart, x, step), strict=True):
+                        assert a.shape == c.shape, F.name
+                        assert a.tobytes() == c.tobytes(), (F.name, n, step)
+                        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_an_fd_observable_is_memoized_under_its_value(chart):
+    # a value that is not a trace form is memoized too: a second grad, and
+    # another observable with the same value, take the stored read-only
+    # tuple, equal to a cold fd_grad bit for bit
+    F = Observable(chart, point_norm, name="norm")
+    x = sample_point(chart, 3, 0)
+    phase.clear_memos()
+    g = phase.grad(F, x)
+    assert phase.grad(F, x) is g
+    assert all(d is g for d in phase.grads([dataclasses.replace(F, name="other"), F], x))
+    assert phase._GRADS.hits == 2 and len(phase._GRADS) == 1
+    for a, c in zip(g, phase.fd_grad(point_norm, chart, x), strict=True):
+        assert a.tobytes() == c.tobytes()
+        assert not a.flags.writeable
 
 
 def _rebuilt(x, edit=None):
