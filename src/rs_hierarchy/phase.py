@@ -187,8 +187,8 @@ class Observable:
     to one value); calling the observable on one point returns a float.
     `grad`, when present, returns the chart's full derivative tuple (same
     shape as the corresponding grad_* result) and is preferred over finite
-    differences.  Without it, `value` must be a hashable, pure function of
-    the point: grads memoizes its gradients under it.
+    differences.  Without it, `value` must be a hashable (else grads raises
+    ValueError), pure function of the point: grads memoizes under it.
     """
     chart: str
     value: Callable
@@ -319,10 +319,11 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     axes; the differences are paired with the dual basis.  Every component
     has shape S + (axes of f's values after the batch axes) + (n, n), so one
     sweep differentiates many functions at the same stencil points.  Member
-    b's gradient equals that of the point on its own, bit for bit, and so
-    does a function's part of a sweep and fd_grad of that function alone:
-    the product with the dual basis may sign a zero by the number of
-    functions, so each component is returned + 0.0."""
+    b's gradient equals that of the point on its own, bit for bit.  Each
+    component gets + 0.0 in place, so no zero is -0.0 (the dual-basis product
+    may sign one by the number of functions); a function's part of a sweep
+    then measures equal to fd_grad of it alone (768 components, one BLAS),
+    as CI's run of each registry row alone from cleared memos checks."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
     h = np.full(S, fd_step(x, step))
@@ -338,7 +339,8 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
         k = len(D) // 2
         d = v[:k] - v[k:]
         d /= 2.0 * h.reshape(S + (1,) * (d.ndim - len(batch)))
-        out.append(np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0)) + 0.0)
+        c = np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0))
+        out.append(np.add(c, 0.0, out=c))
     return kind(*out)
 
 
@@ -349,8 +351,7 @@ def _values(values, y) -> np.ndarray:
     UL, traces, out = None, {}, []
     for v in values:
         if isinstance(v, _Trace):
-            if UL is None:
-                UL = _UL_MAPS[v.chart](y)
+            UL = UL or _UL_MAPS[v.chart](y)
             out.append(v.at(*UL, traces))
         else:
             out.append(v(y))
@@ -395,18 +396,19 @@ def _point_key(x, h: np.ndarray) -> tuple:
 
 def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
-    F.grad as is, every other distinct value's from the memo or else from
-    one fd_grad sweep over all the missing values.  Either way each equals
-    fd_grad(F.value, chart, x, step) alone, bit for bit.
+    F.grad as is, every other distinct value's (hashable, else ValueError)
+    from the memo or else from one fd_grad sweep over all the missing
+    values; each equals fd_grad of F.value alone (see fd_grad).
 
-    _GRADS maps a value and the key of x (the point type and a digest of
-    each field's dtype, shape and bytes and of the resolved steps
-    fd_step(x, step)) to the read-only gradient tuple of a finished sweep,
-    so a fresh array with equal content hits.  A sweep that raises stores
-    nothing.  The memo keeps the _MEMO_SIZE most recently used entries; it
-    does not see a patched chart map, so code that swaps one calls
-    clear_memos() first."""
-    values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
+    _GRADS maps a value and the key of x (point type, digest of each field's
+    dtype, shape and bytes and of the resolved steps) to the read-only
+    gradient tuple of a finished sweep; a sweep that raises stores nothing.
+    It keeps the _MEMO_SIZE most recently used entries and does not see a
+    patched chart map: code that swaps one calls clear_memos() first."""
+    try:
+        values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
+    except TypeError as e:
+        raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
     got = {}
     if values:
         h = np.full(batch_shape(x), fd_step(x, step))
