@@ -6,10 +6,14 @@ observables of its chart takes their gradients in one phase.grads call and
 contracts them; code that already holds the gradients calls `contract`
 directly.  Every contract also takes a batch of points (batch axes S, as in
 phase, every field carrying them) with the gradients at them and returns one
-value per member.
+value per member.  contract_pairs puts that to use for many pairs of
+gradients at once: gradient tuples stacked along leading pair axes (stack,
+take, cyclic_pairs) are contracted in one call, the point broadcast over
+those axes, each value equal to that of its pair alone, bit for bit.
 `jacobiator` takes each gradient once per stencil point for all brackets of
 one call, and its inner level is one sweep over each whole outer stack; a
-later call at the same points takes those gradients from phase's memo.  A
+later call at the same points takes those gradients from phase's memo.
+Both of its levels contract each bracket once on all their pairs.  A
 pencil sum_i s_i b_i needs no Bracket of its own: its Jacobi defect is the
 quadratic form s.T.s in the jacobiator T of the b_i.
 """
@@ -94,6 +98,42 @@ pb_rs = Bracket("rs", _pi_rs, "pb_rs")
 pb_suth = Bracket("suth", _pi_suth, "pb_suth")
 
 
+def stack(grads):
+    """Gradient tuples of one chart, all of the same shape, as one tuple of
+    that type whose components carry a new leading axis."""
+    return type(grads[0])(*map(np.stack, zip(*grads)))
+
+
+def take(g, index):
+    """The gradient tuple g with every component indexed by `index` along
+    its leading axes; a slice or None gives views, not copies."""
+    return type(g)(*(c[index] for c in g))
+
+
+def cyclic_pairs(dA, dB, dC):
+    """Stacks (left, right) of the pairs (A, B), (B, C), (C, A) of three
+    gradient tuples: consecutive members of one stack of (A, B, C, A)."""
+    d = stack((dA, dB, dC, dA))
+    return take(d, slice(0, 3)), take(d, slice(1, 4))
+
+
+def contract_pairs(bracket: Bracket, x, dF, dH) -> np.ndarray:
+    """bracket.contract on every pair of gradients of dF and dH in one call.
+
+    dF and dH are gradient tuples at x (batch shape S) whose components
+    carry leading pair axes in front of S, as `stack` and `take` build them;
+    the pair axes of the two broadcast against each other to P (a tuple
+    without any pairs with every member of the other).  Both tuples and x
+    are broadcast to P + S as read-only views, and the result has shape
+    P + S: each value equals contract on its own pair, bit for bit."""
+    S = phase.batch_shape(x)
+    parts = np.broadcast_arrays(*dF, *dH)
+    P = parts[0].shape[:parts[0].ndim - len(S) - 2]
+    k = len(dF)
+    return bracket.contract(phase._broadcast(x, P + S),
+                            type(dF)(*parts[:k]), type(dH)(*parts[k:]))
+
+
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
                x) -> np.ndarray:
     """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
@@ -104,10 +144,13 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
     inner callable a stack of outer stencil points; that takes the gradients
     of F, G, H on the whole stack in one sweep (each member at its own
-    default step) and contracts every bracket once on it.  Those gradients
-    come from phase's gradient memo when an earlier call took them at the
-    same points and steps (keyed by content, at most _MEMO_SIZE entries): a
-    second bracket tuple on the same F, G, H and x takes no inner sweep.
+    default step) and contracts each bracket once on the stack of the three
+    cyclic pairs.  Those gradients come from phase's gradient memo when an
+    earlier call took them at the same points and steps (keyed by content,
+    at most _MEMO_SIZE entries): a second bracket tuple on the same F, G, H
+    and x takes no inner sweep.  The outer level contracts each bracket once
+    too, the outer gradients of F, G, H against those of every inner value,
+    and sums each row's three terms in the order {F,.}, {G,.}, {H,.}.
     Code that swaps a chart map calls phase.clear_memos() first.
     """
     chart = F.chart
@@ -122,17 +165,16 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
 
     def inner(ys):
         dF, dG, dH = phase.grads((F, G, H), ys)
-        T = np.array([[b.contract(ys, dG, dH), b.contract(ys, dH, dF),
-                       b.contract(ys, dF, dG)] for b in brackets])
+        pairs = cyclic_pairs(dG, dH, dF)   # {G,H}, {H,F}, {F,G}
+        T = np.array([contract_pairs(b, ys, *pairs) for b in brackets])
         return np.moveaxis(T, (0, 1), (-2, -1))
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    outer = phase.grads((F, G, H), x, h_outer)
+    outer = stack(phase.grads((F, G, H), x, h_outer))
     D = phase.fd_grad(inner, chart, x, h_outer)
-    d_inner = [[type(D)(*(part[..., i, c, :, :] for part in D)) for c in range(3)]
-               for i in range(len(brackets))]
-    return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))
-                      for row in d_inner] for b in brackets])
+    d_inner = type(D)(*(np.moveaxis(c, (-4, -3), (0, 1)) for c in D))
+    return np.array([sum(np.moveaxis(contract_pairs(b, x, outer, d_inner), 1, 0))
+                     for b in brackets])
 
 
 def jacobi_defect(bracket: Bracket, F: Observable, G: Observable, H: Observable,

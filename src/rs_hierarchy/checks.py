@@ -14,6 +14,10 @@ such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
 Bracket with another across a chart map.  Most bodies take one gradient
 sweep, or one chart round trip, on the sample_points of all seeds; the
 jacobi-* and flow-* rows run a one-seed body per seed through _per_seed.
+A body that contracts gradients stacks all its pairs along pair axes in
+front of the seeds and makes one brackets.contract_pairs call per bracket
+(the involutivity grid as broadcast views of one stack of the dH_k), each
+value equal to that of the per-pair contract, bit for bit.
 run_check calls the body once on seeds 0..S-1 and lays the samples out
 seed-major.  Rows share gradients through phase's gradient memo (keyed by
 content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
@@ -108,25 +112,28 @@ def _hamiltonian_pairs(chart):
     return [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
 
 
-def _pair_grads(pairs, x) -> list[tuple]:
-    """(dF, dH) at x for each pair (F, H): one gradient per distinct
-    observable, all from one phase.grads call."""
+def _pair_grads(pairs, x) -> tuple:
+    """(d, i, j): the stack d of the gradients at x of the distinct
+    observables of the pairs (F, H), all from one phase.grads call, and the
+    index arrays of each pair's F and H in it."""
     Fs = list(dict.fromkeys(F for pair in pairs for F in pair))
-    d = dict(zip(Fs, phase.grads(Fs, x)))
-    return [(d[F], d[H]) for F, H in pairs]
+    i, j = np.array([[Fs.index(F) for F in pair] for pair in pairs]).T
+    return br.stack(phase.grads(Fs, x)), i, j
 
 
 def _antisymmetry_samples(pairs_of, charts, n, seeds):
     """{F,H} + {H,F} for every bracket of each chart on the pairs
     pairs_of(chart); the gradients of all pairs are taken in one sweep per
-    chart and contracted in both orders."""
+    chart and each bracket contracts all pairs in both orders at once."""
     out = []
     for chart in charts:
         x = sample_points(chart, n, seeds)
-        for dF, dH in _pair_grads(pairs_of(chart), x):
-            for bracket in _BRACKETS_BY_CHART[chart]:
-                v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
-                out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
+        d, i, j = _pair_grads(pairs_of(chart), x)
+        ij = np.array([i, j])
+        v = [br.contract_pairs(b, x, br.take(d, ij), br.take(d, ij[::-1]))
+             for b in _BRACKETS_BY_CHART[chart]]
+        out += [(abs(v1[p] + v2[p]), 1.0 + abs(v1[p]) + abs(v2[p]))
+                for p in range(len(i)) for v1, v2 in v]
     return out
 
 
@@ -144,19 +151,13 @@ def check_leibniz(n, seeds):
         dF, dG, dH = phase.grads((F, G, H), x)
         gm, hm = gx[:, None, None], hx[:, None, None]
         dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
+        right = br.stack((dGH, dG, dH))
         for bracket in bracket_list:
-            lhs = bracket.contract(x, dF, dGH)
-            fg = bracket.contract(x, dF, dG)
-            fh = bracket.contract(x, dF, dH)
+            lhs, fg, fh = br.contract_pairs(bracket, x, dF, right)
             rhs = gx * fh + hx * fg
             scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
             out.append((abs(lhs - rhs), scale))
     return out
-
-
-def _pair_values(bracket, dF, dG, dH, x) -> list[float]:
-    """({F,G}, {G,H}, {H,F}) at x from the gradients of F, G and H at x."""
-    return [bracket.contract(x, a, b) for a, b in ((dF, dG), (dG, dH), (dH, dF))]
 
 
 def _jacobi_scale(values) -> float:
@@ -170,32 +171,39 @@ def _jacobi_samples(brackets, coeffs, n, seed):
     F, G, H = invariant_triple(brackets[0].chart)
     x = sample_point(brackets[0].chart, n, seed)
     T = br.jacobiator(brackets, F, G, H, x)
-    d = phase.grads((F, G, H), x)
-    V = np.array([_pair_values(b, *d, x) for b in brackets])
+    pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))   # {F,G}, {G,H}, {H,F}
+    V = np.array([br.contract_pairs(b, x, *pairs) for b in brackets])
     return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
 
 
 def _ladder_samples(pb1, pb2, n, seeds):
     """{F, H_k}_2 against {F, H_{k+1}}_1 for k = 1..4 on the chart of pb1;
-    dF and the analytic dH_1..dH_5 come from one grads call."""
+    dF and the analytic dH_1..dH_5 come from one grads call, and each
+    bracket contracts dF with all of its dH_k at once."""
     chart = pb1.chart
     F = invariant_observable(1, 1, "re", chart=chart)
     x = sample_points(chart, n, seeds)
     Hs = [hamiltonian_observable(k, chart=chart) for k in range(1, 6)]
     dF, *dH = phase.grads([F] + Hs, x)
-    ab = [(pb2.contract(x, dF, dk), pb1.contract(x, dF, dk1)) for dk, dk1 in zip(dH, dH[1:])]
-    return [(abs(a - b), 1.0 + abs(a) + abs(b)) for a, b in ab]
+    dH = br.stack(dH)
+    a = br.contract_pairs(pb2, x, dF, br.take(dH, slice(0, 4)))
+    b = br.contract_pairs(pb1, x, dF, br.take(dH, slice(1, 5)))
+    return list(zip(abs(a - b), 1.0 + abs(a) + abs(b)))
 
 
 def check_involutivity(n, seeds):
     """{H_i, H_j} for i, j = 1..5 under both full brackets; the analytic dH_k
-    and the values H_k(x) are taken once."""
+    and the values H_k(x) are taken once, and each bracket contracts the
+    whole 5 x 5 grid at once, its rows and columns broadcast views of one
+    stack of the dH_k."""
     x = sample_points("full", n, seeds)
     Hs = [hamiltonian_observable(k) for k in range(1, 6)]
-    dH = phase.grads(Hs, x)
+    dH = br.stack(phase.grads(Hs, x))
+    rows, cols = br.take(dH, np.s_[:, None]), br.take(dH, np.s_[None, :])
+    V = [br.contract_pairs(b, x, rows, cols) for b in (br.pb1_full, br.pb2_full)]
     v = [H.value(x) for H in Hs]
-    return [(abs(bracket.contract(x, dH[i], dH[j])), 1.0 + abs(v[i]) + abs(v[j]))
-            for i in range(5) for j in range(5) for bracket in (br.pb1_full, br.pb2_full)]
+    return [(abs(Vb[i, j]), 1.0 + abs(v[i]) + abs(v[j]))
+            for i in range(5) for j in range(5) for Vb in V]
 
 
 def _grad_norm(g) -> np.ndarray:
@@ -211,17 +219,16 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     """`bracket` at x against `ref_bracket` at to_ref(x) on the invariant
     pairs of their charts.  The bracket contracts two FD gradients, so the
     scale adds |dF|*|dH| to the two values; the gradients of all pairs are
-    taken in one sweep on each side."""
+    taken in one sweep on each side and contracted in one call."""
     x = sample_points(bracket.chart, n, seeds)
     y = to_ref(x)
-    out = []
-    for (dF, dH), (df, dh) in zip(_pair_grads(invariant_pairs(bracket.chart), x),
-                                  _pair_grads(invariant_pairs(ref_bracket.chart), y)):
-        a = bracket.contract(x, dF, dH)
-        b = ref_bracket.contract(y, df, dh)
-        scale = 1.0 + abs(a) + abs(b) + _grad_norm(dF) * _grad_norm(dH)
-        out.append((abs(a - b), scale))
-    return out
+    d, i, j = _pair_grads(invariant_pairs(bracket.chart), x)
+    e, k, m = _pair_grads(invariant_pairs(ref_bracket.chart), y)
+    a = br.contract_pairs(bracket, x, br.take(d, i), br.take(d, j))
+    b = br.contract_pairs(ref_bracket, y, br.take(e, k), br.take(e, m))
+    norm = _grad_norm(d)
+    scale = 1.0 + abs(a) + abs(b) + norm[i] * norm[j]
+    return list(zip(abs(a - b), scale))
 
 
 def _pd_red_points(n, seeds):

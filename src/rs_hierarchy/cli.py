@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -23,6 +24,15 @@ from .phase import invariant_observable, sample_point
 def _config_error(msg: str):
     print(f"error: {msg}", file=sys.stderr)
     raise SystemExit(2)
+
+
+def _open_out(path: str):
+    """The file at path opened for writing, before any work is done; exit 2
+    when it cannot be."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        _config_error(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _parse_obs(text: str, chart: str):
@@ -78,13 +88,9 @@ def _cmd_check(args) -> int:
         specs = [checks.CheckSpec(cid, n=args.n, seeds=args.seeds) for cid in ids]
     except (KeyError, ValueError) as exc:
         _config_error(str(exc))
-    report = checks.run_checks(specs)
-    text = reporting.dumps_json(report) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_out(args.out) if args.out else nullcontext(sys.stdout) as fh:
+        report = checks.run_checks(specs)
+        fh.write(reporting.dumps_json(report) + "\n")
     for entry in report["checks"]:
         status = "PASS" if entry["passed"] else "FAIL"
         rel = entry["max_rel_defect"]
@@ -100,13 +106,13 @@ def _cmd_flow(args) -> int:
     if args.steps < 2 or args.n < 2 or args.k < 1 or not np.isfinite([args.t0, args.t1]).all():
         _config_error("need steps >= 2, n >= 2, k >= 1 and finite t0, t1")
     x0 = _sample("full", args.n, args.seed)
-    t_grid = np.linspace(args.t0, args.t1, args.steps)
-    try:
-        traj = dynamics.trajectory(x0, args.k, t_grid)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        t_grid = np.linspace(args.t0, args.t1, args.steps)
+        try:
+            traj = dynamics.trajectory(x0, args.k, t_grid)
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         fh.write(reporting.trajectory_csv(traj))
     return 0
 

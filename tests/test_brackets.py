@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rs_hierarchy import algebra, brackets as br, coords, phase
+from rs_hierarchy import algebra, brackets as br, config, coords, phase
 from rs_hierarchy.phase import (Observable, hamiltonian_observable,
                                 invariant_observable, sample_point)
 
@@ -259,13 +259,63 @@ def test_contract_on_a_stack_equals_per_member(bracket, chart, n):
     F, H = _pair(chart)
     points = [sample_point(chart, n, seed) for seed in range(3)]
     grads = [[phase.grad(A, x) for x in points] for A in (F, H)]
-    dF, dH = (type(g[0])(*map(np.stack, zip(*g))) for g in grads)
-    got = bracket.contract(_stack(points), dF, dH)
+    dF, dH = (br.stack(g) for g in grads)
+    x = _stack(points)
+    got = bracket.contract(x, dF, dH)
     assert got.shape == (len(points),)
-    for b, x in enumerate(points):
-        want = bracket.contract(x, grads[0][b], grads[1][b])
+    for b, xb in enumerate(points):
+        want = bracket.contract(xb, grads[0][b], grads[1][b])
         assert type(want) is float
         assert got[b] == want, b
+    # a leading pair axis in front of the stack, on the point broadcast over
+    # it: each pair's values equal those of contract on that pair alone;
+    # contract_pairs gives the same from the 2 x 2 grid of broadcast views
+    # of one stack of dF, dH (grid[i, j] pairs member i with member j)
+    pairs = [(dF, dH), (dH, dF), (dF, dF), (dH, dH)]
+    left, right = (br.stack(side) for side in zip(*pairs))
+    got = bracket.contract(phase._broadcast(x, (len(pairs), 3)), left, right)
+    assert got.shape == (len(pairs), 3)
+    for p, (a, b) in enumerate(pairs):
+        assert got[p].tobytes() == bracket.contract(x, a, b).tobytes(), p
+    d = br.stack((dF, dH))
+    grid = br.contract_pairs(bracket, x, br.take(d, np.s_[:, None]), br.take(d, np.s_[None, :]))
+    assert grid.shape == (2, 2, 3)
+    assert grid.reshape(4, 3).tobytes() == got[[2, 0, 1, 3]].tobytes()
+
+
+def _per_pair_jacobiator(brackets, F, G, H, x):
+    """The jacobiator as it was written before each bracket contracted all
+    pairs of a level in one call: one contract call per bracket and pair."""
+    def inner(ys):
+        dF, dG, dH = phase.grads((F, G, H), ys)
+        T = np.array([[b.contract(ys, dG, dH), b.contract(ys, dH, dF),
+                       b.contract(ys, dF, dG)] for b in brackets])
+        return np.moveaxis(T, (0, 1), (-2, -1))
+
+    h_outer = config.FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
+    outer = phase.grads((F, G, H), x, h_outer)
+    D = phase.fd_grad(inner, F.chart, x, h_outer)
+    d_inner = [[type(D)(*(part[..., i, c, :, :] for part in D)) for c in range(3)]
+               for i in range(len(brackets))]
+    return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))
+                      for row in d_inner] for b in brackets])
+
+
+JACOBI_TUPLES = [(br.pb1_full,), (br.pb2_full,), (br.pb1_full, br.pb2_full),
+                 (br.pb1_red, br.pb2_red), (br.pb_suth,)]
+
+
+@pytest.mark.parametrize("brackets", JACOBI_TUPLES,
+                         ids=["+".join(b.name for b in bs) for bs in JACOBI_TUPLES])
+def test_jacobiator_equals_its_per_pair_form(brackets):
+    F, G, H = _triple(brackets[0].chart)
+    for n in (2, 3, 4, 5):
+        for seed in range(3):
+            x = sample_point(brackets[0].chart, n, seed)
+            got = br.jacobiator(brackets, F, G, H, x)
+            want = _per_pair_jacobiator(brackets, F, G, H, x)
+            assert got.shape == want.shape == (len(brackets),) * 2
+            assert got.tobytes() == want.tobytes(), (n, seed)
 
 
 def _counted(F):

@@ -372,14 +372,153 @@ def test_stacked_round_trips_equal_the_one_point_form(check_id):
 
 
 def test_grad_norm_equals_norm_of_each_member():
-    # one norm per member, each equal to the np.linalg.norm form on its own
-    F = phase.invariant_observable(2, 1, "im", chart="rs")
+    # one norm per member, each equal to the np.linalg.norm form on its own,
+    # on a stack of seeds S = (3,) and on a stack of pairs of them, (P, S)
+    Fs = [phase.invariant_observable(*p, chart="rs") for p in ((2, 1, "im"), (0, 2, "re"))]
     for n in (2, 3, 4, 5):
-        g = phase.grad(F, phase.sample_points("rs", n, (0, 1, 2)))
-        got = checks._grad_norm(g)
+        gs = phase.grads(Fs, phase.sample_points("rs", n, (0, 1, 2)))
+        got = checks._grad_norm(gs[0])
         assert got.shape == (3,)
         for i in range(3):
-            assert got[i] == float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in g)))
+            assert got[i] == float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in gs[0])))
+        got = checks._grad_norm(br.stack(gs))
+        assert got.shape == (2, 3)
+        for p, g in enumerate(gs):
+            for i in range(3):
+                want = float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in g)))
+                assert got[p, i] == want, (n, p, i)
+
+
+# ---------------------------------------------------------------------------
+# the bracket rows against their per-pair form: one contract call per pair
+# of gradients (and per order), as the rows were written before each bracket
+# contracted all pairs of a row in one call
+
+
+def _ref_pair_grads(pairs, x):
+    Fs = list(dict.fromkeys(F for pair in pairs for F in pair))
+    d = dict(zip(Fs, phase.grads(Fs, x)))
+    return [(d[F], d[H]) for F, H in pairs]
+
+
+def _ref_antisymmetry(pairs_of, charts, n, seeds):
+    out = []
+    for chart in charts:
+        x = phase.sample_points(chart, n, seeds)
+        for dF, dH in _ref_pair_grads(pairs_of(chart), x):
+            for bracket in checks._BRACKETS_BY_CHART[chart]:
+                v1, v2 = bracket.contract(x, dF, dH), bracket.contract(x, dH, dF)
+                out.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))
+    return out
+
+
+def _ref_leibniz(n, seeds):
+    out = []
+    for chart, bracket_list in checks._BRACKETS_BY_CHART.items():
+        pairs = checks.invariant_pairs(chart)
+        (F, G), (_, H) = pairs[0], pairs[1]
+        x = phase.sample_points(chart, n, seeds)
+        gx, hx = np.moveaxis(phase._values((G.value, H.value), x), -1, 0)
+        dF, dG, dH = phase.grads((F, G, H), x)
+        gm, hm = gx[:, None, None], hx[:, None, None]
+        dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
+        for bracket in bracket_list:
+            lhs = bracket.contract(x, dF, dGH)
+            fg = bracket.contract(x, dF, dG)
+            fh = bracket.contract(x, dF, dH)
+            rhs = gx * fh + hx * fg
+            scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
+            out.append((abs(lhs - rhs), scale))
+    return out
+
+
+def _ref_ladder(pb1, pb2, n, seeds):
+    chart = pb1.chart
+    F = phase.invariant_observable(1, 1, "re", chart=chart)
+    x = phase.sample_points(chart, n, seeds)
+    Hs = [phase.hamiltonian_observable(k, chart=chart) for k in range(1, 6)]
+    dF, *dH = phase.grads([F] + Hs, x)
+    ab = [(pb2.contract(x, dF, dk), pb1.contract(x, dF, dk1)) for dk, dk1 in zip(dH, dH[1:])]
+    return [(abs(a - b), 1.0 + abs(a) + abs(b)) for a, b in ab]
+
+
+def _ref_involutivity(n, seeds):
+    x = phase.sample_points("full", n, seeds)
+    Hs = [phase.hamiltonian_observable(k) for k in range(1, 6)]
+    dH = phase.grads(Hs, x)
+    v = [H.value(x) for H in Hs]
+    return [(abs(bracket.contract(x, dH[i], dH[j])), 1.0 + abs(v[i]) + abs(v[j]))
+            for i in range(5) for j in range(5) for bracket in (br.pb1_full, br.pb2_full)]
+
+
+def _ref_transfer(bracket, ref_bracket, to_ref, n, seeds):
+    x = phase.sample_points(bracket.chart, n, seeds)
+    y = to_ref(x)
+    out = []
+    for (dF, dH), (df, dh) in zip(_ref_pair_grads(checks.invariant_pairs(bracket.chart), x),
+                                  _ref_pair_grads(checks.invariant_pairs(ref_bracket.chart), y)):
+        a = bracket.contract(x, dF, dH)
+        b = ref_bracket.contract(y, df, dh)
+        scale = 1.0 + abs(a) + abs(b) + checks._grad_norm(dF) * checks._grad_norm(dH)
+        out.append((abs(a - b), scale))
+    return out
+
+
+def _ref_jacobi(brackets, coeffs, n, seed):
+    # the jacobiator is compared with its per-pair form in test_brackets;
+    # here the pair values of the scale, one contract call per pair
+    F, G, H = checks.invariant_triple(brackets[0].chart)
+    x = sample_point(brackets[0].chart, n, seed)
+    T = br.jacobiator(brackets, F, G, H, x)
+    dF, dG, dH = phase.grads((F, G, H), x)
+    V = np.array([[b.contract(x, p, q) for p, q in ((dF, dG), (dG, dH), (dH, dF))]
+                  for b in brackets])
+    return [(float(abs(s @ T @ s)), checks._jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
+
+
+_REFERENCE_ROWS = {
+    "antisymmetry": partial(_ref_antisymmetry, checks.invariant_pairs,
+                            tuple(checks._BRACKETS_BY_CHART)),
+    "antisymmetry-hk": partial(_ref_antisymmetry, checks._hamiltonian_pairs, ("full",)),
+    "leibniz": _ref_leibniz,
+    "ladder-full": partial(_ref_ladder, br.pb1_full, br.pb2_full),
+    "ladder-red": partial(_ref_ladder, br.pb1_red, br.pb2_red),
+    "involutivity": _ref_involutivity,
+    "reduction-pb1": partial(_ref_transfer, br.pb1_red, br.pb1_full, checks._red_to_full),
+    "reduction-pb2": partial(_ref_transfer, br.pb2_red, br.pb2_full, checks._red_to_full),
+    "rs-bracket": partial(_ref_transfer, br.pb_rs, br.pb2_red, coords.from_rs),
+    "suth-bracket": partial(_ref_transfer, br.pb_suth, br.pb1_red, coords.from_suth),
+}
+
+_REFERENCE_JACOBI = {
+    "jacobi-full-1": ((br.pb1_full,), [(1.0,)]),
+    "jacobi-full-2": ((br.pb2_full,), [(1.0,)]),
+    "jacobi-pencil": ((br.pb1_full, br.pb2_full), [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)]),
+    "jacobi-red": ((br.pb1_red, br.pb2_red), [(1.0, 0.0), (0.0, 1.0)]),
+    "jacobi-suth": ((br.pb_suth,), [(1.0,)]),
+}
+
+
+def _hex_samples(samples) -> list:
+    return [[float(v).hex() for v in np.ravel(part)] for sample in samples for part in sample]
+
+
+@pytest.mark.parametrize("check_id", list(_REFERENCE_ROWS))
+def test_stacked_rows_equal_their_per_pair_form(check_id):
+    # every sample bit for bit at n = 2..6 on the seeds 0..4
+    for n in range(2, 7):
+        seeds = tuple(range(5))
+        got = checks.CHECKS[check_id].func(n, seeds)
+        assert _hex_samples(got) == _hex_samples(_REFERENCE_ROWS[check_id](n, seeds)), n
+
+
+@pytest.mark.parametrize("check_id", list(_REFERENCE_JACOBI))
+def test_jacobi_pair_values_equal_their_per_pair_form(check_id):
+    for n in range(2, 6):
+        got = checks.CHECKS[check_id].func(n, (0, 1, 2))
+        per_seed = [_ref_jacobi(*_REFERENCE_JACOBI[check_id], n, seed) for seed in range(3)]
+        want = [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per_seed)]
+        assert _hex_samples(got) == _hex_samples(want), n
 
 
 def test_run_check_names_worst_seed():
@@ -572,6 +711,13 @@ def test_cli_config_errors_exit_2(tmp_path):
         res = _run(["flow", *args, "--out", str(tmp_path / "t.csv")])
         assert res.returncode == 2, args
         assert "Traceback" not in res.stderr and "Warning" not in res.stderr, args
+    # an --out under a missing directory fails before any check runs
+    for args in (["check", "--suite", "prop3", "--n", "2", "--seeds", "1"], ["flow"]):
+        out = tmp_path / "missing" / "out.txt"
+        res = _run([*args, "--out", str(out)])
+        assert res.returncode == 2, args
+        assert res.stderr.startswith(f"error: cannot write {out}: "), res.stderr
+        assert "Traceback" not in res.stderr and "PASS" not in res.stderr, args
 
 
 def test_cli_runs_without_scipy(tmp_path):
