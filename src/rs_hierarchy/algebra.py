@@ -135,8 +135,8 @@ def off_diagonal(n: int) -> np.ndarray:
 class TorusReg:
     """Regular element of the maximal torus, stored as n real phases, or a
     stack of them (q of shape S + (n,) for batch axes S).  The gate rejects
-    a stack if any member is irregular, and its RegularityError names the
-    first one."""
+    a stack if any member is irregular or holds a non-finite phase, and its
+    RegularityError names the first one."""
 
     q: np.ndarray
 
@@ -145,14 +145,16 @@ class TorusReg:
         object.__setattr__(self, "q", q)
         if q.ndim < 1 or q.shape[-1] < 2:
             raise ValueError("need at least two phases")
-        gaps = self._pair_gaps()
-        if gaps.min() <= REGULARITY_GAP:
-            gap = gaps.min(axis=-1)
+        finite = np.isfinite(q).all()  # tested first: np.exp warns on an infinity
+        if not finite or self._pair_gaps().min() <= REGULARITY_GAP:
+            gap = self.min_gap() if finite else None
+            bad = gap <= REGULARITY_GAP if finite else ~np.isfinite(q).all(axis=-1)
+            i = int(np.flatnonzero(bad)[0])
+            why = (f"eigenvalue gap {gap.flat[i]:.3e} below {REGULARITY_GAP:.1e}" if finite
+                   else "non-finite phase")
             if q.ndim == 1:
-                raise RegularityError(f"eigenvalue gap {gap:.3e} below {REGULARITY_GAP:.1e}")
-            i = int(np.flatnonzero(gap <= REGULARITY_GAP)[0])
-            raise RegularityError(f"member {i}: eigenvalue gap {gap.flat[i]:.3e} below "
-                                  f"{REGULARITY_GAP:.1e}", member=i)
+                raise RegularityError(why)
+            raise RegularityError(f"member {i}: {why}", member=i)
 
     @property
     def n(self) -> int:

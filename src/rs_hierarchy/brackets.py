@@ -137,7 +137,8 @@ def contract_pairs(bracket: Bracket, x, dF, dH) -> np.ndarray:
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
                x) -> np.ndarray:
     """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
-    central differences.  The Jacobi defect of sum_i s_i b_i is s.T.s.
+    central differences; a batch x of batch axes S gives T of shape (b, b) + S,
+    each member's T that of the member alone.  The Jacobi defect of sum_i s_i b_i is s.T.s.
 
     Anything but a Bracket raises TypeError.  One sweep with the coarse step
     FD_OUTER_STEP_SCALE*(1 + |x|) differentiates every inner value {G,H}_i,

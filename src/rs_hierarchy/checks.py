@@ -11,9 +11,9 @@ A registry row maps a check id to a body func(n, seeds) that returns its
 (abs_defect, scale) samples at a tuple of seeds, each an array pair of shape
 (len(seeds),): a check function, or a shared sampler bound to its brackets,
 such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
-Bracket with another across a chart map.  Most bodies take one gradient
-sweep, or one chart round trip, on the sample_points of all seeds; the
-jacobi-* and flow-* rows run a one-seed body per seed through _per_seed.
+Bracket with another across a chart map.  Every body evaluates all its
+seeds as one stack of sample_points (one gradient sweep, jacobiator call,
+chart round trip or flow); only flow-conserved runs one trajectory per seed.
 A body that contracts gradients stacks all its pairs along pair axes in
 front of the seeds and makes one brackets.contract_pairs call per bracket
 (the involutivity grid as broadcast views of one stack of the dH_k), each
@@ -24,9 +24,8 @@ content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
 reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
 jacobi-pencil those of jacobi-full-1, leibniz and the ladders those of
 antisymmetry.  A row's samples do not depend on what the memo holds.
-Each row states its check's tolerance once, as the config level of the
-error model of what it checks (EXACT, ANALYTIC, RK4, FD, NESTED), and
-nothing else sets it.
+Each row states its tolerance once, as the config level (EXACT, ANALYTIC,
+RK4, FD, NESTED) of the error model of what it checks; nothing else sets it.
 """
 
 from __future__ import annotations
@@ -160,20 +159,17 @@ def check_leibniz(n, seeds):
     return out
 
 
-def _jacobi_scale(values) -> float:
-    return 1.0 + sum(abs(v) for v in values)
-
-
-def _jacobi_samples(brackets, coeffs, n, seed):
+def _jacobi_samples(brackets, coeffs, n, seeds):
     """Per coefficient vector s: the defect |s.T.s| of sum_i s_i b_i (T the
-    jacobiator) against the scale of s.V, V the pair values of the b_i from
-    one set of gradients of F, G, H at x."""
+    jacobiator of the stack of sample points, its batch axes moved first)
+    against 1 + sum |s.V|, V the pair values {F,G}, {G,H}, {H,F} of the b_i
+    from one set of gradients of F, G, H."""
     F, G, H = invariant_triple(brackets[0].chart)
-    x = sample_point(brackets[0].chart, n, seed)
-    T = br.jacobiator(brackets, F, G, H, x)
-    pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))   # {F,G}, {G,H}, {H,F}
-    V = np.array([br.contract_pairs(b, x, *pairs) for b in brackets])
-    return [(float(abs(s @ T @ s)), _jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
+    x = sample_points(brackets[0].chart, n, seeds)
+    T = np.moveaxis(br.jacobiator(brackets, F, G, H, x), (0, 1), (-2, -1))   # S + (b, b)
+    pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
+    V = np.stack([br.contract_pairs(b, x, *pairs) for b in brackets], axis=-1)  # (3,) + S + (b,)
+    return [(abs(s @ T @ s), 1.0 + sum(abs(V @ s))) for s in map(np.array, coeffs)]
 
 
 def _ladder_samples(pb1, pb2, n, seeds):
@@ -316,37 +312,30 @@ RK4_STEPS = 4096
 
 
 def _g_samples(pairs):
-    """|a - b| against 1 + |a| for each pair (a, b) of group elements."""
-    return [(float(np.linalg.norm(a - b)), 1.0 + float(np.linalg.norm(a))) for a, b in pairs]
+    """|a - b| against 1 + |a| for each pair (a, b) of stacks of group elements."""
+    return [(phase._member_norm(a - b, a.shape[:-2]), 1.0 + phase._member_norm(a, a.shape[:-2]))
+            for a, b in pairs]
 
 
-def check_flow_rk4(n, seed):
-    x0 = sample_point("full", n, seed)
+def check_flow_rk4(n, seeds):
+    x0 = sample_points("full", n, seeds)
     return _g_samples((dynamics.flow(x0, k, 1.0).g, _rk4_flow(x0, k, 1.0, RK4_STEPS))
                       for k in (1, 2))
 
 
-def check_flow_conserved(n, seed):
-    x0 = sample_point("full", n, seed)
-    traj = dynamics.trajectory(x0, 2, np.linspace(0.0, 1.0, 21))
-    drift = np.max(np.abs(traj.conserved - traj.conserved[0]), axis=0)
-    ref = 1.0 + np.abs(traj.conserved[0])
-    return [(float(d), float(r)) for d, r in zip(drift, ref)]
+def check_flow_conserved(n, seeds):
+    """Drift of h_1..h_n along one trajectory per seed (trajectory takes one point)."""
+    t = np.linspace(0.0, 1.0, 21)
+    c = np.stack([dynamics.trajectory(sample_point("full", n, seed), 2, t).conserved
+                  for seed in seeds])
+    drift = np.max(np.abs(c - c[:, :1]), axis=1)   # (S, n): one sample per h_l
+    return list(zip(drift.T, (1.0 + np.abs(c[:, 0])).T))
 
 
-def check_flow_group(n, seed):
-    x0 = sample_point("full", n, seed)
+def check_flow_group(n, seeds):
+    x0 = sample_points("full", n, seeds)
     return _g_samples((dynamics.flow(x0, k, 0.7 + 0.4).g,
                        dynamics.flow(dynamics.flow(x0, k, 0.7), k, 0.4).g) for k in (1, 2))
-
-
-def _per_seed(body):
-    """The registry body that runs body(n, seed) -> [(abs_defect, scale), ...]
-    once per seed and stacks each sample's pairs over the seeds."""
-    def func(n, seeds):
-        per = [body(n, seed) for seed in seeds]
-        return [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per)]
-    return func
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +358,17 @@ CHECKS: dict[str, CheckDef] = {
         ANALYTIC, ("theorem1",)),
     "leibniz": CheckDef(check_leibniz, EXACT, ("theorem1",)),
     # Jacobi rows: brackets b_i and the coefficient vectors s of sum_i s_i b_i
-    "jacobi-full-1": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)])),
+    "jacobi-full-1": CheckDef(partial(_jacobi_samples, (br.pb1_full,), [(1.0,)]),
                               NESTED, ("theorem1",)),
-    "jacobi-full-2": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)])),
+    "jacobi-full-2": CheckDef(partial(_jacobi_samples, (br.pb2_full,), [(1.0,)]),
                               NESTED, ("theorem1",)),
-    "jacobi-pencil": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
-                                                [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)])),
+    "jacobi-pencil": CheckDef(partial(_jacobi_samples, (br.pb1_full, br.pb2_full),
+                                      [(1.0, -1.0), (1.0, 0.5), (1.0, 1.0)]),
                               NESTED, ("theorem1",)),
-    "jacobi-red": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
-                                             [(1.0, 0.0), (0.0, 1.0)])),
+    "jacobi-red": CheckDef(partial(_jacobi_samples, (br.pb1_red, br.pb2_red),
+                                   [(1.0, 0.0), (0.0, 1.0)]),
                            NESTED, ("theorem2",)),
-    "jacobi-suth": CheckDef(_per_seed(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)])),
+    "jacobi-suth": CheckDef(partial(_jacobi_samples, (br.pb_suth,), [(1.0,)]),
                             NESTED, ("prop4",)),
     # the ladder identity holds for every dF, so only the analytic dH_k enter
     "ladder-full": CheckDef(partial(_ladder_samples, br.pb1_full, br.pb2_full),
@@ -407,9 +396,9 @@ CHECKS: dict[str, CheckDef] = {
     "bplus-residual": CheckDef(check_bplus_residual, EXACT, ("prop3",)),
     "hamiltonian-rs": CheckDef(check_hamiltonian_rs, EXACT, ("prop3",)),
     "hamiltonian-suth": CheckDef(check_hamiltonian_suth, EXACT, ("prop4",)),
-    "flow-rk4": CheckDef(_per_seed(check_flow_rk4), RK4, ("flows",)),
-    "flow-conserved": CheckDef(_per_seed(check_flow_conserved), ANALYTIC, ("flows",)),
-    "flow-group": CheckDef(_per_seed(check_flow_group), EXACT, ("flows",)),
+    "flow-rk4": CheckDef(check_flow_rk4, RK4, ("flows",)),
+    "flow-conserved": CheckDef(check_flow_conserved, ANALYTIC, ("flows",)),
+    "flow-group": CheckDef(check_flow_group, EXACT, ("flows",)),
 }
 
 SUITES = ("theorem1", "theorem2", "prop3", "prop4", "flows")
@@ -427,9 +416,10 @@ def _seed_samples(func, n: int, seeds: tuple) -> list[tuple]:
     """(abs_defect, scale, seed, index) of each sample of func(n, seeds),
     seed-major: all samples of seeds[0] in the body's order (index 0, 1, ...),
     then those of seeds[1]..."""
-    cols = [(np.asarray(a).tolist(), np.asarray(s).tolist()) for a, s in func(n, seeds)]
-    if any(np.shape(v) != (len(seeds),) for pair in cols for v in pair):
+    cols = [(np.asarray(a), np.asarray(s)) for a, s in func(n, seeds)]
+    if any(v.shape != (len(seeds),) for pair in cols for v in pair):
         raise ValueError(f"a check body must return arrays of shape ({len(seeds)},)")
+    cols = [(a.tolist(), s.tolist()) for a, s in cols]
     return [(a[i], s[i], seed, k) for i, seed in enumerate(seeds)
             for k, (a, s) in enumerate(cols)]
 

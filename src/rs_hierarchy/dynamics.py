@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import algebra
+from . import algebra, phase
 from .algebra import TorusReg
 from .config import MATCH_TIE_TOL, REGULARITY_GAP, UNITARY_TOL
 from .phase import FullPoint, RedPoint
@@ -40,20 +40,25 @@ def hk(L: np.ndarray, k: int):
 
 
 def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
-    """The stack of g(t) = exp(i t L0^k) g0 over the 1-D array t; one eigh of L0."""
+    """The stack of g(t) = exp(i t L0^k) g0 over the 1-D array t, of shape t.shape + S
+    for x0 of batch axes S, by one eigh of L0; the error names a non-unitary g0."""
     if k < 1:
         raise ValueError("need k >= 1")
-    defect = np.linalg.norm(x0.g.conj().T @ x0.g - np.eye(x0.n))
-    if not defect <= UNITARY_TOL * x0.n:  # also a NaN defect
-        raise ValueError(f"flow needs a unitary g: |g^dagger g - 1| = {defect:.3e}")
+    S = x0.g.shape[:-2]
+    defect = phase._member_norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n), S)
+    unitary = defect <= UNITARY_TOL * x0.n  # False for a NaN defect
+    if not unitary.all():
+        i = int(np.flatnonzero(~unitary)[0])
+        where = f"member {i}: " if S else ""
+        raise ValueError(f"{where}flow needs a unitary g: |g^dagger g - 1| = {defect.flat[i]:.3e}")
     w, V = np.linalg.eigh(x0.L)
-    U = (V * np.exp(1j * t[:, None] * w ** k)[:, None, :]) @ V.conj().T
-    return U @ x0.g
+    e = np.exp(1j * t.reshape(t.shape + (1,) * w.ndim) * w ** k)
+    return (V * e[..., None, :]) @ V.conj().swapaxes(-1, -2) @ x0.g
 
 
 def flow(x0: FullPoint, k: int, t: float) -> FullPoint:
-    """Exact flow of H_{k+1} under the first bracket (equivalently of H_k
-    under the second): g(t) = exp(i t L0^k) g0, L(t) = L0."""
+    """Exact flow of H_{k+1} under the first bracket (equivalently of H_k under
+    the second): g(t) = exp(i t L0^k) g0, L(t) = L0, of a point or of a stack."""
     return FullPoint(_flow_g(x0, k, np.array([t], dtype=float))[0], x0.L)
 
 

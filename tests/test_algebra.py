@@ -219,6 +219,19 @@ def test_stacked_torus_gate_names_the_irregular_member():
     assert np.array_equal(Q2.min_gap()[1], Q.min_gap()[::-1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_torus_gate_rejects_a_non_finite_phase(bad):
+    # before any exp runs, so no RuntimeWarning (an error here) comes first
+    with pytest.raises(RegularityError, match=r"^non-finite phase$") as info:
+        TorusReg([0.0, bad])
+    assert info.value.member is None
+    q = np.tile([0.1, 1.0, 2.0], (2, 3, 1))
+    q[1, 0, 2] = bad
+    with pytest.raises(RegularityError, match=r"^member 3: non-finite phase$") as info:
+        TorusReg(q)
+    assert info.value.member == 3
+
+
 def test_strict_projection_checks_each_member_of_a_stack():
     # the second member's anti-Hermitian part (norm 1e-5) is far above the
     # tolerance for that member, though a single norm over the stack, which

@@ -68,6 +68,34 @@ def test_flow_rejects_non_unitary_g():
         flow(FullPoint(np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex), L), 1, 0.3)
 
 
+def test_flow_on_a_stack_equals_each_member():
+    # bit for bit: flow on seeds 0..4 as one stack against each point alone
+    seeds = tuple(range(5))
+    for n in (2, 3, 4, 5):
+        x = phase.sample_points("full", n, seeds)
+        for k in (1, 2):
+            y = flow(x, k, 0.7)
+            assert y.g.shape == (5, n, n) and y.L is x.L
+            for i, seed in enumerate(seeds):
+                one = flow(sample_point("full", n, seed), k, 0.7)
+                assert y.g[i].tobytes() == one.g.tobytes(), (n, k, seed)
+
+
+def test_flow_on_a_stack_names_the_first_non_unitary_member():
+    # a (2, 2) stack: members are flat indices over both batch axes, and a
+    # NaN member counts as failing
+    x = phase.sample_points("full", 3, (0, 1, 2, 3))
+    g = x.g.copy()
+    g[3, 0, 1] = np.nan
+    g[2] *= 2.0
+    L = x.L.reshape(2, 2, 3, 3)
+    with pytest.raises(ValueError, match=r"^member 2: flow needs a unitary g: "):
+        flow(FullPoint(g.reshape(2, 2, 3, 3), L), 1, 0.3)
+    g[2] = x.g[2]
+    with pytest.raises(ValueError, match=r"^member 3: flow needs a unitary g: .* = nan$"):
+        flow(FullPoint(g.reshape(2, 2, 3, 3), L), 1, 0.3)
+
+
 def test_flow_diagonal_generator_explicit():
     L = np.diag([1.0, -2.0]).astype(complex)
     g0 = np.eye(2, dtype=complex)

@@ -65,10 +65,8 @@ def test_run_checks_empty_report():
 # outer one, one inner one per outer block and the gradients of the scale;
 # its points are the 1,800 of its Jacobi defect and 3 * 24 for the scale).
 # The map the transfer rows apply to x itself is bound at import, so it is
-# not counted.  A stacked row evaluates all its seeds in those sweeps: its
-# points grow with the number of seeds and its chart-map calls do not.  The
-# per-seed jacobi-suth runs its sweeps once per seed.
-_PER_SEED_ROWS = {"jacobi-suth"}
+# not counted.  Every row evaluates all its seeds in those sweeps: its
+# points grow with the number of seeds and its chart-map calls do not.
 _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
               "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 4},
               "jacobi-suth": {"from_suth": 15}}
@@ -122,8 +120,7 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
         calls.clear()
         checks.CHECKS[check_id].func(3, seeds)
         assert points[0] == evals * len(seeds), seeds
-        per_map = len(seeds) if check_id in _PER_SEED_ROWS else 1
-        assert calls == {k: v * per_map for k, v in _MAP_CALLS.get(check_id, {}).items()}
+        assert calls == _MAP_CALLS.get(check_id, {}), seeds
 
 
 # Rows that take the gradients an earlier row of the suite took, at the same
@@ -215,8 +212,13 @@ def test_failing_check_still_reports(monkeypatch):
 
 
 def test_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
-    row = checks.CheckDef(checks._per_seed(lambda n, seed: [(0.0, 1.0)] if seed == 0 else 1 / 0),
-                          config.FD, ())
+    # the stacked body raises whenever seed 1 is among its seeds, so the
+    # replay seed by seed keeps seed 0's samples and names seed 1
+    def body(n, seeds):
+        if 1 in seeds:
+            return 1 / 0
+        return [(np.zeros(len(seeds)), np.ones(len(seeds)))]
+    row = checks.CheckDef(body, config.FD, ())
     monkeypatch.setitem(checks.CHECKS, "raises-at-seed-1", row)
     spec = CheckSpec("raises-at-seed-1", n=2, seeds=3)
     r = run_check(spec)
@@ -272,12 +274,14 @@ def test_samples_are_laid_out_seed_major(monkeypatch):
 
 
 def test_row_returning_scalars_fails_loudly(monkeypatch):
-    # a body must return one value per seed; scalars are an error, not samples
-    row = checks.CheckDef(lambda n, seeds: [(0.0, 1.0)], 1.0, ())
-    monkeypatch.setitem(checks.CHECKS, "scalar-row", row)
-    r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
-    assert r.seeds_run == 0 and r.worst_seed is None and r.passed is False
-    assert r.errors == ["seed 0: ValueError: a check body must return arrays of shape (1,)"]
+    # a body must return one value per seed; scalars, or a column of shape
+    # (S, 1) per seed stack, are an error, not samples
+    for sample in (lambda S: (0.0, 1.0), lambda S: (np.zeros((S, 1)), np.ones((S, 1)))):
+        row = checks.CheckDef(lambda n, seeds: [sample(len(seeds))], 1.0, ())
+        monkeypatch.setitem(checks.CHECKS, "scalar-row", row)
+        r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
+        assert r.seeds_run == 0 and r.worst_seed is None and r.passed is False
+        assert r.errors == ["seed 0: ValueError: a check body must return arrays of shape (1,)"]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -312,11 +316,8 @@ def test_non_finite_sample_fails_the_check(monkeypatch, samples, error, worst):
     assert entry["max_abs_defect"] == worst[0] and entry["errors"] == [error]
 
 
-# rows whose bodies evaluate all their seeds as one stack of sample points
-STACKED_ROWS = ("antisymmetry", "antisymmetry-hk", "leibniz", "ladder-full", "ladder-red",
-                "involutivity", "reduction-pb1", "reduction-pb2", "rs-bracket",
-                "suth-bracket", "roundtrip-rs", "roundtrip-suth", "bplus-residual",
-                "hamiltonian-rs", "hamiltonian-suth")
+# every row's body evaluates all its seeds as one stack of sample points
+STACKED_ROWS = tuple(checks.CHECKS)
 
 
 @pytest.mark.parametrize("check_id", STACKED_ROWS)
@@ -473,7 +474,8 @@ def _ref_jacobi(brackets, coeffs, n, seed):
     dF, dG, dH = phase.grads((F, G, H), x)
     V = np.array([[b.contract(x, p, q) for p, q in ((dF, dG), (dG, dH), (dH, dF))]
                   for b in brackets])
-    return [(float(abs(s @ T @ s)), checks._jacobi_scale(s @ V)) for s in map(np.array, coeffs)]
+    return [(float(abs(s @ T @ s)), 1.0 + sum(abs(v) for v in s @ V))
+            for s in map(np.array, coeffs)]
 
 
 _REFERENCE_ROWS = {
@@ -499,6 +501,45 @@ _REFERENCE_JACOBI = {
 }
 
 
+# the flow rows as one-point bodies, as they were before every row took its
+# seeds as one stack: flow and the RK4 oracle at one point, norms by
+# np.linalg.norm
+
+
+def _ref_g_samples(pairs):
+    return [(float(np.linalg.norm(a - b)), 1.0 + float(np.linalg.norm(a))) for a, b in pairs]
+
+
+def _ref_flow_rk4(n, seed):
+    x0 = sample_point("full", n, seed)
+    return _ref_g_samples((dynamics.flow(x0, k, 1.0).g,
+                           checks._rk4_flow(x0, k, 1.0, checks.RK4_STEPS)) for k in (1, 2))
+
+
+def _ref_flow_conserved(n, seed):
+    x0 = sample_point("full", n, seed)
+    traj = dynamics.trajectory(x0, 2, np.linspace(0.0, 1.0, 21))
+    drift = np.max(np.abs(traj.conserved - traj.conserved[0]), axis=0)
+    ref = 1.0 + np.abs(traj.conserved[0])
+    return [(float(d), float(r)) for d, r in zip(drift, ref)]
+
+
+def _ref_flow_group(n, seed):
+    x0 = sample_point("full", n, seed)
+    return _ref_g_samples((dynamics.flow(x0, k, 0.7 + 0.4).g,
+                           dynamics.flow(dynamics.flow(x0, k, 0.7), k, 0.4).g) for k in (1, 2))
+
+
+_REFERENCE_FLOWS = {"flow-rk4": _ref_flow_rk4, "flow-conserved": _ref_flow_conserved,
+                    "flow-group": _ref_flow_group}
+
+
+def _seed_by_seed(body, n, seeds) -> list:
+    """The samples of the one-point body(n, seed), each stacked over the seeds."""
+    per_seed = [body(n, seed) for seed in seeds]
+    return [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per_seed)]
+
+
 def _hex_samples(samples) -> list:
     return [[float(v).hex() for v in np.ravel(part)] for sample in samples for part in sample]
 
@@ -514,11 +555,21 @@ def test_stacked_rows_equal_their_per_pair_form(check_id):
 
 @pytest.mark.parametrize("check_id", list(_REFERENCE_JACOBI))
 def test_jacobi_pair_values_equal_their_per_pair_form(check_id):
+    # the stacked row against the one-point jacobiator and pair values, seed
+    # by seed
     for n in range(2, 6):
         got = checks.CHECKS[check_id].func(n, (0, 1, 2))
-        per_seed = [_ref_jacobi(*_REFERENCE_JACOBI[check_id], n, seed) for seed in range(3)]
-        want = [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per_seed)]
+        want = _seed_by_seed(partial(_ref_jacobi, *_REFERENCE_JACOBI[check_id]), n, (0, 1, 2))
         assert _hex_samples(got) == _hex_samples(want), n
+
+
+@pytest.mark.parametrize("check_id", list(_REFERENCE_FLOWS))
+def test_flow_rows_equal_their_one_point_form(check_id):
+    # every sample bit for bit at n = 2..6 on the seeds 0..4
+    for n in range(2, 7):
+        seeds = tuple(range(5))
+        want = _seed_by_seed(_REFERENCE_FLOWS[check_id], n, seeds)
+        assert _hex_samples(checks.CHECKS[check_id].func(n, seeds)) == _hex_samples(want), n
 
 
 def test_run_check_names_worst_seed():
