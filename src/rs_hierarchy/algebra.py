@@ -9,7 +9,7 @@ gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 `TorusReg`, `chol_upper` and the `make_*` projections also take a stack
 along any number of leading batch axes, and check each member on its own;
 `pairing`, `split_ub`, `comm` and the R-operator act on stacks member by
-member.
+member, and their batch axes broadcast by numpy's rule.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class SubspaceError(ValueError):
 
 def pairing(X: np.ndarray, Y: np.ndarray):
     """Invariant bilinear form <X,Y> = Im tr(XY) on gl(n,C) as a real algebra:
-    a float for two matrices, an array of values for stacks of them."""
-    if X.shape != Y.shape or X.shape[-1] != X.shape[-2]:
+    a float for two matrices, an array of values for stacks of them, whose
+    batch axes broadcast by numpy's rule (or raise numpy's ValueError)."""
+    if X.shape[-2:] != Y.shape[-2:] or X.shape[-1] != X.shape[-2]:
         raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
     v = (X * Y.swapaxes(-1, -2)).sum(axis=(-2, -1)).imag
     return float(v) if v.ndim == 0 else v
@@ -175,11 +176,6 @@ class TorusReg:
         if self.q.ndim < 2 or isinstance(i, tuple):
             raise TypeError("index a stack of torus elements along its first batch axis")
         return self._ungated(self.q[i])
-
-    def broadcast_to(self, S: tuple) -> "TorusReg":
-        """self for every member of the batch axes S (its own batch axes
-        last): a read-only view of q, not gated again."""
-        return self._ungated(np.broadcast_to(self.q, S + (self.n,)))
 
     @staticmethod
     def _ungated(q: np.ndarray) -> "TorusReg":

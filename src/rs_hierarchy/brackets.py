@@ -4,12 +4,10 @@ A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
 Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
 observables of its chart takes their gradients in one phase.grads call and
 contracts them; code that already holds the gradients calls `contract`
-directly.  Every contract also takes a batch of points (batch axes S, as in
-phase, every field carrying them) with the gradients at them and returns one
-value per member.  contract_pairs puts that to use for many pairs of
-gradients at once: gradient tuples stacked along leading pair axes (stack,
-take, cyclic_pairs) are contracted in one call, the point broadcast over
-those axes, each value equal to that of its pair alone, bit for bit.
+directly.  Every contract takes a batch of points (batch axes S, as in
+phase) and gradient stacks with pair axes P in front of S (stack, take,
+cyclic_pairs), all broadcast by numpy's rule, and returns the values of
+shape P + S in one call, each equal to that of its pair alone, bit for bit.
 `jacobiator` takes each gradient once per stencil point for all brackets of
 one call, and its inner level is one sweep over each whole outer stack; a
 later call at the same points takes those gradients from phase's memo.
@@ -34,9 +32,11 @@ from .phase import Observable
 @dataclass(frozen=True)
 class Bracket:
     """A Poisson bracket as a bilinear form in the gradient tuples of one
-    chart: {F,H}(x) = contract(x, dF, dH) with (dF, dH) = phase.grads((F, H), x)."""
+    chart: {F,H}(x) = contract(x, dF, dH) with (dF, dH) = phase.grads((F, H), x).
+    contract takes gradient stacks whose pair axes, in front of x's batch
+    axes S, broadcast to P, and returns values of shape P + S."""
     chart: str
-    contract: Callable    # float for one point, array of shape S for a batch
+    contract: Callable    # float for one point and one pair
     name: str
 
     def __call__(self, F: Observable, H: Observable, x) -> float:
@@ -117,23 +117,6 @@ def cyclic_pairs(dA, dB, dC):
     return take(d, slice(0, 3)), take(d, slice(1, 4))
 
 
-def contract_pairs(bracket: Bracket, x, dF, dH) -> np.ndarray:
-    """bracket.contract on every pair of gradients of dF and dH in one call.
-
-    dF and dH are gradient tuples at x (batch shape S) whose components
-    carry leading pair axes in front of S, as `stack` and `take` build them;
-    the pair axes of the two broadcast against each other to P (a tuple
-    without any pairs with every member of the other).  Both tuples and x
-    are broadcast to P + S as read-only views, and the result has shape
-    P + S: each value equals contract on its own pair, bit for bit."""
-    S = phase.batch_shape(x)
-    parts = np.broadcast_arrays(*dF, *dH)
-    P = parts[0].shape[:parts[0].ndim - len(S) - 2]
-    k = len(dF)
-    return bracket.contract(phase._broadcast(x, P + S),
-                            type(dF)(*parts[:k]), type(dH)(*parts[k:]))
-
-
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
                x) -> np.ndarray:
     """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
@@ -167,14 +150,14 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     def inner(ys):
         dF, dG, dH = phase.grads((F, G, H), ys)
         pairs = cyclic_pairs(dG, dH, dF)   # {G,H}, {H,F}, {F,G}
-        T = np.array([contract_pairs(b, ys, *pairs) for b in brackets])
+        T = np.array([b.contract(ys, *pairs) for b in brackets])
         return np.moveaxis(T, (0, 1), (-2, -1))
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     outer = stack(phase.grads((F, G, H), x, h_outer))
     D = phase.fd_grad(inner, chart, x, h_outer)
     d_inner = type(D)(*(np.moveaxis(c, (-4, -3), (0, 1)) for c in D))
-    return np.array([sum(np.moveaxis(contract_pairs(b, x, outer, d_inner), 1, 0))
+    return np.array([sum(np.moveaxis(b.contract(x, outer, d_inner), 1, 0))
                      for b in brackets])
 
 

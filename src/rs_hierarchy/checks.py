@@ -15,9 +15,9 @@ Bracket with another across a chart map.  Every body evaluates all its
 seeds as one stack of sample_points (one gradient sweep, jacobiator call,
 chart round trip or flow); only flow-conserved runs one trajectory per seed.
 A body that contracts gradients stacks all its pairs along pair axes in
-front of the seeds and makes one brackets.contract_pairs call per bracket
-(the involutivity grid as broadcast views of one stack of the dH_k), each
-value equal to that of the per-pair contract, bit for bit.
+front of the seeds and makes one Bracket.contract call per bracket (the
+involutivity grid as views of one stack of the dH_k, broadcast by numpy),
+each value equal to that of the per-pair contract, bit for bit.
 run_check calls the body once on seeds 0..S-1 and lays the samples out
 seed-major.  Rows share gradients through phase's gradient memo (keyed by
 content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
@@ -129,7 +129,7 @@ def _antisymmetry_samples(pairs_of, charts, n, seeds):
         x = sample_points(chart, n, seeds)
         d, i, j = _pair_grads(pairs_of(chart), x)
         ij = np.array([i, j])
-        v = [br.contract_pairs(b, x, br.take(d, ij), br.take(d, ij[::-1]))
+        v = [b.contract(x, br.take(d, ij), br.take(d, ij[::-1]))
              for b in _BRACKETS_BY_CHART[chart]]
         out += [(abs(v1[p] + v2[p]), 1.0 + abs(v1[p]) + abs(v2[p]))
                 for p in range(len(i)) for v1, v2 in v]
@@ -152,7 +152,7 @@ def check_leibniz(n, seeds):
         dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
         right = br.stack((dGH, dG, dH))
         for bracket in bracket_list:
-            lhs, fg, fh = br.contract_pairs(bracket, x, dF, right)
+            lhs, fg, fh = bracket.contract(x, dF, right)
             rhs = gx * fh + hx * fg
             scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
             out.append((abs(lhs - rhs), scale))
@@ -168,7 +168,7 @@ def _jacobi_samples(brackets, coeffs, n, seeds):
     x = sample_points(brackets[0].chart, n, seeds)
     T = np.moveaxis(br.jacobiator(brackets, F, G, H, x), (0, 1), (-2, -1))   # S + (b, b)
     pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
-    V = np.stack([br.contract_pairs(b, x, *pairs) for b in brackets], axis=-1)  # (3,) + S + (b,)
+    V = np.stack([b.contract(x, *pairs) for b in brackets], axis=-1)  # (3,) + S + (b,)
     return [(abs(s @ T @ s), 1.0 + sum(abs(V @ s))) for s in map(np.array, coeffs)]
 
 
@@ -182,8 +182,8 @@ def _ladder_samples(pb1, pb2, n, seeds):
     Hs = [hamiltonian_observable(k, chart=chart) for k in range(1, 6)]
     dF, *dH = phase.grads([F] + Hs, x)
     dH = br.stack(dH)
-    a = br.contract_pairs(pb2, x, dF, br.take(dH, slice(0, 4)))
-    b = br.contract_pairs(pb1, x, dF, br.take(dH, slice(1, 5)))
+    a = pb2.contract(x, dF, br.take(dH, slice(0, 4)))
+    b = pb1.contract(x, dF, br.take(dH, slice(1, 5)))
     return list(zip(abs(a - b), 1.0 + abs(a) + abs(b)))
 
 
@@ -196,7 +196,7 @@ def check_involutivity(n, seeds):
     Hs = [hamiltonian_observable(k) for k in range(1, 6)]
     dH = br.stack(phase.grads(Hs, x))
     rows, cols = br.take(dH, np.s_[:, None]), br.take(dH, np.s_[None, :])
-    V = [br.contract_pairs(b, x, rows, cols) for b in (br.pb1_full, br.pb2_full)]
+    V = [b.contract(x, rows, cols) for b in (br.pb1_full, br.pb2_full)]
     v = [H.value(x) for H in Hs]
     return [(abs(Vb[i, j]), 1.0 + abs(v[i]) + abs(v[j]))
             for i in range(5) for j in range(5) for Vb in V]
@@ -220,8 +220,8 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     y = to_ref(x)
     d, i, j = _pair_grads(invariant_pairs(bracket.chart), x)
     e, k, m = _pair_grads(invariant_pairs(ref_bracket.chart), y)
-    a = br.contract_pairs(bracket, x, br.take(d, i), br.take(d, j))
-    b = br.contract_pairs(ref_bracket, y, br.take(e, k), br.take(e, m))
+    a = bracket.contract(x, br.take(d, i), br.take(d, j))
+    b = ref_bracket.contract(y, br.take(e, k), br.take(e, m))
     norm = _grad_norm(d)
     scale = 1.0 + abs(a) + abs(b) + norm[i] * norm[j]
     return list(zip(abs(a - b), scale))

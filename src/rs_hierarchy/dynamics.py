@@ -141,11 +141,11 @@ def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
     """Diagonalize g = eta Q eta^dagger as in _diagonalize (a certified eigh
     reduction; sorted phases, largest entry of each column of eta real
     positive); returns the reduced point (Q, eta^dagger L eta) and the gauge
-    eta.  Raises CertificationError for a g that is not finite or not
-    unitary and RegularityError on an eigenvalue collision."""
+    eta, per member of a stack.  Raises CertificationError for a g that is
+    not finite or not unitary and RegularityError on an eigenvalue collision."""
     phases, eta, _ = _diagonalize(x.g)
-    Q = TorusReg(phases)
-    return RedPoint(Q, algebra.make_hermitian(eta.conj().T @ x.L @ eta, strict=True)), eta
+    L = algebra.make_hermitian(eta.conj().swapaxes(-1, -2) @ x.L @ eta, strict=True)
+    return RedPoint(TorusReg(phases), L), eta
 
 
 @dataclass(frozen=True)

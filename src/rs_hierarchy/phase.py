@@ -7,27 +7,28 @@ Each chart has its own derivative signature, obtained by pairing directional
 derivatives along a basis of displacement directions with the dual basis
 under <X,Y> = Im tr(XY).
 
-A chart point may be a batch of points: its fields carry the same leading
-batch axes S, any number of them (a TorusReg holds phase vectors of shape
-S + (n,)), and a field without them is shared by every member.  One point is
-the batch with no axes, S = ().  Observables, the chart maps and the bracket
-contractions evaluate a whole batch at once, one value per member.
+A chart point may be a batch of points: each field carries leading batch
+axes (a TorusReg holds phase vectors of shape S + (n,)), and those of its
+fields broadcast against each other by numpy's rule to the point's batch
+axes S; a field without some of them is shared along those.  One point is
+the batch S = ().  Observables, the chart maps and the bracket contractions
+evaluate a whole batch at once, one value per member.
 
 One central-difference engine, `fd_grad`, serves all four charts from a
 table, and `grads` is its only front for observables (`grad` is grads of
 one observable; the grad_<chart> fronts also check the chart).  fd_grad's
-contract: f maps points of batch shape S', every field carrying those axes,
-to an array with leading axes S' (more axes for an array-valued f).  A
-chart's row holds its gradient tuple type and one block per component: the
-space of the directions (in algebra.basis order, paired with its dual
-basis), the displacement along a direction X and how it moves the point.
-For each block, fd_grad moves every member of x by all 2*dim displacements
-at once, each member by its own step, and calls f once on the moved points,
-of batch shape (2*dim,) + S; the fields the block leaves alone reach f as
-read-only broadcast views.  `grads` sweeps several observables at once; the
-invariant observables among them share one call of the chart map to (U, L)
-per stencil stack, and every finite-difference gradient is memoized by
-content (see grads; clear_memos empties it).
+contract: f maps points of batch shape S' to an array with leading axes S'
+(more axes for an array-valued f).  A chart's row holds its gradient tuple
+type and one block per component: the space of the directions (in
+algebra.basis order, paired with its dual basis), the displacement along a
+direction X and how it moves the point.  For each block, fd_grad moves
+every member of x by all 2*dim displacements at once, each member by its
+own step, and calls f once on the moved point as it is, of batch shape
+(2*dim,) + S: the fields the block leaves alone are x's own arrays.
+`grads` sweeps several observables at once; the invariant observables among
+them share one call of the chart map to (U, L) per stencil stack, and every
+finite-difference gradient is memoized by content (see grads; clear_memos
+empties it).
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -125,7 +126,7 @@ def _layout(kind: type) -> tuple[tuple[str, int], ...]:
 
 def _arrays(x) -> list[tuple[object, np.ndarray, tuple]]:
     """Per field of x in order: its value, its coordinate array and the batch
-    axes that array carries (S, or () for a field shared by every member)."""
+    axes that array carries (they broadcast to S; () for a shared field)."""
     out = []
     for name, ndim in _layout(type(x)):
         v = getattr(x, name)
@@ -135,22 +136,9 @@ def _arrays(x) -> list[tuple[object, np.ndarray, tuple]]:
 
 
 def batch_shape(x) -> tuple:
-    """Batch axes S of x, () for one point: the longest batch prefix of its
-    fields, since each field carries all of S or none of it."""
-    return max((s for _, _, s in _arrays(x)), key=len)
-
-
-def _broadcast(x, S: tuple):
-    """x with every field carrying the batch axes S: a field that carries
-    them is kept as is, any other becomes a read-only broadcast view (no
-    copy, and a TorusReg is not gated again)."""
-    def carry(v, a, s):
-        if s == S:
-            return v
-        if isinstance(v, TorusReg):
-            return v.broadcast_to(S)
-        return np.broadcast_to(a, S + a.shape[len(s):])
-    return type(x)(*(carry(*part) for part in _arrays(x)))
+    """Batch axes S of x, () for one point: the batch axes of its fields
+    broadcast against each other; ValueError if they do not broadcast."""
+    return np.broadcast_shapes(*(s for _, _, s in _arrays(x)))
 
 
 def _member_norm(a: np.ndarray, S: tuple) -> np.ndarray:
@@ -183,8 +171,8 @@ def point_norm(x):
 class Observable:
     """Real-valued function on one chart.
 
-    `value` maps points of batch shape S to an array of shape S (one point
-    to one value); calling the observable on one point returns a float.
+    `value` maps points of batch shape S to an array that broadcasts to S
+    (one point to one value); calling the observable on one point returns a float.
     `grad`, when present, returns the chart's full derivative tuple (same
     shape as the corresponding grad_* result) and is preferred over finite
     differences.  Without it, `value` must be a hashable (else grads raises
@@ -314,11 +302,11 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     x is a point of batch shape S (S = () for one point); each member gets
     its own step, the default one or `step` for all.  Per block, the
     displacements (all + steps, then all - steps) have shape
-    (2*dim,) + S + (n, n), and f is called once on x moved by them, every
-    field carrying those batch axes.  f returns an array with those leading
-    axes; the differences are paired with the dual basis.  Every component
-    has shape S + (axes of f's values after the batch axes) + (n, n), so one
-    sweep differentiates many functions at the same stencil points.  Member
+    (2*dim,) + S + (n, n), and f is called once on x moved by them (batch
+    shape (2*dim,) + S); it returns an array with those leading axes, whose
+    differences are paired with the dual basis.  Every component has shape
+    S + (axes of f's values after the batch axes) + (n, n), so one sweep
+    differentiates many functions at the same stencil points.  Member
     b's gradient equals that of the point on its own, bit for bit.  Each
     component gets + 0.0 in place, so no zero is -0.0 (the dual-basis product
     may sign one by the number of functions); a function's part of a sweep
@@ -332,7 +320,7 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     for space, curve, move in blocks:
         D = _displacements(curve, space, x.n, t)
         batch = D.shape[:-2]
-        v = np.asarray(f(_broadcast(move(x, D), batch)))
+        v = np.asarray(f(move(x, D)))
         if v.shape[:len(batch)] != batch:
             raise ValueError(f"f must map points of batch shape {batch} to an array "
                              f"with those leading axes; got shape {v.shape}")
@@ -345,16 +333,17 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
 
 
 def _values(values, y) -> np.ndarray:
-    """Values of the value callables of one chart at the batch y, stacked
-    along a last axis.  The _Trace values among them share one call of the
-    chart's (U, L) map and one trace per (m, k); the others are called on y."""
-    UL, traces, out = None, {}, []
+    """Values of the value callables of one chart at the batch y, each
+    broadcast to batch_shape(y) and stacked along a last axis.  The _Trace
+    values among them share one call of the chart's (U, L) map and one trace
+    per (m, k); the others are called on y."""
+    UL, traces, out, S = None, {}, [], batch_shape(y)
     for v in values:
         if isinstance(v, _Trace):
             UL = UL or _UL_MAPS[v.chart](y)
-            out.append(v.at(*UL, traces))
+            out.append(np.broadcast_to(v.at(*UL, traces), S))
         else:
-            out.append(v(y))
+            out.append(np.broadcast_to(v(y), S))
     return np.stack(out, -1)
 
 
@@ -506,14 +495,14 @@ _UL_MAPS = {
 class _Trace:
     """Value Re/Im tr(U^m L^k) of an invariant observable on `chart`:
     `at(U, L, traces)` reads it at the (U, L) of the chart's map, keeping
-    each complex trace in `traces` by (m, k); calling it on x maps x first."""
+    each complex trace in `traces` by (m, k); called on x, of batch_shape(x)."""
     chart: str
     m: int
     k: int
     part: str
 
     def __call__(self, x):
-        return self.at(*_UL_MAPS[self.chart](x), {})
+        return np.broadcast_to(self.at(*_UL_MAPS[self.chart](x), {}), batch_shape(x))
 
     def at(self, U, L, traces):
         m, k = self.m, self.k

@@ -36,8 +36,10 @@ def test_pairing_dimension_mismatch():
     # the square check reads the last two axes, and the error names both shapes
     with pytest.raises(ValueError, match=r"\(4, 2, 3\) vs \(4, 2, 3\)"):
         pairing(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
-    with pytest.raises(ValueError, match=r"\(4, 2, 2\) vs \(2, 2\)"):
-        pairing(np.ones((4, 2, 2)), np.eye(2))
+    # batch axes broadcast by numpy's rule; ones that do not still raise,
+    # and numpy's error names both shapes
+    with pytest.raises(ValueError, match=r"\(4, ?2, ?2\).*\(3, ?2, ?2\)"):
+        pairing(np.ones((4, 2, 2)), np.ones((3, 2, 2)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -49,6 +51,13 @@ def test_pairing_on_a_stack_equals_per_member(n):
     for b in range(6):
         want = pairing(X[b], Y[b])
         assert type(want) is float and got[b] == want
+    # one shared matrix against a stack, on either side, broadcasts: each
+    # value equals that of the member alone, bit for bit
+    left, right = pairing(X[0], Y), pairing(Y, X[0])
+    assert left.shape == right.shape == (6,)
+    for b in range(6):
+        assert left[b].tobytes() == np.float64(pairing(X[0], Y[b])).tobytes()
+        assert right[b].tobytes() == np.float64(pairing(Y[b], X[0])).tobytes()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(2, 5))

@@ -267,18 +267,24 @@ def test_contract_on_a_stack_equals_per_member(bracket, chart, n):
         want = bracket.contract(xb, grads[0][b], grads[1][b])
         assert type(want) is float
         assert got[b] == want, b
-    # a leading pair axis in front of the stack, on the point broadcast over
-    # it: each pair's values equal those of contract on that pair alone;
-    # contract_pairs gives the same from the 2 x 2 grid of broadcast views
-    # of one stack of dF, dH (grid[i, j] pairs member i with member j)
+    # a leading pair axis in front of the stack, the point broadcast over it
+    # by numpy: each pair's values equal those of contract on that pair
+    # alone, also on the point with every field broadcast to the pair axis
+    # first; the 2 x 2 grid of views of one stack of dF, dH, whose pair axes
+    # broadcast against each other, gives the same (grid[i, j] pairs member
+    # i with member j)
     pairs = [(dF, dH), (dH, dF), (dF, dF), (dH, dH)]
     left, right = (br.stack(side) for side in zip(*pairs))
-    got = bracket.contract(phase._broadcast(x, (len(pairs), 3)), left, right)
+    got = bracket.contract(x, left, right)
     assert got.shape == (len(pairs), 3)
     for p, (a, b) in enumerate(pairs):
         assert got[p].tobytes() == bracket.contract(x, a, b).tobytes(), p
+    wide = [np.broadcast_to(a, (len(pairs),) + a.shape) for _, a, _ in phase._arrays(x)]
+    wide = type(x)(*(algebra.TorusReg(w) if isinstance(v, algebra.TorusReg) else w
+                     for (v, _, _), w in zip(phase._arrays(x), wide)))
+    assert bracket.contract(wide, left, right).tobytes() == got.tobytes()
     d = br.stack((dF, dH))
-    grid = br.contract_pairs(bracket, x, br.take(d, np.s_[:, None]), br.take(d, np.s_[None, :]))
+    grid = bracket.contract(x, br.take(d, np.s_[:, None]), br.take(d, np.s_[None, :]))
     assert grid.shape == (2, 2, 3)
     assert grid.reshape(4, 3).tobytes() == got[[2, 0, 1, 3]].tobytes()
 

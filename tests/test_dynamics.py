@@ -149,6 +149,20 @@ def test_reduce_point_reconstruction():
             assert np.linalg.norm(L_rec - x.L) <= 1e-12 * (1 + np.linalg.norm(x.L))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reduce_point_on_a_stack_equals_each_member(n):
+    # eta^dagger must transpose each member's matrix axes only: with .T the
+    # batch axes turn too, and a stack fails the strict projection or matmul
+    seeds = tuple(range(5))
+    y, eta = reduce_point(phase.sample_points("full", n, seeds))
+    assert y.Q.q.shape == (5, n) and y.L.shape == eta.shape == (5, n, n)
+    for i, seed in enumerate(seeds):
+        yi, eta_i = reduce_point(sample_point("full", n, seed))
+        assert y.Q.q[i].tobytes() == yi.Q.q.tobytes()
+        assert y.L[i].tobytes() == yi.L.tobytes()
+        assert eta[i].tobytes() == eta_i.tobytes()
+
+
 def test_reduce_point_conjugation_invariance():
     # conjugating (g, L) by a unitary leaves the eigenphases invariant and
     # the reduced L invariant up to residual torus conjugation (the gauge fix

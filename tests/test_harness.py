@@ -74,12 +74,12 @@ _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
 
 def _count_trace_points(monkeypatch) -> list:
     # a counter of the points at which an invariant observable's _Trace is
-    # read, at the shared (U, L) of its stack
+    # read, at the shared (U, L) of its stack, whose batch axes broadcast
     points = [0]
     at = phase._Trace.at
 
     def counting_at(self, U, L, traces):
-        points[0] += int(np.prod(U.shape[:-2]))
+        points[0] += math.prod(np.broadcast_shapes(U.shape[:-2], L.shape[:-2]))
         return at(self, U, L, traces)
     monkeypatch.setattr(phase._Trace, "at", counting_at)
     return points

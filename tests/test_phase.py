@@ -282,6 +282,18 @@ def test_fd_grad_on_a_stack_with_a_shared_field():
             assert np.array_equal(a[divmod(b, 3)], c)
 
 
+def test_batch_shape_broadcasts_the_fields_and_rejects_what_does_not():
+    # the batch axes of the fields broadcast by numpy's rule, a trailing
+    # suffix shared; fields that do not broadcast raise at batch_shape, not
+    # later inside point_norm
+    g = _stack([sample_point("full", 3, seed) for seed in range(3)]).g
+    L = sample_point("full", 3, 0).L
+    assert phase.batch_shape(FullPoint(g, L)) == (3,)
+    assert phase.batch_shape(FullPoint(g, np.stack([L, L])[:, None])) == (2, 3)
+    with pytest.raises(ValueError):
+        phase.batch_shape(FullPoint(g, np.stack([L, L])))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("chart", phase.CHARTS)
 def test_fd_grad_on_a_rank_2_batch_equals_per_member(chart, n):
@@ -306,28 +318,30 @@ _MOVED = {"full": ("g", "g", "L"), "red": ("Q", "L"),
 
 
 @pytest.mark.parametrize("chart", phase.CHARTS)
-def test_fd_grad_hands_unmoved_fields_as_broadcast_views(chart):
-    # per block, the moved field is a new array; every other field reaches f
-    # as a read-only view with stride 0 along the stencil axis and along the
-    # batch axes that x's field does not carry, not as a copy
+def test_fd_grad_hands_the_moved_point_as_it_is(chart):
+    # per block, the moved field is a new, writeable array of batch axes
+    # (2*dim,) + S; every other field reaches f as x's own array (or torus
+    # element), neither copied nor broadcast
     def f(y):
-        seen.append([a for _, a, _ in phase._arrays(y)])
+        seen.append(y)
         return np.zeros(phase.batch_shape(y))
 
     xs = [sample_point(chart, 3, 0), _stack([sample_point(chart, 3, s) for s in range(3)])]
     if chart == "full":   # L shared by a stack of three g
         xs.append(FullPoint(xs[1].g, sample_point("full", 3, 3).L))
+    blocks = phase._CHART_TABLE[chart][1]
     for x in xs:
         S, seen = phase.batch_shape(x), []
         phase.fd_grad(f, chart, x)
-        names = [field.name for field in dataclasses.fields(x)]
-        for moved, arrays in zip(_MOVED[chart], seen, strict=True):
-            for name, a, (_, _, s) in zip(names, arrays, phase._arrays(x), strict=True):
+        for moved, block, y in zip(_MOVED[chart], blocks, seen, strict=True):
+            dim = len(algebra.basis(block.space, 3))
+            for (name, _), (v, a, s), (w, _, _) in zip(
+                    phase._layout(type(x)), phase._arrays(y), phase._arrays(x), strict=True):
                 if name == moved:
-                    assert a.flags.writeable, name
+                    assert v is not w and a.flags.writeable, name
+                    assert s == (2 * dim,) + S, (name, a.shape)
                 else:
-                    assert not a.flags.writeable, name
-                    assert not any(a.strides[:1 + len(S) - len(s)]), (name, a.strides)
+                    assert v is w, name
 
 
 @pytest.mark.parametrize("chart", ["full", "red", "suth"])
@@ -472,7 +486,10 @@ def test_memo_keys_on_the_content_of_the_point_and_the_resolved_step(chart):
     assert phase.grad(F, _rebuilt(x)) is g
     assert phase.grad(F, x, fd_step(x)) is g
     # a stack of copies and the same stack as broadcast views share a key
-    assert phase.grad(F, phase._broadcast(x, (2,))) is phase.grad(F, _stack([x, x]))
+    wide = [np.broadcast_to(a, (2,) + a.shape) for _, a, _ in phase._arrays(x)]
+    wide = type(x)(*(TorusReg(w) if isinstance(v, TorusReg) else w
+                     for (v, _, _), w in zip(phase._arrays(x), wide)))
+    assert phase.grad(F, wide) is phase.grad(F, _stack([x, x]))
     assert phase._GRADS.hits == 3 and len(phase._GRADS) == 2
     # one ulp in any field, or another step, misses
     for field in dataclasses.fields(x):
