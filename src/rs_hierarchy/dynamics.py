@@ -144,8 +144,8 @@ def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
     eta, per member of a stack.  Raises CertificationError for a g that is
     not finite or not unitary and RegularityError on an eigenvalue collision."""
     phases, eta, _ = _diagonalize(x.g)
-    L = algebra.make_hermitian(eta.conj().swapaxes(-1, -2) @ x.L @ eta, strict=True)
-    return RedPoint(TorusReg(phases), L), eta
+    Q, eta_h = TorusReg(phases), eta.conj().swapaxes(-1, -2)
+    return RedPoint(Q, algebra.make_hermitian(eta_h @ x.L @ eta, strict=True)), eta
 
 
 @dataclass(frozen=True)

@@ -171,12 +171,12 @@ def point_norm(x):
 class Observable:
     """Real-valued function on one chart.
 
-    `value` maps points of batch shape S to an array that broadcasts to S
-    (one point to one value); calling the observable on one point returns a float.
-    `grad`, when present, returns the chart's full derivative tuple (same
-    shape as the corresponding grad_* result) and is preferred over finite
-    differences.  Without it, `value` must be a hashable (else grads raises
-    ValueError), pure function of the point: grads memoizes under it.
+    `value` maps points of batch shape S to an array that broadcasts to S (one
+    point to one value); calling the observable on one point returns a float.
+    `grad`, when present, returns the chart's full derivative tuple, each
+    component broadcasting to that of the grad_* result, and is preferred over
+    finite differences.  Without it, `value` must be a hashable (else grads
+    raises ValueError), pure function of the point: grads memoizes under it.
     """
     chart: str
     value: Callable
@@ -299,19 +299,20 @@ def fd_step(x, step: float | None = None):
 def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     """Gradient tuple of f at x on `chart` by central differences.
 
-    x is a point of batch shape S (S = () for one point); each member gets
-    its own step, the default one or `step` for all.  Per block, the
-    displacements (all + steps, then all - steps) have shape
-    (2*dim,) + S + (n, n), and f is called once on x moved by them (batch
-    shape (2*dim,) + S); it returns an array with those leading axes, whose
-    differences are paired with the dual basis.  Every component has shape
-    S + (axes of f's values after the batch axes) + (n, n), so one sweep
-    differentiates many functions at the same stencil points.  Member
-    b's gradient equals that of the point on its own, bit for bit.  Each
-    component gets + 0.0 in place, so no zero is -0.0 (the dual-basis product
-    may sign one by the number of functions); a function's part of a sweep
-    then measures equal to fd_grad of it alone (768 components, one BLAS),
-    as CI's run of each registry row alone from cleared memos checks."""
+    x is a point of batch shape S (S = () for one point); each member gets its
+    own step, the default one or `step` for all.  Per block, the displacements
+    (all + steps, then all - steps) have shape (2*dim,) + S + (n, n), and f is
+    called once on x moved by them (batch shape (2*dim,) + S; the fields the
+    block leaves alone are x's own arrays, which f must not write to); it
+    returns an array with those leading axes, whose differences are paired with
+    the dual basis.  Every component has shape S + (axes of f's values after
+    the batch axes) + (n, n), so one sweep differentiates many functions at the
+    same stencil points.  Member b's gradient equals that of the point on its
+    own, bit for bit.  Each component gets + 0.0 in place, so no zero is -0.0
+    (the dual-basis product may sign one by the number of functions); a
+    function's part of a sweep then measures equal to fd_grad of it alone (768
+    components, one BLAS), as CI's run of each registry row alone from cleared
+    memos checks."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
     h = np.full(S, fd_step(x, step))
@@ -385,9 +386,9 @@ def _point_key(x, h: np.ndarray) -> tuple:
 
 def grads(Fs, x, step: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x: an analytic
-    F.grad as is, every other distinct value's (hashable, else ValueError)
-    from the memo or else from one fd_grad sweep over all the missing
-    values; each equals fd_grad of F.value alone (see fd_grad).
+    F.grad broadcast to batch_shape(x), every other distinct value's (hashable,
+    else ValueError) from the memo or else from one fd_grad sweep over all the
+    missing values; each equals fd_grad of F.value alone (see fd_grad).
 
     _GRADS maps a value and the key of x (point type, digest of each field's
     dtype, shape and bytes and of the resolved steps) to the read-only
@@ -398,9 +399,9 @@ def grads(Fs, x, step: float | None = None) -> list:
         values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
     except TypeError as e:
         raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
-    got = {}
+    got, S = {}, batch_shape(x)
     if values:
-        h = np.full(batch_shape(x), fd_step(x, step))
+        h = np.full(S, fd_step(x, step))
         key = _point_key(x, h)
         got = {v: _GRADS.lookup((v, key)) for v in values}
         missing = [v for v in values if got[v] is None]
@@ -411,8 +412,8 @@ def grads(Fs, x, step: float | None = None) -> list:
                 for c in g:
                     c.setflags(write=False)
                 _GRADS.store((v, key), g)
-    return [got[F.value] if F.grad is None else _CHART_TABLE[F.chart][0](*F.grad(x))
-            for F in Fs]
+    return [got[F.value] if F.grad is None else _CHART_TABLE[F.chart][0](
+        *(np.broadcast_to(c, S + c.shape[-2:]) for c in F.grad(x))) for F in Fs]
 
 
 def grad(F: Observable, x, step: float | None = None):

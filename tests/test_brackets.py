@@ -7,7 +7,8 @@ import pytest
 
 from rs_hierarchy import algebra, brackets as br, config, coords, phase
 from rs_hierarchy.phase import (Observable, hamiltonian_observable,
-                                invariant_observable, sample_point)
+                                invariant_observable, sample_point, sample_points)
+from test_phase import _stack, _wide
 
 
 def _pair(chart):
@@ -237,16 +238,6 @@ def test_jacobiator_gives_pencil_defects():
         assert abs(c @ T @ c - direct) <= 1e-10 * scale
 
 
-def _stack(points):
-    """One chart point holding `points` along the batch axis."""
-    def values(p):
-        return [getattr(p, f.name) for f in dataclasses.fields(p)]
-    return type(points[0])(*(
-        algebra.TorusReg(np.stack([v.q for v in vs]))
-        if isinstance(vs[0], algebra.TorusReg)
-        else np.stack(vs) for vs in zip(*map(values, points))))
-
-
 STACK_BRACKETS = ALL_BRACKETS + [(_pencil(0.5), "full")]
 
 
@@ -279,10 +270,7 @@ def test_contract_on_a_stack_equals_per_member(bracket, chart, n):
     assert got.shape == (len(pairs), 3)
     for p, (a, b) in enumerate(pairs):
         assert got[p].tobytes() == bracket.contract(x, a, b).tobytes(), p
-    wide = [np.broadcast_to(a, (len(pairs),) + a.shape) for _, a, _ in phase._arrays(x)]
-    wide = type(x)(*(algebra.TorusReg(w) if isinstance(v, algebra.TorusReg) else w
-                     for (v, _, _), w in zip(phase._arrays(x), wide)))
-    assert bracket.contract(wide, left, right).tobytes() == got.tobytes()
+    assert bracket.contract(_wide(x, len(pairs)), left, right).tobytes() == got.tobytes()
     d = br.stack((dF, dH))
     grid = bracket.contract(x, br.take(d, np.s_[:, None]), br.take(d, np.s_[None, :]))
     assert grid.shape == (2, 2, 3)
@@ -322,6 +310,31 @@ def test_jacobiator_equals_its_per_pair_form(brackets):
             want = _per_pair_jacobiator(brackets, F, G, H, x)
             assert got.shape == want.shape == (len(brackets),) * 2
             assert got.tobytes() == want.tobytes(), (n, seed)
+
+
+@pytest.mark.parametrize("chart", ["full", "red"])
+def test_jacobiator_with_analytic_observables(chart):
+    # an analytic gradient at an inner stencil point, whose moved field has
+    # batch (2*dim,) + S and the others S, has the point's whole batch: the
+    # defects are small for one point and each member of a stack equals the
+    # member alone; with all three analytic too (Hamiltonians commute)
+    b1, b2 = (br.pb1_full, br.pb2_full) if chart == "full" else (br.pb1_red, br.pb2_red)
+    F, G, _ = _triple(chart)
+    H = [hamiltonian_observable(k, chart) for k in (1, 2, 3)]
+    for A, B, C in ((F, G, H[1]), (F, H[1], H[2]), tuple(H)):
+        x = sample_point(chart, 2, 8)
+        T = br.jacobiator((b1, b2), A, B, C, x)
+        assert T.shape == (2, 2)
+        assert T[0, 0] == br.jacobi_defect(b1, A, B, C, x)
+        scale = 1 + sum(abs(b(P, R, x)) for b in (b1, b2)
+                        for P, R in ((A, B), (B, C), (C, A)))
+        assert np.all(np.abs(T) <= 1e-4 * scale), T
+        seeds = (8, 0, 1)
+        Ts = br.jacobiator((b1, b2), A, B, C, sample_points(chart, 2, seeds))
+        assert Ts.shape == (2, 2, 3)
+        for i, seed in enumerate(seeds):
+            want = br.jacobiator((b1, b2), A, B, C, sample_point(chart, 2, seed))
+            assert Ts[..., i].tobytes() == want.tobytes(), seed
 
 
 def _counted(F):

@@ -245,6 +245,15 @@ def _stack(points):
         else np.stack(vs) for vs in zip(*map(values, points))))
 
 
+def _wide(x, m):
+    """x with every field broadcast (a read-only view) to a leading axis of
+    length m."""
+    def wide(a):
+        return np.broadcast_to(a, (m,) + a.shape)
+    return type(x)(*(TorusReg(wide(a)) if isinstance(v, TorusReg) else wide(a)
+                     for v, a, _ in phase._arrays(x)))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("chart", phase.CHARTS)
 def test_fd_grad_on_a_stack_equals_per_member(chart, n):
@@ -321,7 +330,8 @@ _MOVED = {"full": ("g", "g", "L"), "red": ("Q", "L"),
 def test_fd_grad_hands_the_moved_point_as_it_is(chart):
     # per block, the moved field is a new, writeable array of batch axes
     # (2*dim,) + S; every other field reaches f as x's own array (or torus
-    # element), neither copied nor broadcast
+    # element), neither copied nor broadcast, so those of a read-only sample
+    # point refuse a write
     def f(y):
         seen.append(y)
         return np.zeros(phase.batch_shape(y))
@@ -342,6 +352,9 @@ def test_fd_grad_hands_the_moved_point_as_it_is(chart):
                     assert s == (2 * dim,) + S, (name, a.shape)
                 else:
                     assert v is w, name
+                    if x is xs[0]:
+                        with pytest.raises(ValueError, match="read-only"):
+                            a[...] = 0
 
 
 @pytest.mark.parametrize("chart", ["full", "red", "suth"])
@@ -486,10 +499,7 @@ def test_memo_keys_on_the_content_of_the_point_and_the_resolved_step(chart):
     assert phase.grad(F, _rebuilt(x)) is g
     assert phase.grad(F, x, fd_step(x)) is g
     # a stack of copies and the same stack as broadcast views share a key
-    wide = [np.broadcast_to(a, (2,) + a.shape) for _, a, _ in phase._arrays(x)]
-    wide = type(x)(*(TorusReg(w) if isinstance(v, TorusReg) else w
-                     for (v, _, _), w in zip(phase._arrays(x), wide)))
-    assert phase.grad(F, wide) is phase.grad(F, _stack([x, x]))
+    assert phase.grad(F, _wide(x, 2)) is phase.grad(F, _stack([x, x]))
     assert phase._GRADS.hits == 3 and len(phase._GRADS) == 2
     # one ulp in any field, or another step, misses
     for field in dataclasses.fields(x):
