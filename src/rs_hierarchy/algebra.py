@@ -244,45 +244,7 @@ def chol_upper(L: np.ndarray) -> np.ndarray:
 # real bases of the subspaces and dual bases under the pairing
 
 
-def _E(n, j, k):
-    M = np.zeros((n, n), dtype=complex)
-    M[j, k] = 1.0
-    return M
-
-
-@lru_cache(maxsize=None)
-def basis(space: str, n: int) -> tuple[np.ndarray, ...]:
-    """Real basis of a named subspace of gl(n,C).
-
-    Spaces: u, b, herm, u0, b0, herm0, uperp, bplus, hermperp.
-    """
-    out = []
-    if space in ("u", "u0"):
-        out += [1j * _E(n, j, j) for j in range(n)]
-    if space in ("b", "b0"):
-        out += [_E(n, j, j) for j in range(n)]
-    if space in ("herm", "herm0"):
-        out += [_E(n, j, j) for j in range(n)]
-    if space in ("u", "uperp"):
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(_E(n, j, k) - _E(n, k, j))
-                out.append(1j * (_E(n, j, k) + _E(n, k, j)))
-    if space in ("b", "bplus"):
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(_E(n, j, k))
-                out.append(1j * _E(n, j, k))
-    if space in ("herm", "hermperp"):
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(_E(n, j, k) + _E(n, k, j))
-                out.append(1j * (_E(n, j, k) - _E(n, k, j)))
-    if not out:
-        raise ValueError(f"unknown space: {space!r}")
-    return tuple(out)
-
-
+# Each named space and the space its dual basis lies in.
 _DUAL_PAIRS = {
     "u": "b", "b": "u",
     "u0": "b0", "b0": "u0",
@@ -292,20 +254,53 @@ _DUAL_PAIRS = {
 
 
 @lru_cache(maxsize=None)
-def dual_basis(space: str, n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Basis of `space` together with the dual family in the paired
-    complementary isotropic subspace: <dual_a, basis_b> = delta_ab.
+def basis(space: str, n: int) -> np.ndarray:
+    """Real basis of a named subspace of gl(n,C), as one read-only
+    (dim, n, n) stack: the diagonal elements first, then the two elements
+    of each off-diagonal pair j < k in row order.
 
-    Pairs: u<->b, u0<->b0, uperp<->bplus, and herm/herm0/hermperp against
-    u/u0/uperp.  Built by inverting the Gram matrix of the two bases.
+    Spaces: u, b, herm, u0, b0, herm0, uperp, bplus, hermperp.
     """
     if space not in _DUAL_PAIRS:
-        raise ValueError(f"no dual pairing registered for {space!r}")
-    V = basis(space, n)
+        raise ValueError(f"unknown space: {space!r}")
+    e = np.eye(n, dtype=complex)
+    units = e[:, None, :, None] * e[None, :, None, :]   # units[j, k] = E_jk
+    d = np.arange(n)
+    j, k = np.triu_indices(n, 1)
+    E, Ejk, Ekj = units[d, d], units[j, k], units[k, j]
+
+    def pairs(A, C):   # A_jk, C_jk for each pair j < k, interleaved
+        return np.stack((A, C), axis=1).reshape(-1, n, n)
+
+    parts = []
+    if space in ("u", "u0"):
+        parts.append(1j * E)
+    if space in ("b", "b0", "herm", "herm0"):
+        parts.append(E)
+    if space in ("u", "uperp"):
+        parts.append(pairs(Ejk - Ekj, 1j * (Ejk + Ekj)))
+    if space in ("b", "bplus"):
+        parts.append(pairs(Ejk, 1j * Ejk))
+    if space in ("herm", "hermperp"):
+        parts.append(pairs(Ejk + Ekj, 1j * (Ejk - Ekj)))
+    B = np.concatenate(parts)
+    B.setflags(write=False)
+    return B
+
+
+@lru_cache(maxsize=None)
+def dual_basis(space: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis B of `space` and the dual family D in the paired complementary
+    isotropic subspace, <D_a, B_b> = delta_ab, as read-only (dim, n, n)
+    stacks, so `B, D = dual_basis(space, n)` unpacks them.
+
+    Pairs: u<->b, u0<->b0, uperp<->bplus, and herm/herm0/hermperp against
+    u/u0/uperp.  D = G^{-1} W for the basis W of the paired space and its
+    Gram matrix G_cb = <W_c, B_b> (one broadcast pairing); + 0.0 leaves no
+    zero of D at -0.0.
+    """
+    B = basis(space, n)
     W = basis(_DUAL_PAIRS[space], n)
-    if len(V) != len(W):
-        raise ValueError("paired spaces have different dimensions")
-    G = np.array([[pairing(w, v) for v in V] for w in W])
-    C = np.linalg.inv(G)
-    duals = tuple(sum(C[a, c] * W[c] for c in range(len(W))) for a in range(len(V)))
-    return V, duals
+    D = np.tensordot(np.linalg.inv(pairing(W[:, None], B[None, :])), W, axes=1) + 0.0
+    D.setflags(write=False)
+    return B, D

@@ -121,7 +121,7 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise failure(int(bad[0]), "g holds a non-finite entry; no reduction is certified")
     phases, eta = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
     residual, unitarity = np.empty(len(flat)), np.empty(len(flat))
-    todo = np.arange(len(flat))
+    todo = slice(None)
     M = n * (n - 1) // 2 + 1
     for m in range(M):
         phases[todo], eta[todo], residual[todo], unitarity[todo] = _eigh_reduction(
@@ -201,7 +201,8 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     regularity gate run on the whole stack before the matching, and the
     strict Hermitian projection on the whole relabelled stack after it; a
     CertificationError, RegularityError or AmbiguousMatchError names its
-    sample i and its t."""
+    sample i and its t.  The relabelled phase rows are cyclic rotations of
+    rows that passed the gate, so they are not gated again."""
     t_grid = np.asarray(t_grid, dtype=float)
     try:
         phases, eta, defects = _diagonalize(_flow_g(x0, k, t_grid))
@@ -215,8 +216,7 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     L = np.take_along_axis(np.take_along_axis(L_red, perms[:, :, None], axis=1),
                            perms[:, None, :], axis=2)
     L = algebra.make_hermitian(L, strict=True)
-    Q = TorusReg(q)
-    points = tuple(RedPoint(Q[i], L[i]) for i in range(len(t_grid)))
+    points = tuple(map(RedPoint, map(TorusReg._ungated, q), L))
     w = np.linalg.eigvalsh(L)
     conserved = np.stack([np.sum(w ** l, axis=-1) / l for l in range(1, x0.n + 1)], axis=-1)
     return Trajectory(t_grid, points, conserved, defects)

@@ -230,10 +230,12 @@ class _Block(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _stacks(space: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis of `space` (algebra.basis order), its dual basis and the
-    squares of the basis elements, each stacked along axis 0."""
-    B = np.stack(algebra.basis(space, n))
-    return B, np.stack(algebra.dual_basis(space, n)[1]), B @ B
+    """The basis of `space` and its dual basis, algebra.dual_basis's read-only
+    (dim, n, n) stacks, and the squares of the basis elements, read-only too."""
+    B, D = algebra.dual_basis(space, n)
+    B2 = B @ B
+    B2.setflags(write=False)
+    return B, D, B2
 
 
 def _displacements(curve: str, space: str, n: int, t: np.ndarray) -> np.ndarray:

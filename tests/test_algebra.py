@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rs_hierarchy import algebra, config
+from rs_hierarchy import algebra, config, phase
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
                                   TorusReg, chol_upper, dual_basis, pairing,
                                   r_apply, r_bracket, split_ub)
@@ -347,6 +347,72 @@ def test_dual_basis_examples():
     A01 = _E(3, 0, 1) - _E(3, 1, 0)
     idx = next(i for i, b in enumerate(B) if np.allclose(b, A01))
     assert np.allclose(D[idx], -1j * _E(3, 0, 1))
+
+
+_SPACES = ("u", "b", "herm", "u0", "b0", "herm0", "uperp", "bplus", "hermperp")
+
+
+def _basis_reference(space, n):
+    """The basis one element at a time, as the stacked construction must
+    reproduce it."""
+    out = []
+    if space in ("u", "u0"):
+        out += [1j * _E(n, j, j) for j in range(n)]
+    if space in ("b", "b0"):
+        out += [_E(n, j, j) for j in range(n)]
+    if space in ("herm", "herm0"):
+        out += [_E(n, j, j) for j in range(n)]
+    if space in ("u", "uperp"):
+        for j in range(n):
+            for k in range(j + 1, n):
+                out.append(_E(n, j, k) - _E(n, k, j))
+                out.append(1j * (_E(n, j, k) + _E(n, k, j)))
+    if space in ("b", "bplus"):
+        for j in range(n):
+            for k in range(j + 1, n):
+                out.append(_E(n, j, k))
+                out.append(1j * _E(n, j, k))
+    if space in ("herm", "hermperp"):
+        for j in range(n):
+            for k in range(j + 1, n):
+                out.append(_E(n, j, k) + _E(n, k, j))
+                out.append(1j * (_E(n, j, k) - _E(n, k, j)))
+    return out
+
+
+def _dual_basis_reference(space, n):
+    """The dual family from one pairing per Gram entry and one sum per dual."""
+    V = _basis_reference(space, n)
+    W = _basis_reference(algebra._DUAL_PAIRS[space], n)
+    C = np.linalg.inv(np.array([[pairing(w, v) for v in V] for w in W]))
+    return [sum(C[a, c] * W[c] for c in range(len(W))) for a in range(len(V))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_basis_and_dual_basis_equal_the_per_element_reference(n):
+    # tobytes(): the same element order, the same values and the same sign
+    # of every zero.
+    for space in _SPACES:
+        B, D = dual_basis(space, n)
+        assert B is algebra.basis(space, n)
+        V, duals = _basis_reference(space, n), _dual_basis_reference(space, n)
+        assert B.shape == D.shape == (len(V), n, n)
+        assert B.tobytes() == np.stack(V).tobytes(), space
+        assert D.tobytes() == np.stack(duals).tobytes(), space
+
+
+def test_bases_dual_bases_and_phase_stacks_are_read_only():
+    for space in _SPACES:
+        for arr in (algebra.basis(space, 3), *dual_basis(space, 3), *phase._stacks(space, 3)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+
+
+def test_basis_and_dual_basis_reject_an_unknown_space():
+    for build in (algebra.basis, dual_basis):
+        with pytest.raises(ValueError, match="unknown space"):
+            build("sl", 3)
 
 
 def test_dual_basis_gram_identity_all_pairs():
