@@ -26,7 +26,7 @@ STRICT_PROJECTION_TOL = 1e-10
 # Tolerance levels of the check registry (relative defects), one per error
 # model; each registry row names the level of the computation it checks.
 EXACT = 1e-12      # closed-form algebra: rounding of O(n^3) flops on O(1) data
-ANALYTIC = 1e-10   # analytic gradients or spectra: rounding amplified by L^k, eigh
+ANALYTIC = 1e-10   # analytic gradients or power traces: rounding amplified by L^k, eigh
 RK4 = 1e-8         # the RK4 oracle: step-polynomial error plus rounding
 FD = 1e-6          # one central-difference level: O(h^2) truncation, eps/h rounding
 NESTED = 1e-4      # nested differences: the outer step divides inner FD noise

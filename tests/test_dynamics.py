@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,33 @@ def test_hk_matches_trace_power():
         assert hk(L, k) == pytest.approx(direct, rel=1e-12)
     with pytest.raises(ValueError):
         hk(L, 0)
+    for k in (1.5, 0.5):
+        with pytest.raises(TypeError):
+            hk(L, k)
+    assert hk(L, np.int64(3)) == hk(L, 3)
+
+
+# Rounding model of the power traces against the eigenvalue sums:
+# |h_l - sum_i w_i^l / l| <= c l n eps (1 + max_i |w_i|^l).  With c = 4 the
+# largest ratio measured over the stacks below is 2.2 (n = 3, |L| = 10, l = 1).
+POWER_TRACE_C = 4.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1e2, 1e3])
+def test_power_traces_within_rounding_model(n, scale):
+    # seeded random Hermitian stacks of spectral norm `scale`, l = 1..8
+    rng = np.random.default_rng([n, int(scale)])
+    A = rng.standard_normal((200, n, n)) + 1j * rng.standard_normal((200, n, n))
+    L = 0.5 * (A + A.conj().swapaxes(-1, -2))
+    L = algebra.make_hermitian(L * (scale / np.linalg.norm(L, 2, axis=(-2, -1)))[:, None, None])
+    w = np.linalg.eigvalsh(L)
+    l = np.arange(1, 9)
+    ref = np.sum(w[..., None, :] ** l[:, None], axis=-1) / l
+    got = dynamics._power_traces(L, 8)
+    bound = l * n * np.finfo(float).eps * (1.0 + np.max(np.abs(w), axis=-1)[:, None] ** l)
+    assert got.shape == (200, 8)
+    assert np.max(np.abs(got - ref) / bound) <= POWER_TRACE_C
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +425,11 @@ def test_trajectory_equals_per_step_matching(points):
                 L_red = eta.conj().swapaxes(-1, -2) @ x0.L @ eta
                 L = algebra.make_hermitian(
                     np.stack([L_red[i][np.ix_(p, p)] for i, p in enumerate(perms)]), strict=True)
-                w = np.linalg.eigvalsh(L)
                 traj = trajectory(x0, k, t_grid)
                 assert np.array_equal(np.stack([pt.Q.q for pt in traj.points]),
                                       np.take_along_axis(phases, perms, axis=-1))
                 assert np.array_equal(np.stack([pt.L for pt in traj.points]), L)
-                assert np.array_equal(traj.conserved, np.stack(
-                    [np.sum(w ** l, axis=-1) / l for l in range(1, n + 1)], axis=-1))
+                assert np.array_equal(traj.conserved, dynamics._power_traces(L, n))
                 wound += bool(np.any(perms != np.arange(n)))
     assert wound > 0  # some cases wind, so the cumulative sum is exercised
 
@@ -459,6 +485,38 @@ def test_trajectory_uncertified_sample_names_sample_and_time(monkeypatch):
     with pytest.raises(CertificationError,
                        match=r"^at sample 2 \(t = 0.5\): member 2: no Hermitian angle certifies"):
         trajectory(sample_point("full", 3, 0), 1, [0.0, 0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("t_grid", [[], np.zeros((2, 3)), 0.5, [[0.0, 1.0]]])
+def test_trajectory_rejects_a_grid_that_is_not_1d_and_nonempty(t_grid):
+    shape = np.shape(t_grid)
+    with pytest.raises(ValueError, match=r"^t_grid must be 1-D with at least one sample, "
+                                         r"got shape " + re.escape(str(shape)) + "$"):
+        trajectory(sample_point("full", 3, 0), 1, t_grid)
+
+
+def test_trajectory_of_one_sample():
+    x0 = sample_point("full", 3, 0)
+    traj = trajectory(x0, 2, [0.4])
+    red, _ = reduce_point(flow(x0, 2, 0.4))
+    assert traj.conserved.shape == (1, 3) and len(traj.points) == 1
+    assert np.array_equal(traj.points[0].Q.q, red.Q.q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_flow_conserved_catches_a_planted_gauge_defect(n, monkeypatch):
+    # one column of eta scaled by 1 + 1e-8 past the first sample makes the
+    # reduced L drift from a unitary conjugate of L0 at relative 1e-8
+    diagonalize = dynamics._diagonalize
+
+    def planted(g):
+        phases, eta, residual = diagonalize(g)
+        eta[1:, :, 0] *= 1.0 + 1e-8
+        return phases, eta, residual
+    monkeypatch.setattr(dynamics, "_diagonalize", planted)
+    res = checks.run_check(checks.CheckSpec("flow-conserved", n=n, seeds=3))
+    assert res.passed is False and res.errors == []
+    assert res.max_rel_defect > 1e-8
 
 
 def test_trajectory_conserved_quantities_flat():
