@@ -23,12 +23,23 @@ from .config import PD_FLOOR, REGULARITY_GAP, STRICT_PROJECTION_TOL
 
 
 class _MemberError(ValueError):
-    """A gate failure.  For a stack, `member` is the flat (C-order) index of
-    the first failing member over its batch axes (None for one element)."""
+    """A gate failure, every gate's raised through `first`: for a stack,
+    `member` is the flat (C-order) index of the first failing member over
+    its batch axes and the message starts "member i: "; for one element
+    `member` is None and there is no prefix."""
 
     def __init__(self, message: str, member: int | None = None):
         super().__init__(message)
         self.member = member
+
+    @classmethod
+    def first(cls, bad, why):
+        """The error naming the first failing member: bad is a boolean array
+        over the batch axes (0-d for one element) and why(i) the message of
+        flat member i."""
+        bad = np.asarray(bad)
+        i = int(np.flatnonzero(bad)[0])
+        return cls(why(i)) if bad.ndim == 0 else cls(f"member {i}: {why(i)}", i)
 
 
 class RegularityError(_MemberError):
@@ -39,7 +50,7 @@ class NotPositiveDefiniteError(_MemberError):
     """Hermitian input is not positive definite within the configured floor."""
 
 
-class SubspaceError(ValueError):
+class SubspaceError(_MemberError):
     """Strict projection discarded a component above the threshold."""
 
 
@@ -85,10 +96,8 @@ def _strict_check(X, projected):
     discarded = np.linalg.norm(X - projected, axis=(-2, -1))
     bad = discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
     if bad.any():
-        i = np.flatnonzero(bad)[0]
-        where = f"member {i}: " if X.ndim > 2 else ""
-        raise SubspaceError(f"{where}discarded component has norm "
-                            f"{discarded.flat[i]:.3e}")
+        raise SubspaceError.first(
+            bad, lambda i: f"discarded component has norm {discarded.flat[i]:.3e}")
 
 
 def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
@@ -147,15 +156,13 @@ class TorusReg:
         if q.ndim < 1 or q.shape[-1] < 2:
             raise ValueError("need at least two phases")
         finite = np.isfinite(q).all()  # tested first: np.exp warns on an infinity
-        if not finite or self._pair_gaps().min() <= REGULARITY_GAP:
-            gap = self.min_gap() if finite else None
-            bad = gap <= REGULARITY_GAP if finite else ~np.isfinite(q).all(axis=-1)
-            i = int(np.flatnonzero(bad)[0])
-            why = (f"eigenvalue gap {gap.flat[i]:.3e} below {REGULARITY_GAP:.1e}" if finite
-                   else "non-finite phase")
-            if q.ndim == 1:
-                raise RegularityError(why)
-            raise RegularityError(f"member {i}: {why}", member=i)
+        if not finite:
+            raise RegularityError.first(~np.isfinite(q).all(axis=-1),
+                                        lambda i: "non-finite phase")
+        if self._pair_gaps().min() <= REGULARITY_GAP:
+            gap = self.min_gap()
+            raise RegularityError.first(gap <= REGULARITY_GAP, lambda i: (
+                f"eigenvalue gap {gap.flat[i]:.3e} below {REGULARITY_GAP:.1e}"))
 
     @property
     def n(self) -> int:
@@ -169,13 +176,6 @@ class TorusReg:
     def min_gap(self):
         """Smallest eigenvalue gap, per member of a stack."""
         return self._pair_gaps().min(axis=-1)
-
-    def __getitem__(self, i) -> "TorusReg":
-        """Member(s) i of a stack, indexed along its first batch axis only.
-        They passed the gate with the stack, so they are not gated again."""
-        if self.q.ndim < 2 or isinstance(i, tuple):
-            raise TypeError("index a stack of torus elements along its first batch axis")
-        return self._ungated(self.q[i])
 
     @staticmethod
     def _ungated(q: np.ndarray) -> "TorusReg":
@@ -230,11 +230,8 @@ def chol_upper(L: np.ndarray) -> np.ndarray:
     L = make_hermitian(L)
     w = np.linalg.eigvalsh(L)[..., 0]
     if (w <= PD_FLOOR).any():
-        if L.ndim == 2:
-            raise NotPositiveDefiniteError(f"smallest eigenvalue {w:.3e}")
-        i = int(np.flatnonzero(w <= PD_FLOOR)[0])
-        raise NotPositiveDefiniteError(f"member {i}: smallest eigenvalue {w.flat[i]:.3e}",
-                                       member=i)
+        raise NotPositiveDefiniteError.first(
+            w <= PD_FLOOR, lambda i: f"smallest eigenvalue {w.flat[i]:.3e}")
     J = np.flip(np.eye(L.shape[-1]), axis=0)
     C = np.linalg.cholesky(J @ L @ J)   # lower, positive real diagonal
     return J @ C @ J

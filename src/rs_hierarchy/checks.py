@@ -13,7 +13,7 @@ A registry row maps a check id to a body func(n, seeds) that returns its
 such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
 Bracket with another across a chart map.  Every body evaluates all its
 seeds as one stack of sample_points (one gradient sweep, jacobiator call,
-chart round trip or flow); only flow-conserved runs one trajectory per seed.
+chart round trip, flow or trajectory).
 A body that contracts gradients stacks all its pairs along pair axes in
 front of the seeds and makes one Bracket.contract call per bracket (the
 involutivity grid as views of one stack of the dH_k, broadcast by numpy),
@@ -42,7 +42,7 @@ from . import brackets as br
 from .algebra import make_hermitian
 from .config import ANALYTIC, EXACT, FD, NESTED, RK4
 from .phase import (FullPoint, RedPoint, hamiltonian_observable, invariant_observable,
-                    sample_point, sample_points)
+                    sample_points)
 
 
 @dataclass(frozen=True)
@@ -324,12 +324,11 @@ def check_flow_rk4(n, seeds):
 
 
 def check_flow_conserved(n, seeds):
-    """Drift of h_1..h_n along one trajectory per seed (trajectory takes one point)."""
-    t = np.linspace(0.0, 1.0, 21)
-    c = np.stack([dynamics.trajectory(sample_point("full", n, seed), 2, t).conserved
-                  for seed in seeds])
-    drift = np.max(np.abs(c - c[:, :1]), axis=1)   # (S, n): one sample per h_l
-    return list(zip(drift.T, (1.0 + np.abs(c[:, 0])).T))
+    """Drift of h_1..h_n along the trajectory of the seed stack, one trajectory call."""
+    x0 = sample_points("full", n, seeds)
+    c = dynamics.trajectory(x0, 2, np.linspace(0.0, 1.0, 21)).conserved   # (T, S, n)
+    drift = np.max(np.abs(c - c[:1]), axis=0)   # (S, n): one sample per h_l
+    return list(zip(drift.T, (1.0 + np.abs(c[0])).T))
 
 
 def check_flow_group(n, seeds):

@@ -11,6 +11,7 @@ about l n eps (1 + max|w|^l) over the eigenvalues w of L.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -24,13 +25,14 @@ from .phase import FullPoint, RedPoint
 TWO_PI = 2.0 * np.pi
 
 
-class AmbiguousMatchError(ValueError):
+class AmbiguousMatchError(algebra._MemberError):
     """Two cyclic rotations match consecutive eigenphase samples equally well."""
 
 
 class CertificationError(algebra._MemberError):
-    """g holds a NaN or an infinity, or no Hermitian angle reconstructs it
-    within UNITARY_TOL * n: g is not unitary."""
+    """g is not unitary: the flow's start point is off by more than
+    UNITARY_TOL * n, or a g to reduce holds a NaN or an infinity, or no
+    Hermitian angle reconstructs it within UNITARY_TOL * n."""
 
 
 def _power_traces(L: np.ndarray, m: int) -> np.ndarray:
@@ -66,18 +68,24 @@ def hk(L: np.ndarray, k: int):
 
 def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     """The stack of g(t) = exp(i t L0^k) g0 over the 1-D array t, of shape t.shape + S
-    for x0 of batch axes S, by one eigh of L0; the error names a non-unitary g0."""
+    for x0 of batch axes S (those of g0 and L0 broadcast), by one eigh of L0.
+    Before it, k must be an integer >= 1 (TypeError for a non-integer), each
+    t finite (ValueError naming the first that is not) and g0 unitary
+    (CertificationError naming the first member of g0's stack that is not)."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError("need k >= 1")
-    S = x0.g.shape[:-2]
-    defect = phase._member_norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n), S)
+    if not np.isfinite(t).all():
+        raise ValueError(f"flow needs a finite t, got {t[~np.isfinite(t)][0]}")
+    defect = phase._member_norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n),
+                                x0.g.shape[:-2])
     unitary = defect <= UNITARY_TOL * x0.n  # False for a NaN defect
     if not unitary.all():
-        i = int(np.flatnonzero(~unitary)[0])
-        where = f"member {i}: " if S else ""
-        raise ValueError(f"{where}flow needs a unitary g: |g^dagger g - 1| = {defect.flat[i]:.3e}")
+        raise CertificationError.first(~unitary, lambda i: (
+            f"flow needs a unitary g: |g^dagger g - 1| = {defect.flat[i]:.3e}"))
     w, V = np.linalg.eigh(x0.L)
-    e = np.exp(1j * t.reshape(t.shape + (1,) * w.ndim) * w ** k)
+    axes = max(x0.g.ndim, x0.L.ndim) - 1  # the broadcast batch axes of g and L, and w's
+    e = np.exp(1j * t.reshape(t.shape + (1,) * axes) * w ** k)
     return (V * e[..., None, :]) @ V.conj().swapaxes(-1, -2) @ x0.g
 
 
@@ -136,14 +144,10 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = g.shape[-1]
     tol = UNITARY_TOL * n
     flat = g.reshape(-1, n, n)
-
-    def failure(i, message):
-        where, member = ("", None) if g.ndim == 2 else (f"member {i}: ", i)
-        return CertificationError(where + message, member)
-
-    bad = np.flatnonzero(~np.isfinite(flat).all(axis=(-2, -1)))
-    if bad.size:
-        raise failure(int(bad[0]), "g holds a non-finite entry; no reduction is certified")
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    if not finite.all():
+        raise CertificationError.first(
+            ~finite, lambda i: "g holds a non-finite entry; no reduction is certified")
     phases, eta = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
     residual, unitarity = np.empty(len(flat)), np.empty(len(flat))
     todo = slice(None)
@@ -151,15 +155,26 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for m in range(M):
         phases[todo], eta[todo], residual[todo], unitarity[todo] = _eigh_reduction(
             flat[todo], np.pi * m / M)
-        todo = np.flatnonzero(~((residual <= tol) & (unitarity <= tol)))
+        certified = (residual <= tol) & (unitarity <= tol)
+        todo = np.flatnonzero(~certified)
         if not todo.size:
             return (phases.reshape(g.shape[:-1]), eta.reshape(g.shape),
                     residual.reshape(g.shape[:-2]))
-    i = int(todo[0])
-    raise failure(i, f"no Hermitian angle certifies the diagonalization: "
-                     f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
-                     f"|eta^dagger eta - 1| = {unitarity[i]:.3e}, against {tol:.1e}; "
-                     "is g unitary?")
+    raise CertificationError.first(~certified.reshape(g.shape[:-2]), lambda i: (
+        f"no Hermitian angle certifies the diagonalization: "
+        f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
+        f"|eta^dagger eta - 1| = {unitarity[i]:.3e}, against {tol:.1e}; is g unitary?"))
+
+
+def _reduce(g: np.ndarray, L: np.ndarray) -> tuple[RedPoint, np.ndarray, np.ndarray]:
+    """The certified reduction of a stack of (g, L): _diagonalize, the
+    TorusReg gate on the phases, then the strict projection of
+    eta^dagger L eta onto Herm(n).  Returns the reduced point (Q, L), eta
+    and the residuals; each gate's error names the first failing member."""
+    phases, eta, residual = _diagonalize(g)
+    Q = TorusReg(phases)
+    L_red = algebra.make_hermitian(eta.conj().swapaxes(-1, -2) @ L @ eta, strict=True)
+    return RedPoint(Q, L_red), eta, residual
 
 
 def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
@@ -167,19 +182,20 @@ def reduce_point(x: FullPoint) -> tuple[RedPoint, np.ndarray]:
     reduction; sorted phases, largest entry of each column of eta real
     positive); returns the reduced point (Q, eta^dagger L eta) and the gauge
     eta, per member of a stack.  Raises CertificationError for a g that is
-    not finite or not unitary and RegularityError on an eigenvalue collision."""
-    phases, eta, _ = _diagonalize(x.g)
-    Q, eta_h = TorusReg(phases), eta.conj().swapaxes(-1, -2)
-    return RedPoint(Q, algebra.make_hermitian(eta_h @ x.L @ eta, strict=True)), eta
+    not finite or not unitary, RegularityError on an eigenvalue collision
+    and SubspaceError if eta^dagger L eta is not Hermitian (_reduce)."""
+    return _reduce(x.g, x.L)[:2]
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Reduced trajectory samples with per-sample conserved values."""
+    """Reduced trajectory samples with per-sample conserved values.  For a
+    start point of batch shape S, each sample's point has batch shape S and
+    the arrays carry S after the grid axis."""
     times: np.ndarray
     points: tuple[RedPoint, ...]
-    conserved: np.ndarray       # shape (len(times), n): power traces h_1..h_n per sample
-    gauge_defects: np.ndarray   # reconstruction error |eta Q eta^dagger - g|
+    conserved: np.ndarray       # shape (len(times),) + S + (n,): power traces h_1..h_n
+    gauge_defects: np.ndarray   # shape (len(times),) + S: |eta Q eta^dagger - g|
 
     @property
     def n(self) -> int:
@@ -193,58 +209,59 @@ def _circ_dist(a, b):
 
 def _rotations(phases, t_grid) -> np.ndarray:
     """Cumulative cyclic rotation R_i labelling sample i of a stack of sorted
-    phase rows as phases[i, (arange(n) + R_i) mod n], R_0 = 0.  Eigenphases
-    of a generic unitary one-parameter family do not cross, so their cyclic
-    order is kept and only the winding is open.  As the rows are sorted, the
-    cost of rotation r at step i, sum_j d(phases[i-1, j], phases[i, j + r])^2
-    (d the circular distance), does not depend on earlier labels: one
-    (T-1, n, n) array of squared distances gives every step's n costs, and R
-    is the cumulative sum mod n of each step's cheapest rotation.  Raises
-    AmbiguousMatchError at the first step whose two cheapest rotations tie."""
+    phase rows, shape (T,) + S + (n,), as phases[i, ..., (arange(n) + R_i) mod n],
+    R_0 = 0; R has shape (T,) + S.  Eigenphases of a generic unitary
+    one-parameter family do not cross, so their cyclic order is kept and
+    only the winding is open.  As the rows are sorted, the cost of rotation
+    r at step i, sum_j d(phases[i-1, j], phases[i, j + r])^2 (d the circular
+    distance), does not depend on earlier labels: one (T-1,) + S + (n, n)
+    array of squared distances gives every step's n costs, and R is the
+    cumulative sum mod n of each step's cheapest rotation.  Raises
+    AmbiguousMatchError at the first step whose two cheapest rotations tie,
+    naming the first member of S that ties there."""
     n = phases.shape[-1]
-    d2 = _circ_dist(phases[:-1, :, None], phases[1:, None, :]) ** 2
+    d2 = _circ_dist(phases[:-1, ..., :, None], phases[1:, ..., None, :]) ** 2
     shift = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # [j, r] = j + r
-    cost = d2[:, np.arange(n)[:, None], shift].sum(axis=1)
-    low = np.sort(cost, axis=-1)[:, :2]
-    ties = np.flatnonzero(np.diff(low, axis=-1) < MATCH_TIE_TOL)
-    if ties.size:
-        i = ties[0] + 1
-        raise AmbiguousMatchError(
+    cost = d2[..., np.arange(n)[:, None], shift].sum(axis=-2)
+    low = np.sort(cost, axis=-1)[..., :2]
+    ties = np.diff(low, axis=-1)[..., 0] < MATCH_TIE_TOL
+    if ties.any():
+        i = int(np.flatnonzero(ties)[0]) // ties[0].size + 1
+        a, b = low[i - 1].reshape(-1, 2).T
+        raise AmbiguousMatchError.first(ties[i - 1], lambda j: (
             f"at sample {i} (t = {t_grid[i]}): eigenphase matching ties between "
-            f"rotations costing {low[i - 1, 0]:.17g} and {low[i - 1, 1]:.17g}")
-    return np.concatenate(([0], np.cumsum(np.argmin(cost, axis=-1)))) % n
+            f"rotations costing {a[j]:.17g} and {b[j]:.17g}"))
+    return np.concatenate((np.zeros((1,) + cost.shape[1:-1], dtype=int),
+                           np.cumsum(np.argmin(cost, axis=-1), axis=0))) % n
 
 
 def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
-    """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid and reduce the
-    whole grid as one stack (the certified eigh reduction _diagonalize, whose
-    residuals are the gauge defects, then the conserved h_1..h_n as power
-    traces of the relabelled L, _power_traces, within its rounding model).
-    The eigenphase labels stay continuous by cyclic rotations: the per-step
-    rotation costs form one stacked array, and the labels of sample i are
-    rotated by the cumulative sum mod n of the cheapest rotations up to it
-    (_rotations).  The certification and the regularity gate run on the
-    whole stack before the matching, and the strict Hermitian projection on
-    the whole relabelled stack after it; a CertificationError,
-    RegularityError or AmbiguousMatchError names its sample i and its t.
-    The relabelled phase rows are cyclic rotations of rows that passed the
-    gate, so they are not gated again.  t_grid is 1-D with at least one
-    sample (ValueError naming its shape otherwise)."""
+    """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid from one start
+    point or a stack of them (batch shape S, carried after the grid axis) and
+    reduce the (len(t_grid),) + S stack at once by _reduce, whose residuals
+    are the gauge defects; h_1..h_n are power traces of the relabelled L
+    (_power_traces).  Labels stay continuous by cyclic rotations (_rotations);
+    the relabelled rows are rotations of rows that passed the gates, so they
+    are not gated again.  Each stack member's samples equal those of its own
+    trajectory, bit for bit.  A gate error of _reduce or _rotations names its
+    sample i and t, and on a stack starts "member j: " for start point j
+    (flat over S); _flow_g's error names the start point only.  t_grid is
+    1-D with at least one sample (ValueError naming its shape otherwise)."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not t_grid.size:
         raise ValueError(f"t_grid must be 1-D with at least one sample, got shape {t_grid.shape}")
+    g = _flow_g(x0, k, t_grid)  # outside the try: its member indexes S, not the grid
+    S = g.shape[1:-2]
     try:
-        phases, eta, defects = _diagonalize(_flow_g(x0, k, t_grid))
-        TorusReg(phases)  # raises RegularityError on an eigenvalue collision
-    except (CertificationError, algebra.RegularityError) as exc:
-        i = exc.member
-        raise type(exc)(f"at sample {i} (t = {t_grid[i]}): {exc}", i) from exc
-    L_red = eta.conj().swapaxes(-1, -2) @ x0.L @ eta
-    perms = (np.arange(x0.n) + _rotations(phases, t_grid)[:, None]) % x0.n
-    q = np.take_along_axis(phases, perms, axis=-1)
-    L = np.take_along_axis(np.take_along_axis(L_red, perms[:, :, None], axis=1),
-                           perms[:, None, :], axis=2)
-    L = algebra.make_hermitian(L, strict=True)
+        red, _, defects = _reduce(g, x0.L)
+    except algebra._MemberError as exc:
+        i, j = divmod(exc.member, math.prod(S))
+        raise type(exc).first(np.arange(math.prod(S)).reshape(S) == j,
+                              lambda _: f"at sample {i} (t = {t_grid[i]}): {exc}") from exc
+    perms = (np.arange(x0.n) + _rotations(red.Q.q, t_grid)[..., None]) % x0.n
+    q = np.take_along_axis(red.Q.q, perms, axis=-1)
+    L = np.take_along_axis(np.take_along_axis(red.L, perms[..., :, None], axis=-2),
+                           perms[..., None, :], axis=-1)
     points = tuple(map(RedPoint, map(TorusReg._ungated, q), L))
     return Trajectory(t_grid, points, _power_traces(L, x0.n), defects)
 

@@ -1,53 +1,35 @@
 """Report and trajectory serialization.
 
-Reports are a single JSON document; trajectories are CSV with the header
-t, q_1..q_n, h_1..h_n, gauge_defect.  All floats are written with 17
-significant digits so files are bit-reproducible and round-trip exactly.
+Reports are a single JSON document, whose floats are Python's shortest
+round-trip repr; trajectories are CSV with the header t, q_1..q_n,
+h_1..h_n, gauge_defect, whose floats have 17 significant digits.  Both are
+bit-reproducible and round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 
-def _fmt(x: float) -> str:
-    """x with 17 significant digits; ValueError for any non-finite real
-    (Python or numpy float of any width), which JSON cannot hold."""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value in report: {x}")
-    return format(float(x), ".17g")
-
-
-def dumps_json(obj, indent: int = 0) -> str:
-    """JSON serializer with fixed 17-significant-digit float formatting."""
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 2).lstrip()}'
-            for k, v in obj.items())
-        return f"{pad}{{\n{items}\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        items = ",\n".join(f"{pad}  {dumps_json(v, indent + 2).lstrip()}" for v in obj)
-        return f"{pad}[\n{items}\n{pad}]" if obj else f"{pad}[]"
-    if isinstance(obj, (bool, np.bool_)):
-        return pad + ("true" if obj else "false")
-    if isinstance(obj, (int, np.integer)):
-        return pad + str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return pad + _fmt(obj)
-    if isinstance(obj, str):
-        return pad + json.dumps(obj)
-    if obj is None:
-        return pad + "null"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def dumps_json(obj) -> str:
+    """The report format: json.dumps with a two-space indent, each float in
+    Python's shortest repr that round-trips and a numpy scalar as its Python
+    value.  JSON holds no NaN or infinity: ValueError for either."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=np.generic.item)
+    except ValueError as exc:
+        raise ValueError(f"non-finite value in report: {exc}") from None
 
 
 def trajectory_csv(traj) -> str:
-    """Render a Trajectory in the CSV schema; the whole table is formatted
-    by one % operation."""
+    """Render a Trajectory of one start point in the CSV schema; the whole
+    table is formatted by one % operation.  ValueError naming the batch
+    shape for a stacked one: a CSV holds one trajectory."""
+    if traj.gauge_defects.ndim > 1:
+        raise ValueError(f"a CSV holds one trajectory, got a stack of batch shape "
+                         f"{traj.gauge_defects.shape[1:]}")
     idx = range(1, traj.n + 1)
     header = ["t"] + [f"q_{i}" for i in idx] + [f"h_{l}" for l in idx] + ["gauge_defect"]
     table = np.column_stack([traj.times, [p.Q.q for p in traj.points],

@@ -144,8 +144,8 @@ def test_r_multiplier_on_a_stack_equals_per_member(n):
     X = np.stack([_rand_gl(rng, n) for _ in range(6)])
     M, RX = algebra.r_multiplier(Q), r_apply(Q, X)
     for i in range(6):
-        assert np.array_equal(M[i], algebra.r_multiplier(Q[i]))
-        assert np.array_equal(RX[i], r_apply(Q[i], X[i]))
+        assert np.array_equal(M[i], algebra.r_multiplier(TorusReg(Q.q[i])))
+        assert np.array_equal(RX[i], r_apply(TorusReg(Q.q[i]), X[i]))
 
 
 def test_r_apply_kills_diagonal():
@@ -218,7 +218,7 @@ def test_stacked_torus_gate_names_the_irregular_member():
     Q = TorusReg(q[[0, 1, 3]])
     assert Q.n == 3 and Q.min_gap().shape == (3,)
     assert np.array_equal(Q.matrix()[1], TorusReg(q[1]).matrix())
-    assert np.array_equal(Q[2].q, q[3])
+    assert Q.min_gap()[2] == TorusReg(q[3]).min_gap()
     # any number of batch axes: the member is the flat index over them
     with pytest.raises(RegularityError, match=r"^member 4: eigenvalue gap 1\.000e-09") as info:
         TorusReg(q[[0, 1, 3, 0, 2, 3]].reshape(2, 3, 3))
@@ -252,8 +252,12 @@ def test_strict_projection_checks_each_member_of_a_stack():
     stack = np.stack([big, small])
     flat = np.linalg.norm(stack - algebra.make_hermitian(stack))
     assert flat <= config.STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(stack))
-    with pytest.raises(algebra.SubspaceError, match="^member 1: "):
+    with pytest.raises(algebra.SubspaceError, match="^member 1: ") as info:
         algebra.make_hermitian(stack, strict=True)
+    assert info.value.member == 1
+    with pytest.raises(algebra.SubspaceError, match="^discarded component") as info:
+        algebra.make_hermitian(small, strict=True)
+    assert info.value.member is None
     assert np.array_equal(algebra.make_hermitian(stack[:1], strict=True)[0],
                           algebra.make_hermitian(big, strict=True))
 
@@ -425,3 +429,17 @@ def test_dual_basis_gram_identity_all_pairs():
 def test_strict_projection_raises():
     with pytest.raises(algebra.SubspaceError):
         algebra.make_unipotent_upper(np.ones((3, 3), dtype=complex))
+
+
+def test_member_error_names_the_first_failing_member_one_way():
+    # one element: no prefix and no member; a stack of any batch shape: the
+    # flat (C-order) index of the first failing member, in both
+    why = lambda i: f"value {i}"  # noqa: E731
+    one = algebra._MemberError.first(np.bool_(True), why)
+    assert str(one) == "value 0" and one.member is None
+    bad = np.array([[False, False, False], [False, True, True]])
+    err = RegularityError.first(bad, why)
+    assert type(err) is RegularityError and isinstance(err, ValueError)
+    assert str(err) == "member 4: value 4" and err.member == 4
+    for cls in (RegularityError, NotPositiveDefiniteError, algebra.SubspaceError):
+        assert issubclass(cls, algebra._MemberError)

@@ -91,7 +91,7 @@ def test_to_rs_and_to_suth_on_a_stack_equal_per_member(n):
         for L in (y.L, y.L[0]):
             stacked = to(RedPoint(y.Q, L))
             for i in range(3):
-                alone = to(RedPoint(y.Q[i], L[i] if L.ndim == 3 else L))
+                alone = to(RedPoint(TorusReg(y.Q.q[i]), L[i] if L.ndim == 3 else L))
                 for (_, a, _), (_, b, _) in zip(_arrays(stacked), _arrays(alone), strict=True):
                     a = np.broadcast_to(a, (3,) + b.shape)
                     assert a[i].tobytes() == b.tobytes()

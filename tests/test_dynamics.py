@@ -124,6 +124,51 @@ def test_flow_on_a_stack_names_the_first_non_unitary_member():
         flow(FullPoint(g.reshape(2, 2, 3, 3), L), 1, 0.3)
 
 
+def test_flow_of_a_g_stack_with_one_shared_L_flows_every_member():
+    # the batch axes of g and L broadcast: a shared L flows every member of g
+    x = phase.sample_points("full", 3, (0, 1, 2))
+    y = flow(FullPoint(x.g, x.L[0]), 1, 0.3)
+    assert y.g.shape == (3, 3, 3)
+    for i in range(3):
+        assert y.g[i].tobytes() == flow(FullPoint(x.g[i], x.L[0]), 1, 0.3).g.tobytes()
+    tr = trajectory(FullPoint(x.g, x.L[0]), 1, [0.0, 0.3])
+    assert tr.gauge_defects.shape == (2, 3)
+    assert tr.points[1].Q.q[2].tobytes() == trajectory(
+        FullPoint(x.g[2], x.L[0]), 1, [0.0, 0.3]).points[1].Q.q.tobytes()
+
+
+def test_flow_non_unitary_error_carries_its_member():
+    # a CertificationError, still a ValueError, with the member of the stack
+    x = phase.sample_points("full", 3, (0, 1, 2))
+    g = x.g.copy()
+    g[1] *= 2.0
+    with pytest.raises(CertificationError, match=r"^member 1: flow needs a unitary g") as info:
+        flow(FullPoint(g, x.L), 1, 0.3)
+    assert info.value.member == 1 and isinstance(info.value, ValueError)
+    with pytest.raises(CertificationError, match=r"^flow needs a unitary g") as info:
+        flow(FullPoint(g[1], x.L[1]), 1, 0.3)
+    assert info.value.member is None
+
+
+def test_flow_rejects_a_non_integer_k_and_a_non_finite_t():
+    # before any eigh: no RuntimeWarning (an error under this suite's
+    # filterwarnings) and no NaN point
+    x = sample_point("full", 3, 0)
+    for k in (1.5, 2.0, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            flow(x, k, 0.3)
+        with pytest.raises(TypeError):
+            trajectory(x, k, [0.0, 0.5])
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=rf"^flow needs a finite t, got {t}$"):
+            flow(x, 2, t)
+    with pytest.raises(ValueError, match=r"^flow needs a finite t, got inf$"):
+        trajectory(x, 2, [0.0, np.inf])
+    with pytest.raises(ValueError, match=r"^flow needs a finite t, got nan$"):
+        trajectory(x, 2, [0.0, 0.5, np.nan, np.inf])
+    assert flow(x, np.int64(2), 0.3).g.tobytes() == flow(x, 2, 0.3).g.tobytes()
+
+
 def test_flow_diagonal_generator_explicit():
     L = np.diag([1.0, -2.0]).astype(complex)
     g0 = np.eye(2, dtype=complex)
@@ -501,6 +546,112 @@ def test_trajectory_of_one_sample():
     red, _ = reduce_point(flow(x0, 2, 0.4))
     assert traj.conserved.shape == (1, 3) and len(traj.points) == 1
     assert np.array_equal(traj.points[0].Q.q, red.Q.q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stacked_trajectory_equals_each_member(n):
+    # bit for bit: one trajectory of a 6-seed stack, and of the same stack
+    # as a (2, 3) batch, against each seed's own trajectory
+    t_grid = np.linspace(0.0, 1.0, 21)
+    seeds = tuple(range(6))
+    x = phase.sample_points("full", n, seeds)
+    x23 = FullPoint(x.g.reshape(2, 3, n, n), x.L.reshape(2, 3, n, n))
+    for k in (1, 2, 3):
+        stack, stack23 = trajectory(x, k, t_grid), trajectory(x23, k, t_grid)
+        assert stack.conserved.shape == (21, 6, n) and stack.gauge_defects.shape == (21, 6)
+        assert stack23.conserved.shape == (21, 2, 3, n) and len(stack.points) == 21
+        for tr in (stack, stack23):  # the batch axes flattened to one of 6
+            assert np.array_equal(tr.times, t_grid)
+            c, d = tr.conserved.reshape(21, 6, n), tr.gauge_defects.reshape(21, 6)
+            q = np.stack([p.Q.q.reshape(6, n) for p in tr.points])
+            L = np.stack([p.L.reshape(6, n, n) for p in tr.points])
+            for i, seed in enumerate(seeds):
+                one = trajectory(sample_point("full", n, seed), k, t_grid)
+                assert c[:, i].tobytes() == one.conserved.tobytes(), (k, seed)
+                assert d[:, i].tobytes() == one.gauge_defects.tobytes(), (k, seed)
+                assert q[:, i].tobytes() == np.stack([p.Q.q for p in one.points]).tobytes()
+                assert L[:, i].tobytes() == np.stack([p.L for p in one.points]).tobytes()
+
+
+def _with_member(x0, point, at=1):
+    """The stack of x0's members with member `at` replaced by point."""
+    g, L = np.array(x0.g), np.array(x0.L)
+    g[at], L[at] = point.g, point.L
+    return FullPoint(g, L)
+
+
+_TIE_POINT = FullPoint(np.diag([1.0, -1.0]).astype(complex),
+                       0.5 * np.pi * np.eye(2, dtype=complex))
+_COLLIDING = FullPoint(np.diag([1.0, np.exp(0.5j)]), np.diag([1.0, 0.0]).astype(complex))
+
+
+def test_stacked_trajectory_tie_names_member_sample_and_time():
+    x = _with_member(phase.sample_points("full", 2, (0, 1, 2)), _TIE_POINT)
+    with pytest.raises(AmbiguousMatchError,
+                       match=r"^member 1: at sample 1 \(t = 1.0\): " + _TIE) as info:
+        trajectory(x, 1, [0.0, 1.0])
+    assert info.value.member == 1
+
+
+def test_stacked_trajectory_collision_names_member_sample_and_time():
+    # sample 2 of member 1 of a 3-stack is member 2 * 3 + 1 of the gate's stack
+    x = _with_member(phase.sample_points("full", 2, (0, 1, 2)), _COLLIDING)
+    with pytest.raises(RegularityError,
+                       match=r"^member 1: at sample 2 \(t = 0.5\): member 7: "
+                             r"eigenvalue gap") as info:
+        trajectory(x, 1, [0.0, 0.25, 0.5, 0.75])
+    assert info.value.member == 1
+
+
+def test_stacked_trajectory_uncertified_sample_names_member_sample_and_time(monkeypatch):
+    flow_g = dynamics._flow_g
+
+    def broken(x0, k, t):
+        g = flow_g(x0, k, t)
+        g[2, 1] = g[2, 1] @ np.diag([1.0, 1.0, 1.5])
+        return g
+    monkeypatch.setattr(dynamics, "_flow_g", broken)
+    with pytest.raises(CertificationError,
+                       match=r"^member 1: at sample 2 \(t = 0.5\): member 7: "
+                             r"no Hermitian angle certifies") as info:
+        trajectory(phase.sample_points("full", 3, (0, 1, 2)), 1, [0.0, 0.25, 0.5, 0.75])
+    assert info.value.member == 1
+
+
+def test_stacked_trajectory_strict_projection_names_member_sample_and_time():
+    # an L that is not Hermitian in member 2 (eigh reads its lower triangle
+    # only, so the flow runs) fails the strict projection at the first sample
+    x = phase.sample_points("full", 3, (0, 1, 2))
+    L = np.array(x.L)
+    L[2, 0, 1] += 1e-6
+    with pytest.raises(algebra.SubspaceError,
+                       match=r"^member 2: at sample 0 \(t = 0.25\): member 2: "
+                             r"discarded component has norm") as info:
+        trajectory(FullPoint(x.g, L), 1, [0.25, 0.5])
+    assert info.value.member == 2
+    with pytest.raises(algebra.SubspaceError,
+                       match=r"^at sample 0 \(t = 0.25\): member 0: discarded") as info:
+        trajectory(FullPoint(x.g[2], L[2]), 1, [0.25, 0.5])
+    assert info.value.member is None
+
+
+def test_trajectory_passes_a_non_unitary_start_member_through():
+    # _flow_g's member indexes the start points, not the grid: no sample is named
+    x = phase.sample_points("full", 3, (0, 1, 2))
+    g = np.array(x.g)
+    g[2] *= 2.0
+    with pytest.raises(CertificationError, match=r"^member 2: flow needs a unitary g") as info:
+        trajectory(FullPoint(g, x.L), 1, [0.0, 0.5])
+    assert info.value.member == 2
+
+
+def test_flow_conserved_makes_one_trajectory_call(monkeypatch):
+    calls = []
+    run = dynamics.trajectory
+    monkeypatch.setattr(dynamics, "trajectory", lambda *a: calls.append(a) or run(*a))
+    res = checks.run_check(checks.CheckSpec("flow-conserved", n=3, seeds=4))
+    assert res.passed and len(calls) == 1
+    assert calls[0][0].g.shape == (4, 3, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

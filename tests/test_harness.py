@@ -617,11 +617,15 @@ def test_report_is_json_ready():
 
 def test_dumps_json_float_formatting():
     text = reporting.dumps_json({"x": 0.1, "flag": True, "none": None, "v": [1, 2],
-                                 "np_flags": [np.True_, np.False_]})
-    parsed = json.loads(text)
-    assert parsed["np_flags"] == [True, False]
-    assert parsed["x"] == 0.1
-    assert "0.10000000000000001" in text  # 17 significant digits
+                                 "np_flags": [np.True_, np.False_], "empty": []})
+    # the layout is json.dumps at a two-space indent, floats in shortest repr
+    assert text == ('{\n  "x": 0.1,\n  "flag": true,\n  "none": null,\n  "v": [\n    1,\n'
+                    '    2\n  ],\n  "np_flags": [\n    true,\n    false\n  ],\n  "empty": []\n}')
+    # every float round-trips exactly, signed zeros and subnormals included
+    floats = [1.0 / 3.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              8.844257850253892e-16, np.float64(0.1) * 3]
+    back = json.loads(reporting.dumps_json({"f": floats}))["f"]
+    assert [v.hex() for v in back] == [float(v).hex() for v in floats]
     # error messages may carry control characters, quotes and backslashes
     odd = {"errors": ["a\nb", "c\td", 'q"\\'], 'k"\n': 'q"\\'}
     assert json.loads(reporting.dumps_json(odd)) == odd
@@ -672,6 +676,13 @@ def test_trajectory_csv_equals_per_value_formatting():
     defects[3] = np.inf
     with pytest.raises(ValueError, match="non-finite value in report: inf"):
         reporting.trajectory_csv(dataclasses.replace(traj, gauge_defects=defects))
+
+
+def test_trajectory_csv_rejects_a_stacked_trajectory():
+    traj = dynamics.trajectory(phase.sample_points("full", 3, (0, 1)), 2, [0.0, 0.5])
+    with pytest.raises(ValueError, match=r"^a CSV holds one trajectory, got a stack of "
+                                         r"batch shape \(2,\)$"):
+        reporting.trajectory_csv(traj)
 
 
 def test_trajectory_csv_schema_and_reproducibility():
