@@ -5,8 +5,7 @@ together with a numerical verification harness."""
 __version__ = "0.1.0"
 
 from .algebra import (NotPositiveDefiniteError, RegularityError, SubspaceError,
-                      TorusReg, chol_upper, dual_basis, pairing, r_apply,
-                      r_bracket, split_ub)
+                      TorusReg, chol_upper, dual_basis, pairing, r_apply, split_ub)
 from .brackets import (Bracket, jacobi_defect, jacobiator, pb1_full, pb1_red,
                        pb2_full, pb2_red, pb_rs, pb_suth)
 from .coords import from_rs, from_suth, solve_bplus, to_rs, to_suth
@@ -18,7 +17,7 @@ from .phase import (FullPoint, Observable, RedPoint, RSPoint, SuthPoint,
 
 __all__ = [
     "TorusReg", "RegularityError", "NotPositiveDefiniteError", "SubspaceError",
-    "pairing", "split_ub", "r_apply", "r_bracket", "chol_upper",
+    "pairing", "split_ub", "r_apply", "chol_upper",
     "dual_basis",
     "FullPoint", "RedPoint", "RSPoint", "SuthPoint", "Observable",
     "grad_full", "grad_red", "grad_rs", "grad_suth",

@@ -209,11 +209,6 @@ def r_apply(Q: TorusReg, X: np.ndarray) -> np.ndarray:
     return r_multiplier(Q) * X
 
 
-def r_bracket(Q: TorusReg, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Modified bracket [X,Y]_{R(Q)} = [R(Q)X, Y] + [X, R(Q)Y]."""
-    return comm(r_apply(Q, X), Y) + comm(X, r_apply(Q, Y))
-
-
 # ---------------------------------------------------------------------------
 # triangular factorization
 

@@ -1,11 +1,13 @@
 """Poisson brackets on the four charts and a finite-difference Jacobiator.
 
-A bracket is one value, `Bracket(chart, contract, name)`: the bilinear form
-Pi_x(dF, dH) in the gradient tuples of its chart.  Calling it on two
-observables of its chart takes their gradients in one phase.grads call and
-contracts them; code that already holds the gradients calls `contract`
-directly.  Every contract takes a batch of points (batch axes S, as in
-phase) and gradient stacks with pair axes P in front of S (stack, take,
+A bracket is one value, `Bracket(chart, sharp, name)`: its Hamiltonian map
+V = sharp(x, dH), a tuple of the chart's gradient type (None for a slot
+that pairs to zero); {F,H}(x), the sum over the slots of <dF, V>, is
+`Bracket.contract(x, dF, dH)`, written once for all brackets.  Calling a
+bracket on two observables of its chart takes their gradients in one
+phase.grads call and contracts them; code that already holds the gradients
+calls `contract`.  It takes a batch of points (batch axes S, as in phase)
+and gradient stacks with pair axes P in front of S (stack, take,
 cyclic_pairs), all broadcast by numpy's rule, and returns the values of
 shape P + S in one call, each equal to that of its pair alone, bit for bit.
 `jacobiator` takes each gradient once per stencil point for all brackets of
@@ -24,19 +26,20 @@ from typing import Callable
 import numpy as np
 
 from . import phase
-from .algebra import comm, pairing, r_apply, r_bracket, split_ub
+from .algebra import comm, pairing, r_apply, split_ub
 from .config import FD_OUTER_STEP_SCALE
-from .phase import Observable
+from .phase import FullGrad, Observable, RedGrad, RSGrad, SuthGrad
 
 
 @dataclass(frozen=True)
 class Bracket:
-    """A Poisson bracket as a bilinear form in the gradient tuples of one
-    chart: {F,H}(x) = contract(x, dF, dH) with (dF, dH) = phase.grads((F, H), x).
-    contract takes gradient stacks whose pair axes, in front of x's batch
-    axes S, broadcast to P, and returns values of shape P + S."""
+    """A Poisson bracket as its Hamiltonian map on one chart: sharp(x, dH) is
+    V of dH's gradient type, None in a slot that pairs to zero, and
+    {F,H}(x) = contract(x, dF, dH) = sum <dF_slot, V_slot> with (dF, dH) =
+    phase.grads((F, H), x).  Gradient stacks whose pair axes, in front of
+    x's batch axes S, broadcast to P give values of shape P + S."""
     chart: str
-    contract: Callable    # float for one point and one pair
+    sharp: Callable    # (x, dH) -> V, of dH's gradient type
     name: str
 
     def __call__(self, F: Observable, H: Observable, x) -> float:
@@ -45,57 +48,62 @@ class Bracket:
                              f"{self.chart!r} chart")
         return self.contract(x, *phase.grads((F, H), x))
 
-
-def _pi1_full(x, gF, gH):
-    return (pairing(gF.D1, gH.d2) - pairing(gH.D1, gF.d2)
-            + pairing(x.L, comm(gF.d2, gH.d2)))
+    def contract(self, x, dF, dH):
+        return sum(pairing(a, v) for a, v in zip(dF, self.sharp(x, dH)) if v is not None)
 
 
-def _pi2_full(x, gF, gH):
-    LdF = x.L @ gF.d2
-    LdH = x.L @ gH.d2
-    ginv = x.g.conj().swapaxes(-1, -2)
-    return (pairing(gF.D1, LdH) - pairing(gH.D1, LdF)
-            + 2.0 * pairing(LdF, split_ub(LdH)[0])
-            - 0.5 * pairing(gF.D1p, ginv @ gH.D1 @ x.g))
+# Each map is the source's bilinear form in dF and dH with dF moved to the
+# left of every pairing, by <X, YZ> = <ZX, Y>, <L, [A, B]> = <A, [B, L]>
+# and, for R = r_apply(Q, .), <R X, Y> = -<X, R Y>.
+def _sharp1_full(x, dH):
+    return FullGrad(dH.d2, None, comm(dH.d2, x.L) - dH.D1)
 
 
-def _pi1_red(x, gf, gh):
-    return (pairing(gf.D1, gh.d2) - pairing(gh.D1, gf.d2)
-            + pairing(x.L, r_bracket(x.Q, gf.d2, gh.d2)))
+def _sharp2_full(x, dH):
+    LdH = x.L @ dH.d2
+    return FullGrad(LdH, -0.5 * (x.g.conj().swapaxes(-1, -2) @ dH.D1 @ x.g),
+                    (2.0 * split_ub(LdH)[0] - dH.D1) @ x.L)
 
 
-def _pi2_red(x, gf, gh):
-    Ldf = x.L @ gf.d2
-    Ldh = x.L @ gh.d2
-    return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
-            + 2.0 * pairing(Ldf, r_apply(x.Q, Ldh)))
+def _sharp1_red(x, dh):
+    return RedGrad(dh.d2, comm(r_apply(x.Q, dh.d2), x.L)
+                   - r_apply(x.Q, comm(dh.d2, x.L)) - dh.D1)
 
 
-def _pi_rs(x, gF, gH):
+def _sharp2_red(x, dh):
+    Ldh = x.L @ dh.d2
+    return RedGrad(Ldh, (2.0 * r_apply(x.Q, Ldh) - dh.D1) @ x.L)
+
+
+def _sharp_rs(x, dH):
     # The source states the Ruijsenaars-chart bracket with a factor 2 on the
     # left-hand side; the 1/2 gives it the normalization of the other charts.
     lam_inv = np.linalg.inv(x.lam)
-    return 0.5 * (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
-                  + pairing(gF.Dlamp, lam_inv @ gH.Dlam @ x.lam))
+    return RSGrad(0.5 * dH.dp, -0.5 * dH.DQ, None, 0.5 * (lam_inv @ dH.Dlam @ x.lam))
 
 
-def _pi_suth(x, gF, gH):
-    return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
-            + pairing(x.phi, comm(gF.dphi, gH.dphi)))
+def _sharp_suth(x, dH):
+    return SuthGrad(dH.dp, -dH.DQ, comm(dH.dphi, x.phi))
 
 
 # First (cotangent-bundle) and second (Heisenberg-double) brackets on
 # U(n) x Herm(n), and their reductions to T^n_reg x Herm(n).
-pb1_full = Bracket("full", _pi1_full, "pb1_full")
-pb2_full = Bracket("full", _pi2_full, "pb2_full")
-pb1_red = Bracket("red", _pi1_red, "pb1_red")
-pb2_red = Bracket("red", _pi2_red, "pb2_red")
+pb1_full = Bracket("full", _sharp1_full, "pb1_full")
+pb2_full = Bracket("full", _sharp2_full, "pb2_full")
+pb1_red = Bracket("red", _sharp1_red, "pb1_red")
+pb2_red = Bracket("red", _sharp2_red, "pb2_red")
 # Second bracket in the Ruijsenaars variables (Q, p, lambda); valid on the
 # conjugation-invariant function family.
-pb_rs = Bracket("rs", _pi_rs, "pb_rs")
+pb_rs = Bracket("rs", _sharp_rs, "pb_rs")
 # First bracket in the Sutherland variables (Q, p, phi).
-pb_suth = Bracket("suth", _pi_suth, "pb_suth")
+pb_suth = Bracket("suth", _sharp_suth, "pb_suth")
+
+# Every bracket by its chart and its number (1 for the first, 2 for the second).
+BRACKETS = {
+    ("full", 1): pb1_full, ("full", 2): pb2_full,
+    ("red", 1): pb1_red, ("red", 2): pb2_red,
+    ("rs", 2): pb_rs, ("suth", 1): pb_suth,
+}
 
 
 def stack(grads):
@@ -123,8 +131,8 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     central differences; a batch x of batch axes S gives T of shape (b, b) + S,
     each member's T that of the member alone.  The Jacobi defect of sum_i s_i b_i is s.T.s.
 
-    Anything but a Bracket raises TypeError.  One sweep with the coarse step
-    FD_OUTER_STEP_SCALE*(1 + |x|) differentiates every inner value {G,H}_i,
+    Anything but a Bracket raises TypeError, no bracket ValueError.  One
+    sweep with step FD_OUTER_STEP_SCALE*(1 + |x|) differentiates each {G,H}_i,
     {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
     inner callable a stack of outer stencil points; that takes the gradients
     of F, G, H on the whole stack in one sweep (each member at its own
@@ -138,6 +146,8 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     Code that swaps a chart map calls phase.clear_memos() first.
     """
     chart = F.chart
+    if not brackets:
+        raise ValueError("jacobiator needs at least one bracket")
     if not (G.chart == chart == H.chart):
         raise ValueError("observables live on different charts")
     for b in brackets:

@@ -18,12 +18,14 @@ A body that contracts gradients stacks all its pairs along pair axes in
 front of the seeds and makes one Bracket.contract call per bracket (the
 involutivity grid as views of one stack of the dH_k, broadcast by numpy),
 each value equal to that of the per-pair contract, bit for bit.
+antisymmetry and leibniz check every bracket of brackets.BRACKETS.
 run_check calls the body once on seeds 0..S-1 and lays the samples out
 seed-major.  Rows share gradients through phase's gradient memo (keyed by
 content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
 reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
-jacobi-pencil those of jacobi-full-1, leibniz and the ladders those of
-antisymmetry.  A row's samples do not depend on what the memo holds.
+jacobi-pencil those of jacobi-full-1, leibniz, the ladders and the
+rs-chart side of rs-bracket those of antisymmetry.  A row's samples do not
+depend on what the memo holds.
 Each row states its tolerance once, as the config level (EXACT, ANALYTIC,
 RK4, FD, NESTED) of the error model of what it checks; nothing else sets it.
 """
@@ -94,11 +96,8 @@ def invariant_triple(chart):
     return tuple(invariant_observable(*t, chart=chart) for t in _TRIPLE_PARAMS)
 
 
-_BRACKETS_BY_CHART = {
-    "full": (br.pb1_full, br.pb2_full),
-    "red": (br.pb1_red, br.pb2_red),
-    "suth": (br.pb_suth,),
-}
+_BRACKETS_BY_CHART = {chart: tuple(b for (c, _), b in br.BRACKETS.items() if c == chart)
+                      for chart in phase.CHARTS}
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +138,8 @@ def _antisymmetry_samples(pairs_of, charts, n, seeds):
 def check_leibniz(n, seeds):
     """{F,GH} against G{F,H} + H{F,G} for every bracket of each chart, with
     d(GH) = G dH + H dG formed from the one sweep of dF, dG, dH per chart.
-    A Bracket is bilinear in its gradient tuples, so the defect is rounding:
-    it checks that each contract is the bilinear form it states."""
+    contract is linear in dF and each map sharp in dH, so the defect is
+    rounding: it checks that every map is linear."""
     out = []
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
         pairs = invariant_pairs(chart)

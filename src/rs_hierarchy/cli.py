@@ -117,22 +117,14 @@ def _cmd_flow(args) -> int:
     return 0
 
 
-_BRACKET_TABLE = {
-    ("full", 1): br.pb1_full, ("full", 2): br.pb2_full,
-    ("red", 1): br.pb1_red, ("red", 2): br.pb2_red,
-    ("rs", 2): br.pb_rs, ("suth", 1): br.pb_suth,
-}
-
-
 def _cmd_bracket(args) -> int:
     key = (args.chart, args.which)
-    if key not in _BRACKET_TABLE:
+    if key not in br.BRACKETS:
         _config_error(f"bracket {args.which} is not available on chart {args.chart!r}")
     F = _parse_obs(args.f, args.chart)
     H = _parse_obs(args.h_obs, args.chart)
     x = _sample(args.chart, args.n, args.seed)
-    value = _BRACKET_TABLE[key](F, H, x)
-    print(format(value, ".17g"))
+    print(format(br.BRACKETS[key](F, H, x), ".17g"))
     return 0
 
 

@@ -522,7 +522,9 @@ def invariant_observable(m: int, k: int, part: str = "re",
     """Conjugation-invariant trace observable Re/Im tr(g^m L^k), together
     with its restriction to each chart through the coordinate maps.  Its
     value is a _Trace read at the chart's (U, L) map, so `_values` maps each
-    stencil stack once for all such observables of one sweep."""
+    stencil stack once for all such observables of one sweep.  m and k are
+    integers (operator.index, else TypeError)."""
+    m, k = operator.index(m), operator.index(k)
     if m < 0 or k < 0 or (m, k) == (0, 0):
         raise ValueError("need m, k >= 0 with (m, k) != (0, 0)")
     if part not in ("re", "im"):
@@ -533,7 +535,9 @@ def invariant_observable(m: int, k: int, part: str = "re",
 
 def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
     """Free Hamiltonian H_k = tr(L^k)/k with its analytic gradient
-    (d2 H_k = i L^{k-1}, all group-direction derivatives zero)."""
+    (d2 H_k = i L^{k-1}, all group-direction derivatives zero); k is an
+    integer (operator.index, else TypeError)."""
+    k = operator.index(k)
     if k < 1:
         raise ValueError("need k >= 1")
     if chart not in ("full", "red"):

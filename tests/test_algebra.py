@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rs_hierarchy import algebra, config, phase
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
                                   TorusReg, chol_upper, dual_basis, pairing,
-                                  r_apply, r_bracket, split_ub)
+                                  r_apply, split_ub)
 
 
 def _E(n, j, k):
@@ -195,14 +195,21 @@ def test_r_apply_against_dense_operator_oracle():
         assert np.allclose(r_apply(Q, X), oracle, atol=1e-12 * np.linalg.norm(X))
 
 
-def test_r_bracket_antisymmetry():
-    rng = np.random.default_rng(5)
-    Q = TorusReg(rng.uniform(0, 2 * np.pi, 3))
-    X, Y = _rand_gl(rng, 3), _rand_gl(rng, 3)
-    assert np.allclose(r_bracket(Q, X, X), 0, atol=1e-13)
-    assert np.allclose(r_bracket(Q, X, Y), -r_bracket(Q, Y, X), atol=1e-13)
-    D1, D2 = np.diag([1.0 + 0j, 2, 3]), np.diag([4.0 + 0j, 5, 6])
-    assert np.allclose(r_bracket(Q, D1, D2), 0, atol=1e-14)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_r_apply_is_skew_under_the_pairing(n):
+    # <R X, Y> = -<X, R Y> for R = r_apply(Q, .), the identity by which the
+    # first reduced bracket's map moves R off dF; on a stack of 4 torus
+    # elements and random gl(n) pairs, with 3 pairs per element
+    rng = np.random.default_rng([5, n])
+    Q = phase.sample_points("red", n, range(4)).Q
+    X, Y = (rng.standard_normal((3, 4, n, n)) + 1j * rng.standard_normal((3, 4, n, n))
+            for _ in range(2))
+    RX, RY = r_apply(Q, X), r_apply(Q, Y)
+    a, b = pairing(RX, Y), pairing(X, RY)
+    assert a.shape == (3, 4)
+    norm = lambda M: np.linalg.norm(M, axis=(-2, -1))
+    assert np.all(np.abs(a + b) <= 1e-14 * (1 + norm(RX) * norm(Y) + norm(X) * norm(RY)))
+    assert np.all(np.abs(a) > 1e-3)   # the identity is not met by zeros
 
 
 def test_torus_regularity_enforced():

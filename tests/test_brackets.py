@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rs_hierarchy import algebra, brackets as br, config, coords, phase
+from rs_hierarchy import algebra, brackets as br, config, coords, dynamics, phase
+from rs_hierarchy.algebra import comm, pairing, r_apply, split_ub
 from rs_hierarchy.phase import (Observable, hamiltonian_observable,
                                 invariant_observable, sample_point, sample_points)
 from test_phase import _stack, _wide
@@ -18,10 +19,12 @@ def _pair(chart):
 
 def _pencil(s):
     """The bracket pb1_full + s*pb2_full, a reference for the pencil that the
-    registry checks through the Jacobiator's quadratic form."""
-    def contract(x, gF, gH):
-        return br.pb1_full.contract(x, gF, gH) + s * br.pb2_full.contract(x, gF, gH)
-    return br.Bracket("full", contract, f"pencil({s})")
+    registry checks through the Jacobiator's quadratic form: the slotwise
+    sum of the two maps, pb1_full's None slot read as zero."""
+    def sharp(x, dH):
+        return phase.FullGrad(*(s * b if a is None else a + s * b for a, b in
+                                zip(br.pb1_full.sharp(x, dH), br.pb2_full.sharp(x, dH))))
+    return br.Bracket("full", sharp, f"pencil({s})")
 
 
 ALL_BRACKETS = [
@@ -141,13 +144,13 @@ def test_pb_suth_momentum_functions_commute():
 
 def test_casimir_term_matches_direct_r_bracket():
     # for functions of L alone (no Q dependence), pb1_red reduces to the
-    # <L, [d2f, d2h]_{R(Q)}> term
+    # <L, [A, B]_{R(Q)}> term, [A, B]_R = [R A, B] + [A, R B]
     x = sample_point("red", 3, 3)
     f = hamiltonian_observable(2, chart="red")
     h = Observable("red", lambda p: np.real(np.trace(p.L @ p.L @ p.L, axis1=-2, axis2=-1)))
-    gf = phase.grad_red(f, x)
-    gh = phase.grad_red(h, x)
-    direct = algebra.pairing(x.L, algebra.r_bracket(x.Q, gf.d2, gh.d2))
+    A, B = phase.grad_red(f, x).d2, phase.grad_red(h, x).d2
+    R = functools.partial(algebra.r_apply, x.Q)
+    direct = algebra.pairing(x.L, algebra.comm(R(A), B) + algebra.comm(A, R(B)))
     assert br.pb1_red(f, h, x) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
 
@@ -381,6 +384,12 @@ def test_bracket_chart_mismatch_raises():
         br.jacobi_defect(br.pb1_full, F, F, h, x)
 
 
+def test_jacobiator_needs_at_least_one_bracket():
+    F, G, H = _triple("full")
+    with pytest.raises(ValueError, match="at least one bracket"):
+        br.jacobiator((), F, G, H, sample_point("full", 2, 0))
+
+
 def test_jacobi_defect_needs_a_bracket():
     F, G, H = _triple("full")
     x = sample_point("full", 2, 0)
@@ -388,3 +397,104 @@ def test_jacobi_defect_needs_a_bracket():
         br.jacobi_defect(lambda A, B, y: br.pb1_full(A, B, y), F, G, H, x)
     with pytest.raises(TypeError, match="Bracket"):
         br.jacobiator((br.pb1_full, functools.partial(br.pb2_full)), F, G, H, x)
+
+
+# ---------------------------------------------------------------------------
+# the source's bilinear forms, each bracket as it is stated there: the
+# reference of every Bracket's map, whose contract must equal it
+
+
+def _pi1_full(x, gF, gH):
+    return (pairing(gF.D1, gH.d2) - pairing(gH.D1, gF.d2)
+            + pairing(x.L, comm(gF.d2, gH.d2)))
+
+
+def _pi2_full(x, gF, gH):
+    LdF = x.L @ gF.d2
+    LdH = x.L @ gH.d2
+    ginv = x.g.conj().swapaxes(-1, -2)
+    return (pairing(gF.D1, LdH) - pairing(gH.D1, LdF)
+            + 2.0 * pairing(LdF, split_ub(LdH)[0])
+            - 0.5 * pairing(gF.D1p, ginv @ gH.D1 @ x.g))
+
+
+def _pi1_red(x, gf, gh):
+    # <L, [d2f, d2h]_R> with [X, Y]_R = [R X, Y] + [X, R Y]
+    return (pairing(gf.D1, gh.d2) - pairing(gh.D1, gf.d2)
+            + pairing(x.L, comm(r_apply(x.Q, gf.d2), gh.d2) + comm(gf.d2, r_apply(x.Q, gh.d2))))
+
+
+def _pi2_red(x, gf, gh):
+    Ldf = x.L @ gf.d2
+    Ldh = x.L @ gh.d2
+    return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
+            + 2.0 * pairing(Ldf, r_apply(x.Q, Ldh)))
+
+
+def _pi_rs(x, gF, gH):
+    # The source states the Ruijsenaars-chart bracket with a factor 2 on the
+    # left-hand side; the 1/2 gives it the normalization of the other charts.
+    lam_inv = np.linalg.inv(x.lam)
+    return 0.5 * (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
+                  + pairing(gF.Dlamp, lam_inv @ gH.Dlam @ x.lam))
+
+
+def _pi_suth(x, gF, gH):
+    return (pairing(gF.DQ, gH.dp) - pairing(gH.DQ, gF.dp)
+            + pairing(x.phi, comm(gF.dphi, gH.dphi)))
+
+
+SOURCE_FORMS = {br.pb1_full: _pi1_full, br.pb2_full: _pi2_full, br.pb1_red: _pi1_red,
+                br.pb2_red: _pi2_red, br.pb_rs: _pi_rs, br.pb_suth: _pi_suth}
+
+
+def _covectors(chart, n, shape, rng):
+    """A gradient tuple of `chart` whose components are random real
+    combinations of each block's dual basis, of batch shape `shape`: covectors
+    of the right spaces, but no gradient of any function."""
+    kind, blocks = phase._CHART_TABLE[chart]
+    duals = (phase._stacks(b.space, n)[1] for b in blocks)
+    return kind(*(np.tensordot(rng.standard_normal(shape + (len(D),)), D, axes=1)
+                  for D in duals))
+
+
+@pytest.mark.parametrize("bracket", list(br.BRACKETS.values()), ids=lambda b: b.name)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_contract_equals_the_source_form(bracket, n):
+    # on 5 seeds and a 4 x 3 grid of pairs, dF's pair axis against dH's,
+    # every term of the source's form is seen, including those that no
+    # invariant pair reaches; agreement to rounding of the values
+    x = sample_points(bracket.chart, n, range(5))
+    rng = np.random.default_rng([31, n])
+    dF = _covectors(bracket.chart, n, (4, 1, 5), rng)
+    dH = _covectors(bracket.chart, n, (1, 3, 5), rng)
+    got = bracket.contract(x, dF, dH)
+    want = SOURCE_FORMS[bracket](x, dF, dH)
+    assert got.shape == want.shape == (4, 3, 5)
+    assert np.all(np.abs(got - want) <= 1e-14 * (1 + np.abs(want).max()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hamiltonian_maps_give_the_flow_velocity(n):
+    # dynamics.flow moves g by g(t) = exp(i t L^k) g and leaves L: its
+    # velocity is (i L^k, 0, 0) in the displacements (left of g, right of g,
+    # of L) of the full chart.  pb1_full's map of dH_{k+1} and pb2_full's of
+    # dH_k give it: each slot paired with the dual basis of its block is the
+    # velocity's coordinates in that block's basis, 0 for a None slot
+    x = sample_points("full", n, range(5))
+    duals = [phase._stacks(b.space, n)[1][:, None] for b in phase._CHART_TABLE["full"][1]]
+    dH = phase.grads([hamiltonian_observable(k) for k in range(1, 5)], x)
+    for k in (1, 2, 3):
+        iLk = 1j * np.linalg.matrix_power(x.L, k)
+        velocity = [pairing(duals[0], iLk), 0.0, 0.0]
+        size = 1 + np.linalg.norm(x.L, axis=(-2, -1)) ** k
+        for V in (br.pb1_full.sharp(x, dH[k]), br.pb2_full.sharp(x, dH[k - 1])):
+            for D, v, want in zip(duals, V, velocity):
+                got = 0.0 if v is None else pairing(D, v)
+                assert np.all(np.abs(got - want) <= 1e-14 * size), (k, D.shape)
+        # the left slot against a central difference of the flow at t = 0,
+        # g'(0) g^dagger, with a step scaled to the generator i L^k
+        h = config.FD_STEP_SCALE / size.max()
+        dg = (dynamics.flow(x, k, h).g - dynamics.flow(x, k, -h).g) / (2 * h)
+        fd = pairing(duals[0], dg @ x.g.conj().swapaxes(-1, -2))
+        assert np.all(np.abs(fd - velocity[0]) <= config.FD * size), k

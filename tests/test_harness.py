@@ -11,7 +11,7 @@ import pytest
 import rs_hierarchy
 from rs_hierarchy import brackets as br
 from rs_hierarchy import algebra, checks, cli, config, coords, dynamics, phase, reporting
-from rs_hierarchy.algebra import pairing, r_apply
+from rs_hierarchy.algebra import r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
 
@@ -54,21 +54,24 @@ def test_run_checks_empty_report():
 # two gradients on each side for each of its 3 invariant pairs and reuses
 # the two on its own side for the scale: 3 * 2 * (24 + 54) = 468 and so on.
 # The antisymmetry check takes the two gradients of each invariant pair once
-# per chart for all of the chart's brackets: 3 * 2 * (54 + 24 + 24) = 612.
+# per chart for all of the chart's brackets, on each of the four charts:
+# 3 * 2 * (54 + 24 + 36 + 24) = 828.
 # A ladder takes F's gradient once (the dH_k are analytic): 54 and 24.
 # Leibniz takes dF, dG and dH once per chart, forms d(GH) from them, and
-# evaluates G and H at x: 3 * 54 + 2 + 2 * (3 * 24 + 2) = 312.
+# evaluates G and H at x: 3 * 54 + 2 + 2 * (3 * 24 + 2) + 3 * 36 + 2 = 422.
 # Each check takes all its gradients on one chart in one sweep, so the chart
-# map runs once per block of that sweep: 4 from_rs calls for rs-bracket, 3
-# from_suth calls for suth-bracket and antisymmetry, 3 + 2 for leibniz (its
-# sweep, then G(x) and H(x)), and 5 sweeps of 3 blocks for jacobi-suth (the
+# map runs once per block of that sweep: 4 from_rs calls for rs-bracket and
+# antisymmetry, 3 from_suth calls for suth-bracket and antisymmetry, 4 + 1
+# and 3 + 1 for leibniz (its sweep, then G(x) and H(x) from one map of x),
+# and 5 sweeps of 3 blocks for jacobi-suth (the
 # outer one, one inner one per outer block and the gradients of the scale;
 # its points are the 1,800 of its Jacobi defect and 3 * 24 for the scale).
 # The map the transfer rows apply to x itself is bound at import, so it is
 # not counted.  Every row evaluates all its seeds in those sweeps: its
 # points grow with the number of seeds and its chart-map calls do not.
 _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
-              "antisymmetry": {"from_suth": 3}, "leibniz": {"from_suth": 4},
+              "antisymmetry": {"from_rs": 4, "from_suth": 3},
+              "leibniz": {"from_rs": 5, "from_suth": 4},
               "jacobi-suth": {"from_suth": 15}}
 
 
@@ -87,8 +90,8 @@ def _count_trace_points(monkeypatch) -> list:
 
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
-    ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 612),
-    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 312), ("jacobi-suth", 1872),
+    ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 828),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 422), ("jacobi-suth", 1872),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
     # count evaluated points, the size of each batch, over every observable
@@ -124,9 +127,13 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
 
 
 # Rows that take the gradients an earlier row of the suite took, at the same
-# points and steps, and the earlier row.  leibniz still reads G(x) and H(x)
-# on each of its three charts; those values are not gradients.
-_WARM_ROWS = {"reduction-pb2": ("reduction-pb1", 0), "leibniz": ("antisymmetry", 2 * 3),
+# points and steps, the earlier row and the points the row still sweeps per
+# seed.  leibniz still reads G(x) and H(x) on each of its four charts; those
+# values are not gradients.  rs-bracket takes its rs-chart gradients from
+# antisymmetry and sweeps the 6 reduced-chart ones at from_rs(x), 24 points
+# each at n = 3.
+_WARM_ROWS = {"reduction-pb2": ("reduction-pb1", 0), "leibniz": ("antisymmetry", 2 * 4),
+              "rs-bracket": ("antisymmetry", 6 * 24),
               "ladder-full": ("antisymmetry", 0), "ladder-red": ("antisymmetry", 0),
               "jacobi-full-2": ("jacobi-full-1", 0), "jacobi-pencil": ("jacobi-full-1", 0)}
 
@@ -587,11 +594,10 @@ def test_registry_tolerances_are_config_levels():
 
 def _planted_pb2_red(eps):
     """pb2_red with its R-term scaled by 1 + eps."""
-    def contract(x, gf, gh):
-        Ldf, Ldh = x.L @ gf.d2, x.L @ gh.d2
-        return (pairing(gf.D1, Ldh) - pairing(gh.D1, Ldf)
-                + 2.0 * (1.0 + eps) * pairing(Ldf, r_apply(x.Q, Ldh)))
-    return br.Bracket("red", contract, f"pb2_red planted at {eps}")
+    def sharp(x, dh):
+        Ldh = x.L @ dh.d2
+        return phase.RedGrad(Ldh, (2.0 * (1.0 + eps) * r_apply(x.Q, Ldh) - dh.D1) @ x.L)
+    return br.Bracket("red", sharp, f"pb2_red planted at {eps}")
 
 
 def test_ladder_red_catches_planted_r_term_defect():

@@ -760,6 +760,23 @@ def test_invariant_observable_rejects_trivial():
         invariant_observable(0, 0)
 
 
+@pytest.mark.parametrize("make", [lambda: invariant_observable(1.5, 1),
+                                  lambda: invariant_observable(1, 2.0),
+                                  lambda: hamiltonian_observable(1.5),
+                                  lambda: hamiltonian_observable(2.0, chart="red")],
+                         ids=["m=1.5", "k=2.0", "H_1.5", "H_2.0-red"])
+def test_observables_take_integer_powers_only(make):
+    # a power that is not an integer is refused where the observable is made,
+    # not in numpy's matrix_power inside a later sweep
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_observables_take_numpy_integer_powers():
+    assert invariant_observable(np.int64(1), np.int64(2)).name == "re-tr(g^1 L^2)[full]"
+    assert hamiltonian_observable(np.int32(2)).name == "H_2[full]"
+
+
 def test_point_norm_positive():
     for chart in ("full", "red", "rs", "suth"):
         assert point_norm(sample_point(chart, 3, 0)) > 0
