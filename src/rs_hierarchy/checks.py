@@ -54,10 +54,8 @@ class CheckSpec:
     seeds: int = 5
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.seeds < 1:
-            raise ValueError("need seeds >= 1")
+        for name, low in (("n", 2), ("seeds", 1)):   # errors that name the field
+            object.__setattr__(self, name, phase._index(getattr(self, name), name, low))
         if self.check_id not in CHECKS:
             raise KeyError(f"unknown check id {self.check_id!r}")
 

@@ -69,13 +69,9 @@ def from_rs(x: RSPoint) -> RedPoint:
 
 
 def _suth_multiplier(Q: TorusReg) -> np.ndarray:
-    """Entrywise action of (R(Q) + id/2) on off-diagonal entries:
-    w/(w-1) with w = e^{i(q_j - q_k)}; zero on the diagonal."""
-    w = np.exp(1j * (Q.q[..., :, None] - Q.q[..., None, :]))
-    off = algebra.off_diagonal(Q.n)
-    M = np.zeros_like(w)
-    M[..., off] = w[..., off] / (w[..., off] - 1.0)
-    return M
+    """Entrywise action of (R(Q) + id/2): the R-operator's multiplier plus 1/2 off
+    the diagonal, w/(w-1) = (1/2)(w+1)/(w-1) + 1/2, w = e^{i(q_j - q_k)}."""
+    return algebra.r_multiplier(Q) + 0.5 * algebra.off_diagonal(Q.n)
 
 
 def from_suth(x: SuthPoint) -> RedPoint:

@@ -4,15 +4,14 @@ projection to the reduced chart and trajectory extraction.
 The flow g(t) = exp(i t L0^k) g0, L(t) = L0 is that of H_{k+1} under the
 first bracket and of H_k under the second; the exponential comes from a
 unitary diagonalization of L0, so g(t) is unitary and the reduced L(t) is
-a unitary conjugate of L0.  The conserved values h_l = tr(L^l)/l are power
-traces of the reduced L, exact up to the rounding model of _power_traces:
+a unitary conjugate of L0.  The conserved values h_l = tr(L^l)/l are
+algebra.power_traces of the reduced L, exact up to their rounding model:
 about l n eps (1 + max|w|^l) over the eigenvalues w of L.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,34 +34,12 @@ class CertificationError(algebra._MemberError):
     Hermitian angle reconstructs it within UNITARY_TOL * n."""
 
 
-def _power_traces(L: np.ndarray, m: int) -> np.ndarray:
-    """h_l = tr(L^l)/l for l = 1..m over a Hermitian stack L, shape
-    L.shape[:-2] + (m,).  Only P_a = L^a for a <= ceil(m/2) are formed (one
-    stacked matmul each past L); tr L is the real diagonal sum and each other
-    trace is tr(P_a P_b) = sum(P_a * P_b^T), a = l // 2, b = l - a.  Rounding
-    model: each product of the chain adds about n eps |L|^l to an entry, so
-    |h_l - sum_i w_i^l / l| <= c l n eps (1 + max_i |w_i|^l) over the
-    eigenvalues w of L; c = 4 bounds every seeded stack of the tests
-    (n = 2..8, |L| = 1..1e3, l = 1..8; largest ratio 2.2)."""
-    P = [L]  # P[a - 1] = L^a
-    for _ in range(2, (m + 1) // 2 + 1):
-        P.append(P[-1] @ L)
-    h = np.empty(L.shape[:-2] + (m,))
-    h[..., 0] = np.real(np.trace(L, axis1=-2, axis2=-1))
-    for l in range(2, m + 1):
-        a = l // 2
-        h[..., l - 1] = np.real(np.sum(P[a - 1] * P[l - a - 1].swapaxes(-1, -2), axis=(-2, -1)))
-    return h / np.arange(1, m + 1)
-
-
 def hk(L: np.ndarray, k: int):
-    """Free Hamiltonian tr(L^k)/k as a power trace (_power_traces, with its
-    rounding model): a float for one matrix, one value per member of a
-    stack.  k is an integer >= 1 (TypeError for a non-integer)."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("need k >= 1")
-    h = _power_traces(L, k)[..., -1]
+    """Free Hamiltonian tr(L^k)/k as a power trace (algebra.power_traces,
+    with its rounding model): a float for one matrix, one value per member
+    of a stack.  k is an integer >= 1 (else a TypeError or ValueError)."""
+    k = phase._index(k, "k", 1)
+    h = algebra.power_traces(L, k)[..., -1]
     return float(h) if h.ndim == 0 else h
 
 
@@ -72,9 +49,7 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     Before it, k must be an integer >= 1 (TypeError for a non-integer), each
     t finite (ValueError naming the first that is not) and g0 unitary
     (CertificationError naming the first member of g0's stack that is not)."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("need k >= 1")
+    k = phase._index(k, "k", 1)
     if not np.isfinite(t).all():
         raise ValueError(f"flow needs a finite t, got {t[~np.isfinite(t)][0]}")
     defect = phase._member_norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n),
@@ -239,8 +214,8 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     """Sample the exact flow g(t) = exp(i t L0^k) g0 on t_grid from one start
     point or a stack of them (batch shape S, carried after the grid axis) and
     reduce the (len(t_grid),) + S stack at once by _reduce, whose residuals
-    are the gauge defects; h_1..h_n are power traces of the relabelled L
-    (_power_traces).  Labels stay continuous by cyclic rotations (_rotations);
+    are the gauge defects; h_1..h_n are algebra.power_traces of the
+    relabelled L.  Labels stay continuous by cyclic rotations (_rotations);
     the relabelled rows are rotations of rows that passed the gates, so they
     are not gated again.  Each stack member's samples equal those of its own
     trajectory, bit for bit.  A gate error of _reduce or _rotations names its
@@ -263,7 +238,7 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
     L = np.take_along_axis(np.take_along_axis(red.L, perms[..., :, None], axis=-2),
                            perms[..., None, :], axis=-1)
     points = tuple(map(RedPoint, map(TorusReg._ungated, q), L))
-    return Trajectory(t_grid, points, _power_traces(L, x0.n), defects)
+    return Trajectory(t_grid, points, algebra.power_traces(L, x0.n), defects)
 
 
 def h_rs(x):

@@ -167,6 +167,17 @@ def point_norm(x):
 # observables
 
 
+def _index(v, name: str, low: int) -> int:
+    """v by operator.index, at least low; else a TypeError or ValueError naming it."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+    if v < low:
+        raise ValueError(f"need {name} >= {low}, got {name} = {v}")
+    return v
+
+
 @dataclass(frozen=True)
 class Observable:
     """Real-valued function on one chart.
@@ -338,13 +349,13 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
 def _values(values, y) -> np.ndarray:
     """Values of the value callables of one chart at the batch y, each
     broadcast to batch_shape(y) and stacked along a last axis.  The _Trace
-    values among them share one call of the chart's (U, L) map and one trace
-    per (m, k); the others are called on y."""
-    UL, traces, out, S = None, {}, [], batch_shape(y)
+    values among them share one call of the chart's (U, L) map, and each
+    reads its own trace there; the others are called on y."""
+    UL, out, S = None, [], batch_shape(y)
     for v in values:
         if isinstance(v, _Trace):
             UL = UL or _UL_MAPS[v.chart](y)
-            out.append(np.broadcast_to(v.at(*UL, traces), S))
+            out.append(np.broadcast_to(v.at(*UL), S))
         else:
             out.append(np.broadcast_to(v(y), S))
     return np.stack(out, -1)
@@ -497,24 +508,20 @@ _UL_MAPS = {
 @dataclass(frozen=True)
 class _Trace:
     """Value Re/Im tr(U^m L^k) of an invariant observable on `chart`:
-    `at(U, L, traces)` reads it at the (U, L) of the chart's map, keeping
-    each complex trace in `traces` by (m, k); called on x, of batch_shape(x)."""
+    `at(U, L)` reads it at the (U, L) of the chart's map as
+    algebra.trace_product(U^m, L^k); called on x, of batch_shape(x)."""
     chart: str
     m: int
     k: int
     part: str
 
     def __call__(self, x):
-        return np.broadcast_to(self.at(*_UL_MAPS[self.chart](x), {}), batch_shape(x))
+        return np.broadcast_to(self.at(*_UL_MAPS[self.chart](x)), batch_shape(x))
 
-    def at(self, U, L, traces):
-        m, k = self.m, self.k
-        if (m, k) not in traces:
-            # a zeroth power is the identity, so its product is left out
-            P = (np.linalg.matrix_power(U, m) @ np.linalg.matrix_power(L, k) if m and k
-                 else np.linalg.matrix_power(U if m else L, m or k))
-            traces[m, k] = np.trace(P, axis1=-2, axis2=-1)
-        return (np.real if self.part == "re" else np.imag)(traces[m, k])
+    def at(self, U, L):
+        t = algebra.trace_product(np.linalg.matrix_power(U, self.m),
+                                  np.linalg.matrix_power(L, self.k))
+        return t.real if self.part == "re" else t.imag
 
 
 def invariant_observable(m: int, k: int, part: str = "re",
@@ -522,11 +529,11 @@ def invariant_observable(m: int, k: int, part: str = "re",
     """Conjugation-invariant trace observable Re/Im tr(g^m L^k), together
     with its restriction to each chart through the coordinate maps.  Its
     value is a _Trace read at the chart's (U, L) map, so `_values` maps each
-    stencil stack once for all such observables of one sweep.  m and k are
-    integers (operator.index, else TypeError)."""
-    m, k = operator.index(m), operator.index(k)
-    if m < 0 or k < 0 or (m, k) == (0, 0):
-        raise ValueError("need m, k >= 0 with (m, k) != (0, 0)")
+    stencil stack once for all such observables of one sweep.  m, k >= 0
+    are integers, not both zero."""
+    m, k = _index(m, "m", 0), _index(k, "k", 0)
+    if (m, k) == (0, 0):
+        raise ValueError("need (m, k) != (0, 0)")
     if part not in ("re", "im"):
         raise ValueError(f"unknown part {part!r}")
     return Observable(chart, _Trace(chart, m, k, part),
@@ -534,23 +541,19 @@ def invariant_observable(m: int, k: int, part: str = "re",
 
 
 def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
-    """Free Hamiltonian H_k = tr(L^k)/k with its analytic gradient
-    (d2 H_k = i L^{k-1}, all group-direction derivatives zero); k is an
-    integer (operator.index, else TypeError)."""
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError("need k >= 1")
+    """Free Hamiltonian H_k = tr(L^k)/k, valued by algebra.power_traces as
+    dynamics.hk, with its analytic gradient (d2 H_k = i L^{k-1}, all
+    group-direction derivatives zero); k is an integer >= 1."""
+    k = _index(k, "k", 1)
     if chart not in ("full", "red"):
         raise ValueError("analytic Hamiltonians live on the full or reduced chart")
     zeros = len(_CHART_TABLE[chart][0]._fields) - 1   # the group directions
 
-    def val(x):
-        return np.real(np.trace(np.linalg.matrix_power(x.L, k), axis1=-2, axis2=-1)) / k
-
     def g(x):
         return (np.zeros_like(x.L),) * zeros + (1j * np.linalg.matrix_power(x.L, k - 1),)
 
-    return Observable(chart, val, grad=g, name=f"H_{k}[{chart}]")
+    return Observable(chart, lambda x: algebra.power_traces(x.L, k)[..., -1], grad=g,
+                      name=f"H_{k}[{chart}]")
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +609,11 @@ def sample_point(chart: str, n: int, seed: int):
     """Deterministic random point of a chart: Haar g, Gaussian Hermitian L,
     uniform regular torus phases, Gaussian strictly-upper lambda, Gaussian
     off-diagonal Hermitian phi.  The point is drawn once per (chart, n, seed)
-    and shared: its arrays are read-only, so copy one before editing it."""
+    and shared: its arrays are read-only, so copy one before editing it.
+    n >= 2 and seed >= 0 are integers (an error names the one that is not)."""
     if chart not in CHARTS:
         raise ValueError(f"unknown chart {chart!r}")
-    if n < 2 or seed < 0:
-        raise ValueError(f"need n >= 2 and seed >= 0, got n={n}, seed={seed}")
+    n, seed = _index(n, "n", 2), _index(seed, "seed", 0)
     return _draw(chart, n, seed)
 
 
@@ -635,9 +638,12 @@ def _draw(chart: str, n: int, seed: int):
 def sample_points(chart: str, n: int, seeds):
     """The sample_point of each seed, stacked into one point of batch shape
     (len(seeds),): member i equals sample_point(chart, n, seeds[i]).  Drawn
-    once per seed tuple and read-only, as sample_point; a seed that is not
-    an integer raises TypeError whether or not the tuple was drawn before."""
-    return _stack(chart, n, tuple(map(operator.index, seeds)))
+    once per seed tuple and read-only, as sample_point; a non-integer seed
+    raises TypeError even for a tuple drawn before, no seed ValueError."""
+    seeds = tuple(_index(seed, "seed", 0) for seed in seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return _stack(chart, n, seeds)
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)

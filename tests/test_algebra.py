@@ -20,7 +20,28 @@ def _rand_gl(rng, n):
 
 
 # ---------------------------------------------------------------------------
-# pairing
+# trace of a product and pairing
+
+
+# Rounding of trace_product against np.trace of the matmul: both sum the same
+# n^2 products in another order, so |difference| <= c n eps |A| |B| (Frobenius norms per member).
+# With c = 2 the largest ratio measured over the stacks below is 0.42 (n = 2).
+TRACE_PRODUCT_C = 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_trace_product_matches_trace_of_matmul(n, scale):
+    # seeded complex stacks whose batch axes (50, 1) and (3,) broadcast to (50, 3)
+    rng = np.random.default_rng([n, int(scale)])
+    A = scale * (rng.standard_normal((50, 1, n, n)) + 1j * rng.standard_normal((50, 1, n, n)))
+    B = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    got = algebra.trace_product(A, B)
+    want = np.trace(A @ B, axis1=-2, axis2=-1)
+    assert got.shape == want.shape == (50, 3)
+    bound = n * np.finfo(float).eps * (np.linalg.norm(A, axis=(-2, -1))
+                                       * np.linalg.norm(B, axis=(-2, -1)))
+    assert np.max(np.abs(got - want) / bound) <= TRACE_PRODUCT_C
 
 
 def test_pairing_examples():

@@ -39,6 +39,16 @@ def test_hk_matches_trace_power():
     assert hk(L, np.int64(3)) == hk(L, 3)
 
 
+@pytest.mark.parametrize("chart", ["full", "red"])
+def test_hamiltonian_observable_value_is_hk(chart):
+    # H_k's value and hk are the one power trace, bit for bit
+    for n in range(2, 6):
+        for seed in range(5):
+            x = sample_point(chart, n, seed)
+            for k in range(1, 6):
+                assert hamiltonian_observable(k, chart).value(x) == hk(x.L, k)
+
+
 # Rounding model of the power traces against the eigenvalue sums:
 # |h_l - sum_i w_i^l / l| <= c l n eps (1 + max_i |w_i|^l).  With c = 4 the
 # largest ratio measured over the stacks below is 2.2 (n = 3, |L| = 10, l = 1).
@@ -56,7 +66,7 @@ def test_power_traces_within_rounding_model(n, scale):
     w = np.linalg.eigvalsh(L)
     l = np.arange(1, 9)
     ref = np.sum(w[..., None, :] ** l[:, None], axis=-1) / l
-    got = dynamics._power_traces(L, 8)
+    got = algebra.power_traces(L, 8)
     bound = l * n * np.finfo(float).eps * (1.0 + np.max(np.abs(w), axis=-1)[:, None] ** l)
     assert got.shape == (200, 8)
     assert np.max(np.abs(got - ref) / bound) <= POWER_TRACE_C
@@ -474,7 +484,7 @@ def test_trajectory_equals_per_step_matching(points):
                 assert np.array_equal(np.stack([pt.Q.q for pt in traj.points]),
                                       np.take_along_axis(phases, perms, axis=-1))
                 assert np.array_equal(np.stack([pt.L for pt in traj.points]), L)
-                assert np.array_equal(traj.conserved, dynamics._power_traces(L, n))
+                assert np.array_equal(traj.conserved, algebra.power_traces(L, n))
                 wound += bool(np.any(perms != np.arange(n)))
     assert wound > 0  # some cases wind, so the cumulative sum is exercised
 

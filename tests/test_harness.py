@@ -41,6 +41,18 @@ def test_spec_validation():
         CheckSpec("antisymmetry", seeds=0)
 
 
+def test_spec_names_a_non_integer_n():
+    # refused where the spec is made, not as a seed error of the run
+    with pytest.raises(TypeError, match="n must be an integer, got 2.5"):
+        CheckSpec("leibniz", n=2.5, seeds=1)
+    assert type(CheckSpec("leibniz", n=np.int64(2), seeds=1).n) is int
+
+
+def test_spec_names_a_non_integer_seeds():
+    with pytest.raises(TypeError, match="seeds must be an integer, got 1.5"):
+        CheckSpec("leibniz", n=2, seeds=1.5)
+
+
 def test_run_checks_empty_report():
     report = run_checks([])
     assert set(report) == {"library_version", "specs", "checks", "all_passed"}
@@ -81,9 +93,9 @@ def _count_trace_points(monkeypatch) -> list:
     points = [0]
     at = phase._Trace.at
 
-    def counting_at(self, U, L, traces):
+    def counting_at(self, U, L):
         points[0] += math.prod(np.broadcast_shapes(U.shape[:-2], L.shape[:-2]))
-        return at(self, U, L, traces)
+        return at(self, U, L)
     monkeypatch.setattr(phase._Trace, "at", counting_at)
     return points
 
