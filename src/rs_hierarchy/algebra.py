@@ -9,8 +9,8 @@ gl(n,C) carries the pairing <X,Y> = Im tr(XY), under which u(n) and b(n)
 `TorusReg`, `chol_upper` and the `make_*` projections also take a stack
 along any number of leading batch axes, and check each member on its own;
 `trace_product` (the one trace of a product, behind `pairing` and
-`power_traces`), `split_ub`, `comm` and the R-operator act on stacks member
-by member, and their batch axes broadcast by numpy's rule.
+`power_traces`), `split_ub` and its `u_part`, `comm` and the R-operator act
+on stacks member by member, and their batch axes broadcast by numpy's rule.
 """
 
 from __future__ import annotations
@@ -95,16 +95,21 @@ def pairing(X: np.ndarray, Y: np.ndarray):
     return float(v) if v.ndim == 0 else v
 
 
-def split_ub(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split X = X_u + X_b with X_u anti-Hermitian and X_b upper triangular
-    with real diagonal, per member of a stack.  The splitting is exact
-    (entrywise)."""
+def u_part(X: np.ndarray) -> np.ndarray:
+    """The anti-Hermitian part X_u of split_ub(X), per member of a stack,
+    without forming X_b."""
     lower = np.tril(X, -1)
-    lower_h = lower.conj().swapaxes(-1, -2)
-    diag = np.diagonal(X, axis1=-2, axis2=-1)
-    X_u = lower - lower_h + 1j * diag_matrix(diag.imag)
-    X_b = np.triu(X, 1) + lower_h + diag_matrix(diag.real)
-    return X_u, X_b
+    return (lower - lower.conj().swapaxes(-1, -2)
+            + 1j * diag_matrix(np.diagonal(X, axis1=-2, axis2=-1).imag))
+
+
+def split_ub(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split X = X_u + X_b with X_u = u_part(X) anti-Hermitian and X_b upper
+    triangular with real diagonal, per member of a stack.  The splitting is
+    exact (entrywise)."""
+    X_b = (np.triu(X, 1) + np.tril(X, -1).conj().swapaxes(-1, -2)
+           + diag_matrix(np.diagonal(X, axis1=-2, axis2=-1).real))
+    return u_part(X), X_b
 
 
 def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -112,39 +117,49 @@ def comm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# subspace projections: make_hermitian checks what it discards when strict,
-# the others always
+# subspace projections: make_hermitian checks its input and what it discards
+# when strict, the others always
 
 
-def _strict_check(X, projected):
-    """Raise if the projection discarded more than
-    STRICT_PROJECTION_TOL * (1 + |X|) of any matrix of X (Frobenius norms per
-    matrix, so one bad member of a stack is not averaged away)."""
-    discarded = np.linalg.norm(X - projected, axis=(-2, -1))
-    bad = discarded > STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1)))
+def _gate_finite(X: np.ndarray, error: type) -> None:
+    """Raise `error` naming the first matrix of X that holds a NaN or an
+    infinity.  Gates call it first: numpy warns on the arithmetic of an
+    infinity, and a NaN passes every comparison."""
+    finite = np.isfinite(X).all(axis=(-2, -1))
+    if not finite.all():
+        raise error.first(~finite, lambda i: "holds a NaN or an infinity")
+
+
+def _strict(X, project):
+    """project(X), gated: raise if any matrix of X holds a NaN or an
+    infinity, or if the projection discarded more than
+    STRICT_PROJECTION_TOL * (1 + |X|) of it (Frobenius norms per matrix, so
+    one bad member of a stack is not averaged away)."""
+    _gate_finite(X, SubspaceError)
+    P = project(X)
+    discarded = np.linalg.norm(X - P, axis=(-2, -1))
+    bad = ~(discarded <= STRICT_PROJECTION_TOL * (1.0 + np.linalg.norm(X, axis=(-2, -1))))
     if bad.any():
         raise SubspaceError.first(
             bad, lambda i: f"discarded component has norm {discarded.flat[i]:.3e}")
+    return P
 
 
 def make_hermitian(X: np.ndarray, strict: bool = False) -> np.ndarray:
-    H = 0.5 * (X + X.conj().swapaxes(-1, -2))
     if strict:
-        _strict_check(X, H)
-    return H
+        return _strict(X, make_hermitian)
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
 def make_unipotent_upper(X: np.ndarray) -> np.ndarray:
-    U = np.triu(X, 1) + np.eye(X.shape[-1])
-    _strict_check(X, U)
-    return U
+    return _strict(X, lambda X: np.triu(X, 1) + np.eye(X.shape[-1]))
 
 
 def make_zero_diag_hermitian(X: np.ndarray) -> np.ndarray:
-    P = make_hermitian(X)
-    P = P - diag_matrix(np.diagonal(P, axis1=-2, axis2=-1))
-    _strict_check(X, P)
-    return P
+    def project(X):
+        P = make_hermitian(X)
+        return P - diag_matrix(np.diagonal(P, axis1=-2, axis2=-1))
+    return _strict(X, project)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +257,15 @@ def r_apply(Q: TorusReg, X: np.ndarray) -> np.ndarray:
 
 def chol_upper(L: np.ndarray) -> np.ndarray:
     """Unique b in B(n) (upper triangular, positive real diagonal) with
-    b b^dagger = L, for Hermitian L with smallest eigenvalue above PD_FLOOR;
-    per member of a stack, whose NotPositiveDefiniteError names the first
-    failing member.
+    b b^dagger = L, for finite Hermitian L with smallest eigenvalue above
+    PD_FLOOR; per member of a stack, whose NotPositiveDefiniteError names the
+    first failing member (one holding a NaN or an infinity before any
+    eigensolve).
 
     Uses the index-reversal trick: conjugating by the reversal permutation
     maps the problem onto a standard lower Cholesky factorization.
     """
+    _gate_finite(L, NotPositiveDefiniteError)   # eigvalsh does not converge on them
     L = make_hermitian(L)
     w = np.linalg.eigvalsh(L)[..., 0]
     if (w <= PD_FLOOR).any():

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import phase
-from .algebra import comm, pairing, r_apply, split_ub
+from .algebra import comm, pairing, r_apply, r_multiplier, u_part
 from .config import FD_OUTER_STEP_SCALE
 from .phase import FullGrad, Observable, RedGrad, RSGrad, SuthGrad
 
@@ -54,7 +54,8 @@ class Bracket:
 
 # Each map is the source's bilinear form in dF and dH with dF moved to the
 # left of every pairing, by <X, YZ> = <ZX, Y>, <L, [A, B]> = <A, [B, L]>
-# and, for R = r_apply(Q, .), <R X, Y> = -<X, R Y>.
+# and, for R = r_apply(Q, .), <R X, Y> = -<X, R Y>.  Each map forms a factor
+# of the point, such as r_multiplier(Q), once per call.
 def _sharp1_full(x, dH):
     return FullGrad(dH.d2, None, comm(dH.d2, x.L) - dH.D1)
 
@@ -62,12 +63,12 @@ def _sharp1_full(x, dH):
 def _sharp2_full(x, dH):
     LdH = x.L @ dH.d2
     return FullGrad(LdH, -0.5 * (x.g.conj().swapaxes(-1, -2) @ dH.D1 @ x.g),
-                    (2.0 * split_ub(LdH)[0] - dH.D1) @ x.L)
+                    (2.0 * u_part(LdH) - dH.D1) @ x.L)
 
 
 def _sharp1_red(x, dh):
-    return RedGrad(dh.d2, comm(r_apply(x.Q, dh.d2), x.L)
-                   - r_apply(x.Q, comm(dh.d2, x.L)) - dh.D1)
+    R = r_multiplier(x.Q)   # r_apply(x.Q, X) is R * X
+    return RedGrad(dh.d2, comm(R * dh.d2, x.L) - R * comm(dh.d2, x.L) - dh.D1)
 
 
 def _sharp2_red(x, dh):
@@ -142,8 +143,9 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     at most _MEMO_SIZE entries): a second bracket tuple on the same F, G, H
     and x takes no inner sweep.  The outer level contracts each bracket once
     too, the outer gradients of F, G, H against those of every inner value,
-    and sums each row's three terms in the order {F,.}, {G,.}, {H,.}.
-    Code that swaps a chart map calls phase.clear_memos() first.
+    and sums each row's three terms in the order {F,.}, {G,.}, {H,.}.  Both
+    levels move axes by transpose views (ndarray.transpose, swapaxes), never
+    copies.  Code that swaps a chart map calls phase.clear_memos() first.
     """
     chart = F.chart
     if not brackets:
@@ -160,14 +162,17 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     def inner(ys):
         dF, dG, dH = phase.grads((F, G, H), ys)
         pairs = cyclic_pairs(dG, dH, dF)   # {G,H}, {H,F}, {F,G}
-        T = np.array([b.contract(ys, *pairs) for b in brackets])
-        return np.moveaxis(T, (0, 1), (-2, -1))
+        T = np.array([b.contract(ys, *pairs) for b in brackets])   # (b, 3) + batch
+        return T.transpose(*range(2, T.ndim), 0, 1)
 
     h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
     outer = stack(phase.grads((F, G, H), x, h_outer))
     D = phase.fd_grad(inner, chart, x, h_outer)
-    d_inner = type(D)(*(np.moveaxis(c, (-4, -3), (0, 1)) for c in D))
-    return np.array([sum(np.moveaxis(b.contract(x, outer, d_inner), 1, 0))
+    # each component S + (b, 3) + (n, n) as (b, 3) + S + (n, n): the inner
+    # values' axes in front, as pair axes
+    d_inner = type(D)(*(c.transpose(c.ndim - 4, c.ndim - 3, *range(c.ndim - 4),
+                                    c.ndim - 2, c.ndim - 1) for c in D))
+    return np.array([sum(b.contract(x, outer, d_inner).swapaxes(0, 1))
                      for b in brackets])
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -78,20 +78,44 @@ class CheckResult:
 # observable families
 
 
-_PAIR_PARAMS = [((1, 1, "re"), (0, 2, "re")),
+_PAIR_PARAMS = (((1, 1, "re"), (0, 2, "re")),
                 ((2, 1, "re"), (1, 2, "im")),
-                ((1, 0, "im"), (1, 1, "im"))]
+                ((1, 0, "im"), (1, 1, "im")))
 
 _TRIPLE_PARAMS = ((1, 1, "re"), (0, 2, "re"), (1, 0, "re"))
 
+_HK_PAIRS = (((1,), (2,)), ((1,), (3,)), ((2,), (3,)))
+
+
+@lru_cache(maxsize=phase._MEMO_SIZE)
+def _family(factory, chart, params) -> tuple:
+    """factory(*p, chart=chart) for each parameter tuple p of params, nested
+    as params is (a tuple of pairs of them gives a tuple of pairs), each
+    distinct p built once.  The family is built once per factory, chart and
+    params: a repeated call returns the same tuple, and a factory swapped in
+    (by a test, say) builds its own."""
+    built = {}
+
+    def nest(p):
+        if isinstance(p[0], tuple):
+            return tuple(map(nest, p))
+        if p not in built:
+            built[p] = factory(*p, chart=chart)
+        return built[p]
+    return nest(params)
+
 
 def invariant_pairs(chart):
-    return [tuple(invariant_observable(*p, chart=chart) for p in pair)
-            for pair in _PAIR_PARAMS]
+    """The pairs (F, H) of invariant observables of _PAIR_PARAMS on `chart`,
+    a tuple of tuples, built once; an unknown chart raises ValueError before
+    any cache lookup."""
+    return _family(invariant_observable, phase._chart_name(chart), _PAIR_PARAMS)
 
 
 def invariant_triple(chart):
-    return tuple(invariant_observable(*t, chart=chart) for t in _TRIPLE_PARAMS)
+    """The invariant observables F, G, H of _TRIPLE_PARAMS on `chart`, as
+    invariant_pairs."""
+    return _family(invariant_observable, phase._chart_name(chart), _TRIPLE_PARAMS)
 
 
 _BRACKETS_BY_CHART = {chart: tuple(b for (c, _), b in br.BRACKETS.items() if c == chart)
@@ -104,8 +128,8 @@ _BRACKETS_BY_CHART = {chart: tuple(b for (c, _), b in br.BRACKETS.items() if c =
 
 
 def _hamiltonian_pairs(chart):
-    Hs = [hamiltonian_observable(k, chart=chart) for k in (1, 2, 3)]
-    return [(Hs[i], Hs[j]) for i in range(3) for j in range(i + 1, 3)]
+    """The pairs (H_i, H_j), 1 <= i < j <= 3, on `chart`, as invariant_pairs."""
+    return _family(hamiltonian_observable, phase._chart_name(chart), _HK_PAIRS)
 
 
 def _pair_grads(pairs, x) -> tuple:
@@ -163,7 +187,7 @@ def _jacobi_samples(brackets, coeffs, n, seeds):
     from one set of gradients of F, G, H."""
     F, G, H = invariant_triple(brackets[0].chart)
     x = sample_points(brackets[0].chart, n, seeds)
-    T = np.moveaxis(br.jacobiator(brackets, F, G, H, x), (0, 1), (-2, -1))   # S + (b, b)
+    T = br.jacobiator(brackets, F, G, H, x).transpose(2, 0, 1)   # (b, b) + S as S + (b, b)
     pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
     V = np.stack([b.contract(x, *pairs) for b in brackets], axis=-1)  # (3,) + S + (b,)
     return [(abs(s @ T @ s), 1.0 + sum(abs(V @ s))) for s in map(np.array, coeffs)]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -195,11 +195,18 @@ class Observable:
     name: str = ""
 
     def __post_init__(self):
-        if self.chart not in CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}")
+        _chart_name(self.chart)
 
     def __call__(self, x) -> float:
         return float(self.value(x))
+
+
+def _chart_name(chart) -> str:
+    """chart, if it is one of CHARTS; else ValueError, for an unhashable
+    value too."""
+    if chart not in CHARTS:
+        raise ValueError(f"unknown chart {chart!r}")
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +327,15 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     returns an array with those leading axes, whose differences are paired with
     the dual basis.  Every component has shape S + (axes of f's values after
     the batch axes) + (n, n), so one sweep differentiates many functions at the
-    same stencil points.  Member b's gradient equals that of the point on its
-    own, bit for bit.  Each component gets + 0.0 in place, so no zero is -0.0
-    (the dual-basis product may sign one by the number of functions); a
-    function's part of a sweep then measures equal to fd_grad of it alone (768
-    components, one BLAS), as CI's run of each registry row alone from cleared
-    memos checks."""
+    same stencil points.  The differences d, of shape (dim,) + rest, meet the
+    dual basis in one matrix product, d.reshape(dim, -1).T by the (dim, n*n)
+    dual basis: the BLAS call that np.tensordot(d, dual, axes=(0, 0)) makes,
+    without its Python-level set-up.  Member b's gradient equals that of the
+    point on its own, bit for bit.  Each component gets + 0.0 in place, so no
+    zero is -0.0 (the dual-basis product may sign one by the number of
+    functions); a function's part of a sweep then measures equal to fd_grad of
+    it alone (768 components, one BLAS), as CI's run of each registry row
+    alone from cleared memos checks."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
     h = np.full(S, fd_step(x, step))
@@ -341,7 +351,8 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
         k = len(D) // 2
         d = v[:k] - v[k:]
         d /= 2.0 * h.reshape(S + (1,) * (d.ndim - len(batch)))
-        c = np.tensordot(d, _stacks(space, x.n)[1], axes=(0, 0))
+        dual = _stacks(space, x.n)[1]
+        c = np.dot(d.reshape(k, -1).T, dual.reshape(k, -1)).reshape(d.shape[1:] + (x.n, x.n))
         out.append(np.add(c, 0.0, out=c))
     return kind(*out)
 
@@ -509,11 +520,25 @@ _UL_MAPS = {
 class _Trace:
     """Value Re/Im tr(U^m L^k) of an invariant observable on `chart`:
     `at(U, L)` reads it at the (U, L) of the chart's map as
-    algebra.trace_product(U^m, L^k); called on x, of batch_shape(x)."""
+    algebra.trace_product(U^m, L^k); called on x, of batch_shape(x).  Its
+    hash, that of the tuple of its fields, is computed once, at
+    construction: every memo lookup under it takes the stored value.  A
+    pickled _Trace is rebuilt from its fields, so another process, whose
+    string hashes differ, computes its own."""
     chart: str
     m: int
     k: int
     part: str
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.chart, self.m, self.k, self.part)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return _Trace, (self.chart, self.m, self.k, self.part)
 
     def __call__(self, x):
         return np.broadcast_to(self.at(*_UL_MAPS[self.chart](x)), batch_shape(x))
@@ -530,12 +555,19 @@ def invariant_observable(m: int, k: int, part: str = "re",
     with its restriction to each chart through the coordinate maps.  Its
     value is a _Trace read at the chart's (U, L) map, so `_values` maps each
     stencil stack once for all such observables of one sweep.  m, k >= 0
-    are integers, not both zero."""
+    are integers, not both zero.  The arguments are checked first; the
+    observable is then built once per (m, k, part, chart), and a repeated
+    call returns the same object."""
     m, k = _index(m, "m", 0), _index(k, "k", 0)
     if (m, k) == (0, 0):
         raise ValueError("need (m, k) != (0, 0)")
     if part not in ("re", "im"):
         raise ValueError(f"unknown part {part!r}")
+    return _invariant(m, k, part, _chart_name(chart))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _invariant(m: int, k: int, part: str, chart: str) -> Observable:
     return Observable(chart, _Trace(chart, m, k, part),
                       name=f"{part}-tr(g^{m} L^{k})[{chart}]")
 
@@ -543,10 +575,16 @@ def invariant_observable(m: int, k: int, part: str = "re",
 def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
     """Free Hamiltonian H_k = tr(L^k)/k, valued by algebra.power_traces as
     dynamics.hk, with its analytic gradient (d2 H_k = i L^{k-1}, all
-    group-direction derivatives zero); k is an integer >= 1."""
+    group-direction derivatives zero); k is an integer >= 1.  Checked and
+    built once per (k, chart) as invariant_observable."""
     k = _index(k, "k", 1)
     if chart not in ("full", "red"):
         raise ValueError("analytic Hamiltonians live on the full or reduced chart")
+    return _hamiltonian(k, chart)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _hamiltonian(k: int, chart: str) -> Observable:
     zeros = len(_CHART_TABLE[chart][0]._fields) - 1   # the group directions
 
     def g(x):

@@ -153,6 +153,35 @@ def test_split_ub_on_a_stack_equals_per_member(n):
         assert np.array_equal(u[i], ui) and np.array_equal(b[i], bi)
 
 
+def _ref_split_ub(X):
+    """split_ub as written before its u-part became u_part: the reference
+    for the bytes of both parts."""
+    lower = np.tril(X, -1)
+    lower_h = lower.conj().swapaxes(-1, -2)
+    diag = np.diagonal(X, axis1=-2, axis2=-1)
+    X_u = lower - lower_h + 1j * algebra.diag_matrix(diag.imag)
+    X_b = np.triu(X, 1) + lower_h + algebra.diag_matrix(diag.real)
+    return X_u, X_b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_u_part_equals_the_u_part_of_split_ub_bit_for_bit(n):
+    # complex stacks with zeros of both signs in both parts, as they are, as
+    # transposed views and broadcast against a second batch axis
+    rng = np.random.default_rng([7, n])
+    X = rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+    parts = X.view(float)
+    zero = rng.random(parts.shape) < 0.3
+    parts[zero] = np.copysign(0.0, parts[zero])
+    assert np.signbit(parts[zero]).any() and not np.signbit(parts[zero]).all()
+    for Y in (X, X[0, 0], X.swapaxes(-1, -2), np.broadcast_to(X[:, :1], (2, 4, n, n))):
+        want_u, want_b = _ref_split_ub(Y)
+        u, b = split_ub(Y)
+        assert algebra.u_part(Y).shape == want_u.shape == Y.shape
+        assert algebra.u_part(Y).tobytes() == want_u.tobytes()
+        assert u.tobytes() == want_u.tobytes() and b.tobytes() == want_b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # R-operator
 
@@ -290,6 +319,34 @@ def test_strict_projection_checks_each_member_of_a_stack():
                           algebra.make_hermitian(big, strict=True))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", [(0, 0), (0, 2), (2, 0)], ids=["diag", "upper", "lower"])
+def test_strict_projections_name_a_non_finite_member(bad, entry):
+    # a NaN passed `discarded > tol` and came back in the projection, and an
+    # infinity in a discarded entry met a bound made infinite by |X|; now the
+    # member is refused before any arithmetic on it (which would warn)
+    n = 3
+    G = np.random.default_rng(4).standard_normal((2, 2, n, n, 2)).view(complex)[..., 0]
+    H = algebra.make_hermitian(G)
+    for project, inside in ((lambda X: algebra.make_hermitian(X, strict=True), H),
+                            (algebra.make_unipotent_upper, np.triu(G, 1) + np.eye(n)),
+                            (algebra.make_zero_diag_hermitian, H * (1.0 - np.eye(n)))):
+        project(inside)
+        X = inside.copy()
+        X[(1, 0) + entry] = bad   # flat member 2 of the (2, 2) batch
+        with pytest.raises(algebra.SubspaceError,
+                           match=r"^member 2: holds a NaN or an infinity$") as info:
+            project(X)
+        assert info.value.member == 2
+        with pytest.raises(algebra.SubspaceError,
+                           match=r"^holds a NaN or an infinity$") as info:
+            project(X[1, 0])
+        assert info.value.member is None
+
+
 # ---------------------------------------------------------------------------
 # triangular factorization
 
@@ -349,6 +406,19 @@ def test_chol_upper_names_the_first_failing_member():
     with pytest.raises(NotPositiveDefiniteError, match=r"^member 1: ") as err:
         chol_upper(L)
     assert err.value.member == 1
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_chol_upper_names_a_non_finite_member_before_any_eigensolve(bad):
+    # numpy's eigvalsh raised LinAlgError ("did not converge") on it
+    L = _pd_stack(np.random.default_rng(1), 4, 3)
+    L[2, 0, 1] = bad
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^member 2: holds a NaN or an infinity$") as err:
+        chol_upper(L)
+    assert err.value.member == 2
+    with pytest.raises(NotPositiveDefiniteError, match=r"^holds a NaN or an infinity$"):
+        chol_upper(L[2])
 
 
 @pytest.mark.parametrize("m", [3, 4])   # batch size other than n, and equal to n

@@ -280,6 +280,25 @@ def test_contract_on_a_stack_equals_per_member(bracket, chart, n):
     assert grid.reshape(4, 3).tobytes() == got[[2, 0, 1, 3]].tobytes()
 
 
+@pytest.mark.parametrize("bracket", [br.pb1_red, br.pb2_red], ids=lambda b: b.name)
+def test_reduced_maps_form_the_r_multiplier_once_per_contract(monkeypatch, bracket):
+    # the point's own factor r_multiplier(Q) is formed once per contract call
+    # on a stack of pairs, whether a map reads it through r_apply or itself
+    shapes = []
+    r_multiplier = algebra.r_multiplier
+
+    def counting(Q):
+        shapes.append(Q.q.shape)
+        return r_multiplier(Q)
+    monkeypatch.setattr(algebra, "r_multiplier", counting)
+    monkeypatch.setattr(br, "r_multiplier", counting, raising=False)
+    x = sample_points("red", 3, (0, 1, 2))
+    dF, dH = phase.grads(_pair("red"), x)
+    left, right = br.stack((dF, dH, dF, dH)), br.stack((dH, dF, dF, dH))
+    assert bracket.contract(x, left, right).shape == (4, 3)
+    assert shapes == [(3, 3)]
+
+
 def _per_pair_jacobiator(brackets, F, G, H, x):
     """The jacobiator as it was written before each bracket contracted all
     pairs of a level in one call: one contract call per bracket and pair."""

@@ -43,6 +43,21 @@ def test_to_rs_rejects_indefinite():
         coords.to_rs(RedPoint(Q, np.diag([1.0, -2.0]).astype(complex)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_to_rs_names_a_non_finite_member(bad):
+    # the factorization refuses it before numpy's eigensolve, which raised
+    # LinAlgError ("did not converge")
+    x = RedPoint(sample_points("red", 3, (0, 1, 2)).Q,
+                 np.stack([_pd_red_point(3, seed).L for seed in range(3)]))
+    coords.to_rs(x)
+    L = x.L.copy()
+    L[1, 2, 2] = bad
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^member 1: holds a NaN or an infinity$") as err:
+        coords.to_rs(RedPoint(x.Q, L))
+    assert err.value.member == 1
+
+
 def test_solve_bplus_identity_and_two_by_two():
     Q = sample_point("red", 3, 1).Q
     assert np.allclose(coords.solve_bplus(Q, np.eye(3, dtype=complex)), np.eye(3))

@@ -208,6 +208,30 @@ def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
     assert sorted(taken) == ["H_1[full]", "H_2[full]", "H_3[full]"]
 
 
+def test_observable_families_are_built_once_as_tuples():
+    # a repeated family call returns the same tuple, of the factories' own
+    # observables; a Hamiltonian in two pairs is one object
+    for chart in phase.CHARTS:
+        pairs, triple = checks.invariant_pairs(chart), checks.invariant_triple(chart)
+        assert checks.invariant_pairs(chart) is pairs and checks.invariant_triple(chart) is triple
+        assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
+        assert type(triple) is tuple
+        assert pairs[0][0] is triple[0] is phase.invariant_observable(1, 1, "re", chart=chart)
+    hk = checks._hamiltonian_pairs("full")
+    assert checks._hamiltonian_pairs("full") is hk and type(hk) is tuple
+    assert [(F.name, H.name) for F, H in hk] == [
+        ("H_1[full]", "H_2[full]"), ("H_1[full]", "H_3[full]"), ("H_2[full]", "H_3[full]")]
+    assert hk[0][0] is hk[1][0] is phase.hamiltonian_observable(1)
+
+
+@pytest.mark.parametrize("family", [checks.invariant_pairs, checks.invariant_triple,
+                                    checks._hamiltonian_pairs])
+@pytest.mark.parametrize("chart", ["polar", ["full"]], ids=["unknown", "unhashable"])
+def test_observable_families_check_the_chart_before_their_cache(family, chart):
+    with pytest.raises(ValueError, match="unknown chart"):
+        family(chart)
+
+
 def test_run_check_smoke_and_determinism():
     spec = CheckSpec("involutivity", n=2, seeds=2)
     r1 = run_check(spec)

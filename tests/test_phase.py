@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -794,6 +798,61 @@ def test_observables_take_integer_powers_only(make):
 def test_observables_take_numpy_integer_powers():
     assert invariant_observable(np.int64(1), np.int64(2)).name == "re-tr(g^1 L^2)[full]"
     assert hamiltonian_observable(np.int32(2)).name == "H_2[full]"
+
+
+def test_a_repeated_observable_call_returns_the_same_object():
+    # built once per argument tuple, after the checks: a numpy integer power
+    # gives the observable of the int
+    F = invariant_observable(1, 2, "im", chart="rs")
+    assert invariant_observable(1, 2, "im", chart="rs") is F
+    assert invariant_observable(np.int64(1), 2, part="im", chart="rs") is F
+    assert invariant_observable(1, 2, "re", chart="rs") is not F
+    H = hamiltonian_observable(2, chart="red")
+    assert hamiltonian_observable(np.int32(2), "red") is H
+    assert hamiltonian_observable(2) is not H
+    # a _Trace hashes as the tuple of its fields, and equal ones are equal
+    assert hash(F.value) == hash(("rs", 1, 2, "im"))
+    assert phase._Trace("rs", 1, 2, "im") == F.value
+
+
+def test_an_unpickled_trace_hashes_in_its_own_process():
+    # the hash stored at construction is not carried over: a process with
+    # other string hashes computes its own from the fields
+    data = pickle.dumps(invariant_observable(2, 1, "im", chart="suth"))
+    code = ("import pickle, sys\n"
+            "F = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(hash(F.value) == hash(('suth', 2, 1, 'im')))")
+    for seed in ("1", "2"):
+        res = subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
+                             env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == b"True"
+
+
+@pytest.mark.parametrize("k", [2.0, 1.5, "2"])
+def test_cached_observables_still_take_integer_powers_only(k):
+    # H_2 and re-tr(g^1 L^2) are cached first; a float equal to 2 must not
+    # find them
+    hamiltonian_observable(2, chart="red")
+    invariant_observable(1, 2)
+    with pytest.raises(TypeError):
+        hamiltonian_observable(k, chart="red")
+    with pytest.raises(TypeError):
+        invariant_observable(1, k)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"part": "real"}, "unknown part"), ({"part": ["re"]}, "unknown part"),
+    ({"chart": "polar"}, "unknown chart"), ({"chart": ["full"]}, "unknown chart")])
+def test_observable_factories_check_part_and_chart_before_their_cache(kwargs, match):
+    # an unknown or unhashable part or chart raises the factory's ValueError,
+    # not the cache's TypeError
+    invariant_observable(1, 1)
+    with pytest.raises(ValueError, match=match):
+        invariant_observable(1, 1, **kwargs)
+    if "chart" in kwargs:
+        with pytest.raises(ValueError, match="full or reduced chart"):
+            hamiltonian_observable(1, **kwargs)
 
 
 def test_point_norm_positive():
