@@ -109,8 +109,9 @@ BRACKETS = {
 
 def stack(grads):
     """Gradient tuples of one chart, all of the same shape, as one tuple of
-    that type whose components carry a new leading axis."""
-    return type(grads[0])(*map(np.stack, zip(*grads)))
+    that type whose components carry a new leading axis (np.array of each
+    component's list, np.stack's result without its Python-level set-up)."""
+    return type(grads[0])(*map(np.array, zip(*grads)))
 
 
 def take(g, index):
@@ -139,9 +140,9 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     of F, G, H on the whole stack in one sweep (each member at its own
     default step) and contracts each bracket once on the stack of the three
     cyclic pairs.  Those gradients come from phase's gradient memo when an
-    earlier call took them at the same points and steps (keyed by content,
-    at most _MEMO_SIZE entries): a second bracket tuple on the same F, G, H
-    and x takes no inner sweep.  The outer level contracts each bracket once
+    earlier call took them at the same points and step rule (keyed by
+    content, at most _MEMO_SIZE entries): a second bracket tuple on the same
+    F, G, H and x takes no inner sweep.  The outer level contracts each bracket once
     too, the outer gradients of F, G, H against those of every inner value,
     and sums each row's three terms in the order {F,.}, {G,.}, {H,.}.  Both
     levels move axes by transpose views (ndarray.transpose, swapaxes), never

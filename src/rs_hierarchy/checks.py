@@ -21,7 +21,8 @@ each value equal to that of the per-pair contract, bit for bit.
 antisymmetry and leibniz check every bracket of brackets.BRACKETS.
 run_check calls the body once on seeds 0..S-1 and lays the samples out
 seed-major.  Rows share gradients through phase's gradient memo (keyed by
-content, at most _MEMO_SIZE entries, emptied by phase.clear_memos()):
+the point's content and step rule, so a hit computes no step; at most
+_MEMO_SIZE entries, emptied by phase.clear_memos()):
 reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
 jacobi-pencil those of jacobi-full-1, leibniz, the ladders and the
 rs-chart side of rs-bracket those of antisymmetry.  A row's samples do not
@@ -189,7 +190,7 @@ def _jacobi_samples(brackets, coeffs, n, seeds):
     x = sample_points(brackets[0].chart, n, seeds)
     T = br.jacobiator(brackets, F, G, H, x).transpose(2, 0, 1)   # (b, b) + S as S + (b, b)
     pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
-    V = np.stack([b.contract(x, *pairs) for b in brackets], axis=-1)  # (3,) + S + (b,)
+    V = np.array([b.contract(x, *pairs) for b in brackets]).transpose(1, 2, 0)  # (3,) + S + (b,)
     return [(abs(s @ T @ s), 1.0 + sum(abs(V @ s))) for s in map(np.array, coeffs)]
 
 

@@ -27,8 +27,8 @@ own step, and calls f once on the moved point as it is, of batch shape
 (2*dim,) + S: the fields the block leaves alone are x's own arrays.
 `grads` sweeps several observables at once; the invariant observables among
 them share one call of the chart map to (U, L) per stencil stack, and every
-finite-difference gradient is memoized by content (see grads; clear_memos
-empties it).
+finite-difference gradient is memoized by the point's content and step
+rule (see grads; clear_memos empties it).
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -112,6 +112,9 @@ class SuthPoint:
     def n(self) -> int:
         return self.Q.n
 
+
+# The point type of each chart.
+_POINT_TYPES = {"full": FullPoint, "red": RedPoint, "rs": RSPoint, "suth": SuthPoint}
 
 # Axes of one point's field: the torus phases and p are vectors, the rest
 # matrices.  A batch of points adds its batch axes S in front.
@@ -310,22 +313,33 @@ _CHART_TABLE = {
 }
 
 
-def fd_step(x, step: float | None = None):
-    """Central-difference step FD_STEP_SCALE*(1 + |x|), or `step` when given;
-    one per member of a batch."""
-    return step if step is not None else FD_STEP_SCALE * (1.0 + point_norm(x))
+def fd_step(x):
+    """Default central-difference step FD_STEP_SCALE*(1 + |x|), one per
+    member of a batch."""
+    return FD_STEP_SCALE * (1.0 + point_norm(x))
+
+
+def _given_steps(step, S: tuple) -> np.ndarray:
+    """np.full(S, step), the given step of each member of a batch of shape S;
+    ValueError naming `step` unless every one is finite and positive."""
+    h = np.full(S, step)
+    if not ((0.0 < h) & (h < np.inf)).all():   # NaN fails both
+        raise ValueError(f"a finite-difference step must be finite and positive, "
+                         f"got {step!r}")
+    return h
 
 
 def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     """Gradient tuple of f at x on `chart` by central differences.
 
     x is a point of batch shape S (S = () for one point); each member gets its
-    own step, the default one or `step` for all.  Per block, the displacements
-    (all + steps, then all - steps) have shape (2*dim,) + S + (n, n), and f is
-    called once on x moved by them (batch shape (2*dim,) + S; the fields the
-    block leaves alone are x's own arrays, which f must not write to); it
-    returns an array with those leading axes, whose differences are paired with
-    the dual basis.  Every component has shape S + (axes of f's values after
+    own step, the default one or `step` (a scalar for all, or one per member
+    broadcasting to S; ValueError unless each is finite and positive).  Per
+    block, the displacements (all + steps, then all - steps) have shape
+    (2*dim,) + S + (n, n), and f is called once on x moved by them (batch
+    shape (2*dim,) + S; the fields the block leaves alone are x's own arrays,
+    which f must not write to); it returns an array with those leading axes,
+    whose differences are paired with the dual basis.  Every component has shape S + (axes of f's values after
     the batch axes) + (n, n), so one sweep differentiates many functions at the
     same stencil points.  The differences d, of shape (dim,) + rest, meet the
     dual basis in one matrix product, d.reshape(dim, -1).T by the (dim, n*n)
@@ -338,7 +352,7 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
     alone from cleared memos checks."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
-    h = np.full(S, fd_step(x, step))
+    h = np.full(S, fd_step(x)) if step is None else _given_steps(step, S)
     t = np.array((h, -h))
     out = []
     for space, curve, move in blocks:
@@ -359,9 +373,12 @@ def fd_grad(f: Callable, chart: str, x, step: float | None = None):
 
 def _values(values, y) -> np.ndarray:
     """Values of the value callables of one chart at the batch y, each
-    broadcast to batch_shape(y) and stacked along a last axis.  The _Trace
-    values among them share one call of the chart's (U, L) map, and each
-    reads its own trace there; the others are called on y."""
+    broadcast to batch_shape(y) and stacked along a last axis: np.stack's
+    C-ordered result from one np.concatenate, without its Python-level
+    set-up (stacked in front and moved last, fd_grad's differences would not
+    reshape as a view).  The _Trace values among them share one call of the
+    chart's (U, L) map, and each reads its own trace there; the others are
+    called on y."""
     UL, out, S = None, [], batch_shape(y)
     for v in values:
         if isinstance(v, _Trace):
@@ -369,7 +386,7 @@ def _values(values, y) -> np.ndarray:
             out.append(np.broadcast_to(v.at(*UL), S))
         else:
             out.append(np.broadcast_to(v(y), S))
-    return np.stack(out, -1)
+    return np.concatenate([a[..., None] for a in out], -1)
 
 
 class _Memo(OrderedDict):
@@ -397,40 +414,54 @@ class _Memo(OrderedDict):
         self.hits = 0
 
 
-def _point_key(x, h: np.ndarray) -> tuple:
-    """Key of the point x swept with the per-member steps h: its type and a
-    128-bit blake2b digest of the dtype, shape and bytes of each field and
-    of h, so equal content gives the key of x whatever its memory layout."""
+def _point_key(x, arrays: list, h: np.ndarray | None) -> tuple:
+    """Key of the point x, whose fields `arrays` are _arrays(x), swept under
+    a step rule: its type, a 128-bit blake2b digest of the dtype, shape and
+    bytes of each field, so equal content gives the key of x whatever its
+    memory layout, and the rule: ("default", FD_STEP_SCALE), read now, when
+    h is None, else the dtype and bytes of the given per-member steps h."""
     digest = blake2b(digest_size=16)
-    for a in [a for _, a, _ in _arrays(x)] + [h]:
+    for _, a, _ in arrays:
         digest.update(f"{a.dtype.str}{a.shape}".encode())
         digest.update(np.ascontiguousarray(a))
-    return type(x), digest.digest()
+    rule = ("default", FD_STEP_SCALE) if h is None else (h.dtype.str, h.tobytes())
+    return type(x), digest.digest(), rule
 
 
 def grads(Fs, x, step: float | None = None) -> list:
-    """Gradient tuples of the observables Fs of one chart at x: an analytic
-    F.grad broadcast to batch_shape(x), every other distinct value's (hashable,
-    else ValueError) from the memo or else from one fd_grad sweep over all the
-    missing values; each equals fd_grad of F.value alone (see fd_grad).
+    """Gradient tuples of the observables Fs of one chart at x, a point of
+    that chart (else ValueError naming the charts): an analytic F.grad
+    broadcast to batch_shape(x), every other distinct value's (hashable,
+    else ValueError) from the memo or else from one fd_grad sweep over all
+    the missing values; each equals fd_grad of F.value alone (see fd_grad).
+    A given step is checked as fd_grad checks it, before any lookup.
 
-    _GRADS maps a value and the key of x (point type, digest of each field's
-    dtype, shape and bytes and of the resolved steps) to the read-only
-    gradient tuple of a finished sweep; a sweep that raises stores nothing.
-    It keeps the _MEMO_SIZE most recently used entries and does not see a
+    _GRADS maps a value and the key of x under its step rule (point type,
+    digest of each field's dtype, shape and bytes; the default rule with
+    its FD_STEP_SCALE, or the given per-member steps np.full(S, step)) to
+    the read-only gradient tuple of a finished sweep; a sweep that raises
+    stores nothing.  A hit does no arithmetic: the default step is computed
+    on a miss only, so an explicit step equal to it keys apart.  The memo
+    keeps the _MEMO_SIZE most recently used entries and does not see a
     patched chart map: code that swaps one calls clear_memos() first."""
+    charts = {F.chart for F in Fs}
+    if len(charts) > 1 or any(not isinstance(x, _POINT_TYPES[c]) for c in charts):
+        raise ValueError(f"grads takes observables of one chart at a point of it; "
+                         f"got charts {sorted(charts)} at a {type(x).__name__}")
     try:
         values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
     except TypeError as e:
         raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
-    got, S = {}, batch_shape(x)
+    arrays = _arrays(x)
+    S = np.broadcast_shapes(*(s for _, _, s in arrays))
+    h = None if step is None else _given_steps(step, S)
+    got = {}
     if values:
-        h = np.full(S, fd_step(x, step))
-        key = _point_key(x, h)
+        key = _point_key(x, arrays, h)
         got = {v: _GRADS.lookup((v, key)) for v in values}
         missing = [v for v in values if got[v] is None]
         if missing:
-            D = fd_grad(partial(_values, missing), Fs[0].chart, x, h)
+            D = fd_grad(partial(_values, missing), Fs[0].chart, x, step)
             for i, v in enumerate(missing):
                 g = got[v] = type(D)(*(c[..., i, :, :] for c in D))
                 for c in g:

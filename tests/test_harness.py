@@ -166,6 +166,41 @@ def test_rows_take_the_gradients_of_earlier_rows_from_the_memo(monkeypatch):
         assert counts[check_id] == values * len(seeds), check_id
 
 
+def test_a_second_run_of_every_row_only_hits_the_memo(monkeypatch):
+    # the warm run stores no gradient, takes every one from the memo and
+    # writes the same entries
+    specs = [CheckSpec(cid, n=3, seeds=2) for cid in suite_checks("all")]
+    phase.clear_memos()
+    cold = run_checks(specs)
+    entries, hits = len(phase._GRADS), phase._GRADS.hits
+    assert 0 < entries < phase._MEMO_SIZE   # none was dropped
+    stored = []
+    monkeypatch.setattr(phase._GRADS, "store", lambda key, value: stored.append(key))
+    warm = run_checks(specs)
+    assert stored == [] and len(phase._GRADS) == entries and phase._GRADS.hits > hits
+    strip = lambda report: [{k: v for k, v in e.items() if k != "wall_time"}
+                            for e in report["checks"]]
+    assert strip(warm) == strip(cold)
+
+
+def test_a_warm_jacobi_row_computes_one_norm_and_calls_no_np_stack(monkeypatch):
+    # warm, every gradient is a hit keyed on the step rule, and gradients
+    # stack with np.array: the one point norm left is jacobiator's outer step
+    spec = CheckSpec("jacobi-full-1", n=3, seeds=2)
+    phase.clear_memos()
+    cold = run_check(spec)
+    calls = {"stack": 0, "point_norm": 0}
+    for module, name in ((np, "stack"), (phase, "point_norm")):
+        def counting(*args, _f=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    warm = run_check(spec)
+    assert calls == {"stack": 0, "point_norm": 1}
+    assert (warm.max_abs_defect, warm.max_rel_defect) == (cold.max_abs_defect,
+                                                          cold.max_rel_defect)
+
+
 # the rows of the sweep-n2-5 and jacobi-n3 benchmark workloads
 _ORDER_ROWS = ("antisymmetry", "leibniz", "ladder-full", "ladder-red", "involutivity",
                "reduction-pb1", "reduction-pb2", "rs-bracket", "suth-bracket",

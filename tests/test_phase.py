@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rs_hierarchy import algebra, checks, coords, phase
+from rs_hierarchy import algebra, checks, config, coords, phase
 from rs_hierarchy.algebra import TorusReg
 from rs_hierarchy.phase import (FullPoint, Observable, RedPoint, RSPoint,
                                 SuthPoint, fd_step, grad_full, grad_red,
@@ -507,24 +507,108 @@ def _one_ulp_up(a):
 
 
 @pytest.mark.parametrize("chart", phase.CHARTS)
-def test_memo_keys_on_the_content_of_the_point_and_the_resolved_step(chart):
+def test_memo_keys_on_the_content_of_the_point_and_the_step_rule(chart, monkeypatch):
     F = invariant_observable(1, 1, "re", chart=chart)
     x = sample_point(chart, 3, 0)
     phase.clear_memos()
     g = phase.grad(F, x)
-    # equal content hits: fresh arrays, and the default step passed as given
+    # equal content hits: fresh arrays
     assert phase.grad(F, _rebuilt(x)) is g
-    assert phase.grad(F, x, fd_step(x)) is g
     # a stack of copies and the same stack as broadcast views share a key
     assert phase.grad(F, _wide(x, 2)) is phase.grad(F, _stack([x, x]))
-    assert phase._GRADS.hits == 3 and len(phase._GRADS) == 2
+    assert phase._GRADS.hits == 2 and len(phase._GRADS) == 2
+    # a given step equal to the default one is another rule: it gets its own
+    # entry, whose components are the default rule's bit for bit
+    given = phase.grad(F, x, fd_step(x))
+    assert given is not g and phase.grad(F, x, fd_step(x)) is given
+    for a, c in zip(given, g, strict=True):
+        assert a.tobytes() == c.tobytes()
+    assert phase._GRADS.hits == 3 and len(phase._GRADS) == 3
     # one ulp in any field, or another step, misses
     for field in dataclasses.fields(x):
         y = _rebuilt(x, lambda name, a, field=field: name == field.name and _one_ulp_up(a))
         phase.grad(F, y)
     phase.grad(F, x, 1e-4)
     assert phase._GRADS.hits == 3
-    assert len(phase._GRADS) == 2 + len(dataclasses.fields(x)) + 1
+    assert len(phase._GRADS) == 3 + len(dataclasses.fields(x)) + 1
+    # the default rule reads FD_STEP_SCALE at call time: a patched scale
+    # misses and takes fd_grad at the patched step
+    monkeypatch.setattr(phase, "FD_STEP_SCALE", 2.0 * phase.FD_STEP_SCALE)
+    patched = phase.grad(F, x)
+    assert phase._GRADS.hits == 3 and patched is not g
+    assert fd_step(x) == 2.0 * config.FD_STEP_SCALE * (1.0 + point_norm(x))
+    for a, c in zip(patched, phase.fd_grad(F.value, chart, x, fd_step(x)), strict=True):
+        assert a.tobytes() == c.tobytes()
+
+
+def _counted(monkeypatch, module, *names):
+    """Count the calls of module.<name> for each name, through the module."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _f=getattr(module, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_a_warm_grads_call_computes_no_step(chart, monkeypatch):
+    # at the default step a hit keys on the step rule, not on the step, so
+    # it computes neither the step nor the point norm; a miss computes it
+    Fs = [invariant_observable(*p, chart=chart) for p in ((1, 1, "re"), (0, 2, "re"))]
+    for x in (sample_point(chart, 3, 0), phase.sample_points(chart, 3, (1, 2))):
+        phase.clear_memos()
+        cold = phase.grads(Fs, x)
+        calls = _counted(monkeypatch, phase, "point_norm", "fd_step")
+        assert all(a is b for a, b in zip(phase.grads(Fs, x), cold))
+        assert calls == {"point_norm": 0, "fd_step": 0}
+        assert phase._GRADS.hits == len(Fs)
+        phase.grads(Fs[:1], _rebuilt(x, lambda name, a: _one_ulp_up(a)))
+        assert calls == {"point_norm": 1, "fd_step": 1}
+        monkeypatch.undo()
+
+
+def test_grads_refuses_observables_of_another_chart():
+    # the observables must share one chart and x must be its point: mixed
+    # charts read every trace at the first one's chart map and stored the
+    # wrong gradient under the other's key
+    x_full, x_red = sample_point("full", 3, 0), sample_point("red", 3, 0)
+    F_full = invariant_observable(1, 1, "re", chart="full")
+    F_red = invariant_observable(1, 1, "re", chart="red")
+    phase.clear_memos()
+    g = phase.grad(F_full, x_full)
+    cases = [([F_full, F_red], x_full, r"\['full', 'red'\] at a FullPoint"),
+             ([F_red], x_full, r"\['red'\] at a FullPoint"),
+             ([F_full, hamiltonian_observable(2, "red")], x_full,
+              r"\['full', 'red'\] at a FullPoint"),
+             ([F_full], x_red, r"\['full'\] at a RedPoint")]
+    for Fs, x, match in cases:
+        with pytest.raises(ValueError, match=match):
+            phase.grads(Fs, x)
+    assert len(phase._GRADS) == 1 and phase._GRADS.hits == 0
+    assert phase.grad(F_full, x_full) is g
+    assert type(phase.grad(F_red, x_red)) is phase.RedGrad
+
+
+_BAD_STEPS = [0.0, -1e-5, np.nan, np.inf, np.array([1e-5, np.nan, 1e-5])]
+
+
+@pytest.mark.parametrize("step", _BAD_STEPS, ids=["zero", "negative", "nan", "inf", "member"])
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_a_step_that_is_not_finite_and_positive_is_refused(chart, step, monkeypatch):
+    # fd_grad refuses it by name, and grads before any lookup, so nothing
+    # is stored
+    F = invariant_observable(1, 1, "re", chart=chart)
+    x = phase.sample_points(chart, 3, (0, 1, 2))
+    phase.clear_memos()
+    looked_up = []
+    monkeypatch.setattr(phase._GRADS, "lookup", looked_up.append)
+    with pytest.raises(ValueError, match="finite and positive, got"):
+        phase.fd_grad(F.value, chart, x, step)
+    with pytest.raises(ValueError, match="finite and positive, got"):
+        phase.grad(F, x, step)
+    assert looked_up == [] and len(phase._GRADS) == 0
 
 
 def test_a_sweep_that_raises_stores_nothing():
