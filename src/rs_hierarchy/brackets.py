@@ -10,9 +10,10 @@ calls `contract`.  It takes a batch of points (batch axes S, as in phase)
 and gradient stacks with pair axes P in front of S (stack, take,
 cyclic_pairs), all broadcast by numpy's rule, and returns the values of
 shape P + S in one call, each equal to that of its pair alone, bit for bit.
-`jacobiator` takes each gradient once per stencil point for all brackets of
-one call, and its inner level is one sweep over each whole outer stack; a
-later call at the same points takes those gradients from phase's memo.
+`jacobiator` steps at the scale FD_OUTER_STEP_SCALE outside and phase's
+default inside, and takes each gradient once per stencil point for all
+brackets of one call; its inner level is one sweep over each whole outer
+stack, and a later call at the same points takes them from phase's memo.
 Both of its levels contract each bracket once on all their pairs.  A
 pencil sum_i s_i b_i needs no Bracket of its own: its Jacobi defect is the
 quadratic form s.T.s in the jacobiator T of the b_i.
@@ -36,13 +37,14 @@ class Bracket:
     """A Poisson bracket as its Hamiltonian map on one chart: sharp(x, dH) is
     V of dH's gradient type, None in a slot that pairs to zero, and
     {F,H}(x) = contract(x, dF, dH) = sum <dF_slot, V_slot> with (dF, dH) =
-    phase.grads((F, H), x).  Gradient stacks whose pair axes, in front of
-    x's batch axes S, broadcast to P give values of shape P + S."""
+    phase.grads((F, H), x), a float at one point.  Gradient stacks whose
+    pair axes, in front of x's batch axes S, broadcast to P give values of
+    shape P + S (P = () for one pair: one value per member)."""
     chart: str
     sharp: Callable    # (x, dH) -> V, of dH's gradient type
     name: str
 
-    def __call__(self, F: Observable, H: Observable, x) -> float:
+    def __call__(self, F: Observable, H: Observable, x) -> float | np.ndarray:
         if not (F.chart == self.chart == H.chart):
             raise ValueError(f"{self.name} takes observables on the "
                              f"{self.chart!r} chart")
@@ -133,18 +135,19 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     central differences; a batch x of batch axes S gives T of shape (b, b) + S,
     each member's T that of the member alone.  The Jacobi defect of sum_i s_i b_i is s.T.s.
 
-    Anything but a Bracket raises TypeError, no bracket ValueError.  One
-    sweep with step FD_OUTER_STEP_SCALE*(1 + |x|) differentiates each {G,H}_i,
-    {H,F}_i, {F,G}_i, since they carry O(h^2) noise.  Per block it hands the
-    inner callable a stack of outer stencil points; that takes the gradients
-    of F, G, H on the whole stack in one sweep (each member at its own
-    default step) and contracts each bracket once on the stack of the three
-    cyclic pairs.  Those gradients come from phase's gradient memo when an
-    earlier call took them at the same points and step rule (keyed by
-    content, at most _MEMO_SIZE entries): a second bracket tuple on the same
-    F, G, H and x takes no inner sweep.  The outer level contracts each bracket once
-    too, the outer gradients of F, G, H against those of every inner value,
-    and sums each row's three terms in the order {F,.}, {G,.}, {H,.}.  Both
+    Anything but a Bracket raises TypeError, no bracket ValueError.  The
+    outer level, gradients of F, G, H and one sweep differentiating each
+    {G,H}_i, {H,F}_i, {F,G}_i (they carry O(h^2) noise), takes the step
+    scale FD_OUTER_STEP_SCALE; phase forms every step.  Per block the sweep
+    hands the inner callable a stack of outer stencil points; that takes the
+    gradients of F, G, H on the whole stack in one sweep at the default
+    scale and contracts each bracket once on the stack of the three cyclic
+    pairs.  Those gradients come from phase's gradient memo when an earlier
+    call took them at the same points and scale (keyed by content, at most
+    _MEMO_SIZE entries): a second bracket tuple on the same F, G, H and x
+    takes no inner sweep.  The outer level contracts each bracket once too,
+    the outer gradients of F, G, H against those of every inner value, and
+    sums each row's three terms in the order {F,.}, {G,.}, {H,.}.  Both
     levels move axes by transpose views (ndarray.transpose, swapaxes), never
     copies.  Code that swaps a chart map calls phase.clear_memos() first.
     """
@@ -166,9 +169,8 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         T = np.array([b.contract(ys, *pairs) for b in brackets])   # (b, 3) + batch
         return T.transpose(*range(2, T.ndim), 0, 1)
 
-    h_outer = FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    outer = stack(phase.grads((F, G, H), x, h_outer))
-    D = phase.fd_grad(inner, chart, x, h_outer)
+    outer = stack(phase.grads((F, G, H), x, FD_OUTER_STEP_SCALE))
+    D = phase.fd_grad(inner, chart, x, FD_OUTER_STEP_SCALE)
     # each component S + (b, 3) + (n, n) as (b, 3) + S + (n, n): the inner
     # values' axes in front, as pair axes
     d_inner = type(D)(*(c.transpose(c.ndim - 4, c.ndim - 3, *range(c.ndim - 4),

@@ -21,7 +21,7 @@ each value equal to that of the per-pair contract, bit for bit.
 antisymmetry and leibniz check every bracket of brackets.BRACKETS.
 run_check calls the body once on seeds 0..S-1 and lays the samples out
 seed-major.  Rows share gradients through phase's gradient memo (keyed by
-the point's content and step rule, so a hit computes no step; at most
+the point's content and step scale, so a hit computes no step; at most
 _MEMO_SIZE entries, emptied by phase.clear_memos()):
 reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
 jacobi-pencil those of jacobi-full-1, leibniz, the ladders and the

@@ -11,13 +11,13 @@ MATCH_TIE_TOL = 1e-12
 # Smallest admissible eigenvalue for "positive definite" inputs.
 PD_FLOOR = 1e-10
 
-# Central-difference step is FD_STEP_SCALE * (1 + |x|); the constant is the
-# cube root of double rounding, which balances truncation against rounding
-# for second-order differences.
+# A central-difference step is scale * (1 + |x|) per member (phase.fd_step);
+# the default scale is the cube root of double rounding, which balances
+# truncation against rounding for second-order differences.
 FD_STEP_SCALE = 6.1e-6
 
-# Nested (Jacobi-identity) differences need a larger outer step because the
-# inner bracket values themselves carry O(h^2) noise.
+# The scale of jacobiator's outer level of nested (Jacobi-identity)
+# differences, larger because the inner bracket values carry O(h^2) noise.
 FD_OUTER_STEP_SCALE = 3e-4
 
 # Discarded-part threshold for strict subspace projections.

@@ -123,18 +123,18 @@ def _diagonalize(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not finite.all():
         raise CertificationError.first(
             ~finite, lambda i: "g holds a non-finite entry; no reduction is certified")
-    phases, eta = np.empty(flat.shape[:-1]), np.empty(flat.shape, dtype=complex)
-    residual, unitarity = np.empty(len(flat)), np.empty(len(flat))
-    todo = slice(None)
     M = n * (n - 1) // 2 + 1
-    for m in range(M):
+    phases, eta, residual, unitarity = _eigh_reduction(flat, 0.0)   # a retry writes into these
+    for m in range(1, M):
+        todo = np.flatnonzero(~((residual <= tol) & (unitarity <= tol)))
+        if not todo.size:
+            break
         phases[todo], eta[todo], residual[todo], unitarity[todo] = _eigh_reduction(
             flat[todo], np.pi * m / M)
-        certified = (residual <= tol) & (unitarity <= tol)
-        todo = np.flatnonzero(~certified)
-        if not todo.size:
-            return (phases.reshape(g.shape[:-1]), eta.reshape(g.shape),
-                    residual.reshape(g.shape[:-2]))
+    certified = (residual <= tol) & (unitarity <= tol)
+    if certified.all():
+        return (phases.reshape(g.shape[:-1]), eta.reshape(g.shape),
+                residual.reshape(g.shape[:-2]))
     raise CertificationError.first(~certified.reshape(g.shape[:-2]), lambda i: (
         f"no Hermitian angle certifies the diagonalization: "
         f"|eta e^(iq) eta^dagger - g| = {residual[i]:.3e}, "
@@ -206,8 +206,9 @@ def _rotations(phases, t_grid) -> np.ndarray:
         raise AmbiguousMatchError.first(ties[i - 1], lambda j: (
             f"at sample {i} (t = {t_grid[i]}): eigenphase matching ties between "
             f"rotations costing {a[j]:.17g} and {b[j]:.17g}"))
-    return np.concatenate((np.zeros((1,) + cost.shape[1:-1], dtype=int),
-                           np.cumsum(np.argmin(cost, axis=-1), axis=0))) % n
+    R = np.zeros((len(cost) + 1,) + cost.shape[1:-1], dtype=int)
+    np.cumsum(np.argmin(cost, axis=-1), axis=0, out=R[1:])
+    return np.remainder(R, n, out=R)
 
 
 def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
@@ -235,8 +236,8 @@ def trajectory(x0: FullPoint, k: int, t_grid: np.ndarray) -> Trajectory:
                               lambda _: f"at sample {i} (t = {t_grid[i]}): {exc}") from exc
     perms = (np.arange(x0.n) + _rotations(red.Q.q, t_grid)[..., None]) % x0.n
     q = np.take_along_axis(red.Q.q, perms, axis=-1)
-    L = np.take_along_axis(np.take_along_axis(red.L, perms[..., :, None], axis=-2),
-                           perms[..., None, :], axis=-1)
+    flat = (perms[..., :, None] * x0.n + perms[..., None, :]).reshape(perms.shape[:-1] + (-1,))
+    L = np.take_along_axis(red.L.reshape(flat.shape), flat, axis=-1).reshape(red.L.shape)
     points = tuple(map(RedPoint, map(TorusReg._ungated, q), L))
     return Trajectory(t_grid, points, algebra.power_traces(L, x0.n), defects)
 

@@ -22,13 +22,14 @@ contract: f maps points of batch shape S' to an array with leading axes S'
 type and one block per component: the space of the directions (in
 algebra.basis order, paired with its dual basis), the displacement along a
 direction X and how it moves the point.  For each block, fd_grad moves
-every member of x by all 2*dim displacements at once, each member by its
-own step, and calls f once on the moved point as it is, of batch shape
-(2*dim,) + S: the fields the block leaves alone are x's own arrays.
-`grads` sweeps several observables at once; the invariant observables among
-them share one call of the chart map to (U, L) per stencil stack, and every
-finite-difference gradient is memoized by the point's content and step
-rule (see grads; clear_memos empties it).
+every member of x by all 2*dim displacements at once, each by its own step
+scale*(1 + |member|) (fd_step, the one step rule; scale FD_STEP_SCALE
+unless given), and calls f once on the moved point as it is, of batch
+shape (2*dim,) + S: the fields the block leaves alone are x's own arrays.
+`grads` sweeps several observables at once; the invariant observables
+among them share one call of the chart map to (U, L) per stencil stack, and
+every finite-difference gradient is memoized by the point's content and
+step scale (see grads; clear_memos empties it).
 Group-valued displacements use exact one-parameter subgroups: the u(n)
 exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
 X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
@@ -37,6 +38,7 @@ coordinates move on straight lines tX.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
@@ -313,46 +315,45 @@ _CHART_TABLE = {
 }
 
 
-def fd_step(x):
-    """Default central-difference step FD_STEP_SCALE*(1 + |x|), one per
-    member of a batch."""
-    return FD_STEP_SCALE * (1.0 + point_norm(x))
+def _scale(scale) -> float:
+    """scale as a float, FD_STEP_SCALE (read now) for None; else ValueError
+    naming it unless it is a finite positive real number."""
+    if scale is None:
+        return FD_STEP_SCALE
+    if not (isinstance(scale, numbers.Real) and 0.0 < scale < np.inf):   # NaN fails
+        raise ValueError(f"a step scale must be a finite positive number, got {scale!r}")
+    return float(scale)
 
 
-def _given_steps(step, S: tuple) -> np.ndarray:
-    """np.full(S, step), the given step of each member of a batch of shape S;
-    ValueError naming `step` unless every one is finite and positive."""
-    h = np.full(S, step)
-    if not ((0.0 < h) & (h < np.inf)).all():   # NaN fails both
-        raise ValueError(f"a finite-difference step must be finite and positive, "
-                         f"got {step!r}")
-    return h
+def fd_step(x, scale: float | None = None):
+    """Central-difference step _scale(scale)*(1 + |x|) per member: the one rule."""
+    return _scale(scale) * (1.0 + point_norm(x))
 
 
-def fd_grad(f: Callable, chart: str, x, step: float | None = None):
+def fd_grad(f: Callable, chart: str, x, scale: float | None = None):
     """Gradient tuple of f at x on `chart` by central differences.
 
     x is a point of batch shape S (S = () for one point); each member gets its
-    own step, the default one or `step` (a scalar for all, or one per member
-    broadcasting to S; ValueError unless each is finite and positive).  Per
+    own step fd_step(member, scale) = scale*(1 + |member|), scale None being
+    FD_STEP_SCALE (ValueError unless scale is a finite positive number).  Per
     block, the displacements (all + steps, then all - steps) have shape
     (2*dim,) + S + (n, n), and f is called once on x moved by them (batch
     shape (2*dim,) + S; the fields the block leaves alone are x's own arrays,
     which f must not write to); it returns an array with those leading axes,
-    whose differences are paired with the dual basis.  Every component has shape S + (axes of f's values after
-    the batch axes) + (n, n), so one sweep differentiates many functions at the
-    same stencil points.  The differences d, of shape (dim,) + rest, meet the
-    dual basis in one matrix product, d.reshape(dim, -1).T by the (dim, n*n)
-    dual basis: the BLAS call that np.tensordot(d, dual, axes=(0, 0)) makes,
-    without its Python-level set-up.  Member b's gradient equals that of the
-    point on its own, bit for bit.  Each component gets + 0.0 in place, so no
+    whose differences are paired with the dual basis.  Every component has
+    shape S + (f's value axes after the batch axes) + (n, n), so one sweep
+    differentiates many functions at the same stencil points.  The
+    differences d, of shape (dim,) + rest, meet the dual basis in one matrix
+    product: the BLAS call of np.tensordot(d, dual, axes=(0, 0)), without
+    its Python-level set-up.  Member b's gradient equals that of the point
+    on its own, bit for bit.  Each component gets + 0.0 in place, so no
     zero is -0.0 (the dual-basis product may sign one by the number of
-    functions); a function's part of a sweep then measures equal to fd_grad of
-    it alone (768 components, one BLAS), as CI's run of each registry row
-    alone from cleared memos checks."""
+    functions); a function's part of a sweep then measures equal to fd_grad
+    of it alone (768 components, one BLAS), as CI's run of each registry
+    row alone from cleared memos checks."""
     kind, blocks = _CHART_TABLE[chart]
     S = batch_shape(x)
-    h = np.full(S, fd_step(x)) if step is None else _given_steps(step, S)
+    h = np.full(S, fd_step(x, scale))
     t = np.array((h, -h))
     out = []
     for space, curve, move in blocks:
@@ -414,34 +415,29 @@ class _Memo(OrderedDict):
         self.hits = 0
 
 
-def _point_key(x, arrays: list, h: np.ndarray | None) -> tuple:
-    """Key of the point x, whose fields `arrays` are _arrays(x), swept under
-    a step rule: its type, a 128-bit blake2b digest of the dtype, shape and
-    bytes of each field, so equal content gives the key of x whatever its
-    memory layout, and the rule: ("default", FD_STEP_SCALE), read now, when
-    h is None, else the dtype and bytes of the given per-member steps h."""
+def _point_key(x, arrays: list, scale: float) -> tuple:
+    """Key of the point x (fields `arrays`, _arrays(x)) swept at `scale`:
+    its type, a 128-bit blake2b digest of the dtype, shape and bytes of each
+    field (equal content, in any memory layout, gives x's key) and the scale."""
     digest = blake2b(digest_size=16)
     for _, a, _ in arrays:
         digest.update(f"{a.dtype.str}{a.shape}".encode())
         digest.update(np.ascontiguousarray(a))
-    rule = ("default", FD_STEP_SCALE) if h is None else (h.dtype.str, h.tobytes())
-    return type(x), digest.digest(), rule
+    return type(x), digest.digest(), scale
 
 
-def grads(Fs, x, step: float | None = None) -> list:
+def grads(Fs, x, scale: float | None = None) -> list:
     """Gradient tuples of the observables Fs of one chart at x, a point of
     that chart (else ValueError naming the charts): an analytic F.grad
     broadcast to batch_shape(x), every other distinct value's (hashable,
-    else ValueError) from the memo or else from one fd_grad sweep over all
-    the missing values; each equals fd_grad of F.value alone (see fd_grad).
-    A given step is checked as fd_grad checks it, before any lookup.
+    else ValueError) from the memo or else from one fd_grad sweep at `scale`
+    over all the missing values; each equals fd_grad of F.value alone.  The
+    scale is resolved and checked as fd_grad does it, before any lookup.
 
-    _GRADS maps a value and the key of x under its step rule (point type,
-    digest of each field's dtype, shape and bytes; the default rule with
-    its FD_STEP_SCALE, or the given per-member steps np.full(S, step)) to
-    the read-only gradient tuple of a finished sweep; a sweep that raises
-    stores nothing.  A hit does no arithmetic: the default step is computed
-    on a miss only, so an explicit step equal to it keys apart.  The memo
+    _GRADS maps a value and _point_key(x, ..., scale) to the read-only
+    gradient tuple of a finished sweep; a sweep that raises stores nothing.
+    A hit does no arithmetic: the steps are formed on a miss only, and a
+    given scale equal to FD_STEP_SCALE shares the default's entry.  The memo
     keeps the _MEMO_SIZE most recently used entries and does not see a
     patched chart map: code that swaps one calls clear_memos() first."""
     charts = {F.chart for F in Fs}
@@ -452,16 +448,16 @@ def grads(Fs, x, step: float | None = None) -> list:
         values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
     except TypeError as e:
         raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
+    scale = _scale(scale)
     arrays = _arrays(x)
     S = np.broadcast_shapes(*(s for _, _, s in arrays))
-    h = None if step is None else _given_steps(step, S)
     got = {}
     if values:
-        key = _point_key(x, arrays, h)
+        key = _point_key(x, arrays, scale)
         got = {v: _GRADS.lookup((v, key)) for v in values}
         missing = [v for v in values if got[v] is None]
         if missing:
-            D = fd_grad(partial(_values, missing), Fs[0].chart, x, step)
+            D = fd_grad(partial(_values, missing), Fs[0].chart, x, scale)
             for i, v in enumerate(missing):
                 g = got[v] = type(D)(*(c[..., i, :, :] for c in D))
                 for c in g:
@@ -471,10 +467,10 @@ def grads(Fs, x, step: float | None = None) -> list:
         *(np.broadcast_to(c, S + c.shape[-2:]) for c in F.grad(x))) for F in Fs]
 
 
-def grad(F: Observable, x, step: float | None = None):
-    """Gradient tuple of F at x on F's chart, grads((F,), x, step)[0]; each
+def grad(F: Observable, x, scale: float | None = None):
+    """Gradient tuple of F at x on F's chart, grads((F,), x, scale)[0]; each
     grad_<chart> states its defining identity."""
-    return grads((F,), x, step)[0]
+    return grads((F,), x, scale)[0]
 
 
 _GRADS = _Memo(_MEMO_SIZE)

@@ -308,9 +308,8 @@ def _per_pair_jacobiator(brackets, F, G, H, x):
                        b.contract(ys, dF, dG)] for b in brackets])
         return np.moveaxis(T, (0, 1), (-2, -1))
 
-    h_outer = config.FD_OUTER_STEP_SCALE * (1.0 + phase.point_norm(x))
-    outer = phase.grads((F, G, H), x, h_outer)
-    D = phase.fd_grad(inner, F.chart, x, h_outer)
+    outer = phase.grads((F, G, H), x, config.FD_OUTER_STEP_SCALE)
+    D = phase.fd_grad(inner, F.chart, x, config.FD_OUTER_STEP_SCALE)
     d_inner = [[type(D)(*(part[..., i, c, :, :] for part in D)) for c in range(3)]
                for i in range(len(brackets))]
     return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))

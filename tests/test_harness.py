@@ -184,8 +184,9 @@ def test_a_second_run_of_every_row_only_hits_the_memo(monkeypatch):
 
 
 def test_a_warm_jacobi_row_computes_one_norm_and_calls_no_np_stack(monkeypatch):
-    # warm, every gradient is a hit keyed on the step rule, and gradients
-    # stack with np.array: the one point norm left is jacobiator's outer step
+    # warm, every gradient is a hit keyed on the step scale, and gradients
+    # stack with np.array: the one point norm left forms the steps of
+    # jacobiator's outer fd_grad
     spec = CheckSpec("jacobi-full-1", n=3, seeds=2)
     phase.clear_memos()
     cold = run_check(spec)

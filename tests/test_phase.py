@@ -283,11 +283,11 @@ def test_fd_grad_on_a_stack_equals_per_member(chart, n):
     assert np.array_equal(fd_step(ys), steps)
     for params in ((1, 1, "re"), (2, 1, "im")):
         F = invariant_observable(*params, chart=chart)
-        for step in (None, 1e-4):
-            got = phase.grad(F, ys, step)
+        for scale in (None, 1e-4):
+            got = phase.grad(F, ys, scale)
             for b, p in enumerate(points):
-                for a, c in zip(got, phase.grad(F, p, step), strict=True):
-                    assert np.array_equal(a[b], c), (params, step, b)
+                for a, c in zip(got, phase.grad(F, p, scale), strict=True):
+                    assert np.array_equal(a[b], c), (params, scale, b)
 
 
 def test_fd_grad_on_a_stack_with_a_shared_field():
@@ -385,13 +385,13 @@ def test_grads_equal_grad_per_observable(chart):
     if chart != "suth":
         Fs.insert(1, hamiltonian_observable(2, chart=chart))
     for x in (sample_point(chart, 3, 0), _stack([sample_point(chart, 3, s) for s in range(3)])):
-        for step in (None, 1e-4):
+        for scale in (None, 1e-4):
             phase.clear_memos()
-            got = phase.grads(Fs, x, step)
+            got = phase.grads(Fs, x, scale)
             assert len(got) == len(Fs)
             for g, F in zip(got, Fs):
-                want = (phase.grad(F, x, step) if F.grad is not None
-                        else phase.fd_grad(F.value, chart, x, step))
+                want = (phase.grad(F, x, scale) if F.grad is not None
+                        else phase.fd_grad(F.value, chart, x, scale))
                 assert type(g) is type(want)
                 for a, c in zip(g, want, strict=True):
                     assert a.tobytes() == c.tobytes(), F.name
@@ -445,17 +445,17 @@ def test_memo_hit_is_a_read_only_cold_fd_grad(chart):
           for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im"), (1, 2, "im"))]
     for n in (2, 3, 4, 5):
         for x in (sample_point(chart, n, 0), phase.sample_points(chart, n, (1, 2, 3))):
-            for step in (None, 1e-4):
+            for scale in (None, 1e-4):
                 phase.clear_memos()
-                first = phase.grads(Fs, x, step)
-                again = phase.grads(Fs[::-1], x, step)[::-1]
+                first = phase.grads(Fs, x, scale)
+                again = phase.grads(Fs[::-1], x, scale)[::-1]
                 assert phase._GRADS.hits == len(Fs) and len(phase._GRADS) == len(Fs)
-                assert phase.grad(Fs[1], x, step) is first[1]
+                assert phase.grad(Fs[1], x, scale) is first[1]
                 for F, g, h in zip(Fs, first, again, strict=True):
                     assert h is g
-                    for a, c in zip(h, phase.fd_grad(F.value, chart, x, step), strict=True):
+                    for a, c in zip(h, phase.fd_grad(F.value, chart, x, scale), strict=True):
                         assert a.shape == c.shape, F.name
-                        assert a.tobytes() == c.tobytes(), (F.name, n, step)
+                        assert a.tobytes() == c.tobytes(), (F.name, n, scale)
                         assert not a.flags.writeable
 
 
@@ -517,28 +517,31 @@ def test_memo_keys_on_the_content_of_the_point_and_the_step_rule(chart, monkeypa
     # a stack of copies and the same stack as broadcast views share a key
     assert phase.grad(F, _wide(x, 2)) is phase.grad(F, _stack([x, x]))
     assert phase._GRADS.hits == 2 and len(phase._GRADS) == 2
-    # a given step equal to the default one is another rule: it gets its own
-    # entry, whose components are the default rule's bit for bit
-    given = phase.grad(F, x, fd_step(x))
-    assert given is not g and phase.grad(F, x, fd_step(x)) is given
-    for a, c in zip(given, g, strict=True):
-        assert a.tobytes() == c.tobytes()
-    assert phase._GRADS.hits == 3 and len(phase._GRADS) == 3
-    # one ulp in any field, or another step, misses
+    # the step rule is the scale alone: a given scale equal to the default
+    # one, as a float or a numpy scalar, is the default's entry
+    assert phase.grad(F, x, config.FD_STEP_SCALE) is g
+    assert phase.grad(F, x, np.float64(config.FD_STEP_SCALE)) is g
+    assert phase._GRADS.hits == 4 and len(phase._GRADS) == 2
+    # one ulp in any field, or another scale (one ulp of the default
+    # included), misses
     for field in dataclasses.fields(x):
         y = _rebuilt(x, lambda name, a, field=field: name == field.name and _one_ulp_up(a))
         phase.grad(F, y)
-    phase.grad(F, x, 1e-4)
-    assert phase._GRADS.hits == 3
-    assert len(phase._GRADS) == 3 + len(dataclasses.fields(x)) + 1
-    # the default rule reads FD_STEP_SCALE at call time: a patched scale
-    # misses and takes fd_grad at the patched step
-    monkeypatch.setattr(phase, "FD_STEP_SCALE", 2.0 * phase.FD_STEP_SCALE)
+    other = phase.grad(F, x, 1e-4)
+    phase.grad(F, x, np.nextafter(config.FD_STEP_SCALE, 1.0))
+    assert phase._GRADS.hits == 4
+    assert len(phase._GRADS) == 2 + len(dataclasses.fields(x)) + 2
+    assert phase.grad(F, x, 1e-4) is other
+    # None reads FD_STEP_SCALE at call time: a patched scale misses and takes
+    # fd_grad at the patched scale, which a given equal scale then shares
+    monkeypatch.setattr(phase, "FD_STEP_SCALE", 2.0 * config.FD_STEP_SCALE)
     patched = phase.grad(F, x)
-    assert phase._GRADS.hits == 3 and patched is not g
+    assert phase._GRADS.hits == 5 and patched is not g
     assert fd_step(x) == 2.0 * config.FD_STEP_SCALE * (1.0 + point_norm(x))
-    for a, c in zip(patched, phase.fd_grad(F.value, chart, x, fd_step(x)), strict=True):
+    for a, c in zip(patched, phase.fd_grad(F.value, chart, x, 2.0 * config.FD_STEP_SCALE),
+                    strict=True):
         assert a.tobytes() == c.tobytes()
+    assert phase.grad(F, x, 2.0 * config.FD_STEP_SCALE) is patched
 
 
 def _counted(monkeypatch, module, *names):
@@ -591,23 +594,26 @@ def test_grads_refuses_observables_of_another_chart():
     assert type(phase.grad(F_red, x_red)) is phase.RedGrad
 
 
-_BAD_STEPS = [0.0, -1e-5, np.nan, np.inf, np.array([1e-5, np.nan, 1e-5])]
+# Step scales that are not a finite positive number; a per-member array of
+# steps, valid or not, is not a scale either.
+_BAD_SCALES = [0.0, -1e-5, np.nan, np.inf, np.full(3, 1e-5), "1e-5"]
 
 
-@pytest.mark.parametrize("step", _BAD_STEPS, ids=["zero", "negative", "nan", "inf", "member"])
+@pytest.mark.parametrize("scale", _BAD_SCALES,
+                         ids=["zero", "negative", "nan", "inf", "array", "text"])
 @pytest.mark.parametrize("chart", phase.CHARTS)
-def test_a_step_that_is_not_finite_and_positive_is_refused(chart, step, monkeypatch):
-    # fd_grad refuses it by name, and grads before any lookup, so nothing
-    # is stored
+def test_a_step_that_is_not_finite_and_positive_is_refused(chart, scale, monkeypatch):
+    # fd_grad refuses the scale by name, and grads before any lookup, so
+    # nothing is stored
     F = invariant_observable(1, 1, "re", chart=chart)
     x = phase.sample_points(chart, 3, (0, 1, 2))
     phase.clear_memos()
     looked_up = []
     monkeypatch.setattr(phase._GRADS, "lookup", looked_up.append)
-    with pytest.raises(ValueError, match="finite and positive, got"):
-        phase.fd_grad(F.value, chart, x, step)
-    with pytest.raises(ValueError, match="finite and positive, got"):
-        phase.grad(F, x, step)
+    with pytest.raises(ValueError, match="finite positive number, got"):
+        phase.fd_grad(F.value, chart, x, scale)
+    with pytest.raises(ValueError, match="finite positive number, got"):
+        phase.grad(F, x, scale)
     assert looked_up == [] and len(phase._GRADS) == 0
 
 
@@ -804,6 +810,67 @@ def test_grad_suth_quadratic_analytic_vs_fd():
     gf = grad_suth(F_fd, x)
     for a, b in zip(ga, gf):
         assert np.linalg.norm(a - b) <= FD_TOL * _scale(F, x, ga)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference error model
+
+
+# Step scales of the truncation tests, each half the one before.  Not the
+# default FD_STEP_SCALE = 6.1e-6: there truncation and rounding balance, so
+# a halving would not show the h^2 law.  At these scales the O(h^2)
+# truncation stands far above rounding wherever it is not zero.
+_HALVED_SCALES = (4e-4, 2e-4, 1e-4)
+
+
+def _matrix_norms(a):
+    """Frobenius norm of each (n, n) matrix of a stack."""
+    return np.linalg.norm(a, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", ["full", "red"])
+def test_fd_truncation_falls_fourfold_per_halved_scale(chart, n):
+    # central differences err by O(h^2): against the analytic d2 of H_k,
+    # each halving of the scale divides the error of every member by a
+    # factor in [3, 5] (measured: 3.9999 to 4.0001 over all cases here)
+    x = phase.sample_points(chart, n, range(5))
+    for k in (3, 4, 5):
+        H = hamiltonian_observable(k, chart)
+        want = phase.grad(H, x).d2
+
+        def value(y):
+            return np.broadcast_to(H.value(y), phase.batch_shape(y))
+        errors = [_matrix_norms(phase.fd_grad(value, chart, x, scale).d2 - want)
+                  for scale in _HALVED_SCALES]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert ((3.0 * fine <= coarse) & (coarse <= 5.0 * fine)).all(), (k, coarse / fine)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("chart", ["rs", "suth"])
+def test_fd_richardson_differences_fall_fourfold_per_halved_scale(chart, n):
+    # without an analytic gradient, the difference g(h) - g(h/2), about
+    # (3/4) c h^2, falls by 4 per halving too: per member, component and
+    # observable, the ratio of successive differences lies in [3, 5], or
+    # both sit under the rounding floor 1e-9 (1 + max|g|) of a component
+    # without truncation error (measured: 4.00 where it applies; the suth
+    # p and phi components of the first observable differ by 3e-12 to 1e-11).
+    # Every observable here moves with the torus phases, so DQ must fall
+    # fourfold: a step that ignored the scale would leave all at the floor
+    x = phase.sample_points(chart, n, range(5))
+    Fs = [invariant_observable(*p, chart=chart) for p in ((1, 1, "re"), (1, 2, "re"),
+                                                          (2, 1, "im"))]
+
+    def values(y):
+        return np.stack([F.value(y) for F in Fs], -1)
+    gs = [phase.fd_grad(values, chart, x, scale) for scale in _HALVED_SCALES]
+    for name, (coarse, mid, fine) in zip(gs[0]._fields, zip(*gs), strict=True):
+        d_coarse, d_fine = _matrix_norms(coarse - mid), _matrix_norms(mid - fine)
+        floor = 1e-9 * (1.0 + np.max(np.abs(fine), axis=(-2, -1)))
+        fourfold = (d_fine > floor) & (3.0 * d_fine <= d_coarse) & (d_coarse <= 5.0 * d_fine)
+        rounding = (d_coarse <= floor) & (d_fine <= floor)
+        assert (fourfold if name == "DQ" else fourfold | rounding).all(), (name, d_coarse, d_fine)
 
 
 # ---------------------------------------------------------------------------
