@@ -1,39 +1,29 @@
 """Registry of machine checks for the bracket structure, the reduction and
 the changes of variables, plus the runner that aggregates them into a report.
 
-Each check draws deterministic sample points, evaluates a defect that should
-vanish (or an equality that should hold) and reports the worst absolute and
-relative defect and the seed of the worst relative one.  The relative defect
-is measured against a per-sample scale of the form 1 + (magnitudes entering
-the identity).
-
-A registry row maps a check id to a body func(n, seeds) that returns its
-(abs_defect, scale) samples at a tuple of seeds, each an array pair of shape
-(len(seeds),): a check function, or a shared sampler bound to its brackets,
-such as _transfer_samples(pb_rs, pb2_red, from_rs), which compares one
-Bracket with another across a chart map.  Every body evaluates all its
-seeds as one stack of sample_points (one gradient sweep, jacobiator call,
-chart round trip, flow or trajectory).
-A body that contracts gradients stacks all its pairs along pair axes in
-front of the seeds and makes one Bracket.contract call per bracket (the
-involutivity grid as views of one stack of the dH_k, broadcast by numpy),
-each value equal to that of the per-pair contract, bit for bit.
-antisymmetry and leibniz check every bracket of brackets.BRACKETS.
-run_check calls the body once on seeds 0..S-1 and lays the samples out
-seed-major.  Rows share gradients through phase's gradient memo (keyed by
-the point's content and step scale, so a hit computes no step; at most
-_MEMO_SIZE entries, emptied by phase.clear_memos()):
-reduction-pb2 takes those of reduction-pb1, jacobi-full-2 and
-jacobi-pencil those of jacobi-full-1, leibniz, the ladders and the
-rs-chart side of rs-bracket those of antisymmetry.  A row's samples do not
-depend on what the memo holds.
-Each row states its tolerance once, as the config level (EXACT, ANALYTIC,
-RK4, FD, NESTED) of the error model of what it checks; nothing else sets it.
+A registry row maps a check id to a body func(n, seeds): a check function,
+or a shared sampler bound to its brackets, such as
+_transfer_samples(pb_rs, pb2_red, from_rs), which compares one Bracket with
+another across a chart map.  The body draws deterministic sample points and
+returns one pair of float arrays (defect, scale): the absolute defect of
+each sample, which should vanish, and its scale, 1 + (magnitudes entering
+the identity).  The two broadcast to one shape whose last axis is the seed
+axis; the leading axes, flattened in C order, number the samples k.  Every
+body evaluates all its seeds as one stack of sample_points, and one that
+contracts gradients makes one Bracket.contract call per bracket for all its
+pairs, each value that of the per-pair contract, bit for bit.  Rows share
+gradients through phase's memo; a row's samples do not depend on it.
+run_check calls the body once on seeds 0..S-1 and reports the worst
+absolute and relative (defect / scale) defect, seed-major, and the seed of
+the worst relative one.  It judges a sample with a finite, non-negative
+defect and a finite, positive scale.  Any other sample fails the check,
+and so does a body that returns no samples; the error names the first
+offender.  Each row states its tolerance once, as the config level (EXACT,
+ANALYTIC, RK4, FD, NESTED) of the error model of what it checks.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
@@ -66,9 +56,9 @@ class CheckResult:
     check_id: str
     n: int
     seeds_run: int
-    max_abs_defect: float       # over the finite samples; NaN without any
+    max_abs_defect: float       # over the judged samples; NaN without any
     max_rel_defect: float
-    worst_seed: int | None      # seed of the largest abs/scale; None without finite samples
+    worst_seed: int | None      # seed of the largest abs/scale; None without judged samples
     tolerance: float
     passed: bool
     wall_time: float
@@ -124,8 +114,9 @@ _BRACKETS_BY_CHART = {chart: tuple(b for (c, _), b in br.BRACKETS.items() if c =
 
 
 # ---------------------------------------------------------------------------
-# check bodies: each maps (n, seeds) to a list of (abs_defect, scale) samples,
-# each an array pair over the seeds
+# check bodies: each maps (n, seeds) to arrays (defect, scale) that broadcast
+# to one shape (..., len(seeds)), samples k along the leading axes in C order;
+# run_check fails a non-finite sample, a scale <= 0, a defect < 0 or no sample
 
 
 def _hamiltonian_pairs(chart):
@@ -144,18 +135,17 @@ def _pair_grads(pairs, x) -> tuple:
 
 def _antisymmetry_samples(pairs_of, charts, n, seeds):
     """{F,H} + {H,F} for every bracket of each chart on the pairs
-    pairs_of(chart); the gradients of all pairs are taken in one sweep per
-    chart and each bracket contracts all pairs in both orders at once."""
-    out = []
+    pairs_of(chart), pair-major, from one gradient sweep per chart; each
+    bracket contracts all pairs in both orders at once."""
+    parts = []
     for chart in charts:
         x = sample_points(chart, n, seeds)
         d, i, j = _pair_grads(pairs_of(chart), x)
         ij = np.array([i, j])
-        v = [b.contract(x, br.take(d, ij), br.take(d, ij[::-1]))
-             for b in _BRACKETS_BY_CHART[chart]]
-        out += [(abs(v1[p] + v2[p]), 1.0 + abs(v1[p]) + abs(v2[p]))
-                for p in range(len(i)) for v1, v2 in v]
-    return out
+        v1, v2 = np.array([b.contract(x, br.take(d, ij), br.take(d, ij[::-1]))
+                           for b in _BRACKETS_BY_CHART[chart]]).transpose(1, 2, 0, 3)
+        parts.append((abs(v1 + v2), 1.0 + abs(v1) + abs(v2)))   # (pair, bracket) + S
+    return tuple(np.concatenate([v.reshape(-1, len(seeds)) for v in c]) for c in zip(*parts))
 
 
 def check_leibniz(n, seeds):
@@ -163,35 +153,34 @@ def check_leibniz(n, seeds):
     d(GH) = G dH + H dG formed from the one sweep of dF, dG, dH per chart.
     contract is linear in dF and each map sharp in dH, so the defect is
     rounding: it checks that every map is linear."""
-    out = []
+    parts = []
     for chart, bracket_list in _BRACKETS_BY_CHART.items():
-        pairs = invariant_pairs(chart)
-        (F, G), (_, H) = pairs[0], pairs[1]
+        (F, G), (_, H) = invariant_pairs(chart)[:2]
         x = sample_points(chart, n, seeds)
         gx, hx = np.moveaxis(phase._values((G.value, H.value), x), -1, 0)
         dF, dG, dH = phase.grads((F, G, H), x)
         gm, hm = gx[:, None, None], hx[:, None, None]
         dGH = type(dG)(*(gm * a + hm * b for a, b in zip(dH, dG)))
         right = br.stack((dGH, dG, dH))
-        for bracket in bracket_list:
-            lhs, fg, fh = bracket.contract(x, dF, right)
-            rhs = gx * fh + hx * fg
-            scale = 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)
-            out.append((abs(lhs - rhs), scale))
-    return out
+        lhs, fg, fh = np.array([b.contract(x, dF, right)
+                                for b in bracket_list]).swapaxes(0, 1)   # (bracket,) + S each
+        rhs = gx * fh + hx * fg
+        parts.append((abs(lhs - rhs), 1.0 + abs(lhs) + abs(gx * fh) + abs(hx * fg)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _jacobi_samples(brackets, coeffs, n, seeds):
-    """Per coefficient vector s: the defect |s.T.s| of sum_i s_i b_i (T the
-    jacobiator of the stack of sample points, its batch axes moved first)
-    against 1 + sum |s.V|, V the pair values {F,G}, {G,H}, {H,F} of the b_i
-    from one set of gradients of F, G, H."""
+    """Per row s of the coefficients: |s.T.s| of sum_i s_i b_i (T the
+    jacobiator at the stacked points) against 1 + sum |s.V|, V the pair values
+    {F,G}, {G,H}, {H,F} of the b_i from one set of gradients of F, G, H."""
+    s = np.array(coeffs)[:, None, None, :]                        # (c, 1, 1, b)
+    col = s.swapaxes(-1, -2)
     F, G, H = invariant_triple(brackets[0].chart)
     x = sample_points(brackets[0].chart, n, seeds)
     T = br.jacobiator(brackets, F, G, H, x).transpose(2, 0, 1)   # (b, b) + S as S + (b, b)
     pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
     V = np.array([b.contract(x, *pairs) for b in brackets]).transpose(1, 2, 0)  # (3,) + S + (b,)
-    return [(abs(s @ T @ s), 1.0 + sum(abs(V @ s))) for s in map(np.array, coeffs)]
+    return abs(s @ T @ col)[..., 0, 0], 1.0 + abs(V @ col)[..., 0].sum(1)      # (c,) + S
 
 
 def _ladder_samples(pb1, pb2, n, seeds):
@@ -206,22 +195,20 @@ def _ladder_samples(pb1, pb2, n, seeds):
     dH = br.stack(dH)
     a = pb2.contract(x, dF, br.take(dH, slice(0, 4)))
     b = pb1.contract(x, dF, br.take(dH, slice(1, 5)))
-    return list(zip(abs(a - b), 1.0 + abs(a) + abs(b)))
+    return abs(a - b), 1.0 + abs(a) + abs(b)
 
 
 def check_involutivity(n, seeds):
-    """{H_i, H_j} for i, j = 1..5 under both full brackets; the analytic dH_k
-    and the values H_k(x) are taken once, and each bracket contracts the
-    whole 5 x 5 grid at once, its rows and columns broadcast views of one
-    stack of the dH_k."""
+    """{H_i, H_j}, samples (i, j, bracket) for i, j = 1..5 under both full
+    brackets; each contracts the whole grid of the analytic dH_k at once,
+    its rows and columns broadcast views of one stack."""
     x = sample_points("full", n, seeds)
     Hs = [hamiltonian_observable(k) for k in range(1, 6)]
     dH = br.stack(phase.grads(Hs, x))
     rows, cols = br.take(dH, np.s_[:, None]), br.take(dH, np.s_[None, :])
-    V = [b.contract(x, rows, cols) for b in (br.pb1_full, br.pb2_full)]
-    v = [H.value(x) for H in Hs]
-    return [(abs(Vb[i, j]), 1.0 + abs(v[i]) + abs(v[j]))
-            for i in range(5) for j in range(5) for Vb in V]
+    V = np.array([b.contract(x, rows, cols) for b in (br.pb1_full, br.pb2_full)])
+    v = abs(np.array([H.value(x) for H in Hs]))[:, None, None]   # (5, 1, 1) + S
+    return abs(np.moveaxis(V, 0, 2)), 1.0 + v + v.swapaxes(0, 1)
 
 
 def _grad_norm(g) -> np.ndarray:
@@ -245,8 +232,7 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     a = bracket.contract(x, br.take(d, i), br.take(d, j))
     b = ref_bracket.contract(y, br.take(e, k), br.take(e, m))
     norm = _grad_norm(d)
-    scale = 1.0 + abs(a) + abs(b) + norm[i] * norm[j]
-    return list(zip(abs(a - b), scale))
+    return abs(a - b), 1.0 + abs(a) + abs(b) + norm[i] * norm[j]
 
 
 def _pd_red_points(n, seeds):
@@ -278,9 +264,9 @@ def check_roundtrip_rs(n, seeds):
               + phase._member_norm(back.Q.q - x.Q.q, S))
     y = _pd_red_points(n, seeds)
     back2 = coords.from_rs(coords.to_rs(y))
-    return [(defect, (1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L)),
-            (phase._member_norm(back2.L - y.L, S),
-             (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L))]
+    return (np.array([defect, phase._member_norm(back2.L - y.L, S)]),
+            np.array([(1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L),
+                      (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L)]))
 
 
 def check_roundtrip_suth(n, seeds):
@@ -290,8 +276,8 @@ def check_roundtrip_suth(n, seeds):
     defect = phase._member_norm(back.p - x.p, S) + phase._member_norm(back.phi - x.phi, S)
     y = sample_points("red", n, seeds)
     back2 = coords.from_suth(coords.to_suth(y))
-    return [(defect, 1.0 + phase.point_norm(x)),
-            (phase._member_norm(back2.L - y.L, S), 1.0 + phase.point_norm(y))]
+    return (np.array([defect, phase._member_norm(back2.L - y.L, S)]),
+            1.0 + np.array([phase.point_norm(x), phase.point_norm(y)]))
 
 
 def check_bplus_residual(n, seeds):
@@ -299,22 +285,22 @@ def check_bplus_residual(n, seeds):
     bp = coords.solve_bplus(x.Q, x.lam)
     Qm = x.Q.matrix()
     res = bp @ x.lam - Qm.conj() @ bp @ Qm
-    return [(phase._member_norm(res, res.shape[:-2]),
-             1.0 + phase._member_norm(bp, bp.shape[:-2]))]
+    return (phase._member_norm(res, res.shape[:-2]),
+            1.0 + phase._member_norm(bp, bp.shape[:-2]))
 
 
 def check_hamiltonian_rs(n, seeds):
     x = sample_points("rs", n, seeds)
     a = dynamics.h_rs(x)
     b = np.real(np.trace(coords.from_rs(x).L, axis1=-2, axis2=-1))
-    return [(abs(a - b), 1.0 + abs(a) + abs(b))]
+    return abs(a - b), 1.0 + abs(a) + abs(b)
 
 
 def check_hamiltonian_suth(n, seeds):
     x = sample_points("suth", n, seeds)
     a = dynamics.h_suth2(x)
     b = dynamics.hk(coords.from_suth(x).L, 2)
-    return [(abs(a - b), 1.0 + abs(a) + abs(b))]
+    return abs(a - b), 1.0 + abs(a) + abs(b)
 
 
 def _rk4_flow(x0, k, t1, steps):
@@ -334,9 +320,9 @@ RK4_STEPS = 4096
 
 
 def _g_samples(pairs):
-    """|a - b| against 1 + |a| for each pair (a, b) of stacks of group elements."""
-    return [(phase._member_norm(a - b, a.shape[:-2]), 1.0 + phase._member_norm(a, a.shape[:-2]))
-            for a, b in pairs]
+    """|a - b| against 1 + |a| for the pairs (a, b) of group element stacks."""
+    a, b = map(np.array, zip(*pairs))
+    return phase._member_norm(a - b, a.shape[:-2]), 1.0 + phase._member_norm(a, a.shape[:-2])
 
 
 def check_flow_rk4(n, seeds):
@@ -350,7 +336,7 @@ def check_flow_conserved(n, seeds):
     x0 = sample_points("full", n, seeds)
     c = dynamics.trajectory(x0, 2, np.linspace(0.0, 1.0, 21)).conserved   # (T, S, n)
     drift = np.max(np.abs(c - c[:1]), axis=0)   # (S, n): one sample per h_l
-    return list(zip(drift.T, (1.0 + np.abs(c[0])).T))
+    return drift.T, (1.0 + np.abs(c[0])).T
 
 
 def check_flow_group(n, seeds):
@@ -365,7 +351,8 @@ def check_flow_group(n, seeds):
 
 @dataclass(frozen=True)
 class CheckDef:
-    func: object       # func(n, seeds) -> [(abs_defect, scale), ...], arrays over seeds
+    func: object       # func(n, seeds) -> (defect, scale) of one shape (..., len(seeds)),
+                       # finite, scale > 0, defect >= 0, at least one sample, or it fails
     tolerance: float   # relative; one of the config levels EXACT .. NESTED
     suites: tuple[str, ...]
 
@@ -433,36 +420,32 @@ def suite_checks(suite: str) -> list[str]:
     return [cid for cid, cdef in CHECKS.items() if suite in cdef.suites]
 
 
-def _seed_samples(func, n: int, seeds: tuple) -> list[tuple]:
-    """(abs_defect, scale, seed, index) of each sample of func(n, seeds),
-    seed-major: all samples of seeds[0] in the body's order (index 0, 1, ...),
-    then those of seeds[1]..."""
-    cols = [(np.asarray(a), np.asarray(s)) for a, s in func(n, seeds)]
-    if any(v.shape != (len(seeds),) for pair in cols for v in pair):
-        raise ValueError(f"a check body must return arrays of shape ({len(seeds)},)")
-    cols = [(a.tolist(), s.tolist()) for a, s in cols]
-    return [(a[i], s[i], seed, k) for i, seed in enumerate(seeds)
-            for k, (a, s) in enumerate(cols)]
+def _sample_array(func, n: int, seeds: tuple) -> np.ndarray:
+    """func(n, seeds) as one (2, K, S) array of defects and scales, sample k
+    of seed i at [:, k, i]; ValueError unless they broadcast to (..., S)."""
+    a, s = (np.asarray(v, dtype=float) for v in func(n, seeds))
+    a, s = (a, s) if a.shape == s.shape else np.broadcast_arrays(a, s)
+    if a.shape[-1:] != (len(seeds),):
+        raise ValueError(f"a body's arrays must broadcast to (..., {len(seeds)}), got {a.shape}")
+    return np.array((a, s)).reshape(2, -1, len(seeds))
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
     """Run the row's body once on seeds 0..S-1.  If that raises, the seeds
-    are replayed one at a time through the same body up to the first that
-    raises: the samples of the seeds before it still count, and the error
-    names it.  If no seed raises on its own, the error of the whole stack is
-    recorded, so the check still fails.  A sample with a non-finite defect or
-    scale fails the check too: the error names the first, and the worst
-    sample is taken over the finite ones."""
+    are replayed one at a time up to the first that raises: the samples of
+    the seeds before it count, and the error names it; if none raises alone,
+    the error of the whole stack is recorded.  Samples it cannot judge fail it."""
     cdef = CHECKS[spec.check_id]
     t0 = time.perf_counter()
     seeds, errors = tuple(range(spec.seeds)), []
     try:
-        samples, seeds_run = _seed_samples(cdef.func, spec.n, seeds), spec.seeds
+        samples, seeds_run = _sample_array(cdef.func, spec.n, seeds), spec.seeds
     except Exception as stacked:  # sampler / chart failures are reported, not fatal
-        samples, seeds_run = [], 0
+        samples, seeds_run = np.empty((2, 0, 0)), 0
         for seed in seeds:
             try:
-                samples += _seed_samples(cdef.func, spec.n, (seed,))
+                part = _sample_array(cdef.func, spec.n, (seed,))
+                samples = np.concatenate((samples, part), axis=-1) if seeds_run else part
             except Exception as exc:
                 errors.append(f"seed {seed}: {type(exc).__name__}: {exc}")
                 break
@@ -471,18 +454,26 @@ def run_check(spec: CheckSpec) -> CheckResult:
             errors.append(f"seeds 0..{spec.seeds - 1} stacked: "
                           f"{type(stacked).__name__}: {stacked}")
     wall = time.perf_counter() - t0
-    finite = [t for t in samples if math.isfinite(t[0]) and math.isfinite(t[1])]
-    if len(finite) < len(samples):
-        a, s, seed, k = next(t for t in samples if t not in finite)
-        errors.append(f"seed {seed} sample {k}: non-finite defect {a} or scale {s}")
-    if finite:
-        max_abs = max(t[0] for t in finite)
-        a, s, worst_seed, _ = max(finite, key=lambda t: t[0] / t[1])
-        max_rel = a / s
-    else:
-        max_abs = max_rel = float("nan")
-        worst_seed = None
-    passed = bool(finite and max_rel <= cdef.tolerance and not errors)
+    K = samples.shape[1]
+    a, s = samples.transpose(0, 2, 1).reshape(2, -1)   # sample k of seed i at i * K + k
+    finite = np.isfinite(a) & np.isfinite(s)
+    at = (finite & (a >= 0.0) & (s > 0.0)).nonzero()[0]   # the samples it judges
+    if at.size < a.size:
+        for bad, text in ((~finite, "non-finite defect {} or scale {}"),
+                          (finite & (s <= 0.0), "scale {1} is not positive"),
+                          (finite & (a < 0.0), "negative defect {0}")):
+            for i in bad.nonzero()[0][:1]:   # the first, if any
+                errors.append(f"seed {i // K} sample {i % K}: " + text.format(a[i], s[i]))
+        a, s = a[at], s[at]
+    if seeds_run and not K:
+        errors.append(f"seeds 0..{seeds_run - 1}: the body returned no samples")
+    max_abs, max_rel, worst_seed = np.nan, np.nan, None
+    if at.size:
+        with np.errstate(over="ignore"):
+            rel = a / s
+        w = (rel == rel.max()).nonzero()[0][0]   # the first of equal maxima, as max with a key
+        max_abs, max_rel, worst_seed = a.max(), rel[w], int(at[w]) // K
+    passed = bool(at.size and max_rel <= cdef.tolerance and not errors)
     return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs), float(max_rel),
                        worst_seed, cdef.tolerance, passed, wall, errors)
 

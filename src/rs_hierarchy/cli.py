@@ -11,6 +11,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 
@@ -107,11 +108,13 @@ def _cmd_flow(args) -> int:
         _config_error("need steps >= 2, n >= 2, k >= 1 and finite t0, t1")
     x0 = _sample("full", args.n, args.seed)
     with _open_out(args.out) as fh:
-        t_grid = np.linspace(args.t0, args.t1, args.steps)
         try:
-            traj = dynamics.trajectory(x0, args.k, t_grid)
+            traj = dynamics.trajectory(x0, args.k, np.linspace(args.t0, args.t1, args.steps))
         except Exception as exc:
             print(f"error: {exc}", file=sys.stderr)
+            fh.close()   # the file is empty: remove it, unless it is a link, pipe or device
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
+                os.remove(args.out)
             return 1
         fh.write(reporting.trajectory_csv(traj))
     return 0

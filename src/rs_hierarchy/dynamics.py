@@ -48,7 +48,8 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     for x0 of batch axes S (those of g0 and L0 broadcast), by one eigh of L0.
     Before it, k must be an integer >= 1 (TypeError for a non-integer), each
     t finite (ValueError naming the first that is not) and g0 unitary
-    (CertificationError naming the first member of g0's stack that is not)."""
+    (CertificationError naming the first member of g0's stack that is not);
+    after it, each phase t w^k finite (ValueError naming its t, no warning)."""
     k = phase._index(k, "k", 1)
     if not np.isfinite(t).all():
         raise ValueError(f"flow needs a finite t, got {t[~np.isfinite(t)][0]}")
@@ -60,8 +61,12 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
             f"flow needs a unitary g: |g^dagger g - 1| = {defect.flat[i]:.3e}"))
     w, V = np.linalg.eigh(x0.L)
     axes = max(x0.g.ndim, x0.L.ndim) - 1  # the broadcast batch axes of g and L, and w's
-    e = np.exp(1j * t.reshape(t.shape + (1,) * axes) * w ** k)
-    return (V * e[..., None, :]) @ V.conj().swapaxes(-1, -2) @ x0.g
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = t.reshape(t.shape + (1,) * axes) * w ** k
+    bad = ~np.isfinite(wt).reshape(len(t), -1).all(axis=1)
+    if bad.any():
+        raise ValueError(f"flow needs a finite phase t w^k, got inf or nan at t = {t[bad][0]}")
+    return (V * np.exp(1j * wt)[..., None, :]) @ V.conj().swapaxes(-1, -2) @ x0.g
 
 
 def flow(x0: FullPoint, k: int, t: float) -> FullPoint:

@@ -179,6 +179,22 @@ def test_flow_rejects_a_non_integer_k_and_a_non_finite_t():
     assert flow(x, np.int64(2), 0.3).g.tobytes() == flow(x, 2, 0.3).g.tobytes()
 
 
+def test_flow_rejects_a_phase_that_is_not_finite():
+    # a finite t whose phase t w^k overflows: refused naming the first such
+    # t, with no RuntimeWarning (an error under this suite's filterwarnings)
+    # and no NaN point
+    x = sample_point("full", 3, 0)
+    with pytest.raises(ValueError, match=r"^flow needs a finite phase t w\^k, got inf or "
+                                         r"nan at t = 1e\+308$"):
+        flow(x, 2, 1e308)
+    with pytest.raises(ValueError, match=r"at t = -1e\+308$"):
+        trajectory(phase.sample_points("full", 3, (0, 1)), 2, [0.0, 0.5, -1e308, 1e308])
+    # w^k itself overflows: even t = 0 has no finite phase
+    L = np.diag([1e200, 1.0, 2.0]).astype(complex)
+    with pytest.raises(ValueError, match=r"at t = 0.0$"):
+        flow(FullPoint(np.eye(3, dtype=complex), L), 2, 0.0)
+
+
 def test_flow_diagonal_generator_explicit():
     L = np.diag([1.0, -2.0]).astype(complex)
     g0 = np.eye(2, dtype=complex)

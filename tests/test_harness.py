@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rs_hierarchy
 from rs_hierarchy import brackets as br
@@ -280,7 +282,7 @@ def test_run_check_smoke_and_determinism():
 
 def test_failing_check_still_reports(monkeypatch):
     # numpy-float samples must not leak a numpy.bool into the report
-    row = checks.CheckDef(lambda n, seeds: [(np.full(len(seeds), 1.0), np.ones(len(seeds)))],
+    row = checks.CheckDef(lambda n, seeds: (np.full(len(seeds), 1.0), np.ones(len(seeds))),
                           1e-10, ())
     monkeypatch.setitem(checks.CHECKS, "planted-failure", row)
     spec = CheckSpec("planted-failure", n=2, seeds=1)
@@ -296,7 +298,7 @@ def test_row_raising_at_seed_1_keeps_seed_0(monkeypatch):
     def body(n, seeds):
         if 1 in seeds:
             return 1 / 0
-        return [(np.zeros(len(seeds)), np.ones(len(seeds)))]
+        return np.zeros(len(seeds)), np.ones(len(seeds))
     row = checks.CheckDef(body, config.FD, ())
     monkeypatch.setitem(checks.CHECKS, "raises-at-seed-1", row)
     spec = CheckSpec("raises-at-seed-1", n=2, seeds=3)
@@ -334,7 +336,7 @@ def test_row_raising_only_when_stacked_still_fails(monkeypatch):
     def body(n, seeds):
         if len(seeds) > 1:
             raise ValueError("stack only")
-        return [(np.array([0.5 * seeds[0]]), np.ones(1))]
+        return np.array([0.5 * seeds[0]]), np.ones(1)
     monkeypatch.setitem(checks.CHECKS, "raises-stacked", checks.CheckDef(body, 1.0, ()))
     r = run_check(CheckSpec("raises-stacked", n=2, seeds=3))
     assert r.seeds_run == 3
@@ -346,21 +348,29 @@ def test_row_raising_only_when_stacked_still_fails(monkeypatch):
 def test_samples_are_laid_out_seed_major(monkeypatch):
     # sample 1 of seed 0 ties sample 0 of seed 1; seed by seed, as the
     # one-seed bodies ran, seed 0's sample comes first and is the worst
-    row = checks.CheckDef(lambda n, seeds: [(np.array([0.0, 1.0]), np.ones(2)),
-                                            (np.array([1.0, 0.0]), np.ones(2))], 1.0, ())
+    # (the scale broadcasts over the samples)
+    row = checks.CheckDef(lambda n, seeds: (np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2)),
+                          1.0, ())
     monkeypatch.setitem(checks.CHECKS, "tied-row", row)
     assert run_check(CheckSpec("tied-row", n=2, seeds=2)).worst_seed == 0
 
 
 def test_row_returning_scalars_fails_loudly(monkeypatch):
-    # a body must return one value per seed; scalars, or a column of shape
-    # (S, 1) per seed stack, are an error, not samples
-    for sample in (lambda S: (0.0, 1.0), lambda S: (np.zeros((S, 1)), np.ones((S, 1)))):
-        row = checks.CheckDef(lambda n, seeds: [sample(len(seeds))], 1.0, ())
-        monkeypatch.setitem(checks.CHECKS, "scalar-row", row)
-        r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
-        assert r.seeds_run == 0 and r.worst_seed is None and r.passed is False
-        assert r.errors == ["seed 0: ValueError: a check body must return arrays of shape (1,)"]
+    # a body's arrays must end in the seed axis: scalars are an error, not
+    # samples, at every seed
+    monkeypatch.setitem(checks.CHECKS, "scalar-row",
+                        checks.CheckDef(lambda n, seeds: (0.0, 1.0), 1.0, ()))
+    r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
+    assert r.seeds_run == 0 and r.worst_seed is None and r.passed is False
+    assert r.errors == ["seed 0: ValueError: a body's arrays must broadcast to (..., 1), got ()"]
+    # a column of shape (S, 1) per seed stack is one sample per seed alone,
+    # so only the stack fails
+    monkeypatch.setitem(checks.CHECKS, "scalar-row", checks.CheckDef(
+        lambda n, seeds: (np.zeros((len(seeds), 1)), np.ones((len(seeds), 1))), 1.0, ()))
+    r = run_check(CheckSpec("scalar-row", n=2, seeds=2))
+    assert r.seeds_run == 2 and r.worst_seed == 0 and r.passed is False
+    assert r.errors == ["seeds 0..1 stacked: ValueError: a body's arrays must broadcast to "
+                        "(..., 2), got (2, 1)"]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -383,9 +393,9 @@ NAN, INF = float("nan"), float("inf")
 def test_non_finite_sample_fails_the_check(monkeypatch, samples, error, worst):
     # the error names the first non-finite sample; the worst-sample fields
     # are taken over the finite ones, null when there are none
-    row = checks.CheckDef(lambda n, seeds: [(np.array(a), np.array(s)) for a, s in samples],
-                          1e-10, ())
-    monkeypatch.setitem(checks.CHECKS, "non-finite-row", row)
+    a, s = np.array(samples).swapaxes(0, 1)   # (K, S) each
+    monkeypatch.setitem(checks.CHECKS, "non-finite-row",
+                        checks.CheckDef(lambda n, seeds: (a, s), 1e-10, ()))
     spec = CheckSpec("non-finite-row", n=2, seeds=3)
     r = run_check(spec)
     assert r.passed is False and r.seeds_run == 3
@@ -393,6 +403,94 @@ def test_non_finite_sample_fails_the_check(monkeypatch, samples, error, worst):
     entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
     assert (entry["max_rel_defect"], entry["worst_seed"]) == worst
     assert entry["max_abs_defect"] == worst[0] and entry["errors"] == [error]
+
+
+@pytest.mark.parametrize("samples, error, worst", [
+    # a zero scale, which would divide by zero
+    ([([1e-14, 1.0, 0.0], [1.0, 0.0, 1.0])], "seed 1 sample 0: scale 0.0 is not positive",
+     (1e-14, 0)),
+    # a negative scale after a finite sample of the same seed
+    ([([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), ([0.0, 2e-14, 0.0], [1.0, 1.0, -2.0])],
+     "seed 2 sample 1: scale -2.0 is not positive", (2e-14, 1)),
+    # a negative defect, which would read as a passing relative defect
+    ([([1e-14, 3e-14, 2e-14], [1.0, 1.0, 1.0]), ([-1.0, 0.0, 0.0], [1.0, 1.0, 1.0])],
+     "seed 0 sample 1: negative defect -1.0", (3e-14, 1)),
+], ids=["zero-scale", "negative-scale", "negative-defect"])
+def test_sample_that_cannot_be_judged_fails_the_check(monkeypatch, samples, error, worst):
+    # the error names the first such sample seed by seed; the worst-sample
+    # fields are taken over the samples that can be judged
+    a, s = np.array(samples).swapaxes(0, 1)
+    monkeypatch.setitem(checks.CHECKS, "unjudged-row",
+                        checks.CheckDef(lambda n, seeds: (a, s), 1e-10, ()))
+    spec = CheckSpec("unjudged-row", n=2, seeds=3)
+    r = run_check(spec)
+    assert r.passed is False and r.seeds_run == 3
+    assert r.errors == [error]
+    assert (r.max_rel_defect, r.worst_seed) == worst and r.max_abs_defect == worst[0]
+    entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
+    assert entry["errors"] == [error] and entry["worst_seed"] == worst[1]
+
+
+def test_row_returning_no_samples_fails_the_check(monkeypatch):
+    empty = np.empty((0, 2, 3))   # no sample, however many seeds
+    monkeypatch.setitem(checks.CHECKS, "empty-row",
+                        checks.CheckDef(lambda n, seeds: (empty, 1.0), 1.0, ()))
+    spec = CheckSpec("empty-row", n=2, seeds=3)
+    r = run_check(spec)
+    assert r.passed is False and r.seeds_run == 3 and r.worst_seed is None
+    assert r.errors == ["seeds 0..2: the body returned no samples"]
+    entry = json.loads(reporting.dumps_json(run_checks([spec])))["checks"][0]
+    assert entry["max_abs_defect"] is entry["max_rel_defect"] is None
+
+
+def _reference_reduction(a, s, tolerance) -> tuple:
+    """run_check's reduction of (K, S) defects a and scales s, written as a
+    Python loop over seed-major (defect, scale, seed, k) tuples with the same
+    refusals: (max_abs_defect, max_rel_defect, worst_seed, passed, errors)."""
+    K, S = a.shape
+    samples = [(float(a[k, i]), float(s[k, i]), i, k) for i in range(S) for k in range(K)]
+    finite = [t for t in samples if math.isfinite(t[0]) and math.isfinite(t[1])]
+    errors = []
+    for bad, text in (([t for t in samples if t not in finite],
+                       "non-finite defect {} or scale {}"),
+                      ([t for t in finite if t[1] <= 0], "scale {1} is not positive"),
+                      ([t for t in finite if t[0] < 0], "negative defect {0}")):
+        if bad:
+            errors.append(f"seed {bad[0][2]} sample {bad[0][3]}: " + text.format(*bad[0]))
+    if not samples:
+        errors.append(f"seeds 0..{S - 1}: the body returned no samples")
+    judged = [t for t in finite if t[0] >= 0 and t[1] > 0]
+    if not judged:
+        return math.nan, math.nan, None, False, errors
+    d, r, worst_seed, _ = max(judged, key=lambda t: t[0] / t[1])
+    max_rel = d / r
+    return (max(t[0] for t in judged), max_rel, worst_seed,
+            bool(max_rel <= tolerance and not errors), errors)
+
+
+_DRAWN = st.sampled_from([0.0, -0.0, 1e-300, 1e-14, 1e-10, 0.5, 1.0, 2.0, 1e300,
+                          -1.0, -1e-14, NAN, INF, -INF]) | st.floats()
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(0, 4), st.integers(1, 4)), data=st.data(),
+       tolerance=st.sampled_from([1e-10, 1.0]))
+def test_run_check_reduction_equals_the_python_reference(shape, data, tolerance):
+    # drawn (K, S) defects and scales, the draws repeating values so that
+    # samples tie across seeds: every report field equals the reference
+    K, S = shape
+    a, s = (np.array(data.draw(st.lists(_DRAWN, min_size=K * S, max_size=K * S)),
+                     dtype=float).reshape(K, S) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(checks.CHECKS, "drawn-row", checks.CheckDef(lambda n, seeds: (a, s),
+                                                               tolerance, ()))
+        r = run_check(CheckSpec("drawn-row", n=2, seeds=S))
+    max_abs, max_rel, worst_seed, passed, errors = _reference_reduction(a, s, tolerance)
+    nan_is_nan = lambda v: "nan" if math.isnan(v) else v
+    assert (nan_is_nan(r.max_abs_defect), nan_is_nan(r.max_rel_defect)) == \
+        (nan_is_nan(max_abs), nan_is_nan(max_rel))
+    assert (r.worst_seed, r.passed, r.errors) == (worst_seed, passed, errors)
+    assert r.seeds_run == S
 
 
 # every row's body evaluates all its seeds as one stack of sample points
@@ -404,8 +502,8 @@ def test_seed_stack_equals_seed_by_seed(check_id):
     # bit for bit: the body on seeds (0, 1, 2) against its three one-seed calls
     func = checks.CHECKS[check_id].func
     for n in (2, 3, 4, 5):
-        stacked = func(n, (0, 1, 2))
-        alone = [func(n, (seed,)) for seed in (0, 1, 2)]
+        stacked = _columns(func(n, (0, 1, 2)))
+        alone = [_columns(func(n, (seed,))) for seed in (0, 1, 2)]
         assert len(stacked) == len(alone[0])
         for k, (a, s) in enumerate(stacked):
             for got, i in ((a, 0), (s, 1)):
@@ -444,8 +542,9 @@ def test_stacked_round_trips_equal_the_one_point_form(check_id):
     # bit for bit against np.linalg.norm of each member's differences
     for n in (2, 3, 4, 5):
         seeds = tuple(range(8))
-        got = checks.CHECKS[check_id].func(n, seeds)
+        got = _columns(checks.CHECKS[check_id].func(n, seeds))
         want = [_round_trip_reference(n, seed)[check_id] for seed in seeds]
+        assert len(got) == len(want[0])
         for k, (a, s) in enumerate(got):
             assert a.tobytes() == np.array([w[k][0] for w in want]).tobytes(), (n, k)
             assert s.tobytes() == np.array([w[k][1] for w in want]).tobytes(), (n, k)
@@ -619,6 +718,13 @@ def _seed_by_seed(body, n, seeds) -> list:
     return [tuple(np.array(c) for c in zip(*sample)) for sample in zip(*per_seed)]
 
 
+def _columns(samples) -> list:
+    """A body's (defect, scale) arrays as its samples in order, each a
+    (defect, scale) pair of arrays over the seeds."""
+    a, s = np.broadcast_arrays(*samples)
+    return list(zip(a.reshape(-1, a.shape[-1]), s.reshape(-1, s.shape[-1])))
+
+
 def _hex_samples(samples) -> list:
     return [[float(v).hex() for v in np.ravel(part)] for sample in samples for part in sample]
 
@@ -628,7 +734,7 @@ def test_stacked_rows_equal_their_per_pair_form(check_id):
     # every sample bit for bit at n = 2..6 on the seeds 0..4
     for n in range(2, 7):
         seeds = tuple(range(5))
-        got = checks.CHECKS[check_id].func(n, seeds)
+        got = _columns(checks.CHECKS[check_id].func(n, seeds))
         assert _hex_samples(got) == _hex_samples(_REFERENCE_ROWS[check_id](n, seeds)), n
 
 
@@ -637,7 +743,7 @@ def test_jacobi_pair_values_equal_their_per_pair_form(check_id):
     # the stacked row against the one-point jacobiator and pair values, seed
     # by seed
     for n in range(2, 6):
-        got = checks.CHECKS[check_id].func(n, (0, 1, 2))
+        got = _columns(checks.CHECKS[check_id].func(n, (0, 1, 2)))
         want = _seed_by_seed(partial(_ref_jacobi, *_REFERENCE_JACOBI[check_id]), n, (0, 1, 2))
         assert _hex_samples(got) == _hex_samples(want), n
 
@@ -648,7 +754,8 @@ def test_flow_rows_equal_their_one_point_form(check_id):
     for n in range(2, 7):
         seeds = tuple(range(5))
         want = _seed_by_seed(_REFERENCE_FLOWS[check_id], n, seeds)
-        assert _hex_samples(checks.CHECKS[check_id].func(n, seeds)) == _hex_samples(want), n
+        got = _columns(checks.CHECKS[check_id].func(n, seeds))
+        assert _hex_samples(got) == _hex_samples(want), n
 
 
 def test_run_check_names_worst_seed():
@@ -674,8 +781,8 @@ def _planted_pb2_red(eps):
 
 def test_ladder_red_catches_planted_r_term_defect():
     # pb2_red with its R-term scaled by 1 + 1e-8 must fail the ladder row
-    samples = checks._ladder_samples(br.pb1_red, _planted_pb2_red(1e-8), 3, (0, 1))
-    assert max(np.max(a / s) for a, s in samples) > checks.CHECKS["ladder-red"].tolerance
+    a, s = checks._ladder_samples(br.pb1_red, _planted_pb2_red(1e-8), 3, (0, 1))
+    assert np.max(a / s) > checks.CHECKS["ladder-red"].tolerance
 
 
 def test_report_is_json_ready():
@@ -858,6 +965,19 @@ def test_cli_config_errors_exit_2(tmp_path):
         assert res.returncode == 2, args
         assert res.stderr.startswith(f"error: cannot write {out}: "), res.stderr
         assert "Traceback" not in res.stderr and "PASS" not in res.stderr, args
+
+
+def test_cli_failed_flow_export_leaves_no_file(tmp_path):
+    # the phase t w^k overflows after --out is opened: exit 1, the error
+    # names t, no warning escapes, and the empty file is removed
+    out = tmp_path / "out.csv"
+    res = subprocess.run([sys.executable, "-W", "error", *CLI[1:], "flow", "--n", "3",
+                          "--t1", "1e308", "--steps", "3", "--out", str(out)],
+                         capture_output=True, text=True)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr == ("error: flow needs a finite phase t w^k, got inf or nan at "
+                          "t = 1e+308\n")
+    assert not out.exists()
 
 
 def test_cli_runs_without_scipy(tmp_path):
