@@ -10,13 +10,16 @@ calls `contract`.  It takes a batch of points (batch axes S, as in phase)
 and gradient stacks with pair axes P in front of S (stack, take,
 cyclic_pairs), all broadcast by numpy's rule, and returns the values of
 shape P + S in one call, each equal to that of its pair alone, bit for bit.
-`jacobiator` steps at the scale FD_OUTER_STEP_SCALE outside and phase's
-default inside, and takes each gradient once per stencil point for all
-brackets of one call; its inner level is one sweep over each whole outer
-stack, and a later call at the same points takes them from phase's memo.
-Both of its levels contract each bracket once on all their pairs.  A
+`jacobiator` needs antisymmetric brackets: it reads each outer bracket
+{A, K} as -{K, A}, the derivative of the inner value K along the
+Hamiltonian vector field of A, one central difference of displacement
+length FD_OUTER_STEP_SCALE * (1 + |x|) per outer bracket and observable.
+Its inner level is one phase.grads sweep, at phase's default scale, over
+the stack of all moved points, and a later call at the same points takes
+them from phase's memo; it contracts each bracket once on all its pairs.  A
 pencil sum_i s_i b_i needs no Bracket of its own: its Jacobi defect is the
-quadratic form s.T.s in the jacobiator T of the b_i.
+quadratic form s.T.s in the jacobiator T of the b_i, up to the outer
+differences (each is taken along one bracket's field).
 """
 
 from __future__ import annotations
@@ -131,25 +134,32 @@ def cyclic_pairs(dA, dB, dC):
 
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
                x) -> np.ndarray:
-    """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by nested
-    central differences; a batch x of batch axes S gives T of shape (b, b) + S,
-    each member's T that of the member alone.  The Jacobi defect of sum_i s_i b_i is s.T.s.
+    """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by central
+    differences of the inner values along Hamiltonian vector fields; a batch
+    x of batch axes S gives T of shape (b, b) + S, each member's T that of
+    the member alone.  The Jacobi defect of sum_i s_i b_i is s.T.s, up to
+    the outer differences: a directional difference is not linear in its
+    direction.
 
-    Anything but a Bracket raises TypeError, no bracket ValueError.  The
-    outer level, gradients of F, G, H and one sweep differentiating each
-    {G,H}_i, {H,F}_i, {F,G}_i (they carry O(h^2) noise), takes the step
-    scale FD_OUTER_STEP_SCALE; phase forms every step.  Per block the sweep
-    hands the inner callable a stack of outer stencil points; that takes the
-    gradients of F, G, H on the whole stack in one sweep at the default
-    scale and contracts each bracket once on the stack of the three cyclic
-    pairs.  Those gradients come from phase's gradient memo when an earlier
-    call took them at the same points and scale (keyed by content, at most
-    _MEMO_SIZE entries): a second bracket tuple on the same F, G, H and x
-    takes no inner sweep.  The outer level contracts each bracket once too,
-    the outer gradients of F, G, H against those of every inner value, and
-    sums each row's three terms in the order {F,.}, {G,.}, {H,.}.  Both
-    levels move axes by transpose views (ndarray.transpose, swapaxes), never
-    copies.  Code that swaps a chart map calls phase.clear_memos() first.
+    Anything but a Bracket raises TypeError, no bracket ValueError.  Every
+    b_j must be antisymmetric: the outer level reads {A, K}_j = -{K, A}_j =
+    -X^j_A K, the derivative of K = {G,H}_i, {H,F}_i, {F,G}_i along the
+    Hamiltonian vector field X^j_A of A = F, G, H.  X^j_A is b_j.sharp(x, dA)
+    read through each block's dual basis: coefficients c_a = <D_a, V_slot>,
+    displacement sum_a c_a B_a (zero for a None slot), with dF, dG, dH from
+    phase.grads at its default scale.  Each pair (j, A) takes one central
+    difference along X^j_A, of displacement length
+    FD_OUTER_STEP_SCALE * (1 + |x|) (t = h / |X|; a zero field reads 0), on
+    the chart's moves of phase._CHART_TABLE applied in turn with D = 1 + tX
+    for a group block and tX for a line.  A central difference needs only
+    the curve's point and velocity at t = 0: the off-group terms of
+    (1 + tX) g are even in t and cancel.  The 6 * b moved points form one
+    stack, of batch axes (3, 2, b) + S (A, sign, j): one phase.grads sweep
+    of F, G, H at the default scale, memoized as every sweep (a second call
+    at the same points takes no sweep), and one contract per inner bracket
+    on the cyclic pair of each point.  Each row sums its three terms in the
+    order {F,.}, {G,.}, {H,.}.  Code that swaps a chart map calls
+    phase.clear_memos() first.
     """
     chart = F.chart
     if not brackets:
@@ -163,20 +173,30 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         if b.chart != chart:
             raise ValueError("brackets and observables live on different charts")
 
-    def inner(ys):
-        dF, dG, dH = phase.grads((F, G, H), ys)
-        pairs = cyclic_pairs(dG, dH, dF)   # {G,H}, {H,F}, {F,G}
-        T = np.array([b.contract(ys, *pairs) for b in brackets])   # (b, 3) + batch
-        return T.transpose(*range(2, T.ndim), 0, 1)
-
-    outer = stack(phase.grads((F, G, H), x, FD_OUTER_STEP_SCALE))
-    D = phase.fd_grad(inner, chart, x, FD_OUTER_STEP_SCALE)
-    # each component S + (b, 3) + (n, n) as (b, 3) + S + (n, n): the inner
-    # values' axes in front, as pair axes
-    d_inner = type(D)(*(c.transpose(c.ndim - 4, c.ndim - 3, *range(c.ndim - 4),
-                                    c.ndim - 2, c.ndim - 1) for c in D))
-    return np.array([sum(b.contract(x, outer, d_inner).swapaxes(0, 1))
-                     for b in brackets])
+    n, blocks = x.n, phase._CHART_TABLE[chart][1]
+    dA = stack(phase.grads((F, G, H), x))
+    fields = [b.sharp(x, dA) for b in brackets]    # per b_j, slots of (3,) + S
+    X = []
+    for k, (space, _, _) in enumerate(blocks):
+        B, dual, _ = phase._stacks(space, n)
+        V = np.array([np.zeros_like(dA[k]) if f[k] is None else f[k]
+                      for f in fields]).swapaxes(0, 1)   # (3, b) + S + (n, n)
+        c = pairing(dual.reshape((len(dual),) + (1,) * (V.ndim - 2) + (n, n)), V)
+        X.append(np.dot(c.reshape(len(dual), -1).T, B.reshape(len(B), -1))
+                 .reshape(V.shape))
+    size = np.sqrt(sum(phase._member_norm(v, v.shape[:-2]) ** 2 for v in X))   # (3, b) + S
+    h = phase.fd_step(x, FD_OUTER_STEP_SCALE)
+    t = np.divide(h, size, out=np.zeros(size.shape), where=size > 0.0)
+    t = np.array((t, -t)).swapaxes(0, 1)[..., None, None]   # (3, 2, b) + S + (1, 1)
+    y = x
+    for (_, curve, move), v in zip(blocks, X):
+        D = t * v[:, None]
+        y = move(y, D if curve == "line" else np.eye(n) + D)
+    d = stack(phase.grads((F, G, H), y))    # (F, G, H) + (3, 2, b) + S
+    pairs = (take(d, ((1, 2, 0), (0, 1, 2))), take(d, ((2, 0, 1), (0, 1, 2))))
+    K = np.array([b.contract(y, *pairs) for b in brackets])   # (i, A, sign, j) + S
+    rate = (K[:, :, 0] - K[:, :, 1]) * (size / (2.0 * h))     # X^j_A K_{i,A}
+    return -(rate[:, 0] + rate[:, 1] + rate[:, 2]).swapaxes(0, 1)
 
 
 def jacobi_defect(bracket: Bracket, F: Observable, G: Observable, H: Observable,

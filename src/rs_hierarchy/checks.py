@@ -237,13 +237,19 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
 
 def _pd_red_points(n, seeds):
     """Reduced points with positive definite L = A A^dagger + 1/2, one per
-    seed, stacked; Q is that of sample_points("red", n, seeds)."""
+    seed, stacked; Q is that of sample_points("red", n, seeds).  Drawn once
+    per (n, seed tuple) and read-only, as sample_points."""
+    return _pd_red_stack(n, tuple(seeds))
+
+
+@lru_cache(maxsize=phase._MEMO_SIZE)
+def _pd_red_stack(n: int, seeds: tuple) -> RedPoint:
     def pd(seed):
         rng = np.random.default_rng([23, n, seed])
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return A @ A.conj().T + 0.5 * np.eye(n)
     L = np.stack([pd(seed) for seed in seeds])
-    return RedPoint(sample_points("red", n, seeds).Q, make_hermitian(L))
+    return phase._read_only(RedPoint(sample_points("red", n, seeds).Q, make_hermitian(L)))
 
 
 def _chol_cond_factor(L) -> np.ndarray:

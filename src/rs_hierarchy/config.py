@@ -16,8 +16,10 @@ PD_FLOOR = 1e-10
 # truncation against rounding for second-order differences.
 FD_STEP_SCALE = 6.1e-6
 
-# The scale of jacobiator's outer level of nested (Jacobi-identity)
-# differences, larger because the inner bracket values carry O(h^2) noise.
+# The scale of jacobiator's outer level: one central difference of the
+# inner bracket values along each Hamiltonian vector field, of displacement
+# length FD_OUTER_STEP_SCALE * (1 + |x|); larger than FD_STEP_SCALE because
+# those values carry O(h^2) noise.
 FD_OUTER_STEP_SCALE = 3e-4
 
 # Discarded-part threshold for strict subspace projections.

@@ -203,6 +203,24 @@ def test_jacobi_defect_degenerate_triple():
     assert abs(d) <= 1e-4 * (1 + abs(br.pb1_full(F, H, x)))
 
 
+def _zero(x):
+    return np.zeros(phase.batch_shape(x))
+
+
+@pytest.mark.parametrize("brackets", [(br.pb1_full, br.pb2_full), (br.pb1_red, br.pb2_red),
+                                      (br.pb_suth,)], ids=lambda bs: bs[0].chart)
+def test_jacobiator_reads_zero_along_a_zero_vector_field(brackets):
+    # a constant F has dF = 0, so every X^j_F is zero: its outer difference
+    # takes no step and reads 0 (no division by |X| = 0), and the values
+    # {H,F} and {F,G} vanish at every moved point, so T is 0 exactly
+    chart = brackets[0].chart
+    _, G, H = _triple(chart)
+    x = sample_points(chart, 2, (0, 1))
+    T = br.jacobiator(brackets, Observable(chart, _zero), G, H, x)
+    assert T.shape == (len(brackets),) * 2 + (2,)
+    assert np.all(T == 0.0)
+
+
 def _triple(chart):
     return tuple(invariant_observable(m, k, part, chart=chart)
                  for m, k, part in ((1, 1, "re"), (0, 2, "re"), (1, 0, "re")))
@@ -225,8 +243,18 @@ def test_jacobi_defect_reduced_and_suth():
         assert abs(br.jacobi_defect(bracket, F, G, H, x)) <= 1e-4 * scale
 
 
+def _pair_value_scale(brackets, F, G, H, x):
+    """1 + the sum of |b(P, R)| over the brackets and the cyclic pairs: the
+    scale of a Jacobi row's samples."""
+    return 1 + sum(abs(b(P, R, x)) for b in brackets for P, R in ((F, G), (G, H), (H, F)))
+
+
 def test_jacobiator_gives_pencil_defects():
-    # the defect of s_1*pb1 + s_2*pb2 is the quadratic form s.T.s
+    # the defect of s_1*pb1 + s_2*pb2 is the quadratic form s.T.s, up to the
+    # outer differences: each is taken along its own bracket's vector field,
+    # and a directional difference is not linear in its direction (they
+    # differ by 4.9e-7 here), so the form agrees with the pencil's own
+    # defect at the Jacobi rows' level
     F, G, H = _triple("full")
     x = sample_point("full", 2, 8)
     T = br.jacobiator((br.pb1_full, br.pb2_full), F, G, H, x)
@@ -236,9 +264,9 @@ def test_jacobiator_gives_pencil_defects():
     for s in (-1.0, 0.5, 1.0):
         bracket = _pencil(s)
         direct = br.jacobi_defect(bracket, F, G, H, x)
-        scale = 1 + sum(abs(bracket(a, b, x)) for a, b in ((F, G), (G, H), (H, F)))
         c = np.array([1.0, s])
-        assert abs(c @ T @ c - direct) <= 1e-10 * scale
+        scale = _pair_value_scale((bracket,), F, G, H, x)
+        assert abs(c @ T @ c - direct) <= config.NESTED / 2 * scale
 
 
 STACK_BRACKETS = ALL_BRACKETS + [(_pencil(0.5), "full")]
@@ -300,8 +328,10 @@ def test_reduced_maps_form_the_r_multiplier_once_per_contract(monkeypatch, brack
 
 
 def _per_pair_jacobiator(brackets, F, G, H, x):
-    """The jacobiator as it was written before each bracket contracted all
-    pairs of a level in one call: one contract call per bracket and pair."""
+    """The jacobiator in its full-gradient form: the outer level takes the
+    gradients of F, G, H and of every inner value along each basis direction
+    at FD_OUTER_STEP_SCALE and contracts them, one contract call per bracket
+    and pair."""
     def inner(ys):
         dF, dG, dH = phase.grads((F, G, H), ys)
         T = np.array([[b.contract(ys, dG, dH), b.contract(ys, dH, dF),
@@ -323,6 +353,10 @@ JACOBI_TUPLES = [(br.pb1_full,), (br.pb2_full,), (br.pb1_full, br.pb2_full),
 @pytest.mark.parametrize("brackets", JACOBI_TUPLES,
                          ids=["+".join(b.name for b in bs) for bs in JACOBI_TUPLES])
 def test_jacobiator_equals_its_per_pair_form(brackets):
+    # the differences along vector fields against the full-gradient form:
+    # two estimates of the same T, each with its own truncation and rounding,
+    # so every entry agrees within NESTED/2 of the pair-value scale (at most
+    # 8.6e-6 of it at n = 2..5, seeds 0..2)
     F, G, H = _triple(brackets[0].chart)
     for n in (2, 3, 4, 5):
         for seed in range(3):
@@ -330,7 +364,8 @@ def test_jacobiator_equals_its_per_pair_form(brackets):
             got = br.jacobiator(brackets, F, G, H, x)
             want = _per_pair_jacobiator(brackets, F, G, H, x)
             assert got.shape == want.shape == (len(brackets),) * 2
-            assert got.tobytes() == want.tobytes(), (n, seed)
+            scale = _pair_value_scale(brackets, F, G, H, x)
+            assert np.all(np.abs(got - want) <= config.NESTED / 2 * scale), (n, seed)
 
 
 @pytest.mark.parametrize("chart", ["full", "red"])
@@ -347,9 +382,7 @@ def test_jacobiator_with_analytic_observables(chart):
         T = br.jacobiator((b1, b2), A, B, C, x)
         assert T.shape == (2, 2)
         assert T[0, 0] == br.jacobi_defect(b1, A, B, C, x)
-        scale = 1 + sum(abs(b(P, R, x)) for b in (b1, b2)
-                        for P, R in ((A, B), (B, C), (C, A)))
-        assert np.all(np.abs(T) <= 1e-4 * scale), T
+        assert np.all(np.abs(T) <= 1e-4 * _pair_value_scale((b1, b2), A, B, C, x)), T
         seeds = (8, 0, 1)
         Ts = br.jacobiator((b1, b2), A, B, C, sample_points(chart, 2, seeds))
         assert Ts.shape == (2, 2, 3)
@@ -369,21 +402,20 @@ def _counted(F):
 
 
 # At n = 3 a gradient costs 54 evaluations on the full chart and 24 on the
-# reduced and Sutherland charts.  A Jacobi defect takes one outer gradient
-# of each of F, G, H and, at each of the outer stencil points, one inner
-# gradient of each: 3*54 + 54*3*54 = 8910 and 3*24 + 24*3*24 = 1800.  The
-# Jacobiator of two brackets reuses the same gradients for both.  Each
-# gradient block is one call: the outer gradients make 3 * blocks calls, and
-# the inner ones one call per block per observable per outer block,
-# 3 * blocks^2: 9 + 27 = 36 on the full and Sutherland charts (3 blocks) and
-# 6 + 12 = 18 on the reduced chart (2 blocks).
+# reduced and Sutherland charts.  A Jacobiator of b brackets takes the
+# gradients of F, G, H at x and, at each of its 6 * b moved points (one per
+# outer bracket, observable and sign), one of each again:
+# 3*54 + 6*3*54 = 1134 for one bracket, 3*54 + 12*3*54 = 2106 for two on the
+# full chart and 3*24 + 6*3*24 = 504 on the others.  Each gradient block is one
+# call per observable in each of the two sweeps, 2 * 3 * blocks calls: 18 on
+# the full and Sutherland charts (3 blocks) and 12 on the reduced chart (2).
 @pytest.mark.parametrize("jacobi,chart,evals,calls", [
-    (functools.partial(br.jacobi_defect, br.pb1_full), "full", 8910, 36),
-    (functools.partial(br.jacobi_defect, br.pb2_full), "full", 8910, 36),
-    (functools.partial(br.jacobiator, (br.pb1_full, br.pb2_full)), "full", 8910, 36),
-    (functools.partial(br.jacobi_defect, br.pb1_red), "red", 1800, 18),
-    (functools.partial(br.jacobi_defect, br.pb2_red), "red", 1800, 18),
-    (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 1800, 36),
+    (functools.partial(br.jacobi_defect, br.pb1_full), "full", 1134, 18),
+    (functools.partial(br.jacobi_defect, br.pb2_full), "full", 1134, 18),
+    (functools.partial(br.jacobiator, (br.pb1_full, br.pb2_full)), "full", 2106, 18),
+    (functools.partial(br.jacobi_defect, br.pb1_red), "red", 504, 12),
+    (functools.partial(br.jacobi_defect, br.pb2_red), "red", 504, 12),
+    (functools.partial(br.jacobi_defect, br.pb_suth), "suth", 504, 18),
 ], ids=["pb1_full", "pb2_full", "mixed_full", "pb1_red", "pb2_red", "pb_suth"])
 def test_jacobi_evaluation_counts(jacobi, chart, evals, calls):
     counted = [_counted(F) for F in _triple(chart)]

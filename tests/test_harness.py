@@ -16,6 +16,7 @@ from rs_hierarchy import algebra, checks, cli, config, coords, dynamics, phase, 
 from rs_hierarchy.algebra import r_apply
 from rs_hierarchy.checks import CheckSpec, run_check, run_checks, suite_checks
 from rs_hierarchy.phase import sample_point
+from test_brackets import _per_pair_jacobiator
 
 CLI = [sys.executable, "-m", "rs_hierarchy.cli"]
 
@@ -77,16 +78,16 @@ def test_run_checks_empty_report():
 # map runs once per block of that sweep: 4 from_rs calls for rs-bracket and
 # antisymmetry, 3 from_suth calls for suth-bracket and antisymmetry, 4 + 1
 # and 3 + 1 for leibniz (its sweep, then G(x) and H(x) from one map of x),
-# and 5 sweeps of 3 blocks for jacobi-suth (the
-# outer one, one inner one per outer block and the gradients of the scale;
-# its points are the 1,800 of its Jacobi defect and 3 * 24 for the scale).
+# and 2 sweeps of 3 blocks for jacobi-suth (one at x, whose gradients
+# also give the scale, and one on its 6 moved points: 3 * 24 + 6 * 3 * 24 =
+# 504, the points of its Jacobi defect).
 # The map the transfer rows apply to x itself is bound at import, so it is
 # not counted.  Every row evaluates all its seeds in those sweeps: its
 # points grow with the number of seeds and its chart-map calls do not.
 _MAP_CALLS = {"rs-bracket": {"from_rs": 4}, "suth-bracket": {"from_suth": 3},
               "antisymmetry": {"from_rs": 4, "from_suth": 3},
               "leibniz": {"from_rs": 5, "from_suth": 4},
-              "jacobi-suth": {"from_suth": 15}}
+              "jacobi-suth": {"from_suth": 6}}
 
 
 def _count_trace_points(monkeypatch) -> list:
@@ -105,7 +106,7 @@ def _count_trace_points(monkeypatch) -> list:
 @pytest.mark.parametrize("check_id,evals", [
     ("reduction-pb1", 468), ("reduction-pb2", 468),
     ("rs-bracket", 360), ("suth-bracket", 288), ("antisymmetry", 828),
-    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 422), ("jacobi-suth", 1872),
+    ("ladder-full", 54), ("ladder-red", 24), ("leibniz", 422), ("jacobi-suth", 504),
 ])
 def test_check_evaluation_counts(monkeypatch, check_id, evals):
     # count evaluated points, the size of each batch, over every observable
@@ -145,11 +146,11 @@ def test_check_evaluation_counts(monkeypatch, check_id, evals):
 # seed.  leibniz still reads G(x) and H(x) on each of its four charts; those
 # values are not gradients.  rs-bracket takes its rs-chart gradients from
 # antisymmetry and sweeps the 6 reduced-chart ones at from_rs(x), 24 points
-# each at n = 3.
+# each at n = 3.  No Jacobi row is here: each moves its points along its own
+# brackets' vector fields, so no two rows share their moved points.
 _WARM_ROWS = {"reduction-pb2": ("reduction-pb1", 0), "leibniz": ("antisymmetry", 2 * 4),
               "rs-bracket": ("antisymmetry", 6 * 24),
-              "ladder-full": ("antisymmetry", 0), "ladder-red": ("antisymmetry", 0),
-              "jacobi-full-2": ("jacobi-full-1", 0), "jacobi-pencil": ("jacobi-full-1", 0)}
+              "ladder-full": ("antisymmetry", 0), "ladder-red": ("antisymmetry", 0)}
 
 
 def test_rows_take_the_gradients_of_earlier_rows_from_the_memo(monkeypatch):
@@ -187,8 +188,8 @@ def test_a_second_run_of_every_row_only_hits_the_memo(monkeypatch):
 
 def test_a_warm_jacobi_row_computes_one_norm_and_calls_no_np_stack(monkeypatch):
     # warm, every gradient is a hit keyed on the step scale, and gradients
-    # stack with np.array: the one point norm left forms the steps of
-    # jacobiator's outer fd_grad
+    # stack with np.array: the one point norm left forms the outer step of
+    # jacobiator
     spec = CheckSpec("jacobi-full-1", n=3, seeds=2)
     phase.clear_memos()
     cold = run_check(spec)
@@ -550,6 +551,16 @@ def test_stacked_round_trips_equal_the_one_point_form(check_id):
             assert s.tobytes() == np.array([w[k][1] for w in want]).tobytes(), (n, k)
 
 
+def test_pd_red_points_are_drawn_once_per_seed_tuple_and_read_only():
+    # a repeated call returns the same read-only stack, whose members equal
+    # the one-seed draws; the stacked round trips above check its values
+    x = checks._pd_red_points(3, (0, 1, 2))
+    assert checks._pd_red_points(3, [0, 1, 2]) is x
+    assert not x.L.flags.writeable and not x.Q.q.flags.writeable
+    for i, seed in enumerate((0, 1, 2)):
+        assert x.L[i].tobytes() == checks._pd_red_points(3, (seed,)).L[0].tobytes()
+
+
 def test_grad_norm_equals_norm_of_each_member():
     # one norm per member, each equal to the np.linalg.norm form on its own,
     # on a stack of seeds S = (3,) and on a stack of pairs of them, (P, S)
@@ -783,6 +794,40 @@ def test_ladder_red_catches_planted_r_term_defect():
     # pb2_red with its R-term scaled by 1 + 1e-8 must fail the ladder row
     a, s = checks._ladder_samples(br.pb1_red, _planted_pb2_red(1e-8), 3, (0, 1))
     assert np.max(a / s) > checks.CHECKS["ladder-red"].tolerance
+
+
+def _planted_pb2_full(eps_u, eps_d1p):
+    """pb2_full with its 2 u_part(L dH.d2) term scaled by 1 + eps_u and its D1'
+    term by 1 + eps_d1p; either breaks its antisymmetry."""
+    def sharp(x, dH):
+        LdH = x.L @ dH.d2
+        ginv = x.g.conj().swapaxes(-1, -2)
+        return phase.FullGrad(LdH, -0.5 * (1.0 + eps_d1p) * (ginv @ dH.D1 @ x.g),
+                              (2.0 * (1.0 + eps_u) * algebra.u_part(LdH) - dH.D1) @ x.L)
+    return br.Bracket("full", sharp, f"pb2_full planted at {eps_u}, {eps_d1p}")
+
+
+@pytest.mark.parametrize("term", ["u_part", "D1p"])
+@pytest.mark.parametrize("eps", [0.1, 1e-3])
+def test_planted_pb2_full_defects_read_as_in_the_full_gradient_form(monkeypatch, term, eps):
+    # the rows that contract pb2_full, given one with a term off by 1 + eps,
+    # fail, and read within 5% of the jacobiator's full-gradient form: the
+    # outer level assumes antisymmetry, which the plant breaks (at 1e-3 the
+    # form reads 1.17e-4 for the u_part plant and 1.06e-4 for the D1' one)
+    planted = _planted_pb2_full(*((eps, 0.0) if term == "u_part" else (0.0, eps)))
+    forms = (br.jacobiator, _per_pair_jacobiator)
+    for cid in ("jacobi-full-2", "jacobi-pencil"):
+        func = checks.CHECKS[cid].func
+        brackets = tuple(planted if b is br.pb2_full else b for b in func.args[0])
+        body = partial(func.func, brackets, *func.args[1:])
+        readings = []
+        for jacobiator in forms:
+            monkeypatch.setattr(br, "jacobiator", jacobiator)
+            a, s = body(3, (0, 1))
+            readings.append(np.max(a / s))
+        got, want = readings
+        assert got > checks.CHECKS[cid].tolerance and want > checks.CHECKS[cid].tolerance, cid
+        assert abs(got / want - 1.0) <= 0.05, (cid, got, want)
 
 
 def test_report_is_json_ready():
