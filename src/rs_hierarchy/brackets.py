@@ -14,12 +14,14 @@ shape P + S in one call, each equal to that of its pair alone, bit for bit.
 {A, K} as -{K, A}, the derivative of the inner value K along the
 Hamiltonian vector field of A, one central difference of displacement
 length FD_OUTER_STEP_SCALE * (1 + |x|) per outer bracket and observable.
-Its inner level is one phase.grads sweep, at phase's default scale, over
-the stack of all moved points, and a later call at the same points takes
-them from phase's memo; it contracts each bracket once on all its pairs.  A
-pencil sum_i s_i b_i needs no Bracket of its own: its Jacobi defect is the
-quadratic form s.T.s in the jacobiator T of the b_i, up to the outer
-differences (each is taken along one bracket's field).
+The field is phase.project of the bracket's map, and phase.move, the move
+rule of every finite difference, displaces x along it.  Its inner level is
+one phase.grads sweep over the stack of all moved points, and a later call
+at the same points takes them from phase's memo; it contracts each bracket
+once on all its pairs.  A pencil sum_i s_i b_i needs no Bracket of its
+own: its Jacobi defect is the quadratic form s.T.s in the jacobiator T of
+the b_i, up to the outer differences (each is taken along one bracket's
+field).
 """
 
 from __future__ import annotations
@@ -144,18 +146,14 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     Anything but a Bracket raises TypeError, no bracket ValueError.  Every
     b_j must be antisymmetric: the outer level reads {A, K}_j = -{K, A}_j =
     -X^j_A K, the derivative of K = {G,H}_i, {H,F}_i, {F,G}_i along the
-    Hamiltonian vector field X^j_A of A = F, G, H.  X^j_A is b_j.sharp(x, dA)
-    read through each block's dual basis: coefficients c_a = <D_a, V_slot>,
-    displacement sum_a c_a B_a (zero for a None slot), with dF, dG, dH from
-    phase.grads at its default scale.  Each pair (j, A) takes one central
-    difference along X^j_A, of displacement length
-    FD_OUTER_STEP_SCALE * (1 + |x|) (t = h / |X|; a zero field reads 0), on
-    the chart's moves of phase._CHART_TABLE applied in turn with D = 1 + tX
-    for a group block and tX for a line.  A central difference needs only
-    the curve's point and velocity at t = 0: the off-group terms of
-    (1 + tX) g are even in t and cancel.  The 6 * b moved points form one
+    Hamiltonian vector field X^j_A of A = F, G, H.  X^j_A is
+    phase.project of b_j.sharp(x, dA) (a None slot reads as zero), with dF,
+    dG, dH from phase.grads.  Each pair (j, A) takes one central difference
+    along X^j_A, of displacement length FD_OUTER_STEP_SCALE * (1 + |x|)
+    (t = h / |X|, |X| by phase.member_norm; a zero field reads 0), at the
+    points phase.move(x, +-tX).  The 6 * b moved points form one
     stack, of batch axes (3, 2, b) + S (A, sign, j): one phase.grads sweep
-    of F, G, H at the default scale, memoized as every sweep (a second call
+    of F, G, H, memoized as every sweep (a second call
     at the same points takes no sweep), and one contract per inner bracket
     on the cyclic pair of each point.  Each row sums its three terms in the
     order {F,.}, {G,.}, {H,.}.  Code that swaps a chart map calls
@@ -173,25 +171,16 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
         if b.chart != chart:
             raise ValueError("brackets and observables live on different charts")
 
-    n, blocks = x.n, phase._CHART_TABLE[chart][1]
     dA = stack(phase.grads((F, G, H), x))
     fields = [b.sharp(x, dA) for b in brackets]    # per b_j, slots of (3,) + S
-    X = []
-    for k, (space, _, _) in enumerate(blocks):
-        B, dual, _ = phase._stacks(space, n)
-        V = np.array([np.zeros_like(dA[k]) if f[k] is None else f[k]
-                      for f in fields]).swapaxes(0, 1)   # (3, b) + S + (n, n)
-        c = pairing(dual.reshape((len(dual),) + (1,) * (V.ndim - 2) + (n, n)), V)
-        X.append(np.dot(c.reshape(len(dual), -1).T, B.reshape(len(B), -1))
-                 .reshape(V.shape))
-    size = np.sqrt(sum(phase._member_norm(v, v.shape[:-2]) ** 2 for v in X))   # (3, b) + S
+    V = type(dA)(*(np.array([np.zeros_like(a) if f[k] is None else f[k] for f in fields])
+                   .swapaxes(0, 1) for k, a in enumerate(dA)))   # (3, b) + S + (n, n)
+    X = phase.project(x, V)
+    size = phase.member_norm(X)    # (3, b) + S
     h = phase.fd_step(x, FD_OUTER_STEP_SCALE)
     t = np.divide(h, size, out=np.zeros(size.shape), where=size > 0.0)
     t = np.array((t, -t)).swapaxes(0, 1)[..., None, None]   # (3, 2, b) + S + (1, 1)
-    y = x
-    for (_, curve, move), v in zip(blocks, X):
-        D = t * v[:, None]
-        y = move(y, D if curve == "line" else np.eye(n) + D)
+    y = phase.move(x, type(X)(*(t * v[:, None] for v in X)))
     d = stack(phase.grads((F, G, H), y))    # (F, G, H) + (3, 2, b) + S
     pairs = (take(d, ((1, 2, 0), (0, 1, 2))), take(d, ((2, 0, 1), (0, 1, 2))))
     K = np.array([b.contract(y, *pairs) for b in brackets])   # (i, A, sign, j) + S

@@ -211,11 +211,6 @@ def check_involutivity(n, seeds):
     return abs(np.moveaxis(V, 0, 2)), 1.0 + v + v.swapaxes(0, 1)
 
 
-def _grad_norm(g) -> np.ndarray:
-    """Norm of a gradient tuple, one value per member of a stack."""
-    return np.sqrt(sum(phase._member_norm(c, c.shape[:-2]) ** 2 for c in g))
-
-
 def _red_to_full(x: RedPoint) -> FullPoint:
     return FullPoint(x.Q.matrix(), x.L)
 
@@ -231,7 +226,7 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
     e, k, m = _pair_grads(invariant_pairs(ref_bracket.chart), y)
     a = bracket.contract(x, br.take(d, i), br.take(d, j))
     b = ref_bracket.contract(y, br.take(e, k), br.take(e, m))
-    norm = _grad_norm(d)
+    norm = phase.member_norm(d)
     return abs(a - b), 1.0 + abs(a) + abs(b) + norm[i] * norm[j]
 
 
@@ -265,12 +260,12 @@ def check_roundtrip_rs(n, seeds):
     x = sample_points("rs", n, seeds)
     mid = coords.from_rs(x)
     back = coords.to_rs(mid)
-    defect = (phase._member_norm(back.p - x.p, S)
-              + phase._member_norm(back.lam - x.lam, S)
-              + phase._member_norm(back.Q.q - x.Q.q, S))
+    defect = (phase.member_norm(back.p - x.p, S)
+              + phase.member_norm(back.lam - x.lam, S)
+              + phase.member_norm(back.Q.q - x.Q.q, S))
     y = _pd_red_points(n, seeds)
     back2 = coords.from_rs(coords.to_rs(y))
-    return (np.array([defect, phase._member_norm(back2.L - y.L, S)]),
+    return (np.array([defect, phase.member_norm(back2.L - y.L, S)]),
             np.array([(1.0 + phase.point_norm(x)) * _chol_cond_factor(mid.L),
                       (1.0 + phase.point_norm(y)) * _chol_cond_factor(y.L)]))
 
@@ -279,10 +274,10 @@ def check_roundtrip_suth(n, seeds):
     S = (len(seeds),)
     x = sample_points("suth", n, seeds)
     back = coords.to_suth(coords.from_suth(x))
-    defect = phase._member_norm(back.p - x.p, S) + phase._member_norm(back.phi - x.phi, S)
+    defect = phase.member_norm(back.p - x.p, S) + phase.member_norm(back.phi - x.phi, S)
     y = sample_points("red", n, seeds)
     back2 = coords.from_suth(coords.to_suth(y))
-    return (np.array([defect, phase._member_norm(back2.L - y.L, S)]),
+    return (np.array([defect, phase.member_norm(back2.L - y.L, S)]),
             1.0 + np.array([phase.point_norm(x), phase.point_norm(y)]))
 
 
@@ -291,8 +286,7 @@ def check_bplus_residual(n, seeds):
     bp = coords.solve_bplus(x.Q, x.lam)
     Qm = x.Q.matrix()
     res = bp @ x.lam - Qm.conj() @ bp @ Qm
-    return (phase._member_norm(res, res.shape[:-2]),
-            1.0 + phase._member_norm(bp, bp.shape[:-2]))
+    return phase.member_norm(res), 1.0 + phase.member_norm(bp)
 
 
 def check_hamiltonian_rs(n, seeds):
@@ -328,7 +322,7 @@ RK4_STEPS = 4096
 def _g_samples(pairs):
     """|a - b| against 1 + |a| for the pairs (a, b) of group element stacks."""
     a, b = map(np.array, zip(*pairs))
-    return phase._member_norm(a - b, a.shape[:-2]), 1.0 + phase._member_norm(a, a.shape[:-2])
+    return phase.member_norm(a - b), 1.0 + phase.member_norm(a)
 
 
 def check_flow_rk4(n, seeds):

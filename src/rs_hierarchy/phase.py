@@ -20,20 +20,21 @@ one observable; the grad_<chart> fronts also check the chart).  fd_grad's
 contract: f maps points of batch shape S' to an array with leading axes S'
 (more axes for an array-valued f).  A chart's row holds its gradient tuple
 type and one block per component: the space of the directions (in
-algebra.basis order, paired with its dual basis), the displacement along a
-direction X and how it moves the point.  For each block, fd_grad moves
-every member of x by all 2*dim displacements at once, each by its own step
-scale*(1 + |member|) (fd_step, the one step rule; scale FD_STEP_SCALE
-unless given), and calls f once on the moved point as it is, of batch
-shape (2*dim,) + S: the fields the block leaves alone are x's own arrays.
-`grads` sweeps several observables at once; the invariant observables
-among them share one call of the chart map to (U, L) per stencil stack, and
-every finite-difference gradient is memoized by the point's content and
-step scale (see grads; clear_memos empties it).
-Group-valued displacements use exact one-parameter subgroups: the u(n)
-exponential 1 + sin t X + (1 - cos t) X^2 (every u(n) basis element has
-X^3 = -X) and the nilpotent 1 + tX for strictly upper X; the other
-coordinates move on straight lines tX.
+algebra.basis order, paired with its dual basis) and the field it moves.
+Every finite difference moves points one way, by `move`: along a tangent
+X by t, a group block (u(n) or b_+) multiplies its field by 1 + tX, a line
+adds tX.  `project` turns a tuple of the gradient type, such as a
+Hamiltonian map's value, into the tangent sum_a <D_a, V> B_a of each block,
+and `member_norm` measures arrays and tuples of them member by member.
+For each block, fd_grad moves every member of x by all 2*dim displacements
+tB at once, each by its own step scale*(1 + |member|) (fd_step, the one
+step rule; scale FD_STEP_SCALE unless given), and calls f once on the
+moved point as it is, of batch shape (2*dim,) + S: the fields the block
+leaves alone are x's own arrays.  `grads` sweeps several observables at
+once at FD_STEP_SCALE; the invariant observables among them share one call
+of the chart map to (U, L) per stencil stack, and every finite-difference
+gradient is memoized by the point's content and the step scale (see grads;
+clear_memos empties it).
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class SuthPoint:
         return self.Q.n
 
 
-# The point type of each chart.
-_POINT_TYPES = {"full": FullPoint, "red": RedPoint, "rs": RSPoint, "suth": SuthPoint}
+# The chart of each point type.
+_CHARTS_BY_TYPE = {FullPoint: "full", RedPoint: "red", RSPoint: "rs", SuthPoint: "suth"}
 
 # Axes of one point's field: the torus phases and p are vectors, the rest
 # matrices.  A batch of points adds its batch axes S in front.
@@ -146,11 +147,18 @@ def batch_shape(x) -> tuple:
     return np.broadcast_shapes(*(s for _, _, s in _arrays(x)))
 
 
-def _member_norm(a: np.ndarray, S: tuple) -> np.ndarray:
-    """np.linalg.norm of each member of the array a with batch axes S, of
-    shape S.  A member's sum of squares is the dot product re.re + im.im
-    that np.linalg.norm forms, so each value equals np.linalg.norm of the
-    member on its own, bit for bit."""
+def member_norm(a, S: tuple | None = None) -> np.ndarray:
+    """np.linalg.norm of each member of a, of shape S: a is an array with batch
+    axes S (None: all its axes but the last two, a stack of matrices) or a
+    tuple of such arrays, such as a gradient or tangent tuple, whose member
+    norm is the root of the sum of its components' squared ones.  A member's
+    sum of squares is the dot product re.re + im.im that np.linalg.norm
+    forms, so each value equals np.linalg.norm of the member on its own, bit
+    for bit."""
+    if isinstance(a, tuple):
+        return np.sqrt(sum(member_norm(c, S) ** 2 for c in a))
+    if S is None:
+        S = a.shape[:-2]
     r = a.reshape(S + (1, -1))
     sq = (r.real @ r.real.swapaxes(-1, -2))[..., 0, 0]
     if np.iscomplexobj(r):
@@ -164,7 +172,7 @@ def point_norm(x):
     of the point on its own, bit for bit."""
     total = 0.0
     for _, a, s in _arrays(x):
-        total = total + _member_norm(a, s) ** 2
+        total = total + member_norm(a, s) ** 2
     return np.sqrt(total)
 
 
@@ -244,40 +252,13 @@ class SuthGrad(NamedTuple):
 
 class _Block(NamedTuple):
     """One component of a chart gradient: derivatives along the basis of
-    `space`, displaced along `curve` ("line", "u_exp" or "nil_exp") and
-    applied to the point by move(point, displacement)."""
+    `space`, paired with its dual basis, that move the point's `field`.  A
+    group block (u(n) or b_+) multiplies it by 1 + D on `side` ("left" or
+    "right"); a line (side None) adds D, the torus phases Q taking Im diag D
+    and p taking Re diag D."""
     space: str
-    curve: str
-    move: Callable
-
-
-@lru_cache(maxsize=None)
-def _stacks(space: str, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The basis of `space` and its dual basis, algebra.dual_basis's read-only
-    (dim, n, n) stacks, and the squares of the basis elements, read-only too."""
-    B, D = algebra.dual_basis(space, n)
-    B2 = B @ B
-    B2.setflags(write=False)
-    return B, D, B2
-
-
-def _displacements(curve: str, space: str, n: int, t: np.ndarray) -> np.ndarray:
-    """Displacements along every basis element X of `space` at each of the
-    parameters t, an array of shape (m,) + S; of shape (m*dim,) + S + (n, n),
-    all directions at t[0] first.  Along X: the line tX, the u(n)
-    exponential 1 + sin t X + (1 - cos t) X^2 (each u(n) basis element has
-    X^3 = -X) or the nilpotent exponential 1 + tX."""
-    grow = (slice(None),) + (None,) * (t.ndim - 1)   # the axes S after the basis axis
-    B, _, B2 = _stacks(space, n)
-    B, B2 = B[grow], B2[grow]
-    t = t.reshape(t.shape[:1] + (1,) + t.shape[1:] + (1, 1))
-    if curve == "line":
-        D = t * B
-    elif curve == "u_exp":
-        D = np.eye(n) + np.sin(t) * B + (1.0 - np.cos(t)) * B2
-    else:
-        D = np.eye(n) + t * B
-    return D.reshape((-1,) + D.shape[2:])
+    field: str
+    side: str | None
 
 
 def _diag(D: np.ndarray) -> np.ndarray:
@@ -285,34 +266,69 @@ def _diag(D: np.ndarray) -> np.ndarray:
     return np.diagonal(D, axis1=-2, axis2=-1)
 
 
-# Per chart: the gradient tuple type and one block per component; each move
-# takes the displacements D, of shape (2*dim,) + S + (n, n) at a point of
-# batch shape S, and returns the moved points.  A line in u(n)_0 shifts the
-# torus phases by Im diag(tX); one in b(n)_0 or Herm(n)_0 shifts p by
-# Re diag(tX).
+# Per chart: the gradient tuple type and one block per component.
 _CHART_TABLE = {
-    "full": (FullGrad, (
-        _Block("u", "u_exp", lambda x, D: FullPoint(D @ x.g, x.L)),
-        _Block("u", "u_exp", lambda x, D: FullPoint(x.g @ D, x.L)),
-        _Block("herm", "line", lambda x, D: FullPoint(x.g, x.L + D)))),
-    "red": (RedGrad, (
-        _Block("u0", "line",
-               lambda x, D: RedPoint(x.Q.shifted(_diag(D).imag), x.L)),
-        _Block("herm", "line", lambda x, D: RedPoint(x.Q, x.L + D)))),
-    "rs": (RSGrad, (
-        _Block("u0", "line",
-               lambda x, D: RSPoint(x.Q.shifted(_diag(D).imag), x.p, x.lam)),
-        _Block("b0", "line",
-               lambda x, D: RSPoint(x.Q, x.p + _diag(D).real, x.lam)),
-        _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, D @ x.lam)),
-        _Block("bplus", "nil_exp", lambda x, D: RSPoint(x.Q, x.p, x.lam @ D)))),
-    "suth": (SuthGrad, (
-        _Block("u0", "line",
-               lambda x, D: SuthPoint(x.Q.shifted(_diag(D).imag), x.p, x.phi)),
-        _Block("herm0", "line",
-               lambda x, D: SuthPoint(x.Q, x.p + _diag(D).real, x.phi)),
-        _Block("hermperp", "line", lambda x, D: SuthPoint(x.Q, x.p, x.phi + D)))),
+    "full": (FullGrad, (_Block("u", "g", "left"), _Block("u", "g", "right"),
+                        _Block("herm", "L", None))),
+    "red": (RedGrad, (_Block("u0", "Q", None), _Block("herm", "L", None))),
+    "rs": (RSGrad, (_Block("u0", "Q", None), _Block("b0", "p", None),
+                    _Block("bplus", "lam", "left"), _Block("bplus", "lam", "right"))),
+    "suth": (SuthGrad, (_Block("u0", "Q", None), _Block("herm0", "p", None),
+                        _Block("hermperp", "phi", None))),
 }
+
+
+def _chart_of(x) -> str:
+    """The chart of the point x, read from its type; else ValueError naming it."""
+    chart = _CHARTS_BY_TYPE.get(type(x))
+    if chart is None:
+        raise ValueError(f"not a chart point: a {type(x).__name__}")
+    return chart
+
+
+def move(x, D):
+    """x moved by the displacement tuple D = tX along a tangent X, a tuple of
+    the gradient type of x's chart (read from x's type): block by block in
+    the table's order, a group block's field f becomes (1 + D_k) f or
+    f (1 + D_k) and a line's f + D_k (see _Block).  A None component leaves
+    its field as x's own array; the batch axes of D_k broadcast against
+    those of its field.  A central difference needs only the curve's point
+    and velocity at t = 0, so the group lines need no exponential: their
+    points leave the group at O(t^2), terms that are even in t and cancel."""
+    blocks = _CHART_TABLE[_chart_of(x)][1]
+    one = np.eye(x.n)
+    new = {name: getattr(x, name) for name, _ in _layout(type(x))}
+    for (_, name, side), d in zip(blocks, D, strict=True):
+        if d is None:
+            continue
+        a = new[name]
+        if side:
+            new[name] = (one + d) @ a if side == "left" else a @ (one + d)
+        elif name == "Q":
+            new[name] = a.shifted(_diag(d).imag)
+        else:
+            new[name] = a + (_diag(d).real if name == "p" else d)
+    return type(x)(**new)
+
+
+def _project(space: str, V: np.ndarray) -> np.ndarray:
+    """X = sum_a <D_a, V> B_a over the basis B of `space` and its dual basis
+    D, per member of the stack V (batch axes in front of (n, n)): the
+    identity on `space`, zero on the space D spans."""
+    n = V.shape[-1]
+    B, D = algebra.dual_basis(space, n)
+    c = algebra.pairing(D.reshape((len(D),) + (1,) * (V.ndim - 2) + (n, n)), V)
+    return np.dot(c.reshape(len(D), -1).T, B.reshape(len(B), -1)).reshape(V.shape)
+
+
+def project(x, V):
+    """The tangent at x of V, a tuple of the gradient type of x's chart such as
+    a sharp-map value: each component projected onto its block's space by
+    _project (a None component stays None), so a Hamiltonian map's value
+    becomes the vector field that move displaces x along."""
+    kind, blocks = _CHART_TABLE[_chart_of(x)]
+    return kind(*(None if v is None else _project(b.space, v)
+                  for b, v in zip(blocks, V, strict=True)))
 
 
 def _scale(scale) -> float:
@@ -330,44 +346,46 @@ def fd_step(x, scale: float | None = None):
     return _scale(scale) * (1.0 + point_norm(x))
 
 
-def fd_grad(f: Callable, chart: str, x, scale: float | None = None):
-    """Gradient tuple of f at x on `chart` by central differences.
+def fd_grad(f: Callable, x, scale: float | None = None):
+    """Gradient tuple of f at x on x's chart (read from its type; ValueError
+    for anything but a chart point) by central differences.
 
     x is a point of batch shape S (S = () for one point); each member gets its
     own step fd_step(member, scale) = scale*(1 + |member|), scale None being
     FD_STEP_SCALE (ValueError unless scale is a finite positive number).  Per
-    block, the displacements (all + steps, then all - steps) have shape
-    (2*dim,) + S + (n, n), and f is called once on x moved by them (batch
-    shape (2*dim,) + S; the fields the block leaves alone are x's own arrays,
-    which f must not write to); it returns an array with those leading axes,
-    whose differences are paired with the dual basis.  Every component has
-    shape S + (f's value axes after the batch axes) + (n, n), so one sweep
-    differentiates many functions at the same stencil points.  The
-    differences d, of shape (dim,) + rest, meet the dual basis in one matrix
-    product: the BLAS call of np.tensordot(d, dual, axes=(0, 0)), without
-    its Python-level set-up.  Member b's gradient equals that of the point
-    on its own, bit for bit.  Each component gets + 0.0 in place, so no
-    zero is -0.0 (the dual-basis product may sign one by the number of
-    functions); a function's part of a sweep then measures equal to fd_grad
-    of it alone (768 components, one BLAS), as CI's run of each registry
-    row alone from cleared memos checks."""
-    kind, blocks = _CHART_TABLE[chart]
-    S = batch_shape(x)
+    block, the displacements tB along the basis B of its space (all + steps,
+    then all - steps) have shape (2*dim,) + S + (n, n), and f is called once
+    on move(x, displacements) (batch shape (2*dim,) + S; the fields the block
+    leaves alone are x's own arrays, which f must not write to); it returns
+    an array with those leading axes, whose differences are paired with the
+    dual basis.  Every component has shape S + (f's value axes after the
+    batch axes) + (n, n), so one sweep differentiates many functions at the
+    same stencil points.  The differences d, of shape (dim,) + rest, meet
+    the dual basis in one matrix product: the BLAS call of
+    np.tensordot(d, dual, axes=(0, 0)), without its Python-level set-up.
+    Member b's gradient equals that of the point on its own, bit for bit.
+    Each component gets + 0.0 in place, so no zero is -0.0 (the dual-basis
+    product may sign one by the number of functions); a function's part of
+    a sweep then measures equal to fd_grad of it alone (768 components, one
+    BLAS), as CI's run of each registry row alone from cleared memos checks."""
+    kind, blocks = _CHART_TABLE[_chart_of(x)]
+    S, n = batch_shape(x), x.n
     h = np.full(S, fd_step(x, scale))
-    t = np.array((h, -h))
+    t = np.array((h, -h)).reshape((2, 1) + S + (1, 1))
+    grow = (slice(None),) + (None,) * len(S)   # the axes S after the basis axis
     out = []
-    for space, curve, move in blocks:
-        D = _displacements(curve, space, x.n, t)
-        batch = D.shape[:-2]
-        v = np.asarray(f(move(x, D)))
+    for k, block in enumerate(blocks):
+        B, dual = algebra.dual_basis(block.space, n)
+        D = [None] * len(blocks)
+        D[k] = (t * B[grow]).reshape((-1,) + S + (n, n))
+        batch, m = D[k].shape[:-2], len(B)
+        v = np.asarray(f(move(x, kind(*D))))
         if v.shape[:len(batch)] != batch:
             raise ValueError(f"f must map points of batch shape {batch} to an array "
                              f"with those leading axes; got shape {v.shape}")
-        k = len(D) // 2
-        d = v[:k] - v[k:]
+        d = v[:m] - v[m:]
         d /= 2.0 * h.reshape(S + (1,) * (d.ndim - len(batch)))
-        dual = _stacks(space, x.n)[1]
-        c = np.dot(d.reshape(k, -1).T, dual.reshape(k, -1)).reshape(d.shape[1:] + (x.n, x.n))
+        c = np.dot(d.reshape(m, -1).T, dual.reshape(m, -1)).reshape(d.shape[1:] + (n, n))
         out.append(np.add(c, 0.0, out=c))
     return kind(*out)
 
@@ -426,38 +444,36 @@ def _point_key(x, arrays: list, scale: float) -> tuple:
     return type(x), digest.digest(), scale
 
 
-def grads(Fs, x, scale: float | None = None) -> list:
+def grads(Fs, x) -> list:
     """Gradient tuples of the observables Fs of one chart at x, a point of
     that chart (else ValueError naming the charts): an analytic F.grad
     broadcast to batch_shape(x), every other distinct value's (hashable,
-    else ValueError) from the memo or else from one fd_grad sweep at `scale`
-    over all the missing values; each equals fd_grad of F.value alone.  The
-    scale is resolved and checked as fd_grad does it, before any lookup.
+    else ValueError) from the memo or else from one fd_grad sweep at
+    FD_STEP_SCALE (read now) over all the missing values; each equals
+    fd_grad of F.value alone.
 
-    _GRADS maps a value and _point_key(x, ..., scale) to the read-only
-    gradient tuple of a finished sweep; a sweep that raises stores nothing.
-    A hit does no arithmetic: the steps are formed on a miss only, and a
-    given scale equal to FD_STEP_SCALE shares the default's entry.  The memo
-    keeps the _MEMO_SIZE most recently used entries and does not see a
-    patched chart map: code that swaps one calls clear_memos() first."""
+    _GRADS maps a value and _point_key(x, ..., FD_STEP_SCALE) to the
+    read-only gradient tuple of a finished sweep; a sweep that raises stores
+    nothing.  A hit does no arithmetic: the steps are formed on a miss only.
+    The memo keeps the _MEMO_SIZE most recently used entries and does not
+    see a patched chart map: code that swaps one calls clear_memos() first."""
     charts = {F.chart for F in Fs}
-    if len(charts) > 1 or any(not isinstance(x, _POINT_TYPES[c]) for c in charts):
+    if charts - {_CHARTS_BY_TYPE.get(type(x))}:
         raise ValueError(f"grads takes observables of one chart at a point of it; "
                          f"got charts {sorted(charts)} at a {type(x).__name__}")
     try:
         values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
     except TypeError as e:
         raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
-    scale = _scale(scale)
     arrays = _arrays(x)
     S = np.broadcast_shapes(*(s for _, _, s in arrays))
     got = {}
     if values:
-        key = _point_key(x, arrays, scale)
+        key = _point_key(x, arrays, FD_STEP_SCALE)
         got = {v: _GRADS.lookup((v, key)) for v in values}
         missing = [v for v in values if got[v] is None]
         if missing:
-            D = fd_grad(partial(_values, missing), Fs[0].chart, x, scale)
+            D = fd_grad(partial(_values, missing), x, FD_STEP_SCALE)
             for i, v in enumerate(missing):
                 g = got[v] = type(D)(*(c[..., i, :, :] for c in D))
                 for c in g:
@@ -467,10 +483,10 @@ def grads(Fs, x, scale: float | None = None) -> list:
         *(np.broadcast_to(c, S + c.shape[-2:]) for c in F.grad(x))) for F in Fs]
 
 
-def grad(F: Observable, x, scale: float | None = None):
-    """Gradient tuple of F at x on F's chart, grads((F,), x, scale)[0]; each
+def grad(F: Observable, x):
+    """Gradient tuple of F at x on F's chart, grads((F,), x)[0]; each
     grad_<chart> states its defining identity."""
-    return grads((F,), x, scale)[0]
+    return grads((F,), x)[0]
 
 
 _GRADS = _Memo(_MEMO_SIZE)

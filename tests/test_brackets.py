@@ -338,8 +338,8 @@ def _per_pair_jacobiator(brackets, F, G, H, x):
                        b.contract(ys, dF, dG)] for b in brackets])
         return np.moveaxis(T, (0, 1), (-2, -1))
 
-    outer = phase.grads((F, G, H), x, config.FD_OUTER_STEP_SCALE)
-    D = phase.fd_grad(inner, F.chart, x, config.FD_OUTER_STEP_SCALE)
+    outer = [phase.fd_grad(A.value, x, config.FD_OUTER_STEP_SCALE) for A in (F, G, H)]
+    D = phase.fd_grad(inner, x, config.FD_OUTER_STEP_SCALE)
     d_inner = [[type(D)(*(part[..., i, c, :, :] for part in D)) for c in range(3)]
                for i in range(len(brackets))]
     return np.array([[sum(b.contract(x, dA, dBC) for dA, dBC in zip(outer, row))
@@ -503,7 +503,7 @@ def _covectors(chart, n, shape, rng):
     combinations of each block's dual basis, of batch shape `shape`: covectors
     of the right spaces, but no gradient of any function."""
     kind, blocks = phase._CHART_TABLE[chart]
-    duals = (phase._stacks(b.space, n)[1] for b in blocks)
+    duals = (algebra.dual_basis(b.space, n)[1] for b in blocks)
     return kind(*(np.tensordot(rng.standard_normal(shape + (len(D),)), D, axes=1)
                   for D in duals))
 
@@ -532,7 +532,7 @@ def test_hamiltonian_maps_give_the_flow_velocity(n):
     # dH_k give it: each slot paired with the dual basis of its block is the
     # velocity's coordinates in that block's basis, 0 for a None slot
     x = sample_points("full", n, range(5))
-    duals = [phase._stacks(b.space, n)[1][:, None] for b in phase._CHART_TABLE["full"][1]]
+    duals = [algebra.dual_basis(b.space, n)[1][:, None] for b in phase._CHART_TABLE["full"][1]]
     dH = phase.grads([hamiltonian_observable(k) for k in range(1, 5)], x)
     for k in (1, 2, 3):
         iLk = 1j * np.linalg.matrix_power(x.L, k)

@@ -567,11 +567,11 @@ def test_grad_norm_equals_norm_of_each_member():
     Fs = [phase.invariant_observable(*p, chart="rs") for p in ((2, 1, "im"), (0, 2, "re"))]
     for n in (2, 3, 4, 5):
         gs = phase.grads(Fs, phase.sample_points("rs", n, (0, 1, 2)))
-        got = checks._grad_norm(gs[0])
+        got = phase.member_norm(gs[0])
         assert got.shape == (3,)
         for i in range(3):
             assert got[i] == float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in gs[0])))
-        got = checks._grad_norm(br.stack(gs))
+        got = phase.member_norm(br.stack(gs))
         assert got.shape == (2, 3)
         for p, g in enumerate(gs):
             for i in range(3):
@@ -649,7 +649,7 @@ def _ref_transfer(bracket, ref_bracket, to_ref, n, seeds):
                                   _ref_pair_grads(checks.invariant_pairs(ref_bracket.chart), y)):
         a = bracket.contract(x, dF, dH)
         b = ref_bracket.contract(y, df, dh)
-        scale = 1.0 + abs(a) + abs(b) + checks._grad_norm(dF) * checks._grad_norm(dH)
+        scale = 1.0 + abs(a) + abs(b) + phase.member_norm(dF) * phase.member_norm(dH)
         out.append((abs(a - b), scale))
     return out
 
