@@ -47,7 +47,7 @@ class CheckSpec:
     def __post_init__(self):
         for name, low in (("n", 2), ("seeds", 1)):   # errors that name the field
             object.__setattr__(self, name, phase._index(getattr(self, name), name, low))
-        if self.check_id not in CHECKS:
+        if not isinstance(self.check_id, str) or self.check_id not in CHECKS:
             raise KeyError(f"unknown check id {self.check_id!r}")
 
 

@@ -33,7 +33,8 @@ moved point as it is, of batch shape (2*dim,) + S: the fields the block
 leaves alone are x's own arrays.  `grads` sweeps several observables at
 once at FD_STEP_SCALE; the invariant observables among them share one call
 of the chart map to (U, L) per stencil stack, and every finite-difference
-gradient is memoized by the point's content and the step scale (see grads;
+gradient is memoized under the point's exact content (the type, and the
+dtype, shape and bytes of each field) and the step scale (see grads;
 clear_memos empties it).
 """
 
@@ -42,16 +43,11 @@ from __future__ import annotations
 import numbers
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-try:  # hashlib would also load OpenSSL, about 4 ms of import time
-    from _blake2 import blake2b
-except ImportError:  # an interpreter built without its own blake2
-    from hashlib import blake2b
 
 from . import algebra
 from .algebra import TorusReg
@@ -433,17 +429,6 @@ class _Memo(OrderedDict):
         self.hits = 0
 
 
-def _point_key(x, arrays: list, scale: float) -> tuple:
-    """Key of the point x (fields `arrays`, _arrays(x)) swept at `scale`:
-    its type, a 128-bit blake2b digest of the dtype, shape and bytes of each
-    field (equal content, in any memory layout, gives x's key) and the scale."""
-    digest = blake2b(digest_size=16)
-    for _, a, _ in arrays:
-        digest.update(f"{a.dtype.str}{a.shape}".encode())
-        digest.update(np.ascontiguousarray(a))
-    return type(x), digest.digest(), scale
-
-
 def grads(Fs, x) -> list:
     """Gradient tuples of the observables Fs of one chart at x, a point of
     that chart (else ValueError naming the charts): an analytic F.grad
@@ -452,11 +437,16 @@ def grads(Fs, x) -> list:
     FD_STEP_SCALE (read now) over all the missing values; each equals
     fd_grad of F.value alone.
 
-    _GRADS maps a value and _point_key(x, ..., FD_STEP_SCALE) to the
-    read-only gradient tuple of a finished sweep; a sweep that raises stores
-    nothing.  A hit does no arithmetic: the steps are formed on a miss only.
-    The memo keeps the _MEMO_SIZE most recently used entries and does not
-    see a patched chart map: code that swaps one calls clear_memos() first."""
+    _GRADS maps a value and the key of x to the read-only gradient tuple of
+    a finished sweep; a sweep that raises stores nothing.  The key, formed
+    once per call, is x's type, FD_STEP_SCALE and the dtype, shape and bytes
+    of each field: equal content in any memory layout gives x's key, and a
+    changed bit, dtype or batch shape another.  A field of object dtype,
+    whose bytes are element addresses, raises ValueError naming it before
+    any lookup.  A hit does no arithmetic: the steps are formed on a miss
+    only.  The memo keeps the _MEMO_SIZE most recently used entries and does
+    not see a patched chart map: code that swaps one calls clear_memos()
+    first."""
     charts = {F.chart for F in Fs}
     if charts - {_CHARTS_BY_TYPE.get(type(x))}:
         raise ValueError(f"grads takes observables of one chart at a point of it; "
@@ -469,16 +459,20 @@ def grads(Fs, x) -> list:
     S = np.broadcast_shapes(*(s for _, _, s in arrays))
     got = {}
     if values:
-        key = _point_key(x, arrays, FD_STEP_SCALE)
+        for (name, _), (_, a, _) in zip(_layout(type(x)), arrays):
+            if a.dtype.hasobject:
+                raise ValueError(f"grads needs numeric fields; {name} has dtype {a.dtype}")
+        key = (type(x), FD_STEP_SCALE) + tuple((a.dtype.str, a.shape, a.tobytes())
+                                                for _, a, _ in arrays)
         got = {v: _GRADS.lookup((v, key)) for v in values}
         missing = [v for v in values if got[v] is None]
         if missing:
             D = fd_grad(partial(_values, missing), x, FD_STEP_SCALE)
+            for c in D:   # the values' views below inherit the flag
+                c.setflags(write=False)
             for i, v in enumerate(missing):
-                g = got[v] = type(D)(*(c[..., i, :, :] for c in D))
-                for c in g:
-                    c.setflags(write=False)
-                _GRADS.store((v, key), g)
+                got[v] = type(D)(*(c[..., i, :, :] for c in D))
+                _GRADS.store((v, key), got[v])
     return [got[F.value] if F.grad is None else _CHART_TABLE[F.chart][0](
         *(np.broadcast_to(c, S + c.shape[-2:]) for c in F.grad(x))) for F in Fs]
 
@@ -563,25 +557,11 @@ _UL_MAPS = {
 class _Trace:
     """Value Re/Im tr(U^m L^k) of an invariant observable on `chart`:
     `at(U, L)` reads it at the (U, L) of the chart's map as
-    algebra.trace_product(U^m, L^k); called on x, of batch_shape(x).  Its
-    hash, that of the tuple of its fields, is computed once, at
-    construction: every memo lookup under it takes the stored value.  A
-    pickled _Trace is rebuilt from its fields, so another process, whose
-    string hashes differ, computes its own."""
+    algebra.trace_product(U^m, L^k); called on x, of batch_shape(x)."""
     chart: str
     m: int
     k: int
     part: str
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.chart, self.m, self.k, self.part)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return _Trace, (self.chart, self.m, self.k, self.part)
 
     def __call__(self, x):
         return np.broadcast_to(self.at(*_UL_MAPS[self.chart](x)), batch_shape(x))
@@ -692,10 +672,7 @@ def sample_point(chart: str, n: int, seed: int):
     off-diagonal Hermitian phi.  The point is drawn once per (chart, n, seed)
     and shared: its arrays are read-only, so copy one before editing it.
     n >= 2 and seed >= 0 are integers (an error names the one that is not)."""
-    if chart not in CHARTS:
-        raise ValueError(f"unknown chart {chart!r}")
-    n, seed = _index(n, "n", 2), _index(seed, "seed", 0)
-    return _draw(chart, n, seed)
+    return _draw(_chart_name(chart), _index(n, "n", 2), _index(seed, "seed", 0))
 
 
 @lru_cache(maxsize=_MEMO_SIZE, typed=True)
@@ -719,8 +696,10 @@ def _draw(chart: str, n: int, seed: int):
 def sample_points(chart: str, n: int, seeds):
     """The sample_point of each seed, stacked into one point of batch shape
     (len(seeds),): member i equals sample_point(chart, n, seeds[i]).  Drawn
-    once per seed tuple and read-only, as sample_point; a non-integer seed
-    raises TypeError even for a tuple drawn before, no seed ValueError."""
+    once per seed tuple and read-only, as sample_point; the arguments are
+    checked as there before the memo, so a non-integer seed raises TypeError
+    even for a tuple drawn before, no seed ValueError."""
+    chart, n = _chart_name(chart), _index(n, "n", 2)
     seeds = tuple(_index(seed, "seed", 0) for seed in seeds)
     if not seeds:
         raise ValueError("need at least one seed")

@@ -38,6 +38,8 @@ def test_registry_suites_cover_all_checks():
 def test_spec_validation():
     with pytest.raises(KeyError):
         CheckSpec("no-such-check")
+    with pytest.raises(KeyError, match="unknown check id"):   # unhashable: not a TypeError
+        CheckSpec(["antisymmetry"])
     with pytest.raises(ValueError):
         CheckSpec("antisymmetry", n=1)
     with pytest.raises(ValueError):

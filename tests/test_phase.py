@@ -91,6 +91,8 @@ def test_sample_point_names_a_non_integer_n_or_seed():
     with pytest.raises(TypeError, match="seed must be an integer, got 1.0"):
         sample_point("full", 2, 1.0)
     assert sample_point("full", np.int64(2), np.int64(0)) is sample_point("full", 2, 0)
+    with pytest.raises(TypeError, match=r"n must be an integer, got \[2\]"):
+        phase.sample_points("full", [2], (0,))
 
 
 def test_sample_points_rejects_an_empty_seed_tuple():
@@ -131,8 +133,12 @@ def test_sample_rejects_small_n():
 
 
 def test_sample_rejects_unknown_chart():
-    with pytest.raises(ValueError, match="unknown chart"):
-        sample_point("bogus", 2, 0)
+    # an unhashable chart too, before the memo of either sampler hashes it
+    for chart in ("bogus", ["full"]):
+        with pytest.raises(ValueError, match="unknown chart"):
+            sample_point(chart, 2, 0)
+        with pytest.raises(ValueError, match="unknown chart"):
+            phase.sample_points(chart, 2, (0,))
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +291,16 @@ def _stack(points):
         else np.stack(vs) for vs in zip(*map(values, points))))
 
 
+def _relaid(x, lay):
+    """x with each field array a replaced by lay(a)."""
+    return type(x)(*(TorusReg(lay(a)) if isinstance(v, TorusReg) else lay(a)
+                     for v, a, _ in phase._arrays(x)))
+
+
 def _wide(x, m):
     """x with every field broadcast (a read-only view) to a leading axis of
     length m."""
-    def wide(a):
-        return np.broadcast_to(a, (m,) + a.shape)
-    return type(x)(*(TorusReg(wide(a)) if isinstance(v, TorusReg) else wide(a)
-                     for v, a, _ in phase._arrays(x)))
+    return _relaid(x, lambda a: np.broadcast_to(a, (m,) + a.shape))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -528,6 +537,13 @@ def _rebuilt(x, edit=None):
     return type(x)(*values)
 
 
+def _reversed_view(a):
+    """A view of a copy of a, reversed along every axis, that reads as a."""
+    view = np.flip(np.flip(a).copy())
+    assert all(s < 0 for s in view.strides)
+    return view
+
+
 def _one_ulp_up(a):
     z = a.reshape(-1)[1]
     a.reshape(-1)[1] = (complex(np.nextafter(z.real, np.inf), z.imag)
@@ -568,6 +584,32 @@ def test_memo_keys_on_the_content_of_the_point_and_the_step_rule(chart, monkeypa
     assert len(phase._GRADS) == 2 + len(dataclasses.fields(x)) + 2
     monkeypatch.undo()
     assert phase.grad(F, x) is g
+    # the key is the content in C order: a Fortran-ordered copy and a
+    # negative-stride view of equal content hit
+    for lay in (np.asfortranarray, _reversed_view):
+        assert phase.grad(F, _relaid(x, lay)) is g
+    assert phase._GRADS.hits == 6
+    # identical bytes under batch shapes (2,) and (2, 1) key apart
+    y = _stack([x, x])
+    z = _relaid(y, lambda a: a[:, None])
+    entries = len(phase._GRADS)
+    gz = phase.grad(F, z)
+    assert len(phase._GRADS) == entries + 1 and gz[0].shape[:2] == (2, 1)
+    for a, c in zip(gz, phase.grad(F, y), strict=True):
+        assert a[:, 0].tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("chart,name", [("full", "g"), ("red", "L")])
+def test_grads_refuses_an_object_field_before_any_lookup(chart, name, monkeypatch):
+    # an object array's bytes are element addresses, so no key is built from
+    # them: the ValueError names the field, and the memo is not consulted
+    F = invariant_observable(1, 1, "re", chart=chart)
+    x = sample_point(chart, 3, 0)
+    y = dataclasses.replace(x, **{name: getattr(x, name).astype(object)})
+    calls = _counted(monkeypatch, phase._GRADS, "lookup", "store")
+    with pytest.raises(ValueError, match=f"{name} has dtype object"):
+        phase.grad(F, y)
+    assert calls == {"lookup": 0, "store": 0}
 
 
 def _counted(monkeypatch, module, *names):
