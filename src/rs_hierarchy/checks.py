@@ -77,14 +77,17 @@ _TRIPLE_PARAMS = ((1, 1, "re"), (0, 2, "re"), (1, 0, "re"))
 
 _HK_PAIRS = (((1,), (2,)), ((1,), (3,)), ((2,), (3,)))
 
+_HK_LADDER = tuple((k,) for k in range(1, 6))   # H_1..H_5
+
 
 @lru_cache(maxsize=phase._MEMO_SIZE)
 def _family(factory, chart, params) -> tuple:
     """factory(*p, chart=chart) for each parameter tuple p of params, nested
     as params is (a tuple of pairs of them gives a tuple of pairs), each
-    distinct p built once.  The family is built once per factory, chart and
-    params: a repeated call returns the same tuple, and a factory swapped in
-    (by a test, say) builds its own."""
+    distinct p built once.  A pure table: the family is built once per
+    factory, chart and params, a repeated call returns the same tuple, and
+    a factory swapped in (by a test, say) builds its own.  So the rows that
+    take their observables from it build none per call."""
     built = {}
 
     def nest(p):
@@ -188,10 +191,9 @@ def _ladder_samples(pb1, pb2, n, seeds):
     dF and the analytic dH_1..dH_5 come from one grads call, and each
     bracket contracts dF with all of its dH_k at once."""
     chart = pb1.chart
-    F = invariant_observable(1, 1, "re", chart=chart)
+    F = _family(invariant_observable, chart, ((1, 1, "re"),))[0]
     x = sample_points(chart, n, seeds)
-    Hs = [hamiltonian_observable(k, chart=chart) for k in range(1, 6)]
-    dF, *dH = phase.grads([F] + Hs, x)
+    dF, *dH = phase.grads((F,) + _family(hamiltonian_observable, chart, _HK_LADDER), x)
     dH = br.stack(dH)
     a = pb2.contract(x, dF, br.take(dH, slice(0, 4)))
     b = pb1.contract(x, dF, br.take(dH, slice(1, 5)))
@@ -203,7 +205,7 @@ def check_involutivity(n, seeds):
     brackets; each contracts the whole grid of the analytic dH_k at once,
     its rows and columns broadcast views of one stack."""
     x = sample_points("full", n, seeds)
-    Hs = [hamiltonian_observable(k) for k in range(1, 6)]
+    Hs = _family(hamiltonian_observable, "full", _HK_LADDER)
     dH = br.stack(phase.grads(Hs, x))
     rows, cols = br.take(dH, np.s_[:, None]), br.take(dH, np.s_[None, :])
     V = np.array([b.contract(x, rows, cols) for b in (br.pb1_full, br.pb2_full)])
@@ -232,19 +234,22 @@ def _transfer_samples(bracket, ref_bracket, to_ref, n, seeds):
 
 def _pd_red_points(n, seeds):
     """Reduced points with positive definite L = A A^dagger + 1/2, one per
-    seed, stacked; Q is that of sample_points("red", n, seeds).  Drawn once
-    per (n, seed tuple) and read-only, as sample_points."""
-    return _pd_red_stack(n, tuple(seeds))
+    seed, stacked, and read-only.  Q is read from sample_points("red", n,
+    seeds) on each call, so it follows a swapped sampler after
+    phase.clear_memos(); the L stack, a pure table of its own seeds, is
+    drawn once per (n, seed tuple)."""
+    return RedPoint(sample_points("red", n, seeds).Q, _pd_stack(n, tuple(seeds)))
 
 
 @lru_cache(maxsize=phase._MEMO_SIZE)
-def _pd_red_stack(n: int, seeds: tuple) -> RedPoint:
+def _pd_stack(n: int, seeds: tuple) -> np.ndarray:
     def pd(seed):
         rng = np.random.default_rng([23, n, seed])
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return A @ A.conj().T + 0.5 * np.eye(n)
-    L = np.stack([pd(seed) for seed in seeds])
-    return phase._read_only(RedPoint(sample_points("red", n, seeds).Q, make_hermitian(L)))
+    L = make_hermitian(np.stack([pd(seed) for seed in seeds]))
+    L.setflags(write=False)
+    return L
 
 
 def _chol_cond_factor(L) -> np.ndarray:

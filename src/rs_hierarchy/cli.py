@@ -19,7 +19,7 @@ import numpy as np
 
 from . import brackets as br
 from . import checks, dynamics, reporting
-from .phase import invariant_observable, sample_point
+from .phase import CHARTS, invariant_observable, sample_point
 
 
 def _config_error(msg: str):
@@ -74,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", required=True)
 
     b = sub.add_parser("bracket", help="evaluate one Poisson bracket")
-    b.add_argument("--chart", required=True, choices=("full", "red", "rs", "suth"))
-    b.add_argument("--which", required=True, type=int, choices=(1, 2))
+    b.add_argument("--chart", required=True, choices=CHARTS)
+    b.add_argument("--which", required=True, type=int, choices=sorted({w for _, w in br.BRACKETS}))
     b.add_argument("--f", required=True, help="observable as m,k,part")
     b.add_argument("--h", dest="h_obs", required=True, help="observable as m,k,part")
     b.add_argument("--seed", type=int, default=0)

@@ -35,14 +35,13 @@ once at FD_STEP_SCALE; the invariant observables among them share one call
 of the chart map to (U, L) per stencil stack, and every finite-difference
 gradient is memoized under the point's exact content (the type, and the
 dtype, shape and bytes of each field) and the step scale (see grads;
-clear_memos empties it).
+clear_memos empties it and states the rule of every cache).
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -162,12 +161,25 @@ def member_norm(a, S: tuple | None = None) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _numeric_arrays(x) -> list:
+    """_arrays(x), or a ValueError naming the first field of object dtype:
+    finite differences neither measure nor key such a field (its bytes are
+    element addresses), though the sharp maps take one."""
+    arrays = _arrays(x)
+    for (name, _), (_, a, _) in zip(_layout(type(x)), arrays):
+        if a.dtype.hasobject:
+            raise ValueError(f"finite differences need numeric fields; "
+                             f"{name} has dtype {a.dtype}")
+    return arrays
+
+
 def point_norm(x):
     """Norm of the coordinate arrays of x, one value per member (shape
     batch_shape(x); a shared field counts for every member), equal to that
-    of the point on its own, bit for bit."""
+    of the point on its own, bit for bit.  A field of object dtype raises
+    ValueError naming it (_numeric_arrays), so fd_step and fd_grad do too."""
     total = 0.0
-    for _, a, s in _arrays(x):
+    for _, a, s in _numeric_arrays(x):
         total = total + member_norm(a, s) ** 2
     return np.sqrt(total)
 
@@ -404,9 +416,9 @@ def _values(values, y) -> np.ndarray:
     return np.concatenate([a[..., None] for a in out], -1)
 
 
-class _Memo(OrderedDict):
-    """Map of at most `size` entries that drops the least recently used one
-    and counts its hits."""
+class _Memo(dict):
+    """Map that counts its hits and empties itself, hit count kept, when it
+    holds `size` entries and another is stored."""
 
     def __init__(self, size: int):
         super().__init__()
@@ -415,14 +427,13 @@ class _Memo(OrderedDict):
     def lookup(self, key):
         value = self.get(key)
         if value is not None:
-            self.move_to_end(key)
             self.hits += 1
         return value
 
     def store(self, key, value) -> None:
+        if len(self) >= self.size:
+            super().clear()
         self[key] = value
-        if len(self) > self.size:
-            self.popitem(last=False)
 
     def clear(self) -> None:
         super().clear()
@@ -441,12 +452,12 @@ def grads(Fs, x) -> list:
     a finished sweep; a sweep that raises stores nothing.  The key, formed
     once per call, is x's type, FD_STEP_SCALE and the dtype, shape and bytes
     of each field: equal content in any memory layout gives x's key, and a
-    changed bit, dtype or batch shape another.  A field of object dtype,
-    whose bytes are element addresses, raises ValueError naming it before
-    any lookup.  A hit does no arithmetic: the steps are formed on a miss
-    only.  The memo keeps the _MEMO_SIZE most recently used entries and does
-    not see a patched chart map: code that swaps one calls clear_memos()
-    first."""
+    changed bit, dtype or batch shape another.  A field of object dtype
+    raises ValueError naming it before any lookup (_numeric_arrays).  A hit
+    does no arithmetic: the steps are formed on a miss only.  The memo
+    empties itself when a store would take it past _MEMO_SIZE entries, and
+    it does not see a patched chart map: code that swaps one calls
+    clear_memos() first."""
     charts = {F.chart for F in Fs}
     if charts - {_CHARTS_BY_TYPE.get(type(x))}:
         raise ValueError(f"grads takes observables of one chart at a point of it; "
@@ -455,13 +466,10 @@ def grads(Fs, x) -> list:
         values = list(dict.fromkeys(F.value for F in Fs if F.grad is None))
     except TypeError as e:
         raise ValueError(f"an observable without grad needs a hashable value: {e}") from None
-    arrays = _arrays(x)
+    arrays = (_numeric_arrays if values else _arrays)(x)
     S = np.broadcast_shapes(*(s for _, _, s in arrays))
     got = {}
     if values:
-        for (name, _), (_, a, _) in zip(_layout(type(x)), arrays):
-            if a.dtype.hasobject:
-                raise ValueError(f"grads needs numeric fields; {name} has dtype {a.dtype}")
         key = (type(x), FD_STEP_SCALE) + tuple((a.dtype.str, a.shape, a.tobytes())
                                                 for _, a, _ in arrays)
         got = {v: _GRADS.lookup((v, key)) for v in values}
@@ -487,8 +495,12 @@ _GRADS = _Memo(_MEMO_SIZE)
 
 
 def clear_memos() -> None:
-    """Empty the memos of sample points, their stacks and gradients: the
-    precondition of code that swaps a chart map, sampler or trace form."""
+    """Empty the memos of sample points, their stacks and gradients (_draw,
+    _stack, _GRADS): the precondition of code that swaps a chart map,
+    sampler or trace form.  These are the only memos.  Every other cache is
+    a pure table keyed by everything its value depends on (algebra.basis,
+    dual_basis and off_diagonal, _layout, checks._family and the positive
+    definite L stacks of checks._pd_red_points), which no swap can stale."""
     _GRADS.clear()
     _draw.cache_clear()
     _stack.cache_clear()
@@ -578,36 +590,26 @@ def invariant_observable(m: int, k: int, part: str = "re",
     with its restriction to each chart through the coordinate maps.  Its
     value is a _Trace read at the chart's (U, L) map, so `_values` maps each
     stencil stack once for all such observables of one sweep.  m, k >= 0
-    are integers, not both zero.  The arguments are checked first; the
-    observable is then built once per (m, k, part, chart), and a repeated
-    call returns the same object."""
+    are integers, not both zero; the arguments are checked first.  Each
+    call builds a new observable, a value: those of equal arguments compare
+    and hash equal, so they share grads' memo entries."""
     m, k = _index(m, "m", 0), _index(k, "k", 0)
     if (m, k) == (0, 0):
         raise ValueError("need (m, k) != (0, 0)")
     if part not in ("re", "im"):
         raise ValueError(f"unknown part {part!r}")
-    return _invariant(m, k, part, _chart_name(chart))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _invariant(m: int, k: int, part: str, chart: str) -> Observable:
-    return Observable(chart, _Trace(chart, m, k, part),
-                      name=f"{part}-tr(g^{m} L^{k})[{chart}]")
+    chart = _chart_name(chart)
+    return Observable(chart, _Trace(chart, m, k, part), name=f"{part}-tr(g^{m} L^{k})[{chart}]")
 
 
 def hamiltonian_observable(k: int, chart: str = "full") -> Observable:
     """Free Hamiltonian H_k = tr(L^k)/k, valued by algebra.power_traces as
     dynamics.hk, with its analytic gradient (d2 H_k = i L^{k-1}, all
-    group-direction derivatives zero); k is an integer >= 1.  Checked and
-    built once per (k, chart) as invariant_observable."""
+    group-direction derivatives zero); k is an integer >= 1, checked first.
+    Each call builds a new observable; its analytic gradient needs no memo."""
     k = _index(k, "k", 1)
     if chart not in ("full", "red"):
         raise ValueError("analytic Hamiltonians live on the full or reduced chart")
-    return _hamiltonian(k, chart)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _hamiltonian(k: int, chart: str) -> Observable:
     zeros = len(_CHART_TABLE[chart][0]._fields) - 1   # the group directions
 
     def g(x):

@@ -250,19 +250,29 @@ def test_antisymmetry_hk_takes_each_gradient_once(monkeypatch):
 
 
 def test_observable_families_are_built_once_as_tuples():
-    # a repeated family call returns the same tuple, of the factories' own
-    # observables; a Hamiltonian in two pairs is one object
+    # a repeated family call returns the same tuple, of observables equal to
+    # the factories' own; each distinct parameter tuple is built once, so a
+    # Hamiltonian in two pairs is one object
     for chart in phase.CHARTS:
         pairs, triple = checks.invariant_pairs(chart), checks.invariant_triple(chart)
         assert checks.invariant_pairs(chart) is pairs and checks.invariant_triple(chart) is triple
         assert type(pairs) is tuple and all(type(pair) is tuple for pair in pairs)
         assert type(triple) is tuple
-        assert pairs[0][0] is triple[0] is phase.invariant_observable(1, 1, "re", chart=chart)
+        assert pairs[0][0] == triple[0] == phase.invariant_observable(1, 1, "re", chart=chart)
     hk = checks._hamiltonian_pairs("full")
     assert checks._hamiltonian_pairs("full") is hk and type(hk) is tuple
     assert [(F.name, H.name) for F, H in hk] == [
         ("H_1[full]", "H_2[full]"), ("H_1[full]", "H_3[full]"), ("H_2[full]", "H_3[full]")]
-    assert hk[0][0] is hk[1][0] is phase.hamiltonian_observable(1)
+    assert hk[0][0] is hk[1][0] and hk[0][1] is hk[2][0]
+    built = []
+
+    def factory(*p, chart):
+        built.append((p, chart))
+        return object()
+    family = checks._family(factory, "red", checks._HK_PAIRS)
+    assert checks._family(factory, "red", checks._HK_PAIRS) is family
+    assert sorted(built) == [((1,), "red"), ((2,), "red"), ((3,), "red")]
+    assert family[0][0] is family[1][0] and family[1][1] is family[2][1]
 
 
 @pytest.mark.parametrize("family", [checks.invariant_pairs, checks.invariant_triple,
@@ -553,14 +563,74 @@ def test_stacked_round_trips_equal_the_one_point_form(check_id):
             assert s.tobytes() == np.array([w[k][1] for w in want]).tobytes(), (n, k)
 
 
-def test_pd_red_points_are_drawn_once_per_seed_tuple_and_read_only():
-    # a repeated call returns the same read-only stack, whose members equal
-    # the one-seed draws; the stacked round trips above check its values
+def test_pd_red_points_draw_their_l_stack_once_and_are_read_only():
+    # a repeated call takes the same read-only L stack, whose members equal
+    # the one-seed draws, and the Q of the red sample stack; the stacked
+    # round trips above check their values
     x = checks._pd_red_points(3, (0, 1, 2))
-    assert checks._pd_red_points(3, [0, 1, 2]) is x
+    assert checks._pd_red_points(3, [0, 1, 2]).L is x.L
+    assert x.Q is phase.sample_points("red", 3, (0, 1, 2)).Q
     assert not x.L.flags.writeable and not x.Q.q.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        x.L[...] = 0.0
     for i, seed in enumerate((0, 1, 2)):
         assert x.L[i].tobytes() == checks._pd_red_points(3, (seed,)).L[0].tobytes()
+
+
+def test_pd_red_points_follow_a_swapped_sampler_after_clear_memos(monkeypatch):
+    # Q is read from the sample memo on each call, so after a swap of the
+    # sampler's generator and clear_memos() it is the new draw; the L stack,
+    # a pure table of its own seeds, stays
+    seeds = (0, 1)
+    before = checks._pd_red_points(3, seeds)
+    rng = phase._rng
+    monkeypatch.setattr(phase, "_rng", lambda chart, n, seed: rng(chart, n, seed + 100))
+    phase.clear_memos()
+    try:
+        after = checks._pd_red_points(3, seeds)
+        new_q = phase.sample_points("red", 3, seeds).Q.q
+        assert after.Q.q.tobytes() == new_q.tobytes() != before.Q.q.tobytes()
+        assert after.L is before.L
+    finally:
+        monkeypatch.undo()
+        phase.clear_memos()
+    assert checks._pd_red_points(3, seeds).Q.q.tobytes() == before.Q.q.tobytes()
+
+
+# The package's caches, each of one of two kinds: a pure table keyed by
+# everything its value depends on, or a memo of sampled data and gradients
+# that phase.clear_memos() empties.  A new cache must join one list.
+PURE_TABLES = {"algebra.basis", "algebra.dual_basis", "algebra.off_diagonal",
+               "phase._layout", "checks._family", "checks._pd_stack"}
+MEMOS = {"phase._draw", "phase._stack", "phase._GRADS"}
+
+
+def _caches() -> dict:
+    """Every functools.lru_cache and phase._Memo that algebra, phase and
+    checks define, by module.name."""
+    found = {}
+    for module in (algebra, phase, checks):
+        for name, obj in vars(module).items():
+            if (isinstance(obj, phase._Memo) or hasattr(obj, "cache_info")
+                    and obj.__module__ == module.__name__):
+                found[f"{module.__name__.rsplit('.', 1)[1]}.{name}"] = obj
+    return found
+
+
+def _size(cache) -> int:
+    return len(cache) if isinstance(cache, phase._Memo) else cache.cache_info().currsize
+
+
+def test_every_cache_is_a_pure_table_or_a_memo_that_clear_memos_empties():
+    caches = _caches()
+    assert not PURE_TABLES & MEMOS
+    assert set(caches) == PURE_TABLES | MEMOS
+    phase.clear_memos()
+    report = run_checks([CheckSpec(cid, n=2, seeds=1) for cid in checks.CHECKS])
+    assert report["all_passed"]
+    assert all(_size(caches[name]) > 0 for name in MEMOS)
+    phase.clear_memos()
+    assert {name: _size(caches[name]) for name in MEMOS} == dict.fromkeys(MEMOS, 0)
 
 
 def test_grad_norm_equals_norm_of_each_member():
@@ -1049,6 +1119,16 @@ def test_cli_bracket_value_matches_library():
     H = invariant_observable(0, 2, "re", chart="full")
     x = sample_point("full", 3, 0)
     assert float(res.stdout.strip()) == br.pb1_full(F, H, x)
+
+
+def test_cli_bracket_offers_the_charts_and_bracket_numbers(capsys):
+    # the choices come from phase.CHARTS and brackets.BRACKETS, and --help
+    # prints them as the literals it held before
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bracket", "--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert "--chart {full,red,rs,suth}" in out and "--which {1,2}" in out
 
 
 def test_cli_flow_csv(tmp_path):

@@ -694,16 +694,40 @@ def test_a_sweep_that_raises_stores_nothing():
     assert len(phase._GRADS) == 1 and phase._GRADS.hits == 0
 
 
-def test_memo_drops_the_least_recently_used_entry(monkeypatch):
+def test_a_full_memo_empties_and_keeps_its_hit_count(monkeypatch):
+    # a store into a memo that holds `size` entries empties it first; the
+    # hits stay counted, and clear() (clear_memos) resets them
     monkeypatch.setattr(phase, "_GRADS", phase._Memo(2))
     A, B, C = (invariant_observable(*p, chart="red")
                for p in ((1, 1, "re"), (0, 2, "re"), (2, 1, "im")))
     x = sample_point("red", 2, 0)
-    a, b = phase.grad(A, x), phase.grad(B, x)
-    assert phase.grad(A, x) is a
-    phase.grad(C, x)
-    assert len(phase._GRADS) == 2
-    assert phase.grad(A, x) is a and phase.grad(B, x) is not b
+    a, _ = phase.grad(A, x), phase.grad(B, x)
+    assert phase.grad(A, x) is a and len(phase._GRADS) == 2 and phase._GRADS.hits == 1
+    c = phase.grad(C, x)
+    assert len(phase._GRADS) == 1 and phase._GRADS.hits == 1
+    assert phase.grad(C, x) is c and phase._GRADS.hits == 2
+    again = phase.grad(A, x)
+    assert again is not a and len(phase._GRADS) == 2 and phase._GRADS.hits == 2
+    for p, q in zip(again, a, strict=True):
+        assert p.tobytes() == q.tobytes()
+    phase._GRADS.clear()
+    assert len(phase._GRADS) == 0 and phase._GRADS.hits == 0
+
+
+@pytest.mark.parametrize("chart,name", [("full", "g"), ("full", "L"), ("red", "L")])
+def test_finite_differences_refuse_an_object_field_by_name(chart, name):
+    # object arrays may reach the sharp maps, not the finite-difference path:
+    # fd_grad, fd_step, point_norm and grads each raise ValueError naming the
+    # field, not numpy's TypeError from inside member_norm, and f is not called
+    F = invariant_observable(1, 1, "re", chart=chart)
+    for x in (sample_point(chart, 3, 0), phase.sample_points(chart, 3, (0, 1))):
+        y = dataclasses.replace(x, **{name: getattr(x, name).astype(object)})
+        evaluated = []
+        for call in (lambda: phase.fd_grad(evaluated.append, y), lambda: fd_step(y),
+                     lambda: point_norm(y), lambda: phase.grad(F, y)):
+            with pytest.raises(ValueError, match=f"numeric fields; {name} has dtype object$"):
+                call()
+        assert evaluated == []
 
 
 def test_fd_grad_rejects_a_value_without_the_batch_axis():
@@ -1107,19 +1131,30 @@ def test_observables_take_numpy_integer_powers():
     assert hamiltonian_observable(np.int32(2)).name == "H_2[full]"
 
 
-def test_a_repeated_observable_call_returns_the_same_object():
-    # built once per argument tuple, after the checks: a numpy integer power
-    # gives the observable of the int
+def test_equal_observable_arguments_give_equal_observables_of_one_memo_entry():
+    # each call builds a new observable after the checks; equal arguments (a
+    # numpy integer power for the int among them) give equal observables,
+    # which hash equal and share one gradient memo entry
     F = invariant_observable(1, 2, "im", chart="rs")
-    assert invariant_observable(1, 2, "im", chart="rs") is F
-    assert invariant_observable(np.int64(1), 2, part="im", chart="rs") is F
-    assert invariant_observable(1, 2, "re", chart="rs") is not F
-    H = hamiltonian_observable(2, chart="red")
-    assert hamiltonian_observable(np.int32(2), "red") is H
-    assert hamiltonian_observable(2) is not H
+    G = invariant_observable(np.int64(1), 2, part="im", chart="rs")
+    assert G is not F and G == F and hash(G) == hash(F)
+    assert invariant_observable(1, 2, "re", chart="rs") != F
+    assert invariant_observable(1, 2, "im", chart="suth") != F
     # a _Trace hashes as the tuple of its fields, and equal ones are equal
     assert hash(F.value) == hash(("rs", 1, 2, "im"))
     assert phase._Trace("rs", 1, 2, "im") == F.value
+    x = sample_point("rs", 3, 0)
+    phase.clear_memos()
+    g = phase.grad(F, x)
+    assert phase.grad(G, x) is g and all(d is g for d in phase.grads([F, G], x))
+    assert len(phase._GRADS) == 1 and phase._GRADS.hits == 2
+    # a Hamiltonian of an equal power gives the same analytic gradient
+    H, K = hamiltonian_observable(2, chart="red"), hamiltonian_observable(np.int32(2), "red")
+    assert H.name == K.name == "H_2[red]"
+    y = sample_point("red", 3, 0)
+    for a, b in zip(phase.grad(H, y), phase.grad(K, y), strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert len(phase._GRADS) == 1
 
 
 def test_an_unpickled_trace_hashes_in_its_own_process():
@@ -1138,8 +1173,8 @@ def test_an_unpickled_trace_hashes_in_its_own_process():
 
 @pytest.mark.parametrize("k", [2.0, 1.5, "2"])
 def test_cached_observables_still_take_integer_powers_only(k):
-    # H_2 and re-tr(g^1 L^2) are cached first; a float equal to 2 must not
-    # find them
+    # H_2 and re-tr(g^1 L^2) are built first; a float equal to 2 must not
+    # build them again
     hamiltonian_observable(2, chart="red")
     invariant_observable(1, 2)
     with pytest.raises(TypeError):
@@ -1153,7 +1188,7 @@ def test_cached_observables_still_take_integer_powers_only(k):
     ({"chart": "polar"}, "unknown chart"), ({"chart": ["full"]}, "unknown chart")])
 def test_observable_factories_check_part_and_chart_before_their_cache(kwargs, match):
     # an unknown or unhashable part or chart raises the factory's ValueError,
-    # not the cache's TypeError
+    # not a TypeError from hashing it
     invariant_observable(1, 1)
     with pytest.raises(ValueError, match=match):
         invariant_observable(1, 1, **kwargs)
