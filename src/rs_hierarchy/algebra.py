@@ -167,12 +167,10 @@ def make_zero_diag_hermitian(X: np.ndarray) -> np.ndarray:
 
 
 def diag_matrix(v: np.ndarray) -> np.ndarray:
-    """Complex diagonal matrix with diagonal v, per member of a stack; equal to
-    np.diag(v).astype(complex) for one vector."""
-    n = v.shape[-1]
-    M = np.zeros(v.shape + (n,), dtype=complex)
-    M[..., range(n), range(n)] = v
-    return M
+    """Complex diagonal matrix with diagonal v, per member of a stack, by one
+    np.where on the identity's mask; equal to np.diag(v).astype(complex) for
+    one vector, signs of zeros included."""
+    return np.where(np.eye(v.shape[-1], dtype=bool), v[..., None], 0j)
 
 
 @lru_cache(maxsize=None)
@@ -258,15 +256,17 @@ def r_apply(Q: TorusReg, X: np.ndarray) -> np.ndarray:
 def chol_upper(L: np.ndarray) -> np.ndarray:
     """Unique b in B(n) (upper triangular, positive real diagonal) with
     b b^dagger = L, for finite Hermitian L with smallest eigenvalue above
-    PD_FLOOR; per member of a stack, whose NotPositiveDefiniteError names the
-    first failing member (one holding a NaN or an infinity before any
-    eigensolve).
+    PD_FLOOR; per member of a stack.  A member holding a NaN or an infinity
+    raises NotPositiveDefiniteError first, before any eigensolve; a member
+    that is not Hermitian (the strict make_hermitian) raises SubspaceError,
+    and one not positive definite NotPositiveDefiniteError, each naming the
+    first failing member.
 
     Uses the index-reversal trick: conjugating by the reversal permutation
     maps the problem onto a standard lower Cholesky factorization.
     """
     _gate_finite(L, NotPositiveDefiniteError)   # eigvalsh does not converge on them
-    L = make_hermitian(L)
+    L = make_hermitian(L, strict=True)
     w = np.linalg.eigvalsh(L)[..., 0]
     if (w <= PD_FLOOR).any():
         raise NotPositiveDefiniteError.first(

@@ -143,6 +143,7 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     the outer differences: a directional difference is not linear in its
     direction.
 
+    brackets is any iterable of them, read once (a generator included).
     Anything but a Bracket raises TypeError, no bracket ValueError.  Every
     b_j must be antisymmetric: the outer level reads {A, K}_j = -{K, A}_j =
     -X^j_A K, the derivative of K = {G,H}_i, {H,F}_i, {F,G}_i along the
@@ -160,6 +161,7 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     phase.clear_memos() first.
     """
     chart = F.chart
+    brackets = tuple(brackets)   # a one-shot iterable is read once
     if not brackets:
         raise ValueError("jacobiator needs at least one bracket")
     if not (G.chart == chart == H.chart):

@@ -84,8 +84,6 @@ def to_suth(x: RedPoint) -> SuthPoint:
     """(Q, L) -> (Q, p, phi): p is the (real) diagonal of L and phi inverts
     the entrywise multiplier on the off-diagonal part."""
     p = np.real(np.diagonal(x.L, axis1=-2, axis2=-1))
-    M = _suth_multiplier(x.Q)
-    off = algebra.off_diagonal(x.n)
-    phi = np.zeros(np.broadcast_shapes(M.shape, x.L.shape), dtype=complex)
-    phi[..., off] = -x.L[..., off] / M[..., off]
+    M = _suth_multiplier(x.Q)   # its diagonal is 0: divide by 1 there
+    phi = np.where(algebra.off_diagonal(x.n), -x.L / (M + np.eye(x.n)), 0j)
     return SuthPoint(x.Q, p, algebra.make_zero_diag_hermitian(phi))

@@ -53,7 +53,7 @@ def _flow_g(x0: FullPoint, k: int, t: np.ndarray) -> np.ndarray:
     k = phase._index(k, "k", 1)
     if not np.isfinite(t).all():
         raise ValueError(f"flow needs a finite t, got {t[~np.isfinite(t)][0]}")
-    defect = phase.member_norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n))
+    defect = np.linalg.norm(x0.g.conj().swapaxes(-1, -2) @ x0.g - np.eye(x0.n), axis=(-2, -1))
     unitary = defect <= UNITARY_TOL * x0.n  # False for a NaN defect
     if not unitary.all():
         raise CertificationError.first(~unitary, lambda i: (

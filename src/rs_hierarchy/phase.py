@@ -143,22 +143,16 @@ def batch_shape(x) -> tuple:
 
 
 def member_norm(a, S: tuple | None = None) -> np.ndarray:
-    """np.linalg.norm of each member of a, of shape S: a is an array with batch
-    axes S (None: all its axes but the last two, a stack of matrices) or a
-    tuple of such arrays, such as a gradient or tangent tuple, whose member
-    norm is the root of the sum of its components' squared ones.  A member's
-    sum of squares is the dot product re.re + im.im that np.linalg.norm
-    forms, so each value equals np.linalg.norm of the member on its own, bit
-    for bit."""
+    """2-norm of each member of a, of shape S: a is an array with batch axes
+    S (None: all its axes but the last two, a stack of matrices) or a tuple
+    of such arrays, such as a gradient or tangent tuple, whose member norm is
+    the root of the sum of its components' squared ones.  One call of
+    np.linalg.norm over each member's flattened entries: on a C-contiguous
+    stack of matrices it equals np.linalg.norm(a, axis=(-2, -1)) bit for
+    bit, and on any layout each member equals that member on its own."""
     if isinstance(a, tuple):
         return np.sqrt(sum(member_norm(c, S) ** 2 for c in a))
-    if S is None:
-        S = a.shape[:-2]
-    r = a.reshape(S + (1, -1))
-    sq = (r.real @ r.real.swapaxes(-1, -2))[..., 0, 0]
-    if np.iscomplexobj(r):
-        sq = sq + (r.imag @ r.imag.swapaxes(-1, -2))[..., 0, 0]
-    return np.sqrt(sq)
+    return np.linalg.norm(a.reshape((a.shape[:-2] if S is None else S) + (-1,)), axis=-1)
 
 
 def _numeric_arrays(x) -> list:
@@ -174,9 +168,10 @@ def _numeric_arrays(x) -> list:
 
 
 def point_norm(x):
-    """Norm of the coordinate arrays of x, one value per member (shape
-    batch_shape(x); a shared field counts for every member), equal to that
-    of the point on its own, bit for bit.  A field of object dtype raises
+    """2-norm of the coordinate arrays of x, one value per member (shape
+    batch_shape(x); a shared field counts for every member): the root of the
+    sum of each field's squared member_norm, so each member equals the
+    member on its own, bit for bit.  A field of object dtype raises
     ValueError naming it (_numeric_arrays), so fd_step and fd_grad do too."""
     total = 0.0
     for _, a, s in _numeric_arrays(x):

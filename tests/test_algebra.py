@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rs_hierarchy import algebra, config, phase
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
-                                  TorusReg, chol_upper, dual_basis, pairing,
+                                  SubspaceError, TorusReg, chol_upper, dual_basis, pairing,
                                   r_apply, split_ub)
 
 
@@ -419,6 +419,22 @@ def test_chol_upper_names_a_non_finite_member_before_any_eigensolve(bad):
     assert err.value.member == 2
     with pytest.raises(NotPositiveDefiniteError, match=r"^holds a NaN or an infinity$"):
         chol_upper(L[2])
+
+
+def test_chol_upper_refuses_a_non_hermitian_member_after_the_finite_gate():
+    # the strict projection names the first member that is not Hermitian;
+    # a member holding a NaN is named first, by the finite gate
+    L = _pd_stack(np.random.default_rng(2), 4, 3)
+    L[1, 2, 0] += 0.3
+    with pytest.raises(SubspaceError, match=r"^member 1: discarded component") as err:
+        chol_upper(L)
+    assert err.value.member == 1
+    with pytest.raises(SubspaceError, match=r"^discarded component"):
+        chol_upper(L[1])
+    L[3, 0, 0] = np.nan
+    with pytest.raises(NotPositiveDefiniteError, match=r"^member 3: holds a NaN") as err:
+        chol_upper(L)
+    assert err.value.member == 3
 
 
 @pytest.mark.parametrize("m", [3, 4])   # batch size other than n, and equal to n

@@ -440,6 +440,17 @@ def test_jacobiator_needs_at_least_one_bracket():
         br.jacobiator((), F, G, H, sample_point("full", 2, 0))
 
 
+def test_jacobiator_reads_a_one_shot_iterable_of_brackets():
+    # a generator of brackets gives the tuple's T; its validation loop used
+    # it up before, and the sweep met no bracket
+    F, G, H = _triple("full")
+    x = sample_point("full", 2, 0)
+    pair = (br.pb1_full, br.pb2_full)
+    want = br.jacobiator(pair, F, G, H, x)
+    got = br.jacobiator((b for b in pair), F, G, H, x)
+    assert got.shape == (2, 2) and got.tobytes() == want.tobytes()
+
+
 def test_jacobi_defect_needs_a_bracket():
     F, G, H = _triple("full")
     x = sample_point("full", 2, 0)

@@ -3,7 +3,7 @@ import pytest
 
 from rs_hierarchy import algebra, coords, dynamics
 from rs_hierarchy.algebra import (NotPositiveDefiniteError, RegularityError,
-                                  TorusReg)
+                                  SubspaceError, TorusReg)
 from rs_hierarchy.phase import (RedPoint, RSPoint, SuthPoint, _arrays, batch_shape,
                                 point_norm, sample_point, sample_points)
 
@@ -110,6 +110,23 @@ def test_to_rs_and_to_suth_on_a_stack_equal_per_member(n):
                 for (_, a, _), (_, b, _) in zip(_arrays(stacked), _arrays(alone), strict=True):
                     a = np.broadcast_to(a, (3,) + b.shape)
                     assert a[i].tobytes() == b.tobytes()
+
+
+def test_to_rs_refuses_a_non_hermitian_L_naming_the_member():
+    # chol_upper projects L strictly, as from_rs and to_suth do: an L that
+    # is not Hermitian raises, where its Hermitian part was factored before
+    # and from_rs(to_rs(y)) landed 0.212 away from L
+    ys = [_pd_red_point(3, seed) for seed in (0, 1, 2)]
+    L = np.array([y.L for y in ys])
+    L[1, 0, 1] += 0.3
+    with pytest.raises(SubspaceError, match=r"^discarded component has norm 2.121e-01$") as err:
+        coords.to_rs(RedPoint(ys[1].Q, L[1]))
+    assert err.value.member is None
+    stack = RedPoint(TorusReg(np.array([y.Q.q for y in ys])), L)
+    for to in (coords.to_rs, coords.to_suth):
+        with pytest.raises(SubspaceError, match=r"^member 1: discarded component") as err:
+            to(stack)
+        assert err.value.member == 1
 
 
 def test_rs_round_trips():

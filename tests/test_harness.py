@@ -634,20 +634,22 @@ def test_every_cache_is_a_pure_table_or_a_memo_that_clear_memos_empties():
 
 
 def test_grad_norm_equals_norm_of_each_member():
-    # one norm per member, each equal to the np.linalg.norm form on its own,
-    # on a stack of seeds S = (3,) and on a stack of pairs of them, (P, S)
+    # one norm per member, each equal to np.linalg.norm over the matrix axes
+    # of the member on its own, on a stack of seeds S = (3,) and on a stack
+    # of pairs of them, (P, S)
+    norm = partial(np.linalg.norm, axis=(-2, -1))
     Fs = [phase.invariant_observable(*p, chart="rs") for p in ((2, 1, "im"), (0, 2, "re"))]
     for n in (2, 3, 4, 5):
         gs = phase.grads(Fs, phase.sample_points("rs", n, (0, 1, 2)))
         got = phase.member_norm(gs[0])
         assert got.shape == (3,)
         for i in range(3):
-            assert got[i] == float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in gs[0])))
+            assert got[i] == float(np.sqrt(sum(norm(c[i]) ** 2 for c in gs[0])))
         got = phase.member_norm(br.stack(gs))
         assert got.shape == (2, 3)
         for p, g in enumerate(gs):
             for i in range(3):
-                want = float(np.sqrt(sum(np.linalg.norm(c[i]) ** 2 for c in g)))
+                want = float(np.sqrt(sum(norm(c[i]) ** 2 for c in g)))
                 assert got[p, i] == want, (n, p, i)
 
 
@@ -764,11 +766,12 @@ _REFERENCE_JACOBI = {
 
 # the flow rows as one-point bodies, as they were before every row took its
 # seeds as one stack: flow and the RK4 oracle at one point, norms by
-# np.linalg.norm
+# np.linalg.norm over the matrix axes
 
 
 def _ref_g_samples(pairs):
-    return [(float(np.linalg.norm(a - b)), 1.0 + float(np.linalg.norm(a))) for a, b in pairs]
+    norm = partial(np.linalg.norm, axis=(-2, -1))
+    return [(float(norm(a - b)), 1.0 + float(norm(a))) for a, b in pairs]
 
 
 def _ref_flow_rk4(n, seed):

@@ -795,6 +795,70 @@ def test_project_and_move_act_block_by_block(chart):
 
 
 # ---------------------------------------------------------------------------
+# the one norm rule: member_norm is np.linalg.norm over each member
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_member_norm_is_numpys_norm_over_the_matrix_axes(n):
+    # bit for bit on C-contiguous stacks of the shapes the package measures:
+    # one point, fd_grad's (2 * dim,) + S and the Jacobiator's (3, 2, b) + S
+    rng = np.random.default_rng(n)
+    S, dim, b = (3,), n * n, 2
+    for batch in ((), (2 * dim,) + S, (3, 2, b) + S):
+        for a in (_complex(rng, batch + (n, n)), rng.standard_normal(batch + (n, n))):
+            got = phase.member_norm(a)
+            want = np.linalg.norm(a, axis=(-2, -1))
+            assert got.shape == batch and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (n, batch, a.dtype)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_member_norm_of_a_view_equals_each_member_alone(n):
+    # transposed, strided and broadcast views: each member bit for bit that
+    # member on its own, and numpy's norm of its C-contiguous copy
+    a = _complex(np.random.default_rng(10 + n), (2, 3, n, n))
+    views = (a.swapaxes(-1, -2), a.swapaxes(0, 1), a[:, ::2], a.real.swapaxes(-1, -2),
+             np.broadcast_to(a[0, 0], (2, 3, n, n)), np.broadcast_to(a[:, :1], (2, 3, n, n)))
+    for v in views:
+        got = phase.member_norm(v)
+        assert got.shape == v.shape[:-2]
+        for i in np.ndindex(got.shape):
+            assert got[i] == phase.member_norm(v[i]), (n, i)
+            assert got[i] == np.linalg.norm(np.ascontiguousarray(v[i]), axis=(-2, -1)), (n, i)
+
+
+def test_member_norm_of_a_tuple_and_with_explicit_batch_axes():
+    # a tuple's member norm is the root of its components' squared ones; a
+    # vector field (Q.q, p) names its batch axes S, each member equal to
+    # that member alone (S = ())
+    rng = np.random.default_rng(4)
+    S = (4,)
+    A, B = _complex(rng, S + (3, 3)), rng.standard_normal(S + (3, 3))
+    want = np.sqrt(phase.member_norm(A) ** 2 + phase.member_norm(B) ** 2)
+    assert phase.member_norm((A, B)).tobytes() == want.tobytes()
+    for v in (rng.standard_normal(S + (3,)), _complex(rng, S + (3,))):
+        got = phase.member_norm(v, S)
+        assert got.shape == S
+        assert got.tobytes() == np.linalg.norm(v, axis=-1).tobytes()
+        for i in range(4):
+            assert got[i] == phase.member_norm(v[i], ())
+
+
+@pytest.mark.parametrize("chart", phase.CHARTS)
+def test_point_norm_of_a_stack_equals_each_member_alone(chart):
+    for n in (2, 3, 4, 5):
+        seeds = (0, 1, 2)
+        got = point_norm(phase.sample_points(chart, n, seeds))
+        assert got.shape == (3,)
+        for i, seed in enumerate(seeds):
+            assert got[i] == point_norm(sample_point(chart, n, seed)), (n, seed)
+
+
+# ---------------------------------------------------------------------------
 # reduced-chart derivatives
 
 
