@@ -3,13 +3,13 @@
 A bracket is one value, `Bracket(chart, sharp, name)`: its Hamiltonian map
 V = sharp(x, dH), a tuple of the chart's gradient type (None for a slot
 that pairs to zero); {F,H}(x), the sum over the slots of <dF, V>, is
-`Bracket.contract(x, dF, dH)`, written once for all brackets.  Calling a
-bracket on two observables of its chart takes their gradients in one
-phase.grads call and contracts them; code that already holds the gradients
-calls `contract`.  It takes a batch of points (batch axes S, as in phase)
-and gradient stacks with pair axes P in front of S (stack, take,
-cyclic_pairs), all broadcast by numpy's rule, and returns the values of
-shape P + S in one call, each equal to that of its pair alone, bit for bit.
+`Bracket.contract(x, dF, dH)`, written once for all brackets (_pair).
+Calling a bracket on two observables of its chart takes their gradients in
+one phase.grads call and contracts them; code that already holds the
+gradients calls `contract`.  It takes a batch of points (batch axes S, as
+in phase) and gradient stacks with pair axes P in front of S (stack,
+take), all broadcast by numpy's rule, and returns the values of shape
+P + S in one call, each equal to that of its pair alone, bit for bit.
 `jacobiator` needs antisymmetric brackets: it reads each outer bracket
 {A, K} as -{K, A}, the derivative of the inner value K along the
 Hamiltonian vector field of A, one central difference of displacement
@@ -18,10 +18,13 @@ The field is phase.project of the bracket's map, and phase.move, the move
 rule of every finite difference, displaces x along it.  Its inner level is
 one phase.grads sweep over the stack of all moved points, and a later call
 at the same points takes them from phase's memo; it contracts each bracket
-once on all its pairs.  A pencil sum_i s_i b_i needs no Bracket of its
-own: its Jacobi defect is the quadratic form s.T.s in the jacobiator T of
-the b_i, up to the outer differences (each is taken along one bracket's
-field).
+once on all its pairs.  A Jacobi row's scale reads the pair values {F,G},
+{G,H}, {H,F} of each bracket at x from the same fields sharp(x, dA) that
+the outer differences move along: _jacobi returns T and them, with no
+second gradient lookup or sharp map.  A pencil sum_i s_i b_i needs no
+Bracket of its own: its Jacobi defect is the quadratic form s.T.s in the
+jacobiator T of the b_i, up to the outer differences (each is taken along
+one bracket's field).
 """
 
 from __future__ import annotations
@@ -56,7 +59,12 @@ class Bracket:
         return self.contract(x, *phase.grads((F, H), x))
 
     def contract(self, x, dF, dH):
-        return sum(pairing(a, v) for a, v in zip(dF, self.sharp(x, dH)) if v is not None)
+        return _pair(dF, self.sharp(x, dH))
+
+
+def _pair(dF, V):
+    """sum over the slots of <dF_slot, V_slot>; a None slot pairs to zero."""
+    return sum(pairing(a, v) for a, v in zip(dF, V) if v is not None)
 
 
 # Each map is the source's bilinear form in dF and dH with dF moved to the
@@ -127,13 +135,6 @@ def take(g, index):
     return type(g)(*(c[index] for c in g))
 
 
-def cyclic_pairs(dA, dB, dC):
-    """Stacks (left, right) of the pairs (A, B), (B, C), (C, A) of three
-    gradient tuples: consecutive members of one stack of (A, B, C, A)."""
-    d = stack((dA, dB, dC, dA))
-    return take(d, slice(0, 3)), take(d, slice(1, 4))
-
-
 def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
                x) -> np.ndarray:
     """T[j, i] = sum_cyc {F,{G,H}_i}_j for brackets b_i on one chart, by central
@@ -158,8 +159,18 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     at the same points takes no sweep), and one contract per inner bracket
     on the cyclic pair of each point.  Each row sums its three terms in the
     order {F,.}, {G,.}, {H,.}.  Code that swaps a chart map calls
-    phase.clear_memos() first.
+    phase.clear_memos() first.  T is that of _jacobi, which also returns
+    the pair values at x that a Jacobi row's scale reads.
     """
+    return _jacobi(brackets, F, G, H, x)[0]
+
+
+def _jacobi(brackets, F, G, H, x) -> tuple[np.ndarray, np.ndarray]:
+    """(T, V): jacobiator's T and the pair values V[i] = {F,G}_i, {G,H}_i,
+    {H,F}_i of each b_i at x, shape (b, 3) + S.  V pairs dA with the fields
+    b_i.sharp(x, dA) that T's outer level moves along, slot by slot as
+    contract does, so each value is contract's at x, bit for bit, with no
+    second gradient lookup or sharp map."""
     chart = F.chart
     brackets = tuple(brackets)   # a one-shot iterable is read once
     if not brackets:
@@ -175,9 +186,13 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
 
     dA = stack(phase.grads((F, G, H), x))
     fields = [b.sharp(x, dA) for b in brackets]    # per b_j, slots of (3,) + S
-    V = type(dA)(*(np.array([np.zeros_like(a) if f[k] is None else f[k] for f in fields])
+    # <dA_a, sharp(dA_c)> over all (a, c), a view of dA against each field;
+    # (a, a + 1) picks {F,G}, {G,H}, {H,F}
+    column = take(dA, np.s_[:, None])
+    V = np.array([_pair(column, f) for f in fields])[:, (0, 1, 2), (1, 2, 0)]   # (b, 3) + S
+    W = type(dA)(*(np.array([np.zeros_like(a) if f[k] is None else f[k] for f in fields])
                    .swapaxes(0, 1) for k, a in enumerate(dA)))   # (3, b) + S + (n, n)
-    X = phase.project(x, V)
+    X = phase.project(x, W)
     size = phase.member_norm(X)    # (3, b) + S
     h = phase.fd_step(x, FD_OUTER_STEP_SCALE)
     t = np.divide(h, size, out=np.zeros(size.shape), where=size > 0.0)
@@ -187,11 +202,13 @@ def jacobiator(brackets, F: Observable, G: Observable, H: Observable,
     pairs = (take(d, ((1, 2, 0), (0, 1, 2))), take(d, ((2, 0, 1), (0, 1, 2))))
     K = np.array([b.contract(y, *pairs) for b in brackets])   # (i, A, sign, j) + S
     rate = (K[:, :, 0] - K[:, :, 1]) * (size / (2.0 * h))     # X^j_A K_{i,A}
-    return -(rate[:, 0] + rate[:, 1] + rate[:, 2]).swapaxes(0, 1)
+    return -(rate[:, 0] + rate[:, 1] + rate[:, 2]).swapaxes(0, 1), V
 
 
 def jacobi_defect(bracket: Bracket, F: Observable, G: Observable, H: Observable,
-                  x) -> float:
+                  x) -> float | np.ndarray:
     """Cyclic sum {F,{G,H}} + {G,{H,F}} + {H,{F,G}} by nested central
-    differences: T[0,0] of jacobiator((bracket,), F, G, H, x)."""
-    return float(jacobiator((bracket,), F, G, H, x)[0, 0])
+    differences: T[0,0] of jacobiator((bracket,), F, G, H, x), a float at
+    one point and one value per member of a stack."""
+    d = jacobiator((bracket,), F, G, H, x)[0, 0]
+    return float(d) if d.ndim == 0 else d

@@ -175,14 +175,15 @@ def check_leibniz(n, seeds):
 def _jacobi_samples(brackets, coeffs, n, seeds):
     """Per row s of the coefficients: |s.T.s| of sum_i s_i b_i (T the
     jacobiator at the stacked points) against 1 + sum |s.V|, V the pair values
-    {F,G}, {G,H}, {H,F} of the b_i from one set of gradients of F, G, H."""
+    {F,G}, {G,H}, {H,F} of the b_i at those points.  Both come from one
+    brackets._jacobi call: V pairs the gradients of F, G, H with the same
+    fields b_i.sharp(x, dA) that T moves along."""
     s = np.array(coeffs)[:, None, None, :]                        # (c, 1, 1, b)
     col = s.swapaxes(-1, -2)
     F, G, H = invariant_triple(brackets[0].chart)
     x = sample_points(brackets[0].chart, n, seeds)
-    T = br.jacobiator(brackets, F, G, H, x).transpose(2, 0, 1)   # (b, b) + S as S + (b, b)
-    pairs = br.cyclic_pairs(*phase.grads((F, G, H), x))
-    V = np.array([b.contract(x, *pairs) for b in brackets]).transpose(1, 2, 0)  # (3,) + S + (b,)
+    T, V = br._jacobi(brackets, F, G, H, x)
+    T, V = T.transpose(2, 0, 1), V.transpose(1, 2, 0)   # S + (b, b) and (3,) + S + (b,)
     return abs(s @ T @ col)[..., 0, 0], 1.0 + abs(V @ col)[..., 0].sum(1)      # (c,) + S
 
 
@@ -435,6 +436,12 @@ def _sample_array(func, n: int, seeds: tuple) -> np.ndarray:
     return np.array((a, s)).reshape(2, -1, len(seeds))
 
 
+# run_check judges a sample whose defect is >= 0 and whose scale is >= 5e-324,
+# the least positive double, both below inf: one comparison of each bound
+# over the (2, N) samples.
+_LEAST_JUDGED = np.array([[0.0], [5e-324]])
+
+
 def run_check(spec: CheckSpec) -> CheckResult:
     """Run the row's body once on seeds 0..S-1.  If that raises, the seeds
     are replayed one at a time up to the first that raises: the samples of
@@ -460,25 +467,30 @@ def run_check(spec: CheckSpec) -> CheckResult:
                           f"{type(stacked).__name__}: {stacked}")
     wall = time.perf_counter() - t0
     K = samples.shape[1]
-    a, s = samples.transpose(0, 2, 1).reshape(2, -1)   # sample k of seed i at i * K + k
-    finite = np.isfinite(a) & np.isfinite(s)
-    at = (finite & (a >= 0.0) & (s > 0.0)).nonzero()[0]   # the samples it judges
-    if at.size < a.size:
+    samples = samples.transpose(0, 2, 1).reshape(2, -1)   # sample k of seed i at i * K + k
+    inside = (_LEAST_JUDGED <= samples) & (samples < np.inf)   # each value within its bounds
+    a, s = samples[0], samples[1]
+    judged = a.size   # how many samples it judges
+    if np.count_nonzero(inside) < inside.size:
+        finite = np.isfinite(a) & np.isfinite(s)
         for bad, text in ((~finite, "non-finite defect {} or scale {}"),
                           (finite & (s <= 0.0), "scale {1} is not positive"),
                           (finite & (a < 0.0), "negative defect {0}")):
             for i in bad.nonzero()[0][:1]:   # the first, if any
                 errors.append(f"seed {i // K} sample {i % K}: " + text.format(a[i], s[i]))
-        a, s = a[at], s[at]
+        fit = inside[0] & inside[1]
+        judged = np.count_nonzero(fit)
+        a, s = np.where(fit, a, -1.0), np.where(fit, s, 1.0)   # -1: below every judged value
     if seeds_run and not K:
         errors.append(f"seeds 0..{seeds_run - 1}: the body returned no samples")
     max_abs, max_rel, worst_seed = np.nan, np.nan, None
-    if at.size:
+    if judged:
         with np.errstate(over="ignore"):
             rel = a / s
-        w = (rel == rel.max()).nonzero()[0][0]   # the first of equal maxima, as max with a key
-        max_abs, max_rel, worst_seed = a.max(), rel[w], int(at[w]) // K
-    passed = bool(at.size and max_rel <= cdef.tolerance and not errors)
+        max_abs, max_rel = a.max(), rel.max()
+        w = (rel == max_rel).nonzero()[0][0]   # the first of equal maxima, as max with a key
+        worst_seed = int(w) // K
+    passed = bool(judged and max_rel <= cdef.tolerance and not errors)
     return CheckResult(spec.check_id, spec.n, seeds_run, float(max_abs), float(max_rel),
                        worst_seed, cdef.tolerance, passed, wall, errors)
 

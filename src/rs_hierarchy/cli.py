@@ -106,6 +106,8 @@ def _cmd_check(args) -> int:
 def _cmd_flow(args) -> int:
     if args.steps < 2 or args.n < 2 or args.k < 1 or not np.isfinite([args.t0, args.t1]).all():
         _config_error("need steps >= 2, n >= 2, k >= 1 and finite t0, t1")
+    if not np.isfinite(args.t1 - args.t0):   # the grid's span overflows
+        _config_error(f"need a finite span t1 - t0, got t0 = {args.t0!r}, t1 = {args.t1!r}")
     x0 = _sample("full", args.n, args.seed)
     with _open_out(args.out) as fh:
         try:

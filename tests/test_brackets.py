@@ -203,6 +203,19 @@ def test_jacobi_defect_degenerate_triple():
     assert abs(d) <= 1e-4 * (1 + abs(br.pb1_full(F, H, x)))
 
 
+@pytest.mark.parametrize("bracket", [br.pb1_full, br.pb2_full, br.pb1_red, br.pb2_red,
+                                     br.pb_suth], ids=lambda b: b.name)
+def test_jacobi_defect_of_a_stack_is_each_member_alone(bracket):
+    # a float at one point and one value per member of a stacked point, each
+    # that of its point alone, bit for bit
+    F, G, H = _triple(bracket.chart)
+    got = br.jacobi_defect(bracket, F, G, H, sample_points(bracket.chart, 3, (0, 1)))
+    assert type(got) is np.ndarray and got.shape == (2,)
+    for i, seed in enumerate((0, 1)):
+        alone = br.jacobi_defect(bracket, F, G, H, sample_point(bracket.chart, 3, seed))
+        assert type(alone) is float and got[i].hex() == alone.hex(), seed
+
+
 def _zero(x):
     return np.zeros(phase.batch_shape(x))
 

@@ -207,6 +207,34 @@ def test_a_warm_jacobi_row_computes_one_norm_and_calls_no_np_stack(monkeypatch):
                                                           cold.max_rel_defect)
 
 
+@pytest.mark.parametrize("check_id", [cid for cid in checks.CHECKS if cid.startswith("jacobi-")])
+def test_a_jacobi_row_makes_two_gradient_lookups_and_two_sharp_maps_per_bracket(
+        monkeypatch, check_id):
+    # the hardware-independent cost of a row, cold and warm: the jacobiator's
+    # lookups at x and at the moved points, and per bracket its fields at x,
+    # which also give the row's pair values, and its one contract at the
+    # moved points
+    func = checks.CHECKS[check_id].func
+    calls = {}
+
+    def counted(name, f):
+        def counting(*args, **kw):
+            calls[name] += 1
+            return f(*args, **kw)
+        return counting
+    brackets = tuple(dataclasses.replace(b, sharp=counted(b.name, b.sharp))
+                     for b in func.args[0])
+    monkeypatch.setattr(phase, "grads", counted("grads", phase.grads))
+    body = partial(func.func, brackets, *func.args[1:])
+    phase.clear_memos()
+    runs = []
+    for _ in ("cold", "warm"):
+        calls = dict.fromkeys(["grads"] + [b.name for b in brackets], 0)
+        runs.append(body(3, (0, 1)))
+        assert calls == {"grads": 2, **{b.name: 2 for b in brackets}}
+    assert all(w.tobytes() == c.tobytes() for w, c in zip(*runs))
+
+
 # the rows of the sweep-n2-5 and jacobi-n3 benchmark workloads
 _ORDER_ROWS = ("antisymmetry", "leibniz", "ladder-full", "ladder-red", "involutivity",
                "reduction-pb1", "reduction-pb2", "rs-bracket", "suth-bracket",
@@ -741,6 +769,26 @@ def _ref_jacobi(brackets, coeffs, n, seed):
             for s in map(np.array, coeffs)]
 
 
+def _ref_cyclic_pairs(dA, dB, dC):
+    """Stacks (left, right) of the pairs (A, B), (B, C), (C, A) of three
+    gradient tuples: consecutive members of one stack of (A, B, C, A)."""
+    d = br.stack((dA, dB, dC, dA))
+    return br.take(d, slice(0, 3)), br.take(d, slice(1, 4))
+
+
+def _ref_jacobi_rows(brackets, coeffs, n, seeds):
+    # the stacked row with its pair values from a second gradient lookup at
+    # x: the cyclic pairs, one contract per bracket, each at x
+    s = np.array(coeffs)[:, None, None, :]
+    col = s.swapaxes(-1, -2)
+    F, G, H = checks.invariant_triple(brackets[0].chart)
+    x = phase.sample_points(brackets[0].chart, n, seeds)
+    T = br.jacobiator(brackets, F, G, H, x).transpose(2, 0, 1)
+    pairs = _ref_cyclic_pairs(*phase.grads((F, G, H), x))
+    V = np.array([b.contract(x, *pairs) for b in brackets]).transpose(1, 2, 0)
+    return abs(s @ T @ col)[..., 0, 0], 1.0 + abs(V @ col)[..., 0].sum(1)
+
+
 _REFERENCE_ROWS = {
     "antisymmetry": partial(_ref_antisymmetry, checks.invariant_pairs,
                             tuple(checks._BRACKETS_BY_CHART)),
@@ -834,6 +882,18 @@ def test_jacobi_pair_values_equal_their_per_pair_form(check_id):
         assert _hex_samples(got) == _hex_samples(want), n
 
 
+@pytest.mark.parametrize("check_id", list(_REFERENCE_JACOBI))
+def test_jacobi_rows_equal_their_second_lookup_form(check_id):
+    # the pair values read from the jacobiator's fields give each row's
+    # (defect, scale) arrays of the form that looks the gradients up again
+    # at x and contracts the cyclic pairs, bit for bit
+    for n in range(2, 6):
+        got = checks.CHECKS[check_id].func(n, (0, 1, 2))
+        want = _ref_jacobi_rows(*_REFERENCE_JACOBI[check_id], n, (0, 1, 2))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), n
+
+
 @pytest.mark.parametrize("check_id", list(_REFERENCE_FLOWS))
 def test_flow_rows_equal_their_one_point_form(check_id):
     # every sample bit for bit at n = 2..6 on the seeds 0..4
@@ -888,21 +948,25 @@ def test_planted_pb2_full_defects_read_as_in_the_full_gradient_form(monkeypatch,
     # the rows that contract pb2_full, given one with a term off by 1 + eps,
     # fail, and read within 5% of the jacobiator's full-gradient form: the
     # outer level assumes antisymmetry, which the plant breaks (at 1e-3 the
-    # form reads 1.17e-4 for the u_part plant and 1.06e-4 for the D1' one)
+    # form reads 1.17e-4 for the u_part plant and 1.06e-4 for the D1' one);
+    # the rows take T and their pair values from brackets._jacobi, so the
+    # full-gradient form replaces its T and keeps its pair values
     planted = _planted_pb2_full(*((eps, 0.0) if term == "u_part" else (0.0, eps)))
-    forms = (br.jacobiator, _per_pair_jacobiator)
+    own = br._jacobi
+    forms = (own, lambda *args: (_per_pair_jacobiator(*args), own(*args)[1]))
     for cid in ("jacobi-full-2", "jacobi-pencil"):
         func = checks.CHECKS[cid].func
         brackets = tuple(planted if b is br.pb2_full else b for b in func.args[0])
         body = partial(func.func, brackets, *func.args[1:])
         readings = []
-        for jacobiator in forms:
-            monkeypatch.setattr(br, "jacobiator", jacobiator)
+        for jacobi in forms:
+            monkeypatch.setattr(br, "_jacobi", jacobi)
             a, s = body(3, (0, 1))
             readings.append(np.max(a / s))
         got, want = readings
         assert got > checks.CHECKS[cid].tolerance and want > checks.CHECKS[cid].tolerance, cid
         assert abs(got / want - 1.0) <= 0.05, (cid, got, want)
+        assert got != want, f"{cid}: the full-gradient form did not replace the row's T"
 
 
 def test_report_is_json_ready():
@@ -1098,6 +1162,20 @@ def test_cli_failed_flow_export_leaves_no_file(tmp_path):
     assert res.stderr == ("error: flow needs a finite phase t w^k, got inf or nan at "
                           "t = 1e+308\n")
     assert not out.exists()
+
+
+def test_cli_flow_grid_whose_span_overflows_is_a_config_error(tmp_path):
+    # t0 and t1 are finite but t1 - t0 overflows: exit 2, with any warning
+    # an error, naming t0 and t1 before --out is opened (under a missing
+    # directory the message is the same) and leaving no file
+    for out in (tmp_path / "out.csv", tmp_path / "missing" / "out.csv"):
+        res = subprocess.run([sys.executable, "-W", "error", *CLI[1:], "flow",
+                              "--t0=-1.7e308", "--t1=1.7e308", "--steps", "3",
+                              "--out", str(out)], capture_output=True, text=True)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == ("error: need a finite span t1 - t0, got t0 = -1.7e+308, "
+                              "t1 = 1.7e+308\n")
+        assert not out.exists()
 
 
 def test_cli_runs_without_scipy(tmp_path):
